@@ -59,30 +59,22 @@ def regressor_dim(structure, n, m, nu=None, nbe=None):
     raise ValueError(structure)
 
 
+# regressor blocks of each structure, in stacking order
+_BLOCKS = {
+    Structure.SF_XM: ("x", "xm", "um"),
+    Structure.SF_YM: ("x", "wum", "wym", "ym", "um"),
+    Structure.OF_XM: ("w1", "w2", "y", "xm", "um"),
+    Structure.OF_YM: ("w1", "w2", "y", "wum", "wym", "ym", "um"),
+}
+
+
 def assemble_regressor(structure, parts):
     """Stack the structure's regressor from named signal blocks.
 
     parts keys: x, xm, y, ym, um, w1, w2, wum, wym (only those the structure
     uses need to be present).
     """
-    s = Structure(structure)
-    if s is Structure.SF_XM:
-        blocks = (parts["x"], parts["xm"], parts["um"])
-    elif s is Structure.SF_YM:
-        blocks = (parts["x"], parts["wum"], parts["wym"], parts["ym"], parts["um"])
-    elif s is Structure.OF_XM:
-        blocks = (parts["w1"], parts["w2"], parts["y"], parts["xm"], parts["um"])
-    else:
-        blocks = (
-            parts["w1"],
-            parts["w2"],
-            parts["y"],
-            parts["wum"],
-            parts["wym"],
-            parts["ym"],
-            parts["um"],
-        )
-    return np.concatenate([np.atleast_1d(b) for b in blocks])
+    return np.concatenate([np.atleast_1d(parts[b]) for b in _BLOCKS[Structure(structure)]])
 
 
 @dataclass
@@ -103,19 +95,27 @@ class Frame:
 
 def gradient_rhs(gz, sp, gpsi, zeta, xi, eps, m2):
     """Right-hand sides of the normalized-gradient law (see module docstring)."""
-    dtheta = -np.outer(gz @ zeta, sp @ eps) / m2
-    dpsi = -np.outer(gpsi @ eps, xi) / m2
+    dtheta = -((gz @ zeta)[:, None] * (sp @ eps)) / m2
+    dpsi = -((gpsi @ eps)[:, None] * xi) / m2
     return dtheta, dpsi
 
 
-def certificate(theta, psi, theta_star, kp, gz, sp, gpsi):
-    """Lyapunov certificate V(Theta~, Psi~) for the gradient law."""
-    tht = theta - theta_star
-    psit = psi - kp
+def certificate(theta_star, kp, gz, sp, gpsi):
+    """Lyapunov certificate V(Theta, Psi) of the gradient law, as a closure.
+
+    The gain inverses and Gp = Kp^T Sp^-1 are formed once, here; each trace
+    is taken as tr(A^T B) = <A, B>.
+    """
+    gz_inv_t = np.linalg.inv(gz).T
+    gpsi_inv_t = np.linalg.inv(gpsi).T
     gp = kp.T @ np.linalg.inv(sp)
-    vt = np.trace(tht.T @ np.linalg.solve(gz, tht) @ gp)
-    vp = np.trace(psit.T @ np.linalg.solve(gpsi, psit))
-    return vt + vp
+
+    def v(theta, psi):
+        tht = theta - theta_star
+        psit = psi - kp
+        return np.vdot(gz_inv_t @ tht, tht @ gp) + np.vdot(gpsi_inv_t @ psit, psit)
+
+    return v
 
 
 @dataclass
@@ -156,7 +156,7 @@ class Rd1Law:
     q: np.ndarray
 
     def rhs(self, e, omega):
-        return -np.outer(omega, self.s.T @ (self.p @ e))
+        return -(omega[:, None] * (self.s.T @ (self.p @ e)))
 
 
 @dataclass
@@ -271,232 +271,215 @@ class LoopSpec:
         return regressor_dim(self.structure, self.n, self.m, self.nu, self.nbe)
 
 
-class ClosedLoop:
-    """Stateful closed loop: plant, reference system, filters, adaptation."""
+def _stack(blocks, n_in):
+    """Block-diagonal companion realization of several filters on one input vector.
 
-    def __init__(self, spec, law=None):
+    blocks holds (name, (F, G, H, J), input columns); returns F and G over the
+    stacked state, and per name its output rows (H over the stacked state, J
+    over the input vector).
+    """
+    sizes = [b[1][0].shape[0] for b in blocks]
+    ns = sum(sizes)
+    f, g, read = np.zeros((ns, ns)), np.zeros((ns, n_in)), {}
+    i = 0
+    for (name, (fb, gb, hb, jb), cols), k in zip(blocks, sizes):
+        f[i : i + k, i : i + k] = fb
+        g[i : i + k, cols] = gb
+        h, j = np.zeros((hb.shape[0], ns)), np.zeros((hb.shape[0], n_in))
+        h[:, i : i + k] = hb
+        j[:, cols] = jb
+        read[name] = (h, j)
+        i += k
+    return f, g, read
+
+
+class ClosedLoop:
+    """Closed loop over one preallocated flat state vector.
+
+    The linear part lin = [x, S] holds the plant state and the stacked states
+    S of the controller filters (bank_u, bank_y, zeta, eta and the ebar rows),
+    all fed from v = [u, y, omega, e]:
+
+        lin+ = F lin + G v    (DT),        d lin/dt = F lin + G v    (CT).
+
+    The reference block z = [x_m, bank_um, bank_ym] is driven by u_m alone.
+    In discrete time it is exogenous, so u_m, y_m and its part of omega are
+    computed for the whole horizon before the loop.  In continuous time it
+    stays in the state, coupled into one RK4 step with everything else.
+
+    Layout of the flat state: [lin, z (CT only), Theta, Psi]; theta, psi and
+    lin are views into it, valid for the life of the loop.
+    """
+
+    def __init__(self, spec, law, horizon):
         self.spec = spec
         self.law = law  # None = nominal (frozen parameters)
-        self.domain = spec.plant.domain
+        self.domain = dom = spec.plant.domain
+        plant, ref, s = spec.plant, spec.refmodel, spec.structure
         n, m, q = spec.n, spec.m, spec.q
-        s = spec.structure
-        self.x = np.zeros(n) if spec.x0 is None else np.asarray(spec.x0, dtype=float).copy()
-        self.xm = (
-            np.zeros(spec.refmodel.n)
-            if spec.xm0 is None
-            else np.asarray(spec.xm0, dtype=float).copy()
-        )
-        self.theta = np.zeros((q, m)) if spec.theta0 is None else np.array(spec.theta0, dtype=float)
-        if self.theta.shape != (q, m):
-            raise ValueError(f"theta0 shape {self.theta.shape} != {(q, m)}")
-        self.psi = np.zeros((m, m)) if spec.psi0 is None else np.array(spec.psi0, dtype=float)
-        self.bank_u = self.bank_y = self.bank_um = self.bank_ym = None
+        vu, vy, ve = slice(0, m), slice(m, 2 * m), slice(2 * m + q, 3 * m + q)
+
+        # lin, fed from v = [u, y, omega, e]
+        blocks = [("x", (plant.a, plant.b, np.eye(n), 0.0), vu)]
         if s in (Structure.OF_XM, Structure.OF_YM):
-            self.bank_u = FilterBank(range(spec.nu - 1), spec.lam, self.domain, width=m)
-            self.bank_y = FilterBank(range(spec.nu - 1), spec.lam, self.domain, width=m)
-        if s in (Structure.SF_YM, Structure.OF_YM):
-            self.bank_um = FilterBank(range(spec.nbe), spec.lam_e, self.domain, width=m)
-            self.bank_ym = FilterBank(range(spec.nbe), spec.lam_e, self.domain, width=m)
-        self.zeta_f = RationalFilter([1.0], spec.fpoly, self.domain, width=q)
-        self.eta_f = RationalFilter([1.0], spec.fpoly, self.domain, width=m)
-        self.ebar_f = [
-            RationalFilter(d, spec.fpoly, self.domain, width=1)
-            for d in spec.interactor.rows
+            bank = FilterBank(range(spec.nu - 1), spec.lam, dom, width=m).realization()
+            if np.any(bank[3]):
+                raise ValueError("output-feedback filter banks must be strictly proper")
+            blocks += [("w1", bank, vu), ("w2", bank, vy)]
+        blocks += [
+            ("zeta", RationalFilter([1.0], spec.fpoly, dom, width=q).realization(),
+             slice(2 * m, 2 * m + q)),
+            ("eta", RationalFilter([1.0], spec.fpoly, dom, width=m).realization(), vu),
         ]
+        blocks += [(i, RationalFilter(d, spec.fpoly, dom).realization(), [ve.start + i])
+                   for i, d in enumerate(spec.interactor.rows)]
+        self._f, self._g, lr = _stack(blocks, ve.stop)
+        ebar_h = [lr[i][0] for i in range(m)]
+        self._je = np.diag(np.vstack([lr[i][1] for i in range(m)])[:, ve])
+
+        # z, fed from [u_m, y_m]; y_m = C_m x_m is folded into F_z
+        blocks = [("xm", (ref.a, ref.b, np.eye(ref.n), 0.0), vu)]
+        if s in (Structure.SF_YM, Structure.OF_YM):
+            bank = FilterBank(range(spec.nbe), spec.lam_e, dom, width=m).realization()
+            blocks += [("wum", bank, vu), ("wym", bank, vy)]
+        fz, gz, zr = _stack(blocks, 2 * m)
+        self._cy = ref.c @ zr["xm"][0]
+        self._fz = fz + gz[:, vy] @ self._cy
+        self._gz = gz[:, vu]
+
+        # every regressor block as rows over [lin, z, u_m]
+        nl, nz = self._f.shape[0], fz.shape[0]
+
+        def rows(h, at):
+            out = np.zeros((h.shape[0], nl + nz + m))
+            out[:, at : at + h.shape[1]] = h
+            return out
+
+        parts = {name: rows(lr[name][0], 0) for name in ("x", "w1", "w2") if name in lr}
+        parts["y"] = rows(plant.c @ lr["x"][0], 0)
+        parts["um"] = rows(np.eye(m), nl + nz)
+        zr["ym"] = (self._cy, np.zeros((m, 2 * m)))
+        for name, (h, j) in zr.items():
+            parts[name] = rows(np.hstack((h + j[:, vy] @ self._cy, j[:, vu])), nl)
+        omega = assemble_regressor(s, parts)
+        # one readout of lin: [y, omega (lin part), zeta, eta, ebar (strict part)]
+        self._read = np.vstack((parts["y"][:, :nl], omega[:, :nl], lr["zeta"][0],
+                                lr["eta"][0], *ebar_h))
+        self._om_ref = omega[:, nl:]
+        self._y, self._om = slice(0, m), slice(m, m + q)
+        self._zeta, self._eta = slice(m + q, m + 2 * q), slice(m + 2 * q, 2 * m + 2 * q)
+        self._ebar = slice(2 * m + 2 * q, 3 * m + 2 * q)
+
+        # flat state [lin, z (CT), Theta, Psi]
+        o = np.cumsum([0, nl, 0 if dom.is_dt else nz, q * m, m * m])
+        self._lin, self._z, self._theta, self._psi = map(slice, o[:-1], o[1:])
+        self._par = slice(o[2], o[4])
+        self.s = np.zeros(o[4])
+        if spec.x0 is not None:
+            self.s[:n] = spec.x0
+        z0 = np.zeros(nz)
+        if spec.xm0 is not None:
+            z0[: ref.n] = spec.xm0
+        self.lin = self.s[self._lin]
+        self.theta = self.s[self._theta].reshape(q, m)
+        self.psi = self.s[self._psi].reshape(m, m)
+        if spec.theta0 is not None:
+            theta0 = np.asarray(spec.theta0, dtype=float)
+            if theta0.shape != (q, m):
+                raise ValueError(f"theta0 shape {theta0.shape} != {(q, m)}")
+            self.theta[:] = theta0
+        if spec.psi0 is not None:
+            self.psi[:] = spec.psi0
+        if dom.is_dt:
+            self._reference_run(z0, horizon)
+        else:
+            self.s[self._z] = z0
+        self._pending = None
         # cumulative L2 bookkeeping
         self.l2_eps = 0.0
         self.l2_dtheta = 0.0
 
-    # -- algebraic pipeline ------------------------------------------------
+    def _reference_run(self, z0, horizon):
+        """DT: u_m, y_m and the reference part of omega for every step."""
+        um = np.empty((horizon, self.spec.m))
+        z = np.empty((horizon, z0.size))
+        zk = z0
+        for k in range(horizon):
+            um[k] = self.spec.um(float(k))
+            z[k] = zk
+            zk = self._fz @ zk + self._gz @ um[k]
+        self._exo = np.hstack((z, um)) @ self._om_ref.T
+        self._ym = z @ self._cy.T
 
-    def _parts(self, t, x, xm, bank_states):
-        plant, ref = self.spec.plant, self.spec.refmodel
-        y = plant.output(x)
-        ym = ref.output(xm)
-        umt = np.atleast_1d(self.spec.um(t))
-        parts = {"x": x, "xm": xm, "y": y, "ym": ym, "um": umt}
-        if self.bank_u is not None:
-            parts["w1"] = self.bank_u.output_from(bank_states["w1"])
-            parts["w2"] = self.bank_y.output_from(bank_states["w2"])
-        if self.bank_um is not None:
-            parts["wum"] = self.bank_um.output_from(bank_states["wum"], umt)
-            parts["wym"] = self.bank_ym.output_from(bank_states["wym"], ym)
-        return parts
-
-    def _algebra(self, t, x, xm, bank_states, filt_states, theta, psi):
-        parts = self._parts(t, x, xm, bank_states)
-        e = parts["y"] - parts["ym"]
-        omega = assemble_regressor(self.spec.structure, parts)
-        zeta = self.zeta_f.output_from(filt_states["zeta"])
+    def _signals(self, lin, theta, psi, exo, ym):
+        """Algebraic pipeline at one state; returns signals and the state update."""
+        sig = self._read @ lin
+        y = sig[self._y]
+        e = y - ym
+        omega = sig[self._om] + exo
         u = theta.T @ omega
-        xi = theta.T @ zeta - self.eta_f.output_from(filt_states["eta"])
-        ebar = np.concatenate(
-            [
-                f.output_from(st, e[i : i + 1])
-                for i, (f, st) in enumerate(zip(self.ebar_f, filt_states["ebar"]))
-            ]
-        )
+        zeta = sig[self._zeta]
+        xi = theta.T @ zeta - sig[self._eta]
+        ebar = sig[self._ebar] + self._je * e
         eps = ebar + psi @ xi
-        m2 = 1.0 + zeta @ zeta + xi @ xi
-        frame = Frame(omega, zeta, xi, ebar, eps, np.sqrt(m2))
-        return parts, e, u, frame
+        frame = Frame(omega, zeta, xi, ebar, eps, np.sqrt(1.0 + zeta @ zeta + xi @ xi))
+        dtheta, dpsi = self._update_rhs(e, frame, theta, psi)
+        dlin = self._f @ lin + self._g @ np.concatenate((u, y, omega, e))
+        return y, ym, e, u, frame, dlin, dtheta, dpsi
 
-    def _live_bank_states(self):
-        st = {}
-        if self.bank_u is not None:
-            st["w1"] = self.bank_u.state
-            st["w2"] = self.bank_y.state
-        if self.bank_um is not None:
-            st["wum"] = self.bank_um.state
-            st["wym"] = self.bank_ym.state
-        return st
-
-    def _live_filt_states(self):
-        return {
-            "zeta": self.zeta_f.state,
-            "eta": self.eta_f.state,
-            "ebar": [f.state for f in self.ebar_f],
-        }
-
-    def measure(self, t):
-        """Algebraic pipeline at the current stored state."""
-        return self._algebra(
-            t, self.x, self.xm, self._live_bank_states(), self._live_filt_states(),
-            self.theta, self.psi,
-        )
-
-    def _update_rhs(self, e, frame):
+    def _update_rhs(self, e, frame, theta, psi):
         if self.law is None:
-            return np.zeros_like(self.theta), np.zeros_like(self.psi)
+            return np.zeros_like(theta), np.zeros_like(psi)
         if isinstance(self.law, Rd1Law):
-            return self.law.rhs(e, frame.omega), np.zeros_like(self.psi)
+            return self.law.rhs(e, frame.omega), np.zeros_like(psi)
         return gradient_rhs(
             self.law.gz, self.law.sp, self.law.gpsi,
             frame.zeta, frame.xi, frame.eps, frame.m2,
         )
 
-    # -- discrete-time stepping ---------------------------------------------
-
-    def dt_step(self, t):
-        parts, e, u, frame = self.measure(t)
-        dtheta, dpsi = self._update_rhs(e, frame)
-        # advance dynamic states with current inputs
-        self.x = self.spec.plant.step(self.x, u)
-        self.xm = self.spec.refmodel.step(self.xm, parts["um"])
-        if self.bank_u is not None:
-            self.bank_u.step(u)
-            self.bank_y.step(parts["y"])
-        if self.bank_um is not None:
-            self.bank_um.step(parts["um"])
-            self.bank_ym.step(parts["ym"])
-        self.zeta_f.step(frame.omega)
-        self.eta_f.step(u)
-        for i, f in enumerate(self.ebar_f):
-            f.step(e[i : i + 1])
-        self.theta = self.theta + dtheta
-        self.psi = self.psi + dpsi
-        self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
-        self.l2_dtheta += float(np.sum(dtheta * dtheta) + np.sum(dpsi * dpsi))
-        return parts, e, u, frame
-
-    # -- continuous-time stepping -------------------------------------------
-
-    def _pack(self):
-        pieces = [self.x, self.xm]
-        for b in (self.bank_u, self.bank_y, self.bank_um, self.bank_ym):
-            if b is not None:
-                pieces.append(b.state.ravel())
-        pieces.append(self.zeta_f.state.ravel())
-        pieces.append(self.eta_f.state.ravel())
-        for f in self.ebar_f:
-            pieces.append(f.state.ravel())
-        pieces.append(self.theta.ravel())
-        pieces.append(self.psi.ravel())
-        return np.concatenate(pieces)
-
-    def _unpack(self, flat):
-        spec = self.spec
-        n, m, q = spec.n, spec.m, spec.q
-        i = 0
-
-        def take(k):
-            nonlocal i
-            out = flat[i : i + k]
-            i += k
-            return out
-
-        x = take(n)
-        xm = take(spec.refmodel.n)
-        bank_states = {}
-        for name, b in (
-            ("w1", self.bank_u), ("w2", self.bank_y),
-            ("wum", self.bank_um), ("wym", self.bank_ym),
-        ):
-            if b is not None:
-                bank_states[name] = take(b.state.size).reshape(b.state.shape)
-        filt_states = {
-            "zeta": take(self.zeta_f.state.size).reshape(self.zeta_f.state.shape),
-            "eta": take(self.eta_f.state.size).reshape(self.eta_f.state.shape),
-            "ebar": [take(f.state.size).reshape(f.state.shape) for f in self.ebar_f],
-        }
-        theta = take(q * m).reshape((q, m))
-        psi = take(m * m).reshape((m, m))
-        return x, xm, bank_states, filt_states, theta, psi
-
-    def _restore(self, flat):
-        x, xm, bank_states, filt_states, theta, psi = self._unpack(flat)
-        self.x, self.xm = x.copy(), xm.copy()
-        for name, b in (
-            ("w1", self.bank_u), ("w2", self.bank_y),
-            ("wum", self.bank_um), ("wym", self.bank_ym),
-        ):
-            if b is not None:
-                b.state = bank_states[name].copy()
-        self.zeta_f.state = filt_states["zeta"].copy()
-        self.eta_f.state = filt_states["eta"].copy()
-        for f, st in zip(self.ebar_f, filt_states["ebar"]):
-            f.state = st.copy()
-        self.theta, self.psi = theta.copy(), psi.copy()
-
-    def _deriv_from(self, x, xm, bank_states, filt_states, theta, psi, parts, e, u, frame):
-        dtheta, dpsi = self._update_rhs(e, frame)
-        pieces = [self.spec.plant.deriv(x, u), self.spec.refmodel.deriv(xm, parts["um"])]
-        for name, b, inp in (
-            ("w1", self.bank_u, u),
-            ("w2", self.bank_y, parts["y"]),
-            ("wum", self.bank_um, parts["um"]),
-            ("wym", self.bank_ym, parts["ym"]),
-        ):
-            if b is not None:
-                pieces.append(b.deriv(bank_states[name], inp).ravel())
-        pieces.append(self.zeta_f.deriv(filt_states["zeta"], frame.omega).ravel())
-        pieces.append(self.eta_f.deriv(filt_states["eta"], u).ravel())
-        for i, f in enumerate(self.ebar_f):
-            pieces.append(f.deriv(filt_states["ebar"][i], e[i : i + 1]).ravel())
-        pieces.append(dtheta.ravel())
-        pieces.append(dpsi.ravel())
-        return np.concatenate(pieces)
-
     def _rhs(self, t, flat):
-        x, xm, bank_states, filt_states, theta, psi = self._unpack(flat)
-        parts, e, u, frame = self._algebra(t, x, xm, bank_states, filt_states, theta, psi)
-        return self._deriv_from(x, xm, bank_states, filt_states, theta, psi, parts, e, u, frame)
-
-    def ct_step(self, t):
-        parts, e, u, frame = self.measure(t)
-        k1 = self._deriv_from(
-            self.x, self.xm, self._live_bank_states(), self._live_filt_states(),
-            self.theta, self.psi, parts, e, u, frame,
+        """CT: derivative of the whole flat state (also returns the signals)."""
+        z = flat[self._z]
+        umt = np.atleast_1d(self.spec.um(t))
+        out = self._signals(
+            flat[self._lin], flat[self._theta].reshape(self.theta.shape),
+            flat[self._psi].reshape(self.psi.shape),
+            self._om_ref @ np.concatenate((z, umt)), self._cy @ z,
         )
-        flat = rk4_step(self._rhs, t, self._pack(), self.domain.step, k1=k1)
-        theta_prev, psi_prev = self.theta, self.psi
-        self._restore(flat)
-        h = self.domain.step
-        self.l2_eps += h * float(frame.eps @ frame.eps) / frame.m2
-        dth = self.theta - theta_prev
-        dps = self.psi - psi_prev
-        self.l2_dtheta += float(np.sum(dth * dth) + np.sum(dps * dps)) / h
-        return parts, e, u, frame
+        dlin, dtheta, dpsi = out[5:]
+        deriv = np.concatenate((dlin, self._fz @ z + self._gz @ umt, dtheta.ravel(), dpsi.ravel()))
+        return deriv, out
+
+    def measure(self, k):
+        """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
+        if self.domain.is_dt:
+            out = self._signals(self.lin, self.theta, self.psi, self._exo[k], self._ym[k])
+            self._pending = out[4:]
+        else:
+            t = k * self.domain.step
+            k1, out = self._rhs(t, self.s)
+            self._pending = (out[4], t, k1)
+        return out[:5]
+
+    def advance(self):
+        """Move the stored state to the next grid point (after measure)."""
+        frame = self._pending[0]
+        if self.domain.is_dt:
+            _, dlin, dtheta, dpsi = self._pending
+            dpar = np.concatenate((dtheta.ravel(), dpsi.ravel()))
+            self.lin[:] = dlin
+            self.s[self._par] += dpar
+            self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
+            self.l2_dtheta += float(dpar @ dpar)
+        else:
+            _, t, k1 = self._pending
+            h = self.domain.step
+            new = rk4_step(lambda tt, flat: self._rhs(tt, flat)[0], t, self.s, h, k1=k1)
+            dpar = new[self._par] - self.s[self._par]
+            self.l2_eps += h * float(frame.eps @ frame.eps) / frame.m2
+            self.l2_dtheta += float(dpar @ dpar) / h
+            self.s[:] = new
+        self._pending = None
 
 
 def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
@@ -506,25 +489,23 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     parameters in effect at each grid point and its value recorded in the V
     column (test mode only).  probes maps names to callables
     f(theta, psi, frame, e) whose per-step values land in trace.extra.
-    Row k of the trace holds the time-t_k values of every signal, with
-    parameters as used by u(t_k).
+    theta and psi are views of the loop state, valid during the call.  Row k
+    of the trace holds the time-t_k values of every signal, with parameters
+    as used by u(t_k).
     """
-    loop = ClosedLoop(spec, law=law)
+    loop = ClosedLoop(spec, law=law, horizon=horizon)
     rec = _Recorder(horizon, spec.m)
     probes = probes or {}
     probe_vals = {name: np.zeros(horizon) for name in probes}
     h = 1.0 if loop.domain.is_dt else loop.domain.step
+    par = loop.s[loop._par]
     for k in range(horizon):
-        t = k * h
-        theta_now, psi_now = loop.theta, loop.psi
-        tn = np.sqrt(np.sum(theta_now**2) + np.sum(psi_now**2))
-        if loop.domain.is_dt:
-            parts, e, u, frame = loop.dt_step(t)
-        else:
-            parts, e, u, frame = loop.ct_step(t)
-        v = vprobe(theta_now, psi_now, e) if vprobe is not None else None
+        tn = np.sqrt(par @ par)
+        y, ym, e, u, frame = loop.measure(k)
+        v = vprobe(loop.theta, loop.psi, e) if vprobe is not None else None
         for name, fn in probes.items():
-            probe_vals[name][k] = fn(theta_now, psi_now, frame, e)
-        rec.push(t, parts["y"], parts["ym"], e, u, frame.m, frame.eps, v, tn,
+            probe_vals[name][k] = fn(loop.theta, loop.psi, frame, e)
+        loop.advance()
+        rec.push(k * h, y, ym, e, u, frame.m, frame.eps, v, tn,
                  loop.l2_eps, loop.l2_dtheta)
     return rec.trace(extra=probe_vals)

@@ -324,13 +324,13 @@ def compute_metrics(scenario, trace):
     l2_tail = float(l2cum[-1] - l2cum[-ntail]) if l2cum is not None and n > 1 else 0.0
     viol = None
     if np.any(np.isfinite(trace.v)):
+        # a non-finite increment counts as a violation
         dv = np.diff(trace.v)
         if scenario.domain == "dt":
-            viol = int(np.sum(dv > 1e-12))
+            rising = dv > 1e-12
         else:
-            h = scenario.step
-            vdot = dv / h
-            viol = int(np.sum(vdot > 1e-6 * np.maximum(trace.v[:-1], 1.0)))
+            rising = dv / scenario.step > 1e-6 * np.maximum(trace.v[:-1], 1.0)
+        viol = int(np.sum(rising | ~np.isfinite(dv)))
     guard = bool(trace.guard_events)
     return MetricsReport(
         name=scenario.name,
@@ -437,6 +437,15 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _strict_json(obj):
+    """Non-finite floats become null, so the report is strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def trace_columns(trace):
     """(header, row iterator) in the fixed column order."""
     m = trace.n_channels
@@ -485,13 +494,16 @@ def emit_outputs(trace, report, outdir, name=None):
     payload = report.to_dict()
     payload["guard_events"] = trace.guard_events
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return {"trace": trace_path, "long": long_path, "report": report_path}
 
 
 def parse_report(path):
-    """Read back a report written by emit_outputs."""
+    """Read back a report written by emit_outputs (null metrics read as NaN)."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     data.pop("guard_events", None)
+    for key in ("tail_rms_e", "sup_theta_norm", "l2_tail"):
+        if data[key] is None:
+            data[key] = float("nan")
     return MetricsReport.from_dict(data)

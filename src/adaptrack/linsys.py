@@ -232,20 +232,15 @@ def relative_degree(ss, row=None):
         if ss.n_outputs != 1:
             raise ValueError("row index required for a multi-output system")
         row = 0
-    seq = markov_params(ss, ss.n)
-    scale = max(np.max(np.abs(m)) for m in seq)
-    if scale == 0.0:
+    rr = row_relative_degree(ss, row)
+    if rr is None:
         raise NoRelativeDegree(f"output row {row} is decoupled from the input")
-    for i, m in enumerate(seq, start=1):
-        if np.max(np.abs(m[row])) > RANK_RTOL * scale:
-            return i
-    raise NoRelativeDegree(f"output row {row} is decoupled from the input")
+    return rr
 
 
-def row_relative_degree(ss, row, cap=None):
+def row_relative_degree(ss, row):
     """Like relative_degree but returns None for a fully decoupled row."""
-    cap = cap or ss.n
-    seq = markov_params(ss, cap)
+    seq = markov_params(ss, ss.n)
     scale = max(np.max(np.abs(m)) for m in seq)
     if scale == 0.0:
         return None
@@ -353,13 +348,11 @@ class RationalFilter:
             y = y + self.j * np.asarray(u, dtype=float)
         return y
 
-    def output_from(self, state, u=None):
-        y = self.h @ state
-        if self.j != 0.0:
-            if u is None:
-                raise ValueError("biproper filter output needs the current input")
-            y = y + self.j * np.asarray(u, dtype=float)
-        return y
+    def realization(self):
+        """(F, G, H, J) acting on the row-major flattened state, one input per channel."""
+        eye = np.eye(self.width)
+        return (np.kron(self.fmat, eye), np.kron(self.g[:, None], eye),
+                np.kron(self.h[None, :], eye), self.j * eye)
 
     def deriv(self, state, u):
         return self.fmat @ state + np.outer(self.g, u)
@@ -430,6 +423,20 @@ class FilterBank:
         if not blocks:
             return np.zeros(0)
         return np.concatenate(blocks)
+
+    def realization(self):
+        """(F, G, H, J) acting on the row-major flattened state, one input per channel."""
+        h = np.zeros((len(self.powers), self.k))
+        j = np.zeros((len(self.powers), 1))
+        for r, p in enumerate(self.powers):
+            if p < self.k:
+                h[r, p] = 1.0
+            else:
+                h[r] = -self.lam.coeffs[: self.k]
+                j[r] = 1.0
+        eye = np.eye(self.width)
+        return (np.kron(self.fmat, eye), np.kron(self.g[:, None], eye),
+                np.kron(h, eye), np.kron(j, eye))
 
     def output_from(self, state, u=None):
         saved = self.state

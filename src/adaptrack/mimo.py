@@ -330,13 +330,11 @@ def verify_gain_prior(scenario, kp):
 
 def certificate_probe(scenario, nominal):
     """Gradient-law certificate V for test-mode runs."""
-    q = scenario.theta_dim
-    gz = np.eye(q)
+    v = engine.certificate(nominal.theta_star, nominal.kp, np.eye(scenario.theta_dim),
+                           scenario.sp, scenario.gamma)
 
     def probe(theta, psi, e):
-        return engine.certificate(
-            theta, psi, nominal.theta_star, nominal.kp, gz, scenario.sp, scenario.gamma
-        )
+        return v(theta, psi)
 
     return probe
 
@@ -348,7 +346,7 @@ def identity_probe(nominal):
         pred = nominal.kp @ ((theta - nominal.theta_star).T @ frame.zeta) + (
             psi - nominal.kp
         ) @ frame.xi
-        return float(np.max(np.abs(frame.eps - pred)))
+        return float(np.abs(frame.eps - pred).max())
 
     return probe
 
@@ -356,11 +354,11 @@ def identity_probe(nominal):
 def rd1_certificate_probe(scenario, nominal, law):
     """V = e^T P e + tr[Theta~ Ms^-1 Theta~^T] with Ms = Kp^-1 S (test mode)."""
     ms = np.linalg.inv(nominal.kp) @ law.s
-    ms = 0.5 * (ms + ms.T)
+    ms_inv = np.linalg.inv(0.5 * (ms + ms.T))
 
     def probe(theta, psi, e):
         tht = theta - nominal.theta_star
-        return float(e @ law.p @ e + np.trace(tht @ np.linalg.solve(ms, tht.T)))
+        return float(e @ law.p @ e + np.vdot(tht @ ms_inv, tht))
 
     return probe
 

@@ -336,10 +336,10 @@ def certificate_probe(scenario, nominal, gains=None):
     tstar = nominal.theta_star.reshape(-1, 1)
     kp = np.array([[nominal.kp]])
     sp = np.array([[float(scenario.sign_kp)]])
-    gpsi = np.array([[grho]])
+    v = engine.certificate(tstar, kp, gz, sp, np.array([[grho]]))
 
     def probe(theta, psi, e):
-        return engine.certificate(theta, psi, tstar, kp, gz, sp, gpsi)
+        return v(theta, psi)
 
     return probe
 
@@ -351,7 +351,7 @@ def identity_probe(nominal):
 
     def probe(theta, psi, frame, e):
         pred = kp * ((theta - tstar)[:, 0] @ frame.zeta) + (psi[0, 0] - kp) * frame.xi[0]
-        return float(np.max(np.abs(frame.eps[0] - pred)))
+        return abs(float(frame.eps[0] - pred))
 
     return probe
 

@@ -139,6 +139,64 @@ def test_determinism_byte_identical(tmp_path):
         assert paths1[key].read_bytes() == paths2[key].read_bytes()
 
 
+@pytest.mark.parametrize("bench,design", [("mimo-ct-2x2", "gradient"),
+                                          ("mimo-rd1-ct", "rd1")])
+def test_ct_determinism_byte_identical(tmp_path, bench, design):
+    data = {
+        "schema_version": 1, "name": "ct", "module": "mimo", "benchmark": bench,
+        "design": design, "mode": "adaptive", "test_mode": True, "theta0": "near",
+        "horizon": 300, "seed": 0,
+    }
+    p = _write(tmp_path, data)
+    outs = []
+    for sub in ("a", "b"):
+        scn = harness.load_scenario(p)
+        tr, rep = harness.run_experiment(scn)
+        assert rep.lyapunov_violations == 0
+        outs.append(harness.emit_outputs(tr, rep, tmp_path / sub))
+    for key in ("trace", "long", "report"):
+        assert outs[0][key].read_bytes() == outs[1][key].read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_report_strict_json_nan_as_null(tmp_path):
+    empty = SimTrace(
+        t=np.zeros(0), y=np.zeros((0, 1)), ym=np.zeros((0, 1)), e=np.zeros((0, 1)),
+        u=np.zeros((0, 1)), m=np.zeros(0), eps=np.zeros((0, 1)), v=np.zeros(0),
+        theta_norm=np.zeros(0), guard_events=[{"t": 0.0, "sigma_min": float("inf")}],
+    )
+    report = harness.MetricsReport(name="nan", tail_rms_e=float("nan"),
+                                   sup_theta_norm=float("nan"), l2_tail=float("nan"),
+                                   converged=False, guard_aborted=True)
+    paths = harness.emit_outputs(empty, report, tmp_path / "on")
+    data = json.loads(paths["report"].read_text(), parse_constant=_reject_constant)
+    assert data["tail_rms_e"] is None and data["l2_tail"] is None
+    assert data["guard_events"] == [{"t": 0.0, "sigma_min": None}]
+    back = harness.parse_report(paths["report"])
+    assert np.isnan(back.tail_rms_e) and np.isnan(back.sup_theta_norm)
+    assert back.name == "nan" and back.guard_aborted
+
+
+@pytest.mark.parametrize("domain", ["dt", "ct"])
+def test_nonfinite_certificate_increment_is_violation(tmp_path, domain):
+    data = (_minimal(test_mode=True) if domain == "dt" else
+            {"schema_version": 1, "name": "c", "module": "mimo",
+             "benchmark": "mimo-ct-2x2", "test_mode": True, "horizon": 5})
+    scn = harness.load_scenario(_write(tmp_path, data))
+    n = 5
+    m = 1 if domain == "dt" else 2
+    trace = SimTrace(
+        t=np.arange(n) * scn.step, y=np.zeros((n, m)), ym=np.zeros((n, m)),
+        e=np.zeros((n, m)), u=np.zeros((n, m)), m=np.ones(n), eps=np.zeros((n, m)),
+        v=np.array([2.0, 1.0, np.nan, np.inf, 0.5]), theta_norm=np.ones(n),
+    )
+    # decreasing steps are fine; 1 -> nan, nan -> inf and inf -> 0.5 are not
+    assert harness.compute_metrics(scn, trace).lyapunov_violations == 3
+
+
 def test_trace_csv_column_order(tmp_path):
     scn, (trace, report) = _run_small(tmp_path)
     paths = harness.emit_outputs(trace, report, tmp_path / "out")
