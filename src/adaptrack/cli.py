@@ -77,7 +77,8 @@ def main(argv=None):
             paths = harness.emit_outputs(trace, report, outdir, name=scn.name)
             status = "converged" if report.converged else "not-converged"
             if report.guard_aborted:
-                status = "guard-abort"
+                diverged = any("diverged" in ev for ev in trace.guard_events)
+                status = "diverged" if diverged else "guard-abort"
             print(f"{scn.name}: {status} tail_rms={report.tail_rms_e:.3e} "
                   f"-> {paths['trace']}")
             if report.guard_aborted:

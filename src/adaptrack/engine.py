@@ -23,6 +23,7 @@ continuous time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -481,6 +482,18 @@ class ClosedLoop:
             self.s[:] = new
         self._pending = None
 
+    def diverged_block(self):
+        """Name of the first state block holding a non-finite value.
+
+        Falls back to the name of the non-finite running L2 sum when the state
+        itself is still finite (an overflow inside the sum).
+        """
+        for name, at in (("plant_filters", self._lin), ("reference", self._z),
+                         ("theta", self._theta), ("psi", self._psi)):
+            if not np.isfinite(self.s[at]).all():
+                return name
+        return "l2_eps" if not math.isfinite(self.l2_eps) else "l2_dtheta"
+
 
 def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     """Run the loop for `horizon` steps; returns a SimTrace.
@@ -492,6 +505,10 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     theta and psi are views of the loop state, valid during the call.  Row k
     of the trace holds the time-t_k values of every signal, with parameters
     as used by u(t_k).
+
+    A step whose running L2 sums come out non-finite ends the run: the trace
+    stops at the last finite row and trace.guard_events holds one
+    {"t": t_k, "diverged": <state block>} event.
     """
     loop = ClosedLoop(spec, law=law, horizon=horizon)
     rec = _Recorder(horizon, spec.m)
@@ -499,6 +516,7 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     probe_vals = {name: np.zeros(horizon) for name in probes}
     h = 1.0 if loop.domain.is_dt else loop.domain.step
     par = loop.s[loop._par]
+    events = []
     for k in range(horizon):
         tn = np.sqrt(par @ par)
         y, ym, e, u, frame = loop.measure(k)
@@ -506,6 +524,10 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
         for name, fn in probes.items():
             probe_vals[name][k] = fn(loop.theta, loop.psi, frame, e)
         loop.advance()
+        if not (math.isfinite(loop.l2_eps) and math.isfinite(loop.l2_dtheta)):
+            events.append({"t": k * h, "diverged": loop.diverged_block()})
+            break
         rec.push(k * h, y, ym, e, u, frame.m, frame.eps, v, tn,
                  loop.l2_eps, loop.l2_dtheta)
-    return rec.trace(extra=probe_vals)
+    return rec.trace(guard_events=events,
+                     extra={name: vals[: rec.k] for name, vals in probe_vals.items()})

@@ -16,6 +16,7 @@ are documented side by side and not mixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +252,15 @@ class FLLoop:
         theta = flat[i :].reshape((self.ctrl.q, self.ctrl.m))
         return x, xm, states, theta
 
+    def diverged_block(self, flat):
+        """Name of the first block of the flat state holding a non-finite value."""
+        x, xm, states, theta = self.unpack(flat)
+        for name, block in (("plant", [x]), ("leader", [xm]), ("filters", states),
+                            ("theta", [theta])):
+            if not all(np.isfinite(b).all() for b in block):
+                return name
+        return "l2_eps"
+
     def algebra(self, t, x, xm, states, theta):
         plant, leader, ctrl = self.plant, self.leader, self.ctrl
         y = plant.h(x)
@@ -304,10 +314,12 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
         theta_star=None):
     """Simulate the leader-follower loop; returns a SimTrace.
 
-    On a singularity-guard abort the partial trace is returned with the
-    event recorded in trace.guard_events.  theta_star (test mode) enables
-    the V column and the per-column identity residual eps_i - theta~_i^T
-    zeta_i in trace.extra["ident_resid"].
+    On a singularity-guard abort, or when the running L2 sum of the
+    normalized errors goes non-finite (event {"t", "diverged": <state
+    block>}), the partial trace is returned with the event recorded in
+    trace.guard_events.  theta_star (test mode) enables the V column and the
+    per-column identity residual eps_i - theta~_i^T zeta_i in
+    trace.extra["ident_resid"].
     """
     loop = FLLoop(plant, leader, ctrl, step, adaptive=adaptive)
     if x0 is not None:
@@ -341,6 +353,9 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
             for i, (zeta, _, epsi, _) in enumerate(frames):
                 ident[k, i] = epsi - float((theta_star[:, i] - theta[:, i]) @ zeta)
         loop.l2_eps += step * float(np.sum((eps / mis) ** 2))
+        if not math.isfinite(loop.l2_eps):
+            guard_events.append({"t": t, "diverged": loop.diverged_block(flat)})
+            break
         tn = float(np.linalg.norm(theta))
         rec.push(t, y, ym, e, u, magg, eps, v, tn,
                  loop.l2_eps, 0.0)

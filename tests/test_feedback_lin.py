@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -317,3 +319,18 @@ def test_gradient_lyapunov_slope_finite_difference(pair):
     vdot = (tr.v[2:] - tr.v[:-2]) / (2 * h)
     eps_over_m = np.sum((tr.eps[1:-1] / tr.extra["m_i"][1:-1]) ** 2, axis=1)
     assert np.max(np.abs(vdot + eps_over_m)) < 1e-4
+
+
+def test_run_nonfinite_state_records_diverged_event(pair):
+    plant, leader, ia, tstar = pair
+    # the leader input turns NaN at t = 0.02: the RK4 step into that time
+    # poisons the follower state, and the run stops before recording that row
+    bad = dataclasses.replace(
+        leader, um=lambda t: leader.um(t) if t < 0.02 else np.full(leader.m, np.nan))
+    ctrl = _controller(ia, leader, theta=tstar)
+    tr = fl.run(plant, bad, ctrl, adaptive=True, horizon=100, step=1e-3,
+                x0=fl.matched_x0(plant, leader), theta_star=tstar)
+    assert tr.n_samples == 20
+    assert tr.guard_events == [{"t": 20 * 1e-3, "diverged": "plant"}]
+    assert np.isfinite(tr.e).all() and np.isfinite(tr.extra["l2_eps_cum"]).all()
+    assert tr.extra["ident_resid"].shape == (20, 2)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +341,25 @@ def test_cli_run_guard_abort_exit_two(tmp_path):
     p = _write(tmp_path, data)
     code = cli.main(["run", "--scenario", str(p), "--out", str(tmp_path / "og")])
     assert code == 2
+
+
+def test_cli_run_diverged_exit_two(tmp_path, capsys):
+    # a CT step far outside RK4's stability region: the run stops and says why
+    scn = Path(__file__).resolve().parents[1] / "scenarios" / "mimo_rd1_ct.json"
+    out = tmp_path / "od"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", "--scenario", str(scn), "--out", str(out),
+                         "--step", "2.0", "--horizon", "300"])
+    assert code == 2
+    assert "mimo_rd1_ct: diverged" in capsys.readouterr().out
+    report = json.loads((out / "mimo_rd1_ct_report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["guard_aborted"] and not report["converged"]
+    assert np.isfinite(report["tail_rms_e"])
+    [event] = report["guard_events"]
+    assert sorted(event) == ["diverged", "t"]
+    # the trace ends at the row before the step that went non-finite
+    assert event["t"] == 2.0 * report["horizon"]
 
 
 def test_cli_run_invalid_exit_one(tmp_path):

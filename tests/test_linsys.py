@@ -365,6 +365,52 @@ def test_ref_input_from_io_fresh_trajectory_consistency():
     assert np.max(np.abs(np.array(resid)[150:])) < 1e-6
 
 
+def test_ref_input_from_io_ct_fresh_trajectory_consistency():
+    # CT counterpart: coefficients fitted on the built-in PE trajectory must
+    # reconstruct xi_m(D)[y_m] along a fresh input and initial state
+    h = 1e-3
+    a = np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]])
+    b = np.array([[0.0], [0.5], [1.0]])
+    c = np.array([[1.0, 0.0, 0.0]])
+    rm = StateSpace(a, b, c, ct(h))
+    ia = DiagonalInteractor([Polynomial.from_roots([-1.0, -2.0])])
+    lam_e = Polynomial.from_roots([-3.0, -4.0])
+    b1, b2, b20, a2 = ls.ref_input_from_io(rm, ia, lam_e, 2)
+    a1s, a2s = ls.ref_input_from_state(rm, ia)
+
+    def u(t):
+        return 0.2 + np.sin(0.7 * t) + 0.5 * np.cos(1.9 * t + 0.3)
+
+    bank = FilterBank([0, 1], lam_e, ct(h))
+    f, g = bank.fmat, bank.g
+
+    def rhs(t, s):
+        # s = [x, bank state of u, bank state of y]; bank states are D^p/lam_e
+        return np.concatenate([a @ s[:3] + b[:, 0] * u(t), f @ s[3:5] + g * u(t),
+                               f @ s[5:] + g * (c[0] @ s[:3])])
+
+    steps = 12000
+    traj = oc.rk4_sim(rhs, np.concatenate([[0.4, -0.3, 0.7], np.zeros(4)]), h, steps)
+    us = np.array([u(k * h) for k in range(steps + 1)])
+    ys = traj[:, :3] @ c[0]
+    rm_true = traj[:, :3] @ a1s[:, 0] + a2s[0, 0] * us
+    rm_fit = (traj[:, 3:5] @ b1[:, 0] + traj[:, 5:] @ b2[:, 0] + b20[0, 0] * ys
+              + a2[0, 0] * us)
+    assert np.max(np.abs((rm_true - rm_fit)[6000:])) < 1e-6
+
+
+@pytest.mark.parametrize("domain", [dt(), ct(1e-3)], ids=["dt", "ct"])
+def test_pe_input_array_matches_scalar(domain):
+    sig = ls._pe_input(3, domain)
+    ts = np.concatenate([np.arange(50) * 0.37, [1234.5]])
+    assert sig(1.5).shape == (3,)
+    each = np.array([sig(float(t)) for t in ts])
+    np.testing.assert_allclose(sig(ts), each, rtol=0, atol=1e-14)
+    grid = np.stack((ts, ts + 0.5))
+    np.testing.assert_allclose(sig(grid), np.stack((each, [sig(t + 0.5) for t in ts])),
+                               rtol=0, atol=1e-14)
+
+
 def test_ref_input_from_io_zero_everything():
     rm = StateSpace([[0.5]], [1], [2], dt())
     ia = DiagonalInteractor([Polynomial([0.4, 1.0])])

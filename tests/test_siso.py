@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptrack import siso
+from adaptrack import engine, siso
 from adaptrack.engine import Structure
 from adaptrack.errors import GainBoundViolation, SingularMatchingSystem
 from adaptrack.linsys import Polynomial, StateSpace, dt, markov_params
@@ -361,3 +361,23 @@ def test_scalar_benchmark_end_to_end():
                   nominal=nom, with_certificate=True)
     assert float(np.sqrt(np.mean(tr.e[-300:] ** 2))) < 1e-3
     assert np.max(np.diff(tr.v)) <= 1e-12
+
+
+def test_run_stops_at_nonfinite_l2_sum(bench):
+    # unstable plant (pole at 3, same zero) under frozen zero parameters: the
+    # free response overflows and the loop stops at the last finite row
+    poles = Polynomial.from_roots([3.0, 0.5, -0.4]).coeffs
+    plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), bench["plant"].b,
+                       bench["plant"].c, dt())
+    scn = _scenario(bench, Structure.SF_XM, plant=plant)
+    spec = scn.loop_spec(theta0=np.zeros(scn.theta_dim), rho0=1.0)
+    spec.x0 = np.ones(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = engine.run_closed_loop(spec, horizon=1000,
+                                    probes={"one": lambda th, ps, fr, e: 1.0})
+    assert 0 < tr.n_samples < 1000
+    assert tr.guard_events == [{"t": float(tr.n_samples), "diverged": "l2_eps"}]
+    for arr in (tr.e, tr.u, tr.eps, tr.m, tr.theta_norm, tr.extra["l2_eps_cum"],
+                tr.extra["l2_dtheta_cum"]):
+        assert np.isfinite(arr).all()
+    assert tr.extra["one"].shape == (tr.n_samples,)
