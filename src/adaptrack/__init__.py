@@ -20,7 +20,6 @@ from .errors import (
     SingularityGuard,
     SingularKp,
     SingularMatchingSystem,
-    UncontrollablePair,
     UnobservablePair,
     ValidationError,
 )
@@ -36,7 +35,6 @@ from .linsys import (
     dt,
     lyapunov_solve_ct,
     markov_params,
-    pole_place,
     ref_input_from_io,
     ref_input_from_state,
     relative_degree,
@@ -51,7 +49,7 @@ __all__ = [
     "ParseError", "Polynomial", "RationalFilter", "RefInput",
     "RelativeDegreeViolation", "SimTrace", "SingularKp", "SingularMatchingSystem",
     "SingularityGuard", "Sinusoid", "StateSpace", "Structure", "TimeDomain",
-    "UncontrollablePair", "UnobservablePair", "ValidationError", "ct", "dt",
-    "lyapunov_solve_ct", "markov_params", "multisine", "pole_place",
-    "ref_input_from_io", "ref_input_from_state", "relative_degree",
+    "UnobservablePair", "ValidationError", "ct", "dt", "lyapunov_solve_ct",
+    "markov_params", "multisine", "ref_input_from_io", "ref_input_from_state",
+    "relative_degree",
 ]

@@ -9,10 +9,6 @@ class NoRelativeDegree(AdaptrackError):
     """All Markov parameters of an output row vanish up to the state order."""
 
 
-class UncontrollablePair(AdaptrackError):
-    """(A, b) fails the controllability rank test."""
-
-
 class UnobservablePair(AdaptrackError):
     """(A, c) fails the observability rank test."""
 

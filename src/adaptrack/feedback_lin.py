@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import SimTrace, _Recorder
+from .engine import _Recorder
 from .errors import SingularityGuard
 from .linsys import DiagonalInteractor, Polynomial, rk4_step
 
@@ -119,11 +119,18 @@ def sigma_min(a):
     if m == 1:
         return abs(a[0, 0])
     if m == 2:
-        # sigma1 sigma2 = |det|, sigma1^2 + sigma2^2 = |A|_F^2
-        f2 = a[0, 0] ** 2 + a[0, 1] ** 2 + a[1, 0] ** 2 + a[1, 1] ** 2
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        disc = max(f2 * f2 - 4.0 * det * det, 0.0)
-        return np.sqrt(max(0.5 * (f2 - np.sqrt(disc)), 0.0))
+        # sigma1 sigma2 = |det|, sigma1^2 + sigma2^2 = |A|_F^2.  sigma_max is a
+        # sum of non-negative terms, so |det| / sigma_max does not cancel; the
+        # scaling to a unit largest entry keeps the squares from overflowing
+        (p, q), (r, t) = a.tolist()
+        s = max(abs(p), abs(q), abs(r), abs(t))
+        if s == 0.0:
+            return 0.0
+        p, q, r, t = p / s, q / s, r / s, t / s
+        f2 = p * p + q * q + r * r + t * t
+        det = p * t - q * r
+        smax = math.sqrt(0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0 * det * det, 0.0))))
+        return s * abs(det) / smax
     return np.linalg.svd(a, compute_uv=False)[-1]
 
 
@@ -171,19 +178,6 @@ def gradient_rhs(ctrl, frames, theta=None):
     for i, (zeta, _, eps, m) in enumerate(frames):
         d[:, i] = (ctrl.gammas[i] @ zeta) * (eps / (m * m))
     return d
-
-
-def gradient_step(ctrl, frames, step):
-    """Advance the controller estimates one step with the frames held.
-
-    The closed-loop runner integrates the same right-hand side jointly with
-    the plant and filters; this standalone form integrates over one step
-    with frozen frame signals.
-    """
-    new = FLController(interactor=ctrl.interactor, dims=ctrl.dims,
-                       theta=ctrl.theta + step * gradient_rhs(ctrl, frames),
-                       gammas=ctrl.gammas, guard=ctrl.guard)
-    return new
 
 
 class _ColumnFilters:
@@ -333,33 +327,35 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     ident = np.zeros((horizon, m)) if theta_star is not None else None
     mi_extra = np.zeros((horizon, m))
     gamma_invs = [np.linalg.inv(g) for g in ctrl.gammas]
-    for k in range(horizon):
-        t = k * step
-        x, xm, states, theta = loop.unpack(flat)
-        try:
-            alg = loop.algebra(t, x, xm, states, theta)
-            y, ym, e, umt, u, omega, frames = alg
-            k1 = loop.deriv_from(x, xm, states, theta, alg)
-            flat_next = rk4_step(loop.rhs, t, flat, step, k1=k1)
-        except SingularityGuard as g:
-            guard_events.append({"t": t, "sigma_min": g.sigma_min})
-            break
-        eps = np.array([fr[2] for fr in frames])
-        mis = np.array([fr[3] for fr in frames])
-        mi_extra[k] = mis
-        magg = float(np.sqrt(1.0 + sum(fr[0] @ fr[0] for fr in frames)))
-        v = certificate(ctrl, theta, theta_star, gamma_invs) if theta_star is not None else None
-        if ident is not None:
-            for i, (zeta, _, epsi, _) in enumerate(frames):
-                ident[k, i] = epsi - float((theta_star[:, i] - theta[:, i]) @ zeta)
-        loop.l2_eps += step * float(np.sum((eps / mis) ** 2))
-        if not math.isfinite(loop.l2_eps):
-            guard_events.append({"t": t, "diverged": loop.diverged_block(flat)})
-            break
-        tn = float(np.linalg.norm(theta))
-        rec.push(t, y, ym, e, u, magg, eps, v, tn,
-                 loop.l2_eps, 0.0)
-        flat = flat_next
+    with np.errstate(over="ignore", invalid="ignore"):  # the diverged event reports it
+        for k in range(horizon):
+            t = k * step
+            x, xm, states, theta = loop.unpack(flat)
+            try:
+                alg = loop.algebra(t, x, xm, states, theta)
+                y, ym, e, umt, u, omega, frames = alg
+                k1 = loop.deriv_from(x, xm, states, theta, alg)
+                flat_next = rk4_step(loop.rhs, t, flat, step, k1=k1)
+            except SingularityGuard as g:
+                guard_events.append({"t": t, "sigma_min": g.sigma_min})
+                break
+            eps = np.array([fr[2] for fr in frames])
+            mis = np.array([fr[3] for fr in frames])
+            mi_extra[k] = mis
+            magg = float(np.sqrt(1.0 + sum(fr[0] @ fr[0] for fr in frames)))
+            v = (certificate(ctrl, theta, theta_star, gamma_invs)
+                 if theta_star is not None else None)
+            if ident is not None:
+                for i, (zeta, _, epsi, _) in enumerate(frames):
+                    ident[k, i] = epsi - float((theta_star[:, i] - theta[:, i]) @ zeta)
+            loop.l2_eps += step * float(np.sum((eps / mis) ** 2))
+            if not math.isfinite(loop.l2_eps):
+                guard_events.append({"t": t, "diverged": loop.diverged_block(flat)})
+                break
+            tn = float(np.linalg.norm(theta))
+            rec.push(t, y, ym, e, u, magg, eps, v, tn,
+                     loop.l2_eps, 0.0)
+            flat = flat_next
     extra = {"m_i": mi_extra[: rec.k]}
     if ident is not None:
         extra["ident_resid"] = ident[: rec.k]

@@ -19,7 +19,6 @@ from .errors import (
     NoRelativeDegree,
     NotHurwitz,
     RelativeDegreeViolation,
-    UncontrollablePair,
     UnobservablePair,
 )
 
@@ -254,45 +253,12 @@ def _rank_deficient(m):
     return s[-1] < RANK_RTOL * max(s[0], 1.0)
 
 
-def observability_index(a, c):
-    """Smallest nu with rank [C; CA; ...; CA^(nu-1)] = n."""
-    n = a.shape[0]
-    rows = [np.atleast_2d(c)]
-    for nu in range(1, n + 1):
-        m = np.vstack(rows)
-        s = np.linalg.svd(m, compute_uv=False)
-        if np.sum(s > RANK_RTOL * max(s[0], 1.0)) == n:
-            return nu
-        rows.append(rows[-1] @ a)
-    raise UnobservablePair("(A, C) is not observable")
-
-
-def pole_place(ss, target):
-    """Single-input gain k1 with charpoly(A + b k1^T) = target (Ackermann).
-
-    Raises UncontrollablePair on a rank-deficient controllability matrix.
-    """
-    a = ss.a
-    b = ss.b[:, 0]
-    n = a.shape[0]
-    if ss.n_inputs != 1:
-        raise ValueError("pole_place requires a single-input system")
-    if target.degree != n or not target.monic:
-        raise ValueError("target must be monic of degree n")
-    cm = ctrb(a, b[:, None])
-    if _rank_deficient(cm):
-        raise UncontrollablePair("(A, b) controllability matrix is rank deficient")
-    en = np.zeros(n)
-    en[-1] = 1.0
-    return -(en @ np.linalg.solve(cm, target.of_matrix(a)))
-
-
 class RationalFilter:
     """Stable proper scalar transfer N(D)/d(D) replicated over a vector input.
 
-    Controllable canonical realization; the same scalar filter acts on each
-    of `width` input channels independently.  State is a (deg d, width)
-    array, initially zero.
+    Held as its controllable canonical realization (fmat, g, h, j); the same
+    scalar filter acts on each of `width` input channels independently.  The
+    loops stack realization() into their own state.
     """
 
     def __init__(self, num, den, domain, width=1):
@@ -305,14 +271,11 @@ class RationalFilter:
         if not den.is_stable(domain.tag):
             raise ValueError("filter denominator is not stable for the domain")
         k = den.degree
-        self.domain = domain
         self.width = width
-        self.k = k
         nc = np.zeros(k + 1)
         nc[: num.coeffs.size] = num.coeffs
         self.j = nc[k]  # feedthrough (nonzero only for a biproper filter)
-        ntil = nc[:k] - self.j * den.coeffs[:k]
-        self.h = ntil  # output row over the canonical state
+        self.h = nc[:k] - self.j * den.coeffs[:k]  # output row over the canonical state
         self.fmat = np.zeros((k, k))
         if k > 0:
             self.fmat[:-1, 1:] = np.eye(k - 1)
@@ -320,46 +283,12 @@ class RationalFilter:
         self.g = np.zeros(k)
         if k > 0:
             self.g[-1] = 1.0
-        self.state = np.zeros((k, width))
-
-    @property
-    def strictly_proper(self):
-        return self.j == 0.0
-
-    def output(self, u=None):
-        """Current output; `u` required only for a biproper filter."""
-        y = self.h @ self.state
-        if self.j != 0.0:
-            if u is None:
-                raise ValueError("biproper filter output needs the current input")
-            y = y + self.j * np.asarray(u, dtype=float)
-        return y
 
     def realization(self):
         """(F, G, H, J) acting on the row-major flattened state, one input per channel."""
         eye = np.eye(self.width)
         return (np.kron(self.fmat, eye), np.kron(self.g[:, None], eye),
                 np.kron(self.h[None, :], eye), self.j * eye)
-
-    def deriv(self, state, u):
-        return self.fmat @ state + np.outer(self.g, u)
-
-    def step(self, u):
-        """Output at the current state, then advance one step with input u."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (self.width,):
-            raise ValueError(f"input width {u.shape} != {(self.width,)}")
-        y = self.output(u)
-        if self.domain.is_dt:
-            self.state = self.fmat @ self.state + np.outer(self.g, u)
-        else:
-            self.state = rk4_step(
-                lambda t, s: self.deriv(s, u), 0.0, self.state, self.domain.step
-            )
-        return y
-
-    def reset(self):
-        self.state = np.zeros((self.k, self.width))
 
 
 class FilterBank:
@@ -375,7 +304,6 @@ class FilterBank:
     def __init__(self, powers, lam, domain, width=1):
         self.powers = list(powers)
         self.lam = lam
-        self.domain = domain
         self.width = width
         k = lam.degree
         if any(p > k or p < 0 for p in self.powers):
@@ -392,24 +320,6 @@ class FilterBank:
         self.g = np.zeros(k)
         if k > 0:
             self.g[-1] = 1.0
-        self.state = np.zeros((k, width))
-
-    @property
-    def n_outputs(self):
-        return len(self.powers) * self.width
-
-    def output(self, u=None):
-        blocks = []
-        for p in self.powers:
-            if p < self.k:
-                blocks.append(self.state[p])
-            else:
-                if u is None:
-                    raise ValueError("biproper bank output needs the current input")
-                blocks.append(np.asarray(u, dtype=float) - self.lam.coeffs[: self.k] @ self.state)
-        if not blocks:
-            return np.zeros(0)
-        return np.concatenate(blocks)
 
     def realization(self):
         """(F, G, H, J) acting on the row-major flattened state, one input per channel."""
@@ -424,23 +334,6 @@ class FilterBank:
         eye = np.eye(self.width)
         return (np.kron(self.fmat, eye), np.kron(self.g[:, None], eye),
                 np.kron(h, eye), np.kron(j, eye))
-
-    def deriv(self, state, u):
-        return self.fmat @ state + np.outer(self.g, u)
-
-    def step(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        y = self.output(u)
-        if self.domain.is_dt:
-            self.state = self.fmat @ self.state + np.outer(self.g, u)
-        else:
-            self.state = rk4_step(
-                lambda t, s: self.deriv(s, u), 0.0, self.state, self.domain.step
-            )
-        return y
-
-    def reset(self):
-        self.state = np.zeros((self.k, self.width))
 
 
 @dataclass
@@ -470,19 +363,6 @@ class DiagonalInteractor:
         for i, d in enumerate(self.rows):
             if not d.is_stable(domain):
                 raise ValueError(f"interactor row {i} is not stable for the domain")
-
-    def apply_dt(self, y):
-        """Apply diag{d_i(z)} to a recorded trajectory y of shape (N, M).
-
-        Returns shape (N - max_degree, M); row t holds the combination of
-        samples y[t..t+deg d_i].
-        """
-        n = y.shape[0] - self.max_degree
-        out = np.zeros((n, self.m))
-        for i, d in enumerate(self.rows):
-            for j, cj in enumerate(d.coeffs):
-                out[:, i] += cj * y[j : j + n, i]
-        return out
 
 
 def ref_input_from_state(refmodel, interactor):

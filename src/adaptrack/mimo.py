@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .engine import Frame, GradientLaw, Rd1Law, Structure, assemble_regressor, regressor_dim
+from .engine import GradientLaw, Rd1Law, Structure, regressor_dim
 from .errors import DomainMismatch, GainBoundViolation, RelativeDegreeViolation, SingularKp
 from .linsys import (
     DiagonalInteractor,
     Polynomial,
-    RationalFilter,
     StateSpace,
     lyapunov_solve_ct,
     ref_input_from_io,
@@ -56,11 +55,6 @@ def sf_nominal(plant, interactor):
     kp_inv = np.linalg.inv(kp)
     k1 = -(kp_inv @ k0.T).T
     return k1, kp_inv, kp
-
-
-def rm_params(refmodel, interactor):
-    """(A1, A2) reconstructing xi_m(D)[y_m] from the reference state and input."""
-    return ref_input_from_state(refmodel, interactor)
 
 
 def hidden_modes(plant, interactor):
@@ -185,7 +179,7 @@ def nominal_params(scenario):
             "output-feedback nominal gains are not synthesized for multivariable plants"
         )
     k1, k2, kp = sf_nominal(scenario.plant, scenario.interactor)
-    a1, a2 = rm_params(scenario.refmodel, scenario.interactor)
+    a1, a2 = ref_input_from_state(scenario.refmodel, scenario.interactor)
     blocks = {"k1": k1, "k2": k2, "a1": a1, "a2": a2}
     if s is Structure.SF_XM:
         theta = np.vstack([k1, a1 @ k2.T, (k2 @ a2).T])
@@ -198,99 +192,6 @@ def nominal_params(scenario):
     return MimoNominal(structure=s, kp=kp, theta_star=theta, blocks=blocks)
 
 
-def build_regressor(structure, signals):
-    return assemble_regressor(structure, signals)
-
-
-@dataclass
-class MimoGradientState:
-    """Estimates (Theta, Psi) with the gains of the matrix gradient law."""
-
-    theta: np.ndarray
-    psi: np.ndarray
-    sp: np.ndarray
-    gamma: np.ndarray
-    domain_tag: str = "dt"
-
-    def __post_init__(self):
-        self.theta = np.atleast_2d(np.asarray(self.theta, dtype=float)).copy()
-        self.psi = np.atleast_2d(np.asarray(self.psi, dtype=float)).copy()
-        self.sp = np.atleast_2d(np.asarray(self.sp, dtype=float))
-        self.gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
-        eig = np.linalg.eigvalsh(0.5 * (self.gamma + self.gamma.T))
-        if eig[0] <= 0:
-            raise GainBoundViolation("Psi gain must be positive definite")
-        if self.domain_tag == "dt" and eig[-1] >= 2.0:
-            raise GainBoundViolation("Psi gain must satisfy Gamma < 2I in discrete time")
-
-
-class MimoFramePipe:
-    """Stateful filters behind the multivariable estimation error."""
-
-    def __init__(self, scenario):
-        q = scenario.theta_dim
-        dom = scenario.plant.domain
-        self.zeta_f = RationalFilter([1.0], scenario.fpoly, dom, width=q)
-        self.eta_f = RationalFilter([1.0], scenario.fpoly, dom, width=scenario.m)
-        self.ebar_f = [
-            RationalFilter(d, scenario.fpoly, dom, width=1) for d in scenario.interactor.rows
-        ]
-
-    def frame(self, state, omega, e):
-        zeta = self.zeta_f.output()
-        xi = state.theta.T @ zeta - self.eta_f.output()
-        ebar = np.concatenate(
-            [f.output(e[i : i + 1]) for i, f in enumerate(self.ebar_f)]
-        )
-        eps = ebar + state.psi @ xi
-        m2 = 1.0 + zeta @ zeta + xi @ xi
-        return Frame(omega, zeta, xi, ebar, eps, float(np.sqrt(m2)))
-
-    def advance(self, state, omega, e):
-        self.zeta_f.step(omega)
-        self.eta_f.step(state.theta.T @ omega)
-        for i, f in enumerate(self.ebar_f):
-            f.step(e[i : i + 1])
-
-
-def estimation_frame(state, omega, e, pipe):
-    fr = pipe.frame(state, omega, e)
-    pipe.advance(state, omega, e)
-    return fr
-
-
-def gradient_step(state, frame, domain):
-    """One update of (Theta, Psi): DT increment, or CT Euler over the step."""
-    gz = np.eye(state.theta.shape[0])
-    dtheta, dpsi = engine.gradient_rhs(
-        gz, state.sp, state.gamma, frame.zeta, frame.xi, frame.eps, frame.m2
-    )
-    h = 1.0 if domain.is_dt else domain.step
-    return MimoGradientState(
-        theta=state.theta + h * dtheta,
-        psi=state.psi + h * dpsi,
-        sp=state.sp,
-        gamma=state.gamma,
-        domain_tag=state.domain_tag,
-    )
-
-
-@dataclass
-class Rd1State:
-    """State of the Lyapunov-design law for relative-degree-one plants."""
-
-    theta: np.ndarray
-    s: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.atleast_2d(np.asarray(self.theta, dtype=float)).copy()
-        self.s = np.atleast_2d(np.asarray(self.s, dtype=float))
-        self.p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
-
-
 def rd1_law(interactor, s, q=None):
     """Build the relative-degree-one law from the interactor diag{D + a_i}."""
     if any(d.degree != 1 for d in interactor.rows):
@@ -301,15 +202,6 @@ def rd1_law(interactor, s, q=None):
     q = np.eye(interactor.m) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
     p = lyapunov_solve_ct(-p0, q)
     return Rd1Law(s=np.atleast_2d(np.asarray(s, dtype=float)), p=p, q=q)
-
-
-def rd1_step(state, e, omega, domain):
-    """Integrate Theta one step with (e, omega) held over the step (CT only)."""
-    if domain.is_dt:
-        raise DomainMismatch("the relative-degree-one design is continuous-time")
-    law = Rd1Law(s=state.s, p=state.p, q=state.q)
-    dtheta = law.rhs(np.asarray(e, dtype=float), np.asarray(omega, dtype=float))
-    return Rd1State(theta=state.theta + domain.step * dtheta, s=state.s, p=state.p, q=state.q)
 
 
 def verify_gain_prior(scenario, kp):
@@ -382,9 +274,8 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
         if not adaptive:
             law = None
     elif design == "gradient":
-        law = GradientLaw(gz=np.eye(q), sp=scenario.sp, gpsi=scenario.gamma)
-        if dom.is_dt:
-            law.check_dt_bounds(kp_bound=None)
+        law = GradientLaw(gz=np.eye(q), sp=scenario.sp, gpsi=scenario.gamma,
+                          gpsi_max=2.0 if dom.is_dt else None)
         if not adaptive:
             law = None
     else:

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .engine import Frame, GradientLaw, Structure, assemble_regressor, regressor_dim
-from .errors import GainBoundViolation, RelativeDegreeViolation, SingularMatchingSystem
+from .engine import GradientLaw, Structure, regressor_dim
+from .errors import RelativeDegreeViolation, SingularMatchingSystem
 from .linsys import (
     DiagonalInteractor,
     Polynomial,
-    RationalFilter,
     StateSpace,
     ref_input_from_io,
     ref_input_from_state,
@@ -228,11 +227,6 @@ def nominal_params(scenario):
     )
 
 
-def build_regressor(structure, signals):
-    """Structure-specific regressor (scalar channels allowed in `signals`)."""
-    return assemble_regressor(structure, signals)
-
-
 @dataclass
 class SisoGains:
     gamma_theta: np.ndarray = None  # SPD, default (1/kp_bound) I
@@ -247,86 +241,6 @@ class SisoGains:
         else:
             g = np.atleast_2d(np.asarray(g, dtype=float))
         return g, float(self.gamma_rho)
-
-
-@dataclass
-class SisoGradientState:
-    """Estimates (theta, rho) and their adaptation gains."""
-
-    theta: np.ndarray
-    rho: float
-    gamma: np.ndarray
-    gamma_rho: float
-    sign_kp: float
-    kp_bound: float
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float).ravel().copy()
-        if np.isscalar(self.gamma) or np.ndim(self.gamma) == 0:
-            self.gamma = float(self.gamma) * np.eye(self.theta.size)
-        self.gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
-        eig = np.linalg.eigvalsh(0.5 * (self.gamma + self.gamma.T))
-        if eig[0] <= 0 or eig[-1] >= 2.0 / self.kp_bound:
-            raise GainBoundViolation(
-                "theta gain must satisfy 0 < Gamma < (2/kp_bound) I"
-            )
-        if not 0.0 < self.gamma_rho < 2.0:
-            raise GainBoundViolation("rho gain must lie in (0, 2)")
-
-
-@dataclass
-class SisoRegressorFrame:
-    omega: np.ndarray
-    zeta: np.ndarray
-    xi: float
-    epsilon: float
-    m: float
-
-
-class SisoFramePipe:
-    """The stateful pair of tracking filters behind the estimation error.
-
-    Holds 1/Pm(z) acting on the regressor and on theta^T omega; call order
-    per step: frame(...) then advance(...).
-    """
-
-    def __init__(self, scenario):
-        q = scenario.theta_dim
-        self.zeta_f = RationalFilter([1.0], scenario.pm, scenario.plant.domain, width=q)
-        self.eta_f = RationalFilter([1.0], scenario.pm, scenario.plant.domain, width=1)
-
-    def frame(self, state, omega, e):
-        zeta = self.zeta_f.output()
-        xi = float(state.theta @ zeta - self.eta_f.output()[0])
-        epsilon = float(e + state.rho * xi)
-        m = float(np.sqrt(1.0 + zeta @ zeta + xi * xi))
-        return SisoRegressorFrame(omega=omega, zeta=zeta, xi=xi, epsilon=epsilon, m=m)
-
-    def advance(self, state, omega):
-        self.zeta_f.step(omega)
-        self.eta_f.step([float(state.theta @ omega)])
-
-
-def estimation_frame(state, omega, e, pipe):
-    """One step of the estimation-error signals; advances the pipe filters."""
-    fr = pipe.frame(state, omega, e)
-    pipe.advance(state, omega)
-    return fr
-
-
-def gradient_step(state, frame):
-    """Normalized-gradient update of (theta, rho); returns a new state."""
-    m2 = frame.m * frame.m
-    theta = state.theta - (state.gamma @ frame.zeta) * (state.sign_kp * frame.epsilon) / m2
-    rho = state.rho - state.gamma_rho * frame.xi * frame.epsilon / m2
-    return SisoGradientState(
-        theta=theta,
-        rho=rho,
-        gamma=state.gamma,
-        gamma_rho=state.gamma_rho,
-        sign_kp=state.sign_kp,
-        kp_bound=state.kp_bound,
-    )
 
 
 def certificate_probe(scenario, nominal, gains=None):
@@ -369,8 +283,8 @@ def run(scenario, adaptive=True, horizon=2000, gains=None, theta0=None, rho0=Non
     gains = gains or SisoGains()
     gz, grho = gains.resolved(q, scenario.kp_bound)
     if adaptive:
-        law = GradientLaw(gz=gz, sp=[[float(scenario.sign_kp)]], gpsi=[[grho]])
-        law.check_dt_bounds(scenario.kp_bound)
+        law = GradientLaw(gz=gz, sp=[[float(scenario.sign_kp)]], gpsi=[[grho]],
+                          gz_max=2.0 / scenario.kp_bound, gpsi_max=2.0)
         th0 = np.zeros(q) if theta0 is None else np.asarray(theta0, dtype=float)
         r0 = float(scenario.sign_kp) if rho0 is None else float(rho0)
     else:

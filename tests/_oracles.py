@@ -22,6 +22,18 @@ def simulate_dt(a, b, c, x0, u_seq):
     return np.asarray(xs), np.asarray(ys)
 
 
+def lti_sim(realization, u_seq):
+    """Outputs of s+ = F s + G u, y = H s + J u from s = 0, one row per input."""
+    f, g, h, j = realization
+    s = np.zeros(f.shape[0])
+    ys = []
+    for u in u_seq:
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        ys.append(h @ s + j @ u)
+        s = f @ s + g @ u
+    return np.asarray(ys)
+
+
 def shift_apply(coeffs, y):
     """sum_j coeffs[j] * y[t+j] along a recorded trajectory (column-wise)."""
     y = np.asarray(y, dtype=float)

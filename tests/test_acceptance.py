@@ -18,6 +18,7 @@ from adaptrack.linsys import (
     StateSpace,
     dt,
     markov_params,
+    ref_input_from_state,
 )
 from adaptrack.signals import multisine
 
@@ -204,7 +205,7 @@ def test_criterion_3_ref_input_identities(siso_bench, mimo_dt_bench):
     # SISO DT
     b = siso_bench
     ia = DiagonalInteractor([b["pm"]])
-    a1, a2 = mimo.rm_params(b["refmodel"], ia)
+    a1, a2 = ref_input_from_state(b["refmodel"], ia)
     u = np.array([float(b["um"](t)[0]) for t in range(204)])
     xs, ys = oc.simulate_dt(b["refmodel"].a, b["refmodel"].b, b["refmodel"].c,
                             rng.standard_normal(3), u)
@@ -214,7 +215,7 @@ def test_criterion_3_ref_input_identities(siso_bench, mimo_dt_bench):
 
     # MIMO DT
     bm = mimo_dt_bench
-    a1, a2 = mimo.rm_params(bm["refmodel"], bm["interactor"])
+    a1, a2 = ref_input_from_state(bm["refmodel"], bm["interactor"])
     u = np.array([bm["um"](t) for t in range(204)])
     xs, ys = oc.simulate_dt(bm["refmodel"].a, bm["refmodel"].b, bm["refmodel"].c,
                             rng.standard_normal(3), u)
@@ -227,7 +228,7 @@ def test_criterion_3_ref_input_identities(siso_bench, mimo_dt_bench):
     # MIMO CT, RK4 step 1e-3 over 20 s
     bc = benchmarks.mimo_ct_2x2()
     h = bc["refmodel"].domain.step
-    a1, a2 = mimo.rm_params(bc["refmodel"], bc["interactor"])
+    a1, a2 = ref_input_from_state(bc["refmodel"], bc["interactor"])
     steps = 20000
     traj = oc.rk4_sim(lambda t, x: bc["refmodel"].a @ x + bc["refmodel"].b @ bc["um"](t),
                       np.array([0.2, -0.1, 0.3]), h, steps)

@@ -85,6 +85,22 @@ def test_sigma_min_closed_form_matches_svd():
         assert abs(fl.sigma_min(a) - np.linalg.svd(a, compute_uv=False)[-1]) < 1e-10
 
 
+def test_sigma_min_badly_scaled_matches_svd():
+    # A_hat values met by fl_adaptive at step 4.0: sigma_max^2 - sigma_min^2
+    # cancels in the Frobenius form (first), and |A|_F^4 overflows (second)
+    for a, floor in (([[8.98e9, 0.074], [-2.08e9, -0.646]], 0.6),
+                     ([[3.98e81, -0.0322], [-1.48e81, -0.1637]], 0.16)):
+        a = np.array(a)
+        want = np.linalg.svd(a, compute_uv=False)[-1]
+        assert want > floor
+        np.testing.assert_allclose(fl.sigma_min(a), want, rtol=1e-12)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        a = rng.uniform(0.5, 2.0, (2, 2)) * rng.choice([-1.0, 1.0], (2, 2))
+        np.testing.assert_allclose(fl.sigma_min(a), np.linalg.svd(a, compute_uv=False)[-1],
+                                   rtol=1e-12)
+
+
 # -- outer-loop signal ---------------------------------------------------------------
 
 
@@ -196,14 +212,23 @@ def test_gradient_rhs_scalar_formula(pair):
 
 
 def test_gradient_step_advances_column(pair):
-    plant, leader, ia, _ = pair
+    plant, leader, ia, tstar = pair
     ctrl = _controller(ia, leader)
     zeta = np.zeros(ctrl.q)
     zeta[0] = 1.0
     frames = [(zeta, 0.0, 1.0, np.sqrt(2.0)), (np.zeros(ctrl.q), 0.0, 0.0, 1.0)]
-    new = fl.gradient_step(ctrl, frames, step=1e-2)
-    assert abs(new.theta[0, 0] - 0.005) < 1e-15
-    assert np.all(new.theta[:, 1] == 0.0)
+    new = ctrl.theta + 1e-2 * fl.gradient_rhs(ctrl, frames)
+    assert abs(new[0, 0] - 0.005) < 1e-15
+    assert np.all(new[:, 1] == 0.0)
+    # the loop's theta derivative is gradient_rhs of the frames at the same state
+    loop = fl.FLLoop(plant, leader, _controller(ia, leader, theta=0.9 * tstar), 1e-3)
+    rng = np.random.default_rng(6)
+    flat = loop.pack([rng.standard_normal(s.shape) for s in loop.filters.init_states()],
+                     loop.ctrl.theta)
+    x, xm, states, theta = loop.unpack(flat)
+    frames = loop.algebra(0.3, x, xm, states, theta)[-1]
+    _, _, _, dtheta = loop.unpack(loop.rhs(0.3, flat))
+    assert np.array_equal(dtheta, fl.gradient_rhs(loop.ctrl, frames, theta))
 
 
 # -- benchmark structure ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,22 @@ def test_gamma_rho_bound(tmp_path):
     with pytest.raises(ValidationError) as ei:
         harness.load_scenario(_write(tmp_path, data))
     assert "gamma_rho" in str(ei.value)
+
+
+def test_indefinite_gamma_theta_rejected_naming_field(tmp_path):
+    # the largest eigenvalue is admissible, the smallest is negative
+    data = _minimal(gains={"gamma_theta": np.diag([-0.3] + [0.5] * 6).tolist()})
+    with pytest.raises(ValidationError) as ei:
+        harness.load_scenario(_write(tmp_path, data))
+    assert ei.value.field == "gains.gamma_theta"
+
+
+def test_indefinite_ct_gamma_rejected_naming_field(tmp_path):
+    data = _minimal(module="mimo", benchmark="mimo-ct-2x2",
+                    gains={"gamma": [[-1.0, 0.0], [0.0, 1.0]]})
+    with pytest.raises(ValidationError) as ei:
+        harness.load_scenario(_write(tmp_path, data))
+    assert ei.value.field == "gains.gamma"
 
 
 def test_nominal_requires_test_mode(tmp_path):
@@ -347,7 +364,8 @@ def test_cli_run_diverged_exit_two(tmp_path, capsys):
     # a CT step far outside RK4's stability region: the run stops and says why
     scn = Path(__file__).resolve().parents[1] / "scenarios" / "mimo_rd1_ct.json"
     out = tmp_path / "od"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the event says it; numpy stays quiet
         code = cli.main(["run", "--scenario", str(scn), "--out", str(out),
                          "--step", "2.0", "--horizon", "300"])
     assert code == 2

@@ -6,7 +6,6 @@ from adaptrack.errors import (
     NoRelativeDegree,
     NotHurwitz,
     RelativeDegreeViolation,
-    UncontrollablePair,
     UnobservablePair,
 )
 from adaptrack.linsys import (
@@ -108,18 +107,18 @@ def test_markov_double_integrator():
     assert vals == [0.0, 1.0, 0.0, 0.0]
 
 
-# -- filters ------------------------------------------------------------------
+# -- filters (driven through realization() by a plain recursion) ---------------
 
 
 def test_filter_zero_state_zero_input():
     f = RationalFilter([1.0], Polynomial.from_roots([0.3, 0.4]), dt(), width=3)
-    assert np.all(f.step(np.zeros(3)) == 0.0)
+    assert np.all(oc.lti_sim(f.realization(), np.zeros((5, 3))) == 0.0)
 
 
 def test_filter_strictly_proper_delay():
     f = RationalFilter([1.0], Polynomial([0.5, 1.0]), dt())
-    outs = [float(f.step([1.0])[0]), float(f.step([0.0])[0])]
-    assert outs == [0.0, 1.0]
+    outs = oc.lti_sim(f.realization(), [[1.0], [0.0]])[:, 0]
+    assert outs.tolist() == [0.0, 1.0]
 
 
 def test_filter_superposition():
@@ -127,10 +126,8 @@ def test_filter_superposition():
     rng = np.random.default_rng(3)
     u1 = rng.standard_normal(50)
     u2 = rng.standard_normal(50)
-    fa, fb, fc = (RationalFilter([0.3, 1.0], den, dt()) for _ in range(3))
-    ya = np.array([fa.step([u])[0] for u in u1])
-    yb = np.array([fb.step([u])[0] for u in u2])
-    yc = np.array([fc.step([u])[0] for u in (u1 + u2)])
+    real = RationalFilter([0.3, 1.0], den, dt()).realization()
+    ya, yb, yc = (oc.lti_sim(real, u[:, None])[:, 0] for u in (u1, u2, u1 + u2))
     assert np.max(np.abs(yc - (ya + yb))) < 1e-12
 
 
@@ -138,10 +135,9 @@ def test_filter_shift_invariance_dt():
     den = Polynomial.from_roots([0.5])
     rng = np.random.default_rng(4)
     u = rng.standard_normal(30)
-    f1 = RationalFilter([1.0], den, dt())
-    y1 = np.array([f1.step([v])[0] for v in u])
-    f2 = RationalFilter([1.0], den, dt())
-    y2 = np.array([f2.step([v])[0] for v in np.concatenate([[0.0, 0.0], u])])
+    real = RationalFilter([1.0], den, dt()).realization()
+    y1 = oc.lti_sim(real, u[:, None])[:, 0]
+    y2 = oc.lti_sim(real, np.concatenate([[0.0, 0.0], u])[:, None])[:, 0]
     assert np.max(np.abs(y2[2:] - y1)) < 1e-14
 
 
@@ -151,8 +147,7 @@ def test_filter_matches_bruteforce_recursion():
     num = Polynomial([1.0, 2.0])
     rng = np.random.default_rng(5)
     u = rng.standard_normal(40)
-    f = RationalFilter(num, den, dt())
-    y = np.array([f.step([v])[0] for v in u])
+    y = oc.lti_sim(RationalFilter(num, den, dt()).realization(), u[:, None])[:, 0]
     # direct: y(t+2) = 0.5 y(t+1) - 0.06 y(t) + 2 u(t+1) + 1 u(t), for all t
     # with zero initial data (u(t) = y(t) = 0 for t < 0)
     def uat(t):
@@ -167,22 +162,12 @@ def test_filter_matches_bruteforce_recursion():
     assert np.max(np.abs(y - yd[:40])) < 1e-12
 
 
-def test_filter_ct_step_matches_reference_rk4():
-    den = Polynomial.from_roots([-2.0, -3.0])
-    f = RationalFilter([1.0, 0.5], den, ct(1e-2))
-    u = 0.7
-    ref = oc.rk4_sim(lambda t, s: f.fmat @ s + f.g * u, np.zeros(2), 1e-2, 1)[-1]
-    f.step([u])
-    assert np.max(np.abs(f.state[:, 0] - ref)) < 1e-14
-
-
 def test_filter_biproper_feedthrough():
     den = Polynomial.from_roots([0.4])
     f = RationalFilter(Polynomial([0.2, 1.0]), den, dt())  # (z+0.2)/(z-0.4): biproper
-    y0 = f.step([1.0])
-    assert abs(y0[0] - 1.0) < 1e-15  # feedthrough J=1, state starts at zero
-    y1 = f.step([0.0])
-    assert abs(y1[0] - (0.2 + 0.4)) < 1e-15  # H = 0.2 - 1*(-0.4)
+    y0, y1 = oc.lti_sim(f.realization(), [[1.0], [0.0]])[:, 0]
+    assert abs(y0 - 1.0) < 1e-15  # feedthrough J=1, state starts at zero
+    assert abs(y1 - (0.2 + 0.4)) < 1e-15  # H = 0.2 - 1*(-0.4)
 
 
 def test_filter_bank_states_are_powers_over_lambda():
@@ -190,63 +175,28 @@ def test_filter_bank_states_are_powers_over_lambda():
     bank = FilterBank([0, 1], lam, dt(), width=1)
     refs = [RationalFilter([1.0], lam, dt()), RationalFilter([0.0, 1.0], lam, dt())]
     rng = np.random.default_rng(6)
-    for u in rng.standard_normal(25):
-        got = bank.step([u])
-        want = [r.step([u])[0] for r in refs]
-        assert np.max(np.abs(got - np.array(want))) < 1e-13
+    u = rng.standard_normal(25)[:, None]
+    got = oc.lti_sim(bank.realization(), u)
+    want = np.column_stack([oc.lti_sim(r.realization(), u)[:, 0] for r in refs])
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_filter_bank_biproper_top_block():
     lam = Polynomial.from_roots([0.5])
     bank = FilterBank([0, 1], lam, dt(), width=1)  # top block z/(z-0.5): biproper
-    y = bank.step([2.0])
-    assert y[0] == 0.0 and y[1] == 2.0
-    y = bank.step([0.0])
-    assert abs(y[0] - 2.0) < 1e-15 and abs(y[1] - 1.0) < 1e-15
+    y = oc.lti_sim(bank.realization(), [[2.0], [0.0]])
+    assert y[0, 0] == 0.0 and y[0, 1] == 2.0
+    assert abs(y[1, 0] - 2.0) < 1e-15 and abs(y[1, 1] - 1.0) < 1e-15
 
 
 def test_filter_bank_empty():
     bank = FilterBank([], Polynomial([1.0]), dt(), width=2)
-    assert bank.step([1.0, 2.0]).size == 0
+    assert oc.lti_sim(bank.realization(), [[1.0, 2.0]]).shape == (1, 0)
 
 
-# -- pole placement -----------------------------------------------------------
-
-
-def test_pole_place_already_matching():
-    target = Polynomial.from_roots([0.1, 0.2, 0.3])
-    a = np.zeros((3, 3))
-    a[:-1, 1:] = np.eye(2)
-    a[-1] = -target.coeffs[:3]
-    k = ls.pole_place(StateSpace(a, [0, 0, 1], [1, 0, 0], dt()), target)
-    assert np.max(np.abs(k)) < 1e-12
-
-
-def test_pole_place_scalar():
-    k = ls.pole_place(StateSpace([[0.5]], [1], [2], dt()), Polynomial([-0.2, 1.0]))
-    assert abs(k[0] + 0.3) < 1e-14
-
-
-def test_pole_place_random_eigs():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal(3)
-        target = Polynomial.from_roots(rng.uniform(-0.8, 0.8, size=3))
-        k = ls.pole_place(StateSpace(a, b, [1, 0, 0], dt()), target)
-        got = np.sort(np.linalg.eigvals(a + np.outer(b, k)))
-        want = np.sort(target.roots())
-        assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) < 1e-6
-
-
-def test_pole_place_uncontrollable():
-    a = np.diag([0.5, 0.5])
-    with pytest.raises(UncontrollablePair):
-        ls.pole_place(StateSpace(a, [1, 1], [1, 0], dt()), Polynomial.from_roots([0.1, 0.2]))
-
-
-def test_markov_matching_after_pole_place():
-    # closed loop built from pole placement matches 1/Pm for 2n parameters
+def test_markov_matching_after_closed_form_gain():
+    # closed loop under the matching gain -kp^-1 c Pm(A) matches 1/Pm for 2n
+    # parameters: the gain places the closed-loop poles at Z(z) Pm(z)
     p = Polynomial.from_roots([0.8, 0.5, -0.4])
     a = np.zeros((3, 3))
     a[:-1, 1:] = np.eye(2)
@@ -254,9 +204,13 @@ def test_markov_matching_after_pole_place():
     kp = 1.5
     plant = StateSpace(a, [0, 0, 1], [kp * (-0.3), kp, 0.0], dt())
     pm = Polynomial.from_roots([0.1, 0.2])
-    zpoly = Polynomial([-0.3, 1.0])
-    k1 = ls.pole_place(plant, zpoly * pm)
+    k0, kpm = ls.ref_input_from_state(plant, DiagonalInteractor([pm]))
+    assert abs(kpm[0, 0] - kp) < 1e-14
+    k1 = -k0[:, 0] / kp
     acl = plant.a + np.outer(plant.b[:, 0], k1)
+    zpm = Polynomial([-0.3, 1.0]) * pm
+    assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(acl))
+                         - np.sort_complex(zpm.roots()))) < 1e-6
     closed = StateSpace(acl, plant.b * (1.0 / kp), plant.c, dt())
     got = [m[0, 0] for m in ls.markov_params(closed, 6)]
     want = oc.inverse_poly_impulse(pm.coeffs, 6)
@@ -353,16 +307,12 @@ def test_ref_input_from_io_fresh_trajectory_consistency():
     horizon = 400
     u = np.column_stack([np.sin(0.21 * np.arange(horizon)) + 0.4 * rng.standard_normal(horizon)])
     xs, ys = oc.simulate_dt(a, b, c, rng.standard_normal(3), u[:, 0])
-    bank_u = FilterBank([0, 1], lam_e, dt(), width=1)
-    bank_y = FilterBank([0, 1], lam_e, dt(), width=1)
-    resid = []
-    for t in range(horizon):
-        wu = bank_u.step(u[t])
-        wy = bank_y.step(ys[t])
-        rm_true = a1s[:, 0] @ xs[t] + a2s[0, 0] * u[t, 0]
-        rm_fit = b1[:, 0] @ wu + b2[:, 0] @ wy + b20[0, 0] * ys[t, 0] + a2[0, 0] * u[t, 0]
-        resid.append(rm_true - rm_fit)
-    assert np.max(np.abs(np.array(resid)[150:])) < 1e-6
+    bank = FilterBank([0, 1], lam_e, dt(), width=1).realization()
+    wu = oc.lti_sim(bank, u)
+    wy = oc.lti_sim(bank, ys)
+    rm_true = xs @ a1s[:, 0] + a2s[0, 0] * u[:, 0]
+    rm_fit = wu @ b1[:, 0] + wy @ b2[:, 0] + b20[0, 0] * ys[:, 0] + a2[0, 0] * u[:, 0]
+    assert np.max(np.abs((rm_true - rm_fit)[150:])) < 1e-6
 
 
 def test_ref_input_from_io_ct_fresh_trajectory_consistency():

@@ -1,16 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from adaptrack import benchmarks, mimo, siso
-from adaptrack.engine import Structure
+from adaptrack import benchmarks, engine, mimo, siso
+from adaptrack.engine import Frame, GradientLaw, Rd1Law, Structure
 from adaptrack.errors import DomainMismatch, GainBoundViolation, RelativeDegreeViolation, SingularKp
 from adaptrack.linsys import (
     DiagonalInteractor,
     Polynomial,
     StateSpace,
-    ct,
     dt,
     lyapunov_solve_ct,
+    ref_input_from_state,
 )
 
 import _oracles as oc
@@ -149,27 +151,27 @@ def test_hidden_modes_are_the_cancelled_zeros(bench_rd1):
 # -- reference-input parametrization ----------------------------------------------
 
 
-def test_rm_params_unit_feedthrough():
+def test_ref_input_from_state_unit_feedthrough():
     a = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     b = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     ref = StateSpace(a, b, c, dt())
     ia = DiagonalInteractor([Polynomial.from_roots([0.2]), Polynomial.from_roots([0.1, 0.3])])
-    a1, a2 = mimo.rm_params(ref, ia)
+    a1, a2 = ref_input_from_state(ref, ia)
     assert np.max(np.abs(a2 - np.eye(2))) < 1e-14
 
 
-def test_rm_params_strictly_larger_degrees():
+def test_ref_input_from_state_strictly_larger_degrees():
     a = np.array([[0.2, 1.0, 0.0], [0.0, 0.1, 1.0], [0.0, 0.0, 0.3]])
     ref = StateSpace(a, [[0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0]], dt())
     ia = DiagonalInteractor([Polynomial.from_roots([0.1, 0.2])])  # ref deg = 3 > 2
-    _, a2 = mimo.rm_params(ref, ia)
+    _, a2 = ref_input_from_state(ref, ia)
     assert np.max(np.abs(a2)) == 0.0
 
 
-def test_rm_params_dt_trajectory(bench_dt):
+def test_ref_input_from_state_dt_trajectory(bench_dt):
     b = bench_dt
-    a1, a2 = mimo.rm_params(b["refmodel"], b["interactor"])
+    a1, a2 = ref_input_from_state(b["refmodel"], b["interactor"])
     rng = np.random.default_rng(10)
     u = np.array([b["um"](t) for t in range(206)])
     xs, ys = oc.simulate_dt(b["refmodel"].a, b["refmodel"].b, b["refmodel"].c,
@@ -179,10 +181,10 @@ def test_rm_params_dt_trajectory(bench_dt):
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-def test_rm_params_ct_trajectory(bench_ct):
+def test_ref_input_from_state_ct_trajectory(bench_ct):
     b = bench_ct
     h = b["refmodel"].domain.step
-    a1, a2 = mimo.rm_params(b["refmodel"], b["interactor"])
+    a1, a2 = ref_input_from_state(b["refmodel"], b["interactor"])
     steps = 20000
     um = b["um"]
     traj = oc.rk4_sim(
@@ -213,88 +215,82 @@ def test_regressor_zero(bench_dt):
          "ym": np.zeros(2), "w1": np.zeros(2), "w2": np.zeros(2),
          "wum": np.zeros(2), "wym": np.zeros(2)}
     for s in Structure:
-        assert np.all(mimo.build_regressor(s, z) == 0.0)
+        assert np.all(engine.assemble_regressor(s, z) == 0.0)
 
 
-# -- estimation frame ---------------------------------------------------------------
+# -- estimation frame (ClosedLoop.measure) ------------------------------------------
+
+
+def _frozen_loop(scn, theta, psi, horizon=1):
+    """The engine loop with frozen parameters (no update law)."""
+    return engine.ClosedLoop(scn.loop_spec(theta0=theta, psi0=psi), law=None,
+                             horizon=horizon)
 
 
 def test_frame_zero(bench_dt):
     scn = _scn(bench_dt)
-    pipe = mimo.MimoFramePipe(scn)
-    st = mimo.MimoGradientState(theta=np.zeros((scn.theta_dim, 2)), psi=np.eye(2),
-                                sp=scn.sp, gamma=np.eye(2))
-    fr = mimo.estimation_frame(st, np.zeros(scn.theta_dim), np.zeros(2), pipe)
+    loop = _frozen_loop(scn, np.zeros((scn.theta_dim, 2)), np.eye(2))
+    *_, fr = loop.measure(0)
     assert np.all(fr.eps == 0.0) and fr.m == 1.0
 
 
 def test_frame_frozen_theta_swap_decays(bench_dt):
-    scn = _scn(bench_dt)
-    pipe = mimo.MimoFramePipe(scn)
     rng = np.random.default_rng(3)
-    st = mimo.MimoGradientState(theta=rng.standard_normal((scn.theta_dim, 2)),
-                                psi=np.eye(2), sp=scn.sp, gamma=np.eye(2))
-    for t in range(120):
-        fr = mimo.estimation_frame(st, rng.standard_normal(scn.theta_dim),
-                                   np.zeros(2), pipe)
+    scn = _scn(bench_dt, x0=rng.standard_normal(3))
+    theta = mimo.nominal_params(scn).theta_star
+    theta = theta * (1.0 + 0.1 * rng.standard_normal(theta.shape))
+    loop = _frozen_loop(scn, theta, np.eye(2), horizon=120)
+    for k in range(120):
+        *_, fr = loop.measure(k)
+        loop.advance()
+    assert np.any(fr.zeta != 0.0)
     assert np.max(np.abs(fr.xi)) < 1e-6
 
 
 def test_frame_biproper_error_filter_feedthrough(bench_dt):
     # deg d_2 = deg f: the filtered error has direct feedthrough of e
     scn = _scn(bench_dt)
-    pipe = mimo.MimoFramePipe(scn)
-    st = mimo.MimoGradientState(theta=np.zeros((scn.theta_dim, 2)), psi=np.zeros((2, 2)),
-                                sp=scn.sp, gamma=np.eye(2))
-    e = np.array([0.7, -0.4])
-    fr = pipe.frame(st, np.zeros(scn.theta_dim), e)
+    ym0 = np.array([0.7, -0.4])  # e = -y_m at zero plant state
+    xm0 = np.linalg.lstsq(scn.refmodel.c, ym0, rcond=None)[0]
+    loop = _frozen_loop(dataclasses.replace(scn, xm0=xm0), np.zeros((scn.theta_dim, 2)),
+                        np.zeros((2, 2)))
+    _, _, e, _, fr = loop.measure(0)
+    assert np.max(np.abs(e + ym0)) < 1e-15
     # channel 2 filter d2/f is biproper with J = 1 (both monic, equal degree)
     assert abs(fr.ebar[1] - e[1]) < 1e-15
     # channel 1: d1/f strictly proper -> no feedthrough at zero state
     assert fr.ebar[0] == 0.0
 
 
-# -- gradient updates ----------------------------------------------------------------
+# -- gradient updates (engine.gradient_rhs) ---------------------------------------------
 
 
 def test_gradient_step_zero_eps(bench_dt):
     scn = _scn(bench_dt)
     rng = np.random.default_rng(4)
-    st = mimo.MimoGradientState(theta=rng.standard_normal((scn.theta_dim, 2)),
-                                psi=np.eye(2), sp=scn.sp, gamma=np.eye(2))
-    from adaptrack.engine import Frame
-
     fr = Frame(np.zeros(scn.theta_dim), rng.standard_normal(scn.theta_dim),
                np.zeros(2), np.zeros(2), np.zeros(2), 2.0)
-    new = mimo.gradient_step(st, fr, scn.plant.domain)
-    assert np.array_equal(new.theta, st.theta)
-    assert np.array_equal(new.psi, st.psi)
-
-
-def test_gradient_step_m1_equals_siso_update():
-    from adaptrack.engine import Frame
-
-    zeta = np.array([0.4, -0.2, 0.9])
-    xi = np.array([0.3])
-    eps = np.array([0.8])
-    m = np.sqrt(1 + zeta @ zeta + xi @ xi)
-    st = mimo.MimoGradientState(theta=np.zeros((3, 1)), psi=np.array([[1.0]]),
-                                sp=np.array([[1.0]]), gamma=np.array([[1.0]]))
-    fr = Frame(np.zeros(3), zeta, xi, eps.copy(), eps, float(m))
-    new = mimo.gradient_step(st, fr, dt())
-
-    sst = siso.SisoGradientState(theta=np.zeros(3), rho=1.0, gamma=1.0, gamma_rho=1.0,
-                                 sign_kp=1.0, kp_bound=1.5)
-    sfr = siso.SisoRegressorFrame(np.zeros(3), zeta, float(xi[0]), float(eps[0]), float(m))
-    snew = siso.gradient_step(sst, sfr)
-    assert np.allclose(new.theta[:, 0], snew.theta, rtol=0, atol=1e-15)
-    assert abs(new.psi[0, 0] - snew.rho) < 1e-15
+    dtheta, dpsi = engine.gradient_rhs(np.eye(scn.theta_dim), scn.sp, np.eye(2),
+                                       fr.zeta, fr.xi, fr.eps, fr.m2)
+    assert np.all(dtheta == 0.0) and np.all(dpsi == 0.0)
 
 
 def test_gradient_dt_bound_violation():
     with pytest.raises(GainBoundViolation):
-        mimo.MimoGradientState(theta=np.zeros((3, 2)), psi=np.eye(2),
-                               sp=np.eye(2), gamma=2.5 * np.eye(2))
+        GradientLaw(gz=np.eye(3), sp=np.eye(2), gpsi=2.5 * np.eye(2), gpsi_max=2.0)
+    bad = _scn(benchmarks.mimo_dt_2x2(), gamma=2.5 * np.eye(2))
+    with pytest.raises(GainBoundViolation):  # mimo.run bounds the Psi gain in DT
+        mimo.run(bad, adaptive=True, horizon=5)
+
+
+def test_gradient_indefinite_psi_gain_rejected(bench_ct):
+    # largest eigenvalue admissible, smallest negative: rejected in both domains
+    indefinite = np.diag([-1.0, 1.0])
+    for gpsi_max in (2.0, None):
+        with pytest.raises(GainBoundViolation):
+            GradientLaw(gz=np.eye(3), sp=np.eye(2), gpsi=indefinite, gpsi_max=gpsi_max)
+    with pytest.raises(GainBoundViolation):
+        mimo.run(_scn(bench_ct, gamma=indefinite), adaptive=True, horizon=5)
 
 
 def test_gain_prior_verified_in_test_mode(bench_dt):
@@ -320,33 +316,27 @@ def test_adaptive_dt_lyapunov_and_identity(bench_dt):
 # -- relative-degree-one design --------------------------------------------------------
 
 
-def test_rd1_step_zero_error(bench_rd1):
-    st = mimo.Rd1State(theta=np.zeros((8, 2)), s=bench_rd1["sp"],
-                       p=np.eye(2), q=np.eye(2))
-    new = mimo.rd1_step(st, np.zeros(2), np.zeros(8), ct(1e-3))
-    assert np.array_equal(new.theta, st.theta)
+def test_rd1_rhs_zero_error(bench_rd1):
+    law = Rd1Law(s=bench_rd1["sp"], p=np.eye(2), q=np.eye(2))
+    assert np.all(law.rhs(np.zeros(2), np.ones(8)) == 0.0)
 
 
-def test_rd1_step_scalar_closed_form():
-    # M=1, interactor s + a: P = q/(2a); update -S P e omega over one step
+def test_rd1_rhs_scalar_closed_form():
+    # M=1, interactor s + a: P = q/(2a); Theta' = -S P e omega
     a = 2.0
     qv = 3.0
     p = lyapunov_solve_ct(np.array([[-a]]), np.array([[qv]]))
     assert abs(p[0, 0] - qv / (2 * a)) < 1e-12
     s = 1.7
-    st = mimo.Rd1State(theta=np.zeros((2, 1)), s=[[s]], p=p, q=[[qv]])
+    law = mimo.rd1_law(DiagonalInteractor([Polynomial([a, 1.0])]), [[s]], [[qv]])
+    assert abs(law.p[0, 0] - p[0, 0]) < 1e-15
     e = np.array([0.5])
     om = np.array([1.0, -2.0])
-    h = 1e-3
-    new = mimo.rd1_step(st, e, om, ct(h))
-    want = -h * s * p[0, 0] * e[0] * om
-    assert np.max(np.abs(new.theta[:, 0] - want)) < 1e-15
+    want = -s * p[0, 0] * e[0] * om
+    assert np.max(np.abs(law.rhs(e, om)[:, 0] - want)) < 1e-15
 
 
-def test_rd1_rejects_dt(bench_rd1):
-    st = mimo.Rd1State(theta=np.zeros((8, 2)), s=bench_rd1["sp"], p=np.eye(2), q=np.eye(2))
-    with pytest.raises(DomainMismatch):
-        mimo.rd1_step(st, np.zeros(2), np.zeros(8), dt())
+def test_rd1_rejects_dt():
     scn = _scn(benchmarks.mimo_dt_2x2())
     with pytest.raises(DomainMismatch):
         mimo.run(scn, design="rd1", horizon=10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptrack import engine, siso
-from adaptrack.engine import Structure
+from adaptrack.engine import GradientLaw, Structure
 from adaptrack.errors import GainBoundViolation, SingularMatchingSystem
 from adaptrack.linsys import Polynomial, StateSpace, dt, markov_params
 from adaptrack.signals import multisine
@@ -157,7 +157,7 @@ def test_regressor_zero_signals(bench):
              "ym": np.zeros(1), "w1": np.zeros(2), "w2": np.zeros(2),
              "wum": np.zeros(2), "wym": np.zeros(2)}
     for s in Structure:
-        assert np.all(siso.build_regressor(s, parts) == 0.0)
+        assert np.all(engine.assemble_regressor(s, parts) == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -176,88 +176,85 @@ def test_regressor_dims(bench, structure, expect):
 
 def test_regressor_sf_xm_layout():
     parts = {"x": np.array([1.0, 2.0]), "xm": np.array([3.0, 4.0]), "um": np.array([5.0])}
-    got = siso.build_regressor(Structure.SF_XM, parts)
+    got = engine.assemble_regressor(Structure.SF_XM, parts)
     assert np.all(got == np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
 
 
-# -- estimation frame -----------------------------------------------------------
+# -- estimation frame (ClosedLoop.measure) ------------------------------------------
 
 
-def _gradient_state(dim, **kw):
-    args = dict(theta=np.zeros(dim), rho=1.0, gamma=0.5, gamma_rho=1.0,
-                sign_kp=1.0, kp_bound=1.8)
-    args.update(kw)
-    return siso.SisoGradientState(**args)
+def _frozen_loop(scn, theta, rho=1.0, horizon=1):
+    """The engine loop with frozen parameters (no update law)."""
+    spec = scn.loop_spec(theta0=theta, rho0=rho)
+    return engine.ClosedLoop(spec, law=None, horizon=horizon)
 
 
 def test_frame_zero_signals(bench):
     scn = _scenario(bench, Structure.SF_XM)
-    pipe = siso.SisoFramePipe(scn)
-    st = _gradient_state(scn.theta_dim)
-    fr = siso.estimation_frame(st, np.zeros(scn.theta_dim), 0.0, pipe)
-    assert fr.epsilon == 0.0 and fr.m == 1.0
+    loop = _frozen_loop(scn, np.zeros(scn.theta_dim))
+    *_, fr = loop.measure(0)
+    assert fr.eps[0] == 0.0 and fr.m == 1.0
 
 
 def test_frame_m_formula(bench):
     scn = _scenario(bench, Structure.SF_XM)
-    pipe = siso.SisoFramePipe(scn)
-    st = _gradient_state(scn.theta_dim)
-    pipe.zeta_f.state[-1, :3] = 1.0 / 1.0  # force zeta = [1,1,1,0,...] next output
-    # simpler: drive the filter so its output is known is fiddly; set state directly
-    zeta = pipe.zeta_f.output()
-    m_expected = np.sqrt(1.0 + zeta @ zeta)
-    fr = pipe.frame(st, np.zeros(scn.theta_dim), 0.0)
+    rng = np.random.default_rng(1)
+    loop = _frozen_loop(scn, rng.standard_normal(scn.theta_dim))
+    loop.lin[:] = rng.standard_normal(loop.lin.size)  # plant and filter states
+    *_, fr = loop.measure(0)
+    assert np.any(fr.zeta != 0.0) and fr.xi[0] != 0.0
+    m_expected = np.sqrt(1.0 + fr.zeta @ fr.zeta + fr.xi @ fr.xi)
     assert abs(fr.m - m_expected) < 1e-15
 
 
 def test_frame_m_direct_values():
-    fr = siso.SisoRegressorFrame(
-        omega=np.zeros(3), zeta=np.array([1.0, 1.0, 1.0]), xi=0.0, epsilon=0.0,
-        m=float(np.sqrt(1 + 3)),
-    )
-    assert fr.m == 2.0
+    fr = engine.Frame(omega=np.zeros(3), zeta=np.array([1.0, 1.0, 1.0]), xi=np.zeros(1),
+                      ebar=np.zeros(1), eps=np.zeros(1), m=float(np.sqrt(1 + 3)))
+    assert fr.m == 2.0 and fr.m2 == 4.0
 
 
 def test_frame_frozen_theta_swap_term_decays(bench):
-    scn = _scenario(bench, Structure.SF_XM)
-    pipe = siso.SisoFramePipe(scn)
+    scn = _scenario(bench, Structure.SF_XM, x0=np.ones(3))
     rng = np.random.default_rng(2)
-    theta = rng.standard_normal(scn.theta_dim)
-    st = _gradient_state(scn.theta_dim, theta=theta)
-    xi_last = None
-    for t in range(100):
-        omega = rng.standard_normal(scn.theta_dim)
-        fr = siso.estimation_frame(st, omega, 0.0, pipe)
-        xi_last = fr.xi
-    assert abs(xi_last) < 1e-6
+    theta = siso.nominal_params(scn).theta_star * (1.0 + 0.1 * rng.standard_normal(scn.theta_dim))
+    loop = _frozen_loop(scn, theta, horizon=100)
+    for k in range(100):
+        *_, fr = loop.measure(k)
+        loop.advance()
+    assert np.any(fr.zeta != 0.0)
+    assert abs(fr.xi[0]) < 1e-6
 
 
-# -- gradient step ----------------------------------------------------------------
+# -- gradient update (engine.gradient_rhs) -----------------------------------------
 
 
 def test_gradient_step_zero_eps_no_change():
-    st = _gradient_state(3, theta=np.array([0.3, -0.2, 0.1]), rho=0.7)
-    fr = siso.SisoRegressorFrame(np.zeros(3), np.ones(3), 0.5, 0.0, 2.0)
-    new = siso.gradient_step(st, fr)
-    assert np.all(new.theta == st.theta) and new.rho == st.rho
+    dtheta, dpsi = engine.gradient_rhs(0.5 * np.eye(3), np.eye(1), np.eye(1), np.ones(3),
+                                       np.array([0.5]), np.zeros(1), 4.0)
+    assert np.all(dtheta == 0.0) and np.all(dpsi == 0.0)
 
 
 def test_gradient_step_scalar_example():
-    st = siso.SisoGradientState(theta=[0.0], rho=0.0, gamma=1.0, gamma_rho=1.0,
-                                sign_kp=1.0, kp_bound=1.5)
-    fr = siso.SisoRegressorFrame(np.array([1.0]), np.array([1.0]), 0.0, 1.0,
-                                 float(np.sqrt(2.0)))
-    new = siso.gradient_step(st, fr)
-    assert abs(new.theta[0] + 0.5) < 1e-15
+    dtheta, _ = engine.gradient_rhs(np.eye(1), np.eye(1), np.eye(1), np.array([1.0]),
+                                    np.zeros(1), np.array([1.0]), 2.0)
+    assert abs(dtheta[0, 0] + 0.5) < 1e-15
 
 
-def test_gain_bounds_enforced():
+def test_gain_bounds_enforced(bench):
+    def law(gz=0.5, gpsi=1.0):
+        return GradientLaw(gz=gz * np.eye(3), sp=[[1.0]], gpsi=[[gpsi]],
+                           gz_max=2.0 / 1.8, gpsi_max=2.0)
+
+    law()
     with pytest.raises(GainBoundViolation):
-        _gradient_state(3, gamma=2.0)  # 2.0 >= 2/1.8
+        law(gz=2.0)  # 2.0 >= 2/1.8
     with pytest.raises(GainBoundViolation):
-        _gradient_state(3, gamma_rho=2.0)
+        law(gpsi=2.0)
     with pytest.raises(GainBoundViolation):
-        _gradient_state(3, gamma=-0.1)
+        law(gz=-0.1)
+    with pytest.raises(GainBoundViolation):  # siso.run builds the law with these bounds
+        siso.run(_scenario(bench, Structure.SF_XM), horizon=5,
+                 gains=siso.SisoGains(gamma_theta=np.diag([-0.3] + [0.5] * 6)))
 
 
 # -- closed-loop runs --------------------------------------------------------------
@@ -321,28 +318,42 @@ def test_sf_structures_agree_after_transients(bench):
 
 
 def test_run_engine_matches_public_ops(bench):
-    # rebuild the SF_XM adaptive run step by step from the public operations
+    # independent plain-numpy rebuild of the SF_XM adaptive run: plant and
+    # reference recursions, the 1/Pm filters of omega and of theta^T omega,
+    # and the normalized-gradient update of (theta, rho)
     scn = _scenario(bench, Structure.SF_XM)
     gains = siso.SisoGains(gamma_theta=0.5, gamma_rho=1.0)
     tr = siso.run(scn, adaptive=True, horizon=300, gains=gains)
 
-    pipe = siso.SisoFramePipe(scn)
-    st = siso.SisoGradientState(theta=np.zeros(scn.theta_dim), rho=1.0, gamma=0.5,
-                                gamma_rho=1.0, sign_kp=1.0, kp_bound=scn.kp_bound)
+    q, pm = scn.theta_dim, scn.pm.coeffs
+    k = pm.size - 1
+    comp = np.eye(k, k, 1)  # controllable canonical 1/Pm: output is the first state
+    comp[-1] = -pm[:k]
+    zeta_st = np.zeros((k, q))
+    eta_st = np.zeros(k)
+    theta, rho = np.zeros(q), 1.0
     x = np.zeros(3)
     xm = np.zeros(3)
     for t in range(300):
         y = float((scn.plant.c @ x)[0])
         ym = float((scn.refmodel.c @ xm)[0])
         umt = scn.um(t)
-        omega = siso.build_regressor(Structure.SF_XM, {"x": x, "xm": xm, "um": umt})
-        u = float(st.theta @ omega)
+        omega = np.concatenate([x, xm, umt])
+        u = float(theta @ omega)
         assert abs(u - tr.u[t, 0]) < 1e-9
         assert abs(y - ym - tr.e[t, 0]) < 1e-9
-        fr = siso.estimation_frame(st, omega, y - ym, pipe)
-        assert abs(fr.m - tr.m[t]) < 1e-9
-        assert abs(fr.epsilon - tr.eps[t, 0]) < 1e-9
-        st = siso.gradient_step(st, fr)
+        zeta = zeta_st[0].copy()
+        xi = float(theta @ zeta - eta_st[0])
+        eps = y - ym + rho * xi  # ebar = (Pm/Pm)[e] = e
+        m2 = 1.0 + zeta @ zeta + xi * xi
+        assert abs(np.sqrt(m2) - tr.m[t]) < 1e-9
+        assert abs(eps - tr.eps[t, 0]) < 1e-9
+        zeta_st = comp @ zeta_st
+        zeta_st[-1] += omega
+        eta_st = comp @ eta_st
+        eta_st[-1] += u
+        theta = theta - 0.5 * zeta * (scn.sign_kp * eps) / m2
+        rho = rho - 1.0 * xi * eps / m2
         x = scn.plant.a @ x + scn.plant.b[:, 0] * u
         xm = scn.refmodel.a @ xm + scn.refmodel.b[:, 0] * float(umt[0])
 
@@ -372,9 +383,8 @@ def test_run_stops_at_nonfinite_l2_sum(bench):
     scn = _scenario(bench, Structure.SF_XM, plant=plant)
     spec = scn.loop_spec(theta0=np.zeros(scn.theta_dim), rho0=1.0)
     spec.x0 = np.ones(3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = engine.run_closed_loop(spec, horizon=1000,
-                                    probes={"one": lambda th, ps, fr, e: 1.0})
+    tr = engine.run_closed_loop(spec, horizon=1000,
+                                probes={"one": lambda th, ps, fr, e: 1.0})
     assert 0 < tr.n_samples < 1000
     assert tr.guard_events == [{"t": float(tr.n_samples), "diverged": "l2_eps"}]
     for arr in (tr.e, tr.u, tr.eps, tr.m, tr.theta_norm, tr.extra["l2_eps_cum"],
