@@ -98,11 +98,9 @@ def _check_mimo(d, sp_margin=0.5):
         kkt = kp @ kp.T
         scale = (2.0 - sp_margin) / np.max(np.linalg.eigvalsh(kkt))
         sp = kp.T * scale
-        sym = kp @ sp
-        ev = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-        assert 0 < ev[0] and ev[-1] < 2.0
     else:
         sp = np.linalg.inv(kp)  # Kp Sp = I: symmetric positive definite
+    mimo.verify_gain_prior(kp, sp, plant.domain)
     d["sp"] = sp
     return d
 

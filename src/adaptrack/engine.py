@@ -254,7 +254,9 @@ class LoopSpec:
 
     plant: StateSpace
     refmodel: StateSpace
-    um: object  # callable t -> (m,) input of the reference system
+    # input of the reference system: t -> (m,); an array of times gives the
+    # channels along a new leading axis, (m, *t.shape), as RefInput does
+    um: object
     structure: Structure
     interactor: DiagonalInteractor
     fpoly: Polynomial
@@ -267,6 +269,10 @@ class LoopSpec:
     x0: np.ndarray = None
     xm0: np.ndarray = None
 
+    def __post_init__(self):
+        # exogenous, so built with the spec, ahead of any stepping loop
+        self.reference = ReferenceBlock(self)
+
     @property
     def n(self):
         return self.plant.n
@@ -278,6 +284,50 @@ class LoopSpec:
     @property
     def q(self):
         return regressor_dim(self.structure, self.n, self.m, self.nu, self.nbe)
+
+
+CT_BLOCK = 256  # steps per block of continuous-time stage tables
+
+
+class ReferenceBlock:
+    """The reference block z = [x_m, bank_um, bank_ym] of a loop, driven by u_m alone.
+
+    z+ = F z + G u_m (DT) or dz/dt = F z + G u_m (CT), y_m = C_y z (y_m is
+    folded into F), and read maps each reference regressor block to its rows
+    over [z, u_m].  In continuous time, `stages` and `step` hold the RK4 step
+    of z alone as linear maps of w = [z, u(t), u(t + h/2), u(t + h)]:
+    rk4_step runs once on matrix arguments, and its f records the four stage
+    arguments, so stage j's z is stages[j][0] w, its input stages[j][1] w, and
+    z(t + h) = step w.
+    """
+
+    def __init__(self, spec):
+        ref, m, dom = spec.refmodel, spec.m, spec.plant.domain
+        vu, vy = slice(0, m), slice(m, 2 * m)
+        blocks = [("xm", (ref.a, ref.b, np.eye(ref.n), 0.0), vu)]
+        if spec.structure in (Structure.SF_YM, Structure.OF_YM):
+            bank = FilterBank(range(spec.nbe), spec.lam_e, dom, width=m).realization()
+            blocks += [("wum", bank, vu), ("wym", bank, vy)]
+        f, g, zr = _stack(blocks, 2 * m)
+        self.cy = ref.c @ zr["xm"][0]
+        self.f = f + g[:, vy] @ self.cy
+        self.g = g[:, vu]
+        self.nz = f.shape[0]
+        zr["ym"] = (self.cy, np.zeros((m, 2 * m)))
+        self.read = {name: np.hstack((h + j[:, vy] @ self.cy, j[:, vu]))
+                     for name, (h, j) in zr.items()}
+        self.stages = self.step = None
+        if not dom.is_dt:
+            h = dom.step
+            eye = np.eye(self.nz + 3 * m)
+            pick = dict(zip((0.0, 0.5 * h, h), np.split(eye[self.nz :], 3)))
+            self.stages = []
+
+            def rhs(t, zw):
+                self.stages.append((zw, pick[t]))
+                return self.f @ zw + self.g @ pick[t]
+
+            self.step = rk4_step(rhs, 0.0, eye[: self.nz], h)
 
 
 def _stack(blocks, n_in):
@@ -311,20 +361,25 @@ class ClosedLoop:
 
         lin+ = F lin + G v    (DT),        d lin/dt = F lin + G v    (CT).
 
-    The reference block z = [x_m, bank_um, bank_ym] is driven by u_m alone.
-    In discrete time it is exogenous, so u_m, y_m and its part of omega are
-    computed for the whole horizon before the loop.  In continuous time it
-    stays in the state, coupled into one RK4 step with everything else.
+    The reference block z = [x_m, bank_um, bank_ym] is driven by u_m alone,
+    so it is exogenous: y_m = C_m x_m and its part of omega never depend on
+    the loop.  In discrete time both are computed for the whole horizon
+    before the loop.  In continuous time the coupled ODE is triangular, so
+    RK4 gives z the same stage values whether it is stepped with the rest or
+    alone: z is stepped alone, through the RK4 stage maps of the spec's
+    ReferenceBlock, and y_m and the reference part of omega are tabulated at
+    the four stage points of every step, one block of at most CT_BLOCK steps
+    at a time.
 
-    Layout of the flat state: [lin, z (CT only), Theta, Psi]; theta, psi and
-    lin are views into it, valid for the life of the loop.
+    Layout of the flat state: [lin, Theta, Psi]; theta, psi and lin are views
+    into it, valid for the life of the loop.
     """
 
     def __init__(self, spec, law, horizon):
         self.spec = spec
         self.law = law  # None = nominal (frozen parameters)
         self.domain = dom = spec.plant.domain
-        plant, ref, s = spec.plant, spec.refmodel, spec.structure
+        plant, s = spec.plant, spec.structure
         n, m, q = spec.n, spec.m, spec.q
         vu, vy, ve = slice(0, m), slice(m, 2 * m), slice(2 * m + q, 3 * m + q)
 
@@ -346,18 +401,9 @@ class ClosedLoop:
         ebar_h = [lr[i][0] for i in range(m)]
         self._je = np.diag(np.vstack([lr[i][1] for i in range(m)])[:, ve])
 
-        # z, fed from [u_m, y_m]; y_m = C_m x_m is folded into F_z
-        blocks = [("xm", (ref.a, ref.b, np.eye(ref.n), 0.0), vu)]
-        if s in (Structure.SF_YM, Structure.OF_YM):
-            bank = FilterBank(range(spec.nbe), spec.lam_e, dom, width=m).realization()
-            blocks += [("wum", bank, vu), ("wym", bank, vy)]
-        fz, gz, zr = _stack(blocks, 2 * m)
-        self._cy = ref.c @ zr["xm"][0]
-        self._fz = fz + gz[:, vy] @ self._cy
-        self._gz = gz[:, vu]
-
         # every regressor block as rows over [lin, z, u_m]
-        nl, nz = self._f.shape[0], fz.shape[0]
+        self._ref = zb = spec.reference
+        nl, nz = self._f.shape[0], zb.nz
 
         def rows(h, at):
             out = np.zeros((h.shape[0], nl + nz + m))
@@ -367,9 +413,8 @@ class ClosedLoop:
         parts = {name: rows(lr[name][0], 0) for name in ("x", "w1", "w2") if name in lr}
         parts["y"] = rows(plant.c @ lr["x"][0], 0)
         parts["um"] = rows(np.eye(m), nl + nz)
-        zr["ym"] = (self._cy, np.zeros((m, 2 * m)))
-        for name, (h, j) in zr.items():
-            parts[name] = rows(np.hstack((h + j[:, vy] @ self._cy, j[:, vu])), nl)
+        for name, hz in zb.read.items():
+            parts[name] = rows(hz, nl)
         omega = assemble_regressor(s, parts)
         # one readout of lin: [y, omega (lin part), zeta, eta, ebar (strict part)]
         self._read = np.vstack((parts["y"][:, :nl], omega[:, :nl], lr["zeta"][0],
@@ -379,16 +424,16 @@ class ClosedLoop:
         self._zeta, self._eta = slice(m + q, m + 2 * q), slice(m + 2 * q, 2 * m + 2 * q)
         self._ebar = slice(2 * m + 2 * q, 3 * m + 2 * q)
 
-        # flat state [lin, z (CT), Theta, Psi]
-        o = np.cumsum([0, nl, 0 if dom.is_dt else nz, q * m, m * m])
-        self._lin, self._z, self._theta, self._psi = map(slice, o[:-1], o[1:])
-        self._par = slice(o[2], o[4])
-        self.s = np.zeros(o[4])
+        # flat state [lin, Theta, Psi]
+        o = np.cumsum([0, nl, q * m, m * m])
+        self._lin, self._theta, self._psi = map(slice, o[:-1], o[1:])
+        self._par = slice(o[1], o[3])
+        self.s = np.zeros(o[3])
         if spec.x0 is not None:
             self.s[:n] = spec.x0
         z0 = np.zeros(nz)
         if spec.xm0 is not None:
-            z0[: ref.n] = spec.xm0
+            z0[: spec.refmodel.n] = spec.xm0
         self.lin = self.s[self._lin]
         self.theta = self.s[self._theta].reshape(q, m)
         self.psi = self.s[self._psi].reshape(m, m)
@@ -402,7 +447,7 @@ class ClosedLoop:
         if dom.is_dt:
             self._reference_run(z0, horizon)
         else:
-            self.s[self._z] = z0
+            self._stage_tables(z0, horizon)
         self._pending = None
         # cumulative L2 bookkeeping
         self.l2_eps = 0.0
@@ -410,15 +455,46 @@ class ClosedLoop:
 
     def _reference_run(self, z0, horizon):
         """DT: u_m, y_m and the reference part of omega for every step."""
-        um = np.empty((horizon, self.spec.m))
+        um = self.spec.um(np.arange(horizon, dtype=float)).T
         z = np.empty((horizon, z0.size))
         zk = z0
         for k in range(horizon):
-            um[k] = self.spec.um(float(k))
             z[k] = zk
-            zk = self._fz @ zk + self._gz @ um[k]
+            zk = self._ref.f @ zk + self._ref.g @ um[k]
         self._exo = np.hstack((z, um)) @ self._om_ref.T
-        self._ym = z @ self._cy.T
+        self._ym = z @ self._ref.cy.T
+
+    def _stage_tables(self, z0, horizon):
+        """CT: preallocated blocks of [reference part of omega, y_m] at the RK4 stages.
+
+        Row j of a step's table is R_j w, w = [z, u(t), u(t + h/2), u(t + h)],
+        from the reference block's stage maps.
+        """
+        zb, m, q = self._ref, self.spec.m, self.spec.q
+        om_z, om_u = self._om_ref[:, : zb.nz], self._om_ref[:, zb.nz :]
+        self._tab_read = np.vstack([np.vstack((om_z @ zw + om_u @ u, zb.cy @ zw))
+                                    for zw, u in zb.stages])
+        self._st_om, self._st_ym = slice(0, q), slice(q, q + m)
+        nb = min(CT_BLOCK, horizon)
+        self._w = np.empty((nb, zb.nz + 3 * m))
+        self._tab = np.empty((nb, 4, q + m))
+        self._z_next, self._k0 = z0, -nb  # the first block starts at step 0
+
+    def _fill_block(self, k0):
+        """CT: stage tables of steps k0 .. k0 + CT_BLOCK - 1, continuing from the last block."""
+        nb, nz, m = self._w.shape[0], self._ref.nz, self.spec.m
+        if k0 != self._k0 + nb:
+            raise ValueError("continuous-time steps must be measured in order")
+        h = self.domain.step
+        t0 = np.arange(k0, k0 + nb) * h
+        um = self.spec.um(np.stack((t0, t0 + 0.5 * h, t0 + h)))  # (m, 3, nb)
+        self._w[:, nz:] = um.transpose(2, 1, 0).reshape(nb, 3 * m)
+        z, w, p = self._z_next, self._w, self._ref.step.T
+        for r in range(nb):
+            w[r, :nz] = z
+            z = w[r] @ p
+        self._z_next, self._k0 = z, k0
+        np.matmul(w, self._tab_read.T, out=self._tab.reshape(nb, -1))
 
     def _signals(self, lin, theta, psi, exo, ym):
         """Algebraic pipeline at one state; returns signals and the state update."""
@@ -446,18 +522,14 @@ class ClosedLoop:
             frame.zeta, frame.xi, frame.eps, frame.m2,
         )
 
-    def _rhs(self, t, flat):
-        """CT: derivative of the whole flat state (also returns the signals)."""
-        z = flat[self._z]
-        umt = np.atleast_1d(self.spec.um(t))
+    def _rhs(self, flat, stage):
+        """CT: derivative of the flat state at one stage-table row (also the signals)."""
         out = self._signals(
             flat[self._lin], flat[self._theta].reshape(self.theta.shape),
-            flat[self._psi].reshape(self.psi.shape),
-            self._om_ref @ np.concatenate((z, umt)), self._cy @ z,
+            flat[self._psi].reshape(self.psi.shape), stage[self._st_om], stage[self._st_ym],
         )
         dlin, dtheta, dpsi = out[5:]
-        deriv = np.concatenate((dlin, self._fz @ z + self._gz @ umt, dtheta.ravel(), dpsi.ravel()))
-        return deriv, out
+        return np.concatenate((dlin, dtheta.ravel(), dpsi.ravel())), out
 
     def measure(self, k):
         """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
@@ -465,9 +537,13 @@ class ClosedLoop:
             out = self._signals(self.lin, self.theta, self.psi, self._exo[k], self._ym[k])
             self._pending = out[4:]
         else:
-            t = k * self.domain.step
-            k1, out = self._rhs(t, self.s)
-            self._pending = (out[4], t, k1)
+            r = k - self._k0
+            if not 0 <= r < self._w.shape[0]:
+                self._fill_block(k)
+                r = 0
+            stages = self._tab[r]
+            k1, out = self._rhs(self.s, stages[0])
+            self._pending = (out[4], k * self.domain.step, k1, stages)
         return out[:5]
 
     def advance(self):
@@ -481,9 +557,11 @@ class ClosedLoop:
             self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar)
         else:
-            _, t, k1 = self._pending
+            _, t, k1, stages = self._pending
             h = self.domain.step
-            new = rk4_step(lambda tt, flat: self._rhs(tt, flat)[0], t, self.s, h, k1=k1)
+            # rk4_step evaluates stages 2, 3 and 4 in that order
+            rows = iter(stages[1:])
+            new = rk4_step(lambda tt, flat: self._rhs(flat, next(rows))[0], t, self.s, h, k1=k1)
             dpar = new[self._par] - self.s[self._par]
             self.l2_eps += h * float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar) / h
@@ -496,8 +574,8 @@ class ClosedLoop:
         Falls back to the name of the non-finite running L2 sum when the state
         itself is still finite (an overflow inside the sum).
         """
-        for name, at in (("plant_filters", self._lin), ("reference", self._z),
-                         ("theta", self._theta), ("psi", self._psi)):
+        for name, at in (("plant_filters", self._lin), ("theta", self._theta),
+                         ("psi", self._psi)):
             if not np.isfinite(self.s[at]).all():
                 return name
         return "l2_eps" if not math.isfinite(self.l2_eps) else "l2_dtheta"

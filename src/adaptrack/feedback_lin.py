@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _Recorder
+from .engine import _Recorder, _stack, check_gain
 from .errors import SingularityGuard
-from .linsys import DiagonalInteractor, Polynomial, rk4_step
+from .linsys import DiagonalInteractor, Polynomial, RationalFilter, ct, rk4_step
 
 
 @dataclass
@@ -77,7 +77,7 @@ class FLController:
     interactor: DiagonalInteractor
     dims: tuple  # (q1, q2, q3, qm)
     theta: np.ndarray = None  # (q, m)
-    gammas: list = field(default_factory=list)  # per-column SPD gains
+    gammas: list = field(default_factory=list)  # per-column gains, positive definite
     guard: float = 1e-6
 
     def __post_init__(self):
@@ -89,28 +89,50 @@ class FLController:
         self.theta = np.asarray(self.theta, dtype=float).copy()
         if self.theta.shape != (q, self.m):
             raise ValueError(f"theta shape {self.theta.shape} != {(q, self.m)}")
-        if not self.gammas:
-            self.gammas = [np.eye(q) for _ in range(self.m)]
+        if not len(self.gammas):
+            self.gammas = [np.eye(q)] * self.m
         self.gammas = [np.atleast_2d(np.asarray(g, dtype=float)) for g in self.gammas]
+        if len(self.gammas) != self.m or any(g.shape != (q, q) for g in self.gammas):
+            raise ValueError(f"gammas must be {self.m} matrices of shape {(q, q)}")
+        # block-diagonal in the Gamma_i: acts on Theta^T flattened row by row
+        self.gain = np.zeros((self.m * q, self.m * q))
+        for i, g in enumerate(self.gammas):
+            check_gain(g, what=f"column {i} gain")
+            self.gain[i * q : (i + 1) * q, i * q : (i + 1) * q] = g
         self.alpha_last = np.array([d.coeffs[0] for d in self.interactor.rows])
 
-    def split(self, theta=None):
-        th = self.theta if theta is None else theta
-        q1, q2, q3, qm = self.dims
-        return (
-            th[:q1],
-            th[q1 : q1 + q2],
-            th[q1 + q2 : q1 + q2 + q3],
-            th[q1 + q2 + q3 :],
-        )
+
+def estimates(ctrl, tht, om1, w, om3, omm, y):
+    """(b_hat, A_hat, v) at one state, from the regressors evaluated there.
+
+    tht is Theta^T (row i = theta_i).  A_hat u = Theta2^T W(x) u, b_hat =
+    Theta1^T omega1 and the outer-loop signal v = Theta_m^T omega_m -
+    (Theta3^T omega3 + alpha y) come from one product Theta^T X, X holding
+    omega1, W and [-omega3; omega_m] in its column blocks.
+    """
+    q1, q2, q3, _ = ctrl.dims
+    m = ctrl.m
+    x = np.zeros((ctrl.q, m + 2))
+    x[:q1, 0] = om1
+    x[q1 : q1 + q2, 1 : m + 1] = w
+    x[q1 + q2 : q1 + q2 + q3, m + 1] = -om3
+    x[q1 + q2 + q3 :, m + 1] = omm
+    p = tht @ x
+    return p[:, 0], p[:, 1 : m + 1], p[:, m + 1] - ctrl.alpha_last * y
 
 
-def assemble_estimates(ctrl, plant, x, theta=None):
-    """(b_hat, A_hat) at x from the current estimates: A_hat u = Theta2^T W(x) u."""
-    th1, th2, _, _ = ctrl.split(theta)
-    bhat = th1.T @ plant.omega1(x)
-    ahat = th2.T @ plant.omega2_w(x)
-    return bhat, ahat
+def _sigma_min_2x2(p, q, r, t):
+    # sigma1 sigma2 = |det|, sigma1^2 + sigma2^2 = |A|_F^2.  sigma_max is a sum
+    # of non-negative terms, so |det| / sigma_max does not cancel; the scaling
+    # to a unit largest entry keeps the squares from overflowing
+    s = max(abs(p), abs(q), abs(r), abs(t))
+    if s == 0.0:
+        return 0.0
+    p, q, r, t = p / s, q / s, r / s, t / s
+    f2 = p * p + q * q + r * r + t * t
+    det = p * t - q * r
+    smax = math.sqrt(0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0 * det * det, 0.0))))
+    return s * abs(det) / smax
 
 
 def sigma_min(a):
@@ -119,189 +141,138 @@ def sigma_min(a):
     if m == 1:
         return abs(a[0, 0])
     if m == 2:
-        # sigma1 sigma2 = |det|, sigma1^2 + sigma2^2 = |A|_F^2.  sigma_max is a
-        # sum of non-negative terms, so |det| / sigma_max does not cancel; the
-        # scaling to a unit largest entry keeps the squares from overflowing
-        (p, q), (r, t) = a.tolist()
-        s = max(abs(p), abs(q), abs(r), abs(t))
-        if s == 0.0:
-            return 0.0
-        p, q, r, t = p / s, q / s, r / s, t / s
-        f2 = p * p + q * q + r * r + t * t
-        det = p * t - q * r
-        smax = math.sqrt(0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0 * det * det, 0.0))))
-        return s * abs(det) / smax
+        return _sigma_min_2x2(*a.ravel().tolist())
     return np.linalg.svd(a, compute_uv=False)[-1]
 
 
 def linearizing_control(ahat, bhat, v, guard=1e-6, t=None):
     """u solving A_hat u = v - b_hat, guarded against near-singular A_hat."""
+    if ahat.shape[0] == 2:
+        # Python floats: the same IEEE operations without numpy scalar overhead
+        a, b, c, d = ahat.ravel().tolist()
+        smin = _sigma_min_2x2(a, b, c, d)
+        if smin < guard:
+            raise SingularityGuard(smin, t)
+        r0, r1 = (v - bhat).tolist()
+        return np.array([d * r0 - b * r1, a * r1 - c * r0]) / (a * d - b * c)
     smin = sigma_min(ahat)
     if smin < guard:
         raise SingularityGuard(smin, t)
-    rhs = v - bhat
-    if ahat.shape[0] == 2:
-        det = ahat[0, 0] * ahat[1, 1] - ahat[0, 1] * ahat[1, 0]
-        return np.array(
-            [
-                (ahat[1, 1] * rhs[0] - ahat[0, 1] * rhs[1]) / det,
-                (ahat[0, 0] * rhs[1] - ahat[1, 0] * rhs[0]) / det,
-            ]
-        )
-    return np.linalg.solve(ahat, rhs)
+    return np.linalg.solve(ahat, v - bhat)
 
 
-def v_signal(ctrl, plant, leader, x, y, xm, umt, theta=None):
-    """Outer-loop signal v = Theta_m^T omega_m - v_hat_y(x, y)."""
-    _, _, th3, thm = ctrl.split(theta)
-    vy = th3.T @ plant.omega3(x) + ctrl.alpha_last * y
-    return thm.T @ leader.omega_m(xm, umt) - vy
+def column_frames(tht, e, zetas, etas):
+    """(xi, eps, m) of every column at once; row i of tht is theta_i, of zetas zeta_i.
 
-
-def column_frames(ctrl, e, zetas, etas, theta=None):
-    """Per-column (zeta_i, xi_i, eps_i, m_i) from the filter outputs."""
-    th = ctrl.theta if theta is None else theta
-    frames = []
-    for i in range(ctrl.m):
-        zeta = zetas[i]
-        xi = float(etas[i] - th[:, i] @ zeta)
-        eps = float(e[i] + xi)
-        m = float(np.sqrt(1.0 + zeta @ zeta))
-        frames.append((zeta, xi, eps, m))
-    return frames
-
-
-def gradient_rhs(ctrl, frames, theta=None):
-    """d theta_i / dt = + Gamma_i zeta_i eps_i / m_i^2, stacked as (q, m)."""
-    th = ctrl.theta if theta is None else theta
-    d = np.zeros_like(th)
-    for i, (zeta, _, eps, m) in enumerate(frames):
-        d[:, i] = (ctrl.gammas[i] @ zeta) * (eps / (m * m))
-    return d
-
-
-class _ColumnFilters:
-    """States of the per-column tracking filters w_i = 1/d_i(s).
-
-    For each output channel i the filter acts on the whole regressor (width
-    q) and on the scalar theta_i^T omega; controllable canonical form, so
-    the output is the first state coordinate.
+    xi_i = eta_i - theta_i^T zeta_i, eps_i = e_i + xi_i, m_i = sqrt(1 + |zeta_i|^2).
     """
+    xi = etas - np.einsum("ij,ij->i", tht, zetas)
+    return xi, e + xi, np.sqrt(1.0 + np.einsum("ij,ij->i", zetas, zetas))
 
-    def __init__(self, interactor, q):
-        self.ks = [d.degree for d in interactor.rows]
-        self.dens = [d.coeffs[:-1] for d in interactor.rows]  # non-leading coeffs
-        self.q = q
 
-    def init_states(self):
-        return [np.zeros((k, self.q + 1)) for k in self.ks]  # last column: eta channel
+def gradient_rhs(gain, zetas, eps, mi):
+    """d theta_i / dt = + Gamma_i zeta_i eps_i / m_i^2 for every column.
 
-    def outputs(self, states):
-        zetas = [st[0, : self.q] if st.shape[0] else np.zeros(self.q) for st in states]
-        etas = [float(st[0, self.q]) if st.shape[0] else 0.0 for st in states]
-        return zetas, etas
+    gain is the block-diagonal FLController.gain; returns dTheta^T flattened
+    row by row (row i = d theta_i).
+    """
+    return gain @ (zetas * (eps / (mi * mi))[:, None]).ravel()
 
-    def deriv(self, state, i, omega, theta_i_omega):
-        k = self.ks[i]
-        d = np.zeros_like(state)
-        if k == 0:
-            return d
-        u = np.concatenate([omega, [theta_i_omega]])
-        d[:-1] = state[1:]
-        d[-1] = -self.dens[i] @ state + u
-        return d
+
+def column_filters(interactor):
+    """Block-companion realization (A, B, H) of all column filters w_i = 1/d_i(s).
+
+    The state S is (K, q+1), K = sum deg d_i: each column filter owns deg d_i
+    rows in controllable canonical form, driven by row i of U = [omega^T,
+    theta_i^T omega], so dS = A S + B U, and row i of H S is [zeta_i^T, eta_i].
+    """
+    if min(interactor.degrees) < 1:
+        raise ValueError("column filters 1/d_i need deg d_i >= 1")
+    blocks = [(i, RationalFilter([1.0], d, ct()).realization(), [i])
+              for i, d in enumerate(interactor.rows)]
+    a, b, read = _stack(blocks, interactor.m)
+    return a, b, np.vstack([read[i][0] for i in range(interactor.m)])
 
 
 class FLLoop:
-    """Closed loop of follower, leader, filters and adaptation (CT, RK4)."""
+    """Closed loop of follower, leader, filters and adaptation over one flat state.
 
-    def __init__(self, plant, leader, ctrl, step, adaptive=True):
+    Layout [x, x_m, S, Theta^T], read through slices fixed here: S holds the
+    states of every column filter (see column_filters), and the estimates
+    are stored transposed, row i = theta_i, so their update is one product
+    with the block-diagonal gain.  The leader stays in the state: its
+    dynamics are hidden, so only its callables give x_m between grid points.
+    """
+
+    def __init__(self, plant, leader, ctrl, adaptive=True, x0=None):
         self.plant = plant
         self.leader = leader
         self.ctrl = ctrl
-        self.h = step
         self.adaptive = adaptive
-        self.filters = _ColumnFilters(ctrl.interactor, ctrl.q)
-        self.x = np.zeros(plant.n)
-        self.xm = np.asarray(leader.x0, dtype=float).copy()
+        q, m = ctrl.q, ctrl.m
+        self._a, self._b, self._hs = column_filters(ctrl.interactor)
+        nk = self._a.shape[0]
+        self._fshape, self._tshape = (nk, q + 1), (m, q)
+        o = np.cumsum([0, plant.n, leader.n, nk * (q + 1), q * m])
+        self._x, self._xm, self._filt, self._theta = map(slice, o[:-1], o[1:])
+        self.s = np.zeros(o[-1])
+        if x0 is not None:
+            self.s[self._x] = x0
+        self.s[self._xm] = leader.x0
+        self.s[self._theta] = ctrl.theta.T.ravel()
+        self._zero_dtheta = np.zeros(q * m)
         self.l2_eps = 0.0
 
-    def pack(self, states, theta):
-        return np.concatenate(
-            [self.x, self.xm] + [s.ravel() for s in states] + [theta.ravel()]
-        )
-
-    def unpack(self, flat):
-        n, nm = self.plant.n, self.leader.n
-        i = 0
-        x = flat[i : i + n]
-        i += n
-        xm = flat[i : i + nm]
-        i += nm
-        states = []
-        for k in self.filters.ks:
-            size = k * (self.ctrl.q + 1)
-            states.append(flat[i : i + size].reshape((k, self.ctrl.q + 1)))
-            i += size
-        theta = flat[i :].reshape((self.ctrl.q, self.ctrl.m))
-        return x, xm, states, theta
+    def blocks(self, flat):
+        """Views (x, x_m, S, Theta^T) of a flat state."""
+        return (flat[self._x], flat[self._xm], flat[self._filt].reshape(self._fshape),
+                flat[self._theta].reshape(self._tshape))
 
     def diverged_block(self, flat):
         """Name of the first block of the flat state holding a non-finite value."""
-        x, xm, states, theta = self.unpack(flat)
-        for name, block in (("plant", [x]), ("leader", [xm]), ("filters", states),
-                            ("theta", [theta])):
-            if not all(np.isfinite(b).all() for b in block):
+        for name, at in (("plant", self._x), ("leader", self._xm), ("filters", self._filt),
+                         ("theta", self._theta)):
+            if not np.isfinite(flat[at]).all():
                 return name
         return "l2_eps"
 
-    def algebra(self, t, x, xm, states, theta):
+    def evaluate(self, t, flat):
+        """Derivative of the flat state and the signals (y, y_m, e, u, zetas, eps, m_i)."""
         plant, leader, ctrl = self.plant, self.leader, self.ctrl
+        x, xm, filt, tht = self.blocks(flat)
+        q = ctrl.q
         y = plant.h(x)
         ym = leader.h(xm)
         e = y - ym
         umt = np.atleast_1d(leader.um(t))
-        bhat, ahat = assemble_estimates(ctrl, plant, x, theta)
-        v = v_signal(ctrl, plant, leader, x, y, xm, umt, theta)
+        om1, w, om3 = plant.omega1(x), plant.omega2_w(x), plant.omega3(x)
+        omm = leader.omega_m(xm, umt)
+        bhat, ahat, v = estimates(ctrl, tht, om1, w, om3, omm, y)
         u = linearizing_control(ahat, bhat, v, ctrl.guard, t)
-        omega = np.concatenate(
-            [
-                plant.omega1(x),
-                plant.omega2_w(x) @ u,
-                plant.omega3(x),
-                -leader.omega_m(xm, umt),
-            ]
-        )
-        zetas, etas = self.filters.outputs(states)
-        frames = column_frames(ctrl, e, zetas, etas, theta)
-        return y, ym, e, umt, u, omega, frames
-
-    def deriv_from(self, x, xm, states, theta, alg):
-        y, ym, e, umt, u, omega, frames = alg
-        dstates = [
-            self.filters.deriv(st, i, omega, float(theta[:, i] @ omega))
-            for i, st in enumerate(states)
-        ]
-        dtheta = gradient_rhs(self.ctrl, frames, theta) if self.adaptive else np.zeros_like(theta)
-        dx = self.plant.deriv(x, u)
-        dxm = self.leader.deriv(xm, umt)
-        return np.concatenate([dx, dxm] + [d.ravel() for d in dstates] + [dtheta.ravel()])
+        omega = np.concatenate((om1, w @ u, om3, -omm))
+        zeta_eta = self._hs @ filt
+        zetas = zeta_eta[:, :q]
+        _, eps, mi = column_frames(tht, e, zetas, zeta_eta[:, q])
+        drive = np.empty((ctrl.m, q + 1))
+        drive[:, :q] = omega
+        drive[:, q] = tht @ omega
+        dfilt = self._a @ filt + self._b @ drive
+        dtheta = gradient_rhs(ctrl.gain, zetas, eps, mi) if self.adaptive else self._zero_dtheta
+        deriv = np.concatenate((plant.deriv(x, u), leader.deriv(xm, umt), dfilt.ravel(),
+                                dtheta))
+        return deriv, (y, ym, e, u, zetas, eps, mi)
 
     def rhs(self, t, flat):
-        x, xm, states, theta = self.unpack(flat)
-        alg = self.algebra(t, x, xm, states, theta)
-        return self.deriv_from(x, xm, states, theta, alg)
+        return self.evaluate(t, flat)[0]
 
 
-def certificate(ctrl, theta, theta_star, gamma_invs=None):
-    """Sum over columns of 0.5 (theta_i* - theta_i)^T Gamma_i^-1 (theta_i* - theta_i)."""
-    if gamma_invs is None:
-        gamma_invs = [np.linalg.inv(g) for g in ctrl.gammas]
-    v = 0.0
-    for i in range(ctrl.m):
-        d = theta_star[:, i] - theta[:, i]
-        v += 0.5 * float(d @ gamma_invs[i] @ d)
-    return v
+def certificate(theta, theta_star, gain_inv):
+    """Sum over columns of 0.5 (theta_i* - theta_i)^T Gamma_i^-1 (theta_i* - theta_i).
+
+    gain_inv is the inverse of the block-diagonal FLController.gain.
+    """
+    d = (theta_star - theta).T.ravel()
+    return 0.5 * float(d @ gain_inv @ d)
 
 
 def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
@@ -315,47 +286,36 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     per-column identity residual eps_i - theta~_i^T zeta_i in
     trace.extra["ident_resid"].
     """
-    loop = FLLoop(plant, leader, ctrl, step, adaptive=adaptive)
-    if x0 is not None:
-        loop.x = np.asarray(x0, dtype=float).copy()
+    loop = FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=x0)
     m = ctrl.m
     rec = _Recorder(horizon, m)
-    states = loop.filters.init_states()
-    theta = ctrl.theta.copy()
-    flat = loop.pack(states, theta)
+    theta = loop.blocks(loop.s)[3].T  # a view: the estimates in effect at each grid point
     guard_events = []
     ident = np.zeros((horizon, m)) if theta_star is not None else None
     mi_extra = np.zeros((horizon, m))
-    gamma_invs = [np.linalg.inv(g) for g in ctrl.gammas]
+    gain_inv = np.linalg.inv(ctrl.gain)
     with np.errstate(over="ignore", invalid="ignore"):  # the diverged event reports it
         for k in range(horizon):
             t = k * step
-            x, xm, states, theta = loop.unpack(flat)
             try:
-                alg = loop.algebra(t, x, xm, states, theta)
-                y, ym, e, umt, u, omega, frames = alg
-                k1 = loop.deriv_from(x, xm, states, theta, alg)
-                flat_next = rk4_step(loop.rhs, t, flat, step, k1=k1)
+                k1, (y, ym, e, u, zetas, eps, mis) = loop.evaluate(t, loop.s)
+                new = rk4_step(loop.rhs, t, loop.s, step, k1=k1)
             except SingularityGuard as g:
                 guard_events.append({"t": t, "sigma_min": g.sigma_min})
                 break
-            eps = np.array([fr[2] for fr in frames])
-            mis = np.array([fr[3] for fr in frames])
             mi_extra[k] = mis
-            magg = float(np.sqrt(1.0 + sum(fr[0] @ fr[0] for fr in frames)))
-            v = (certificate(ctrl, theta, theta_star, gamma_invs)
-                 if theta_star is not None else None)
+            magg = math.sqrt(1.0 + float(np.vdot(zetas, zetas)))
+            v = certificate(theta, theta_star, gain_inv) if theta_star is not None else None
             if ident is not None:
-                for i, (zeta, _, epsi, _) in enumerate(frames):
-                    ident[k, i] = epsi - float((theta_star[:, i] - theta[:, i]) @ zeta)
+                ident[k] = eps - np.einsum("ji,ij->i", theta_star - theta, zetas)
             loop.l2_eps += step * float(np.sum((eps / mis) ** 2))
             if not math.isfinite(loop.l2_eps):
-                guard_events.append({"t": t, "diverged": loop.diverged_block(flat)})
+                guard_events.append({"t": t, "diverged": loop.diverged_block(loop.s)})
                 break
             tn = float(np.linalg.norm(theta))
             rec.push(t, y, ym, e, u, magg, eps, v, tn,
                      loop.l2_eps, 0.0)
-            flat = flat_next
+            loop.s[:] = new
     extra = {"m_i": mi_extra[: rec.k]}
     if ident is not None:
         extra["ident_resid"] = ident[: rec.k]

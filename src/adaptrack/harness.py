@@ -10,6 +10,7 @@ blind scenarios never touch them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import benchmarks, feedback_lin, mimo, siso
 from .engine import Structure, check_gain
 from .errors import GainBoundViolation, ParseError, ValidationError
-from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt
+from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt, rk4_gain
 from .signals import Channel, RefInput, Sinusoid
 
 SCHEMA_VERSION = 1
@@ -89,6 +90,31 @@ def _check_gain(g, upper, fld):
         check_gain(np.atleast_2d(np.asarray(g, dtype=float)), upper)
     except GainBoundViolation as exc:
         raise ValidationError(fld, str(exc)) from exc
+
+
+def _check_rk4_step(comps, h):
+    """Reject a CT step that RK4 cannot integrate stably, naming the step field.
+
+    Every stable linear mode of the loop (plant and reference A, the filter
+    polynomials, the interactor rows, which are also the nonlinear design's
+    column filters) must satisfy |R(h lambda)| <= 1.
+    """
+    modes = []
+    for key in ("plant", "refmodel"):
+        if isinstance(comps.get(key), StateSpace):  # the nonlinear follower has no A
+            modes += [(key, lam) for lam in np.linalg.eigvals(comps[key].a)]
+    polys = [(key, comps.get(key)) for key in ("pm", "fpoly", "lam", "lam_e")]
+    if "interactor" in comps:
+        polys += [(f"interactor[{i}]", d) for i, d in enumerate(comps["interactor"].rows)]
+    modes += [(key, lam) for key, p in polys if p is not None and p.degree > 0
+              for lam in p.roots()]
+    modes = [(key, lam) for key, lam in modes if lam.real < 0]
+    gains = rk4_gain([lam for _, lam in modes], h)
+    for (key, lam), r in zip(modes, gains):
+        if r > 1.0:
+            raise ValidationError(
+                "step", f"{h:g} puts the {key} eigenvalue {complex(lam):.4g} outside "
+                f"RK4's stability region (|R(h lambda)| = {r:.3g} > 1)")
 
 
 def _poly(coeffs, fld, domain_tag=None, monic=True):
@@ -220,6 +246,9 @@ def scenario_from_dict(data, name=None):
             _require(kb > 0, "kp_bound", "must be positive")
             comps["kp_bound"] = kb
 
+    if module == "fl" or not comps["plant"].domain.is_dt:
+        _check_rk4_step(comps, comps["step"] if module == "fl" else comps["plant"].domain.step)
+
     gains = dict(data.get("gains", {}))
     _check_keys(gains, _GAIN_FIELDS, "gains.")
     if module == "siso":
@@ -318,7 +347,12 @@ def compute_metrics(scenario, trace):
         )
     ntail = max(1, int(round(scenario.tail_fraction * n)))
     tail = trace.e[-ntail:]
-    tail_rms = float(np.sqrt(np.mean(np.sum(tail * tail, axis=1))))
+    # scaled by a power of two within a factor 2 of max|tail|, so the squares
+    # cannot overflow; the scaling is exact, so the result is bit-identical
+    # whenever the unscaled formula does not overflow
+    scale = math.ldexp(0.5, math.frexp(float(np.max(np.abs(tail))))[1])
+    tail = tail / scale
+    tail_rms = scale * float(np.sqrt(np.mean(np.sum(tail * tail, axis=1))))
     l2cum = trace.extra.get("l2_eps_cum")
     l2_tail = float(l2cum[-1] - l2cum[-ntail]) if l2cum is not None and n > 1 else 0.0
     viol = None
@@ -432,8 +466,7 @@ def run_experiment(scenario):
 # -- persistence -------------------------------------------------------------
 
 
-def _fmt(x):
-    return repr(float(x))
+EMIT_BLOCK = 32  # trace rows formatted per block: one hstack and one tolist each
 
 
 def _strict_json(obj):
@@ -446,7 +479,7 @@ def _strict_json(obj):
 
 
 def trace_columns(trace):
-    """(header, row iterator) in the fixed column order."""
+    """(header, columns): the trace's column blocks in the fixed CSV order."""
     m = trace.n_channels
     header = (
         ["t"]
@@ -458,37 +491,34 @@ def trace_columns(trace):
         + [f"eps_{i+1}" for i in range(m)]
         + ["V", "theta_norm"]
     )
-
-    def rows():
-        for k in range(trace.n_samples):
-            vals = (
-                [trace.t[k]] + list(trace.y[k]) + list(trace.ym[k]) + list(trace.e[k])
-                + list(trace.u[k]) + [trace.m[k]] + list(trace.eps[k])
-                + [trace.v[k], trace.theta_norm[k]]
-            )
-            yield vals
-
-    return header, rows
+    cols = (trace.t[:, None], trace.y, trace.ym, trace.e, trace.u, trace.m[:, None],
+            trace.eps, trace.v[:, None], trace.theta_norm[:, None])
+    return header, cols
 
 
 def emit_outputs(trace, report, outdir, name=None):
-    """Write trace CSV, JSON report and a plot-ready long CSV; returns paths."""
+    """Write trace CSV, JSON report and a plot-ready long CSV; returns paths.
+
+    Every value is written as repr(float); both CSVs are written together,
+    EMIT_BLOCK rows at a time, each value formatted once.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = name or report.name
-    header, rows = trace_columns(trace)
+    header, cols = trace_columns(trace)
+    series = header[1:]
     trace_path = outdir / f"{name}_trace.csv"
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for vals in rows():
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
     long_path = outdir / f"{name}_trace_long.csv"
-    with open(long_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,series,value\n")
-        for vals in rows():
-            t = vals[0]
-            for col, v in zip(header[1:], vals[1:]):
-                fh.write(f"{_fmt(t)},{col},{_fmt(v)}\n")
+    with open(trace_path, "w", encoding="utf-8", newline="\n") as wide, \
+            open(long_path, "w", encoding="utf-8", newline="\n") as long:
+        wide.write(",".join(header) + "\n")
+        long.write("t,series,value\n")
+        for k in range(0, trace.n_samples, EMIT_BLOCK):
+            block = np.hstack([c[k : k + EMIT_BLOCK] for c in cols]).tolist()
+            rows = [[repr(v) for v in row] for row in block]
+            wide.write("".join(",".join(row) + "\n" for row in rows))
+            long.write("".join(f"{row[0]},{col},{v}\n"
+                               for row in rows for col, v in zip(series, row[1:])))
     report_path = outdir / f"{name}_report.json"
     payload = report.to_dict()
     payload["guard_events"] = trace.guard_events

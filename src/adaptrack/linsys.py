@@ -163,6 +163,16 @@ def rk4_step(f, t, x, h, k1=None):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_gain(eigs, h):
+    """|R(h lambda)| of every eigenvalue: RK4's amplification of x' = lambda x.
+
+    R is read off one rk4_step from x(0) = 1, so the RK4 formula keeps its
+    one home; a stable mode is integrated without growth iff |R| <= 1.
+    """
+    lam = np.asarray(eigs, dtype=complex)
+    return np.abs(rk4_step(lambda t, x: lam * x, 0.0, np.ones_like(lam), h))
+
+
 def charpoly_and_numerators(ss):
     """Characteristic polynomial and C adj(zI - A) B by Faddeev-LeVerrier.
 

@@ -204,19 +204,20 @@ def rd1_law(interactor, s, q=None):
     return Rd1Law(s=np.atleast_2d(np.asarray(s, dtype=float)), p=p, q=q)
 
 
-def verify_gain_prior(scenario, kp):
+def verify_gain_prior(kp, sp, domain):
     """Check the known-gain assumption of the basic law against the true Kp.
 
     Kp Sp must be symmetric positive definite, and additionally below 2I in
-    discrete time.  Only possible with plant knowledge (test mode).
+    discrete time.  Only possible with plant knowledge (test mode and the
+    benchmark builders).
     """
-    prod = kp @ scenario.sp
+    prod = kp @ sp
     if np.max(np.abs(prod - prod.T)) > 1e-9 * max(1.0, np.max(np.abs(prod))):
         raise GainBoundViolation("Kp Sp is not symmetric")
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))
     if ev[0] <= 0:
         raise GainBoundViolation("Kp Sp is not positive definite")
-    if scenario.plant.domain.is_dt and ev[-1] >= 2.0:
+    if domain.is_dt and ev[-1] >= 2.0:
         raise GainBoundViolation("Kp Sp must be below 2I in discrete time")
 
 
@@ -298,7 +299,7 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
             vprobe = rd1_certificate_probe(scenario, nominal, law or rd1_law(
                 scenario.interactor, scenario.sp, q_matrix))
         else:
-            verify_gain_prior(scenario, nominal.kp)
+            verify_gain_prior(nominal.kp, scenario.sp, scenario.plant.domain)
             vprobe = certificate_probe(scenario, nominal)
             probes = {"ident_resid": identity_probe(nominal)}
     spec = scenario.loop_spec(theta0=th0, psi0=ps0)

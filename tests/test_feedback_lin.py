@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptrack import feedback_lin as fl
-from adaptrack.errors import SingularityGuard
+from adaptrack.errors import GainBoundViolation, SingularityGuard
 
 import _oracles as oc
 
@@ -21,6 +21,13 @@ def _controller(interactor, leader, theta=None, **kw):
                            theta=theta, **kw)
 
 
+def _estimates(ctrl, plant, leader, x, xm, umt, theta=None):
+    """fl.estimates with every regressor evaluated at (x, x_m, u_m)."""
+    theta = ctrl.theta if theta is None else theta
+    return fl.estimates(ctrl, theta.T, plant.omega1(x), plant.omega2_w(x), plant.omega3(x),
+                        leader.omega_m(xm, umt), plant.h(x))
+
+
 # -- estimate assembly ------------------------------------------------------------
 
 
@@ -30,7 +37,7 @@ def test_assemble_estimates_true_parameters(pair):
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(3)
-        bhat, ahat = fl.assemble_estimates(ctrl, plant, x)
+        bhat, ahat, _ = _estimates(ctrl, plant, leader, x, np.zeros(3), np.zeros(2))
         assert np.max(np.abs(bhat - plant.b_true(x))) < 1e-12
         assert np.max(np.abs(ahat - plant.a_true(x))) < 1e-12
 
@@ -38,8 +45,11 @@ def test_assemble_estimates_true_parameters(pair):
 def test_assemble_estimates_zero(pair):
     plant, leader, ia, _ = pair
     ctrl = _controller(ia, leader)
-    bhat, ahat = fl.assemble_estimates(ctrl, plant, np.array([0.3, -0.2, 0.5]))
+    bhat, ahat, v = _estimates(ctrl, plant, leader, np.array([0.3, -0.2, 0.5]),
+                               np.array([0.1, 0.4, -0.3]), np.ones(2))
     assert np.all(bhat == 0.0) and np.all(ahat == 0.0)
+    # v = -alpha y: the leader and Lie-derivative estimates are zero too
+    assert np.array_equal(v, -ctrl.alpha_last * np.array([0.3, -0.2]))
 
 
 def test_assemble_estimates_linear_in_u(pair):
@@ -47,13 +57,14 @@ def test_assemble_estimates_linear_in_u(pair):
     rng = np.random.default_rng(1)
     theta = tstar + 0.3 * rng.standard_normal(tstar.shape)
     ctrl = _controller(ia, leader, theta=theta)
-    th2 = ctrl.split()[1]
+    th2 = ctrl.theta[3:6]
     for _ in range(5):
         x = rng.standard_normal(3)
         u1 = rng.standard_normal(2)
         u2 = rng.standard_normal(2)
         w = plant.omega2_w(x)
-        _, ahat = fl.assemble_estimates(ctrl, plant, x)
+        _, ahat, _ = _estimates(ctrl, plant, leader, x, rng.standard_normal(3),
+                                rng.standard_normal(2))
         lhs = ahat @ (u1 + u2)
         rhs = th2.T @ (w @ u1) + th2.T @ (w @ u2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -109,7 +120,7 @@ def test_v_signal_at_rest(pair):
     ctrl = _controller(ia, leader, theta=tstar)
     x = np.zeros(3)
     xm = np.zeros(3)
-    v = fl.v_signal(ctrl, plant, leader, x, plant.h(x), xm, np.zeros(2))
+    v = _estimates(ctrl, plant, leader, x, xm, np.zeros(2))[2]
     assert np.max(np.abs(v)) < 1e-14
 
 
@@ -140,7 +151,7 @@ def test_modified_equals_unimplementable_with_true_leader_params(pair):
         xm = rng.standard_normal(3)
         umt = rng.standard_normal(2)
         y = plant.h(x)
-        v_mod = fl.v_signal(ctrl, plant, leader, x, y, xm, umt)
+        v_mod = _estimates(ctrl, plant, leader, x, xm, umt)[2]
         # unimplementable form: xi_m(s)[y_m] - v_hat_y with true Lie data
         ym = leader.h(xm)
         lm1 = leader.lie1_true(xm)
@@ -153,7 +164,7 @@ def test_modified_equals_unimplementable_with_true_leader_params(pair):
         xi_ym = np.array(
             [dxm[0] + d1c[0] * ym[0], ym2dd + d2c[1] * lm1[1] + d2c[0] * ym[1]]
         )
-        th3 = ctrl.split()[2]
+        th3 = ctrl.theta[6:8]
         vy = th3.T @ plant.omega3(x) + ctrl.alpha_last * y
         v_unimpl = xi_ym - vy
         assert np.max(np.abs(v_mod - v_unimpl)) < 1e-12
@@ -165,70 +176,128 @@ def test_modified_equals_unimplementable_with_true_leader_params(pair):
 def test_column_frames_zero(pair):
     plant, leader, ia, _ = pair
     ctrl = _controller(ia, leader)
-    zetas = [np.zeros(ctrl.q), np.zeros(ctrl.q)]
-    frames = fl.column_frames(ctrl, np.zeros(2), zetas, [0.0, 0.0])
-    for zeta, xi, eps, m in frames:
-        assert eps == 0.0 and m == 1.0
+    xi, eps, mi = fl.column_frames(ctrl.theta.T, np.zeros(2), np.zeros((2, ctrl.q)),
+                                   np.zeros(2))
+    assert np.all(xi == 0.0) and np.all(eps == 0.0) and np.all(mi == 1.0)
+
+
+def test_column_frames_per_column_formulas(pair):
+    plant, leader, ia, tstar = pair
+    rng = np.random.default_rng(8)
+    ctrl = _controller(ia, leader)
+    theta = rng.standard_normal((ctrl.q, 2))
+    zetas = rng.standard_normal((2, ctrl.q))
+    etas, e = rng.standard_normal(2), rng.standard_normal(2)
+    xi, eps, mi = fl.column_frames(theta.T, e, zetas, etas)
+    for i in range(2):
+        assert abs(xi[i] - (etas[i] - theta[:, i] @ zetas[i])) < 1e-12
+        assert abs(eps[i] - (e[i] + xi[i])) < 1e-15
+        assert abs(mi[i] - np.sqrt(1.0 + zetas[i] @ zetas[i])) < 1e-12
+
+
+def test_column_filters_are_the_interactor_rows(pair):
+    # one block-companion realization: block i has the poles of d_i, unit
+    # gain from row i of U, and H reads its first coordinate
+    plant, leader, ia, _ = pair
+    a, b, hs = fl.column_filters(ia)
+    ks = ia.degrees
+    assert a.shape == (sum(ks), sum(ks)) and b.shape == (sum(ks), 2) and hs.shape == (2, sum(ks))
+    o = 0
+    for i, (d, k) in enumerate(zip(ia.rows, ks)):
+        blk = a[o : o + k, o : o + k]
+        np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(blk)),
+                                   np.sort_complex(d.roots()), atol=1e-7)
+        assert np.all(a[o : o + k, :o] == 0.0) and np.all(a[o : o + k, o + k :] == 0.0)
+        assert np.all(b[o : o + k, 1 - i] == 0.0) and b[o + k - 1, i] == 1.0
+        assert hs[i, o] == 1.0 and np.sum(np.abs(hs[i])) == 1.0
+        # DC gain 1/d_i(0) of H (-A)^-1 B on the block
+        dc = hs[i, o : o + k] @ np.linalg.solve(-blk, b[o : o + k, i])
+        assert abs(dc - 1.0 / d.coeffs[0]) < 1e-12
+        o += k
 
 
 def test_column_frames_frozen_theta_swap_decays(pair):
     plant, leader, ia, tstar = pair
     ctrl = _controller(ia, leader, theta=tstar)
-    filters = fl._ColumnFilters(ia, ctrl.q)
-    states = filters.init_states()
-    rng = np.random.default_rng(4)
+    a, b, hs = fl.column_filters(ia)
+    filt = np.zeros((a.shape[0], ctrl.q + 1))
     h = 1e-3
     omega_fn = lambda t: np.sin(0.9 * t) * np.ones(ctrl.q) * 0.5
     for k in range(8000):
-        t = k * h
-        om = omega_fn(t)
-        for i in range(2):
-            states[i] = states[i] + h * filters.deriv(
-                states[i], i, om, float(tstar[:, i] @ om)
-            )
-    zetas, etas = filters.outputs(states)
-    frames = fl.column_frames(ctrl, np.zeros(2), zetas, etas)
-    for _, xi, _, _ in frames:
-        assert abs(xi) < 1e-6
+        om = omega_fn(k * h)
+        drive = np.column_stack((np.tile(om, (2, 1)), tstar.T @ om))
+        filt = filt + h * (a @ filt + b @ drive)
+    zeta_eta = hs @ filt
+    xi, _, _ = fl.column_frames(tstar.T, np.zeros(2), zeta_eta[:, : ctrl.q], zeta_eta[:, ctrl.q])
+    assert np.any(zeta_eta != 0.0)
+    assert np.max(np.abs(xi)) < 1e-6
 
 
 def test_gradient_rhs_zero_eps(pair):
     plant, leader, ia, tstar = pair
     ctrl = _controller(ia, leader, theta=tstar)
-    frames = [(np.ones(ctrl.q), 0.0, 0.0, 1.5)] * 2
-    d = fl.gradient_rhs(ctrl, frames)
+    d = fl.gradient_rhs(ctrl.gain, np.ones((2, ctrl.q)), np.zeros(2), np.full(2, 1.5))
     assert np.all(d == 0.0)
+
+
+def _unit_frame(q):
+    zetas = np.zeros((2, q))
+    zetas[0, 0] = 1.0
+    return zetas, np.array([1.0, 0.0]), np.array([np.sqrt(2.0), 1.0])
 
 
 def test_gradient_rhs_scalar_formula(pair):
     plant, leader, ia, _ = pair
     ctrl = _controller(ia, leader)
-    zeta = np.zeros(ctrl.q)
-    zeta[0] = 1.0
-    frames = [(zeta, 0.0, 1.0, np.sqrt(2.0)), (np.zeros(ctrl.q), 0.0, 0.0, 1.0)]
-    d = fl.gradient_rhs(ctrl, frames)
+    d = fl.gradient_rhs(ctrl.gain, *_unit_frame(ctrl.q)).reshape(2, ctrl.q).T
     assert abs(d[0, 0] - 0.5) < 1e-15
     assert np.all(d[:, 1] == 0.0)
+
+
+def test_gradient_rhs_per_column_gains(pair):
+    plant, leader, ia, _ = pair
+    rng = np.random.default_rng(9)
+    q = sum((3, 3, 2, leader.qm))
+    gams = []
+    for _ in range(2):
+        r = rng.standard_normal((q, q))
+        gams.append(r @ r.T + q * np.eye(q))
+    ctrl = _controller(ia, leader, gammas=gams)
+    zetas, eps, mi = rng.standard_normal((2, q)), rng.standard_normal(2), 1.0 + rng.random(2)
+    d = fl.gradient_rhs(ctrl.gain, zetas, eps, mi).reshape(2, q)
+    for i in range(2):
+        np.testing.assert_allclose(d[i], gams[i] @ zetas[i] * eps[i] / mi[i] ** 2,
+                                   rtol=1e-12, atol=1e-14)
 
 
 def test_gradient_step_advances_column(pair):
     plant, leader, ia, tstar = pair
     ctrl = _controller(ia, leader)
-    zeta = np.zeros(ctrl.q)
-    zeta[0] = 1.0
-    frames = [(zeta, 0.0, 1.0, np.sqrt(2.0)), (np.zeros(ctrl.q), 0.0, 0.0, 1.0)]
-    new = ctrl.theta + 1e-2 * fl.gradient_rhs(ctrl, frames)
+    new = ctrl.theta + 1e-2 * fl.gradient_rhs(ctrl.gain, *_unit_frame(ctrl.q)).reshape(
+        2, ctrl.q).T
     assert abs(new[0, 0] - 0.005) < 1e-15
     assert np.all(new[:, 1] == 0.0)
     # the loop's theta derivative is gradient_rhs of the frames at the same state
-    loop = fl.FLLoop(plant, leader, _controller(ia, leader, theta=0.9 * tstar), 1e-3)
+    loop = fl.FLLoop(plant, leader, _controller(ia, leader, theta=0.9 * tstar))
     rng = np.random.default_rng(6)
-    flat = loop.pack([rng.standard_normal(s.shape) for s in loop.filters.init_states()],
-                     loop.ctrl.theta)
-    x, xm, states, theta = loop.unpack(flat)
-    frames = loop.algebra(0.3, x, xm, states, theta)[-1]
-    _, _, _, dtheta = loop.unpack(loop.rhs(0.3, flat))
-    assert np.array_equal(dtheta, fl.gradient_rhs(loop.ctrl, frames, theta))
+    flat = loop.s.copy()
+    loop.blocks(flat)[2][:] = rng.standard_normal(loop.blocks(flat)[2].shape)
+    deriv, (_, _, _, _, zetas, eps, mi) = loop.evaluate(0.3, flat)
+    assert np.any(zetas != 0.0)
+    assert np.array_equal(loop.blocks(deriv)[3].ravel(),
+                          fl.gradient_rhs(loop.ctrl.gain, zetas, eps, mi))
+    assert np.array_equal(loop.rhs(0.3, flat), deriv)
+
+
+def test_per_column_gains_must_be_positive_definite(pair):
+    plant, leader, ia, _ = pair
+    q = sum((3, 3, 2, leader.qm))
+    with pytest.raises(GainBoundViolation, match="column 0"):
+        _controller(ia, leader, gammas=[-np.eye(q), np.eye(q)])
+    with pytest.raises(GainBoundViolation, match="column 1"):
+        _controller(ia, leader, gammas=[np.eye(q), np.diag(np.r_[1.0, -1.0, np.ones(q - 2)])])
+    with pytest.raises(ValueError):
+        _controller(ia, leader, gammas=[np.eye(q)])
 
 
 # -- benchmark structure ----------------------------------------------------------------
@@ -261,21 +330,16 @@ def test_benchmark_output_dynamics_identity(pair):
                 x0=fl.matched_x0(plant, leader))
     # reconstruct states by re-running the plant side: use recorded y and u
     # directly: D[y1] and D^2[y2] vs b + A u requires x; rerun the loop capturing x
-    loop = fl.FLLoop(plant, leader, ctrl, h, adaptive=False)
-    states = loop.filters.init_states()
-    flat = loop.pack(states, ctrl.theta.copy())
-    loop_x0 = fl.matched_x0(plant, leader)
-    flat[: 3] = loop_x0
+    loop = fl.FLLoop(plant, leader, ctrl, adaptive=False, x0=fl.matched_x0(plant, leader))
+    flat = loop.s.copy()
     xs = []
     us = []
     from adaptrack.linsys import rk4_step
 
     for k in range(4000):
         t = k * h
-        x, xm, sts, theta = loop.unpack(flat)
-        alg = loop.algebra(t, x, xm, sts, theta)
-        xs.append(x.copy())
-        us.append(alg[4].copy())
+        xs.append(loop.blocks(flat)[0].copy())
+        us.append(loop.evaluate(t, flat)[1][3].copy())
         flat = rk4_step(loop.rhs, t, flat, h)
     xs = np.asarray(xs)
     us = np.asarray(us)

@@ -215,6 +215,74 @@ def test_nonfinite_certificate_increment_is_violation(tmp_path, domain):
     assert harness.compute_metrics(scn, trace).lyapunov_violations == 3
 
 
+def test_tail_rms_finite_for_huge_finite_errors(tmp_path):
+    scn = harness.load_scenario(_write(tmp_path, _minimal()))
+    n = 10
+    e = np.full((n, 1), 3e160)
+    e[::2] *= -1.0
+    trace = SimTrace(
+        t=np.arange(n, dtype=float), y=e, ym=np.zeros((n, 1)), e=e, u=np.zeros((n, 1)),
+        m=np.ones(n), eps=np.zeros((n, 1)), v=np.full(n, np.nan), theta_norm=np.ones(n),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = harness.compute_metrics(scn, trace)
+    assert rep.tail_rms_e == 3e160
+
+
+def test_tail_rms_scaling_is_exact(tmp_path):
+    # the power-of-two scaling leaves every value the plain formula can hold unchanged
+    scn = harness.load_scenario(_write(tmp_path, _minimal(tail_fraction=0.5)))
+    rng = np.random.default_rng(4)
+    for mag in (1e-150, 7.5e-16, 1.0, 3.3, 1e100):
+        e = mag * rng.standard_normal((40, 2))
+        trace = SimTrace(
+            t=np.arange(40, dtype=float), y=e, ym=np.zeros((40, 2)), e=e,
+            u=np.zeros((40, 2)), m=np.ones(40), eps=np.zeros((40, 2)),
+            v=np.full(40, np.nan), theta_norm=np.ones(40),
+        )
+        tail = e[-20:]
+        plain = float(np.sqrt(np.mean(np.sum(tail * tail, axis=1))))
+        assert harness.compute_metrics(scn, trace).tail_rms_e == plain
+
+
+def _plain_csvs(trace):
+    """Both trace CSVs written one value at a time, as repr(float(x))."""
+    header = (["t"] + [f"{s}_{i+1}" for s in ("y", "ym", "e", "u")
+                       for i in range(trace.n_channels)]
+              + ["m"] + [f"eps_{i+1}" for i in range(trace.n_channels)] + ["V", "theta_norm"])
+    wide, long = [",".join(header) + "\n"], ["t,series,value\n"]
+    for k in range(trace.n_samples):
+        vals = ([trace.t[k]] + list(trace.y[k]) + list(trace.ym[k]) + list(trace.e[k])
+                + list(trace.u[k]) + [trace.m[k]] + list(trace.eps[k])
+                + [trace.v[k], trace.theta_norm[k]])
+        wide.append(",".join(repr(float(v)) for v in vals) + "\n")
+        long += [f"{repr(float(vals[0]))},{col},{repr(float(v))}\n"
+                 for col, v in zip(header[1:], vals[1:])]
+    return "".join(wide), "".join(long)
+
+
+@pytest.mark.parametrize("n", [0, 1, harness.EMIT_BLOCK, 2 * harness.EMIT_BLOCK + 37])
+def test_emit_matches_plain_per_value_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    m = 2
+    trace = SimTrace(
+        t=np.arange(n) * 1e-3, y=rng.standard_normal((n, m)), ym=rng.standard_normal((n, m)),
+        e=rng.standard_normal((n, m)) * 1e-17, u=rng.standard_normal((n, m)) * 1e12,
+        m=1.0 + rng.random(n), eps=-rng.random((n, m)), v=np.full(n, np.nan),
+        theta_norm=np.abs(rng.standard_normal(n)),
+    )
+    if n:
+        trace.y[0, 0] = -0.0
+        trace.u[-1, 1] = 5e-324
+    report = harness.MetricsReport(name="p", tail_rms_e=0.0, sup_theta_norm=0.0,
+                                   l2_tail=0.0, converged=False)
+    paths = harness.emit_outputs(trace, report, tmp_path / "pw")
+    wide, long = _plain_csvs(trace)
+    assert paths["trace"].read_bytes() == wide.encode()
+    assert paths["long"].read_bytes() == long.encode()
+
+
 def test_trace_csv_column_order(tmp_path):
     scn, (trace, report) = _run_small(tmp_path)
     paths = harness.emit_outputs(trace, report, tmp_path / "out")
@@ -361,23 +429,67 @@ def test_cli_run_guard_abort_exit_two(tmp_path):
 
 
 def test_cli_run_diverged_exit_two(tmp_path, capsys):
-    # a CT step far outside RK4's stability region: the run stops and says why
-    scn = Path(__file__).resolve().parents[1] / "scenarios" / "mimo_rd1_ct.json"
+    # a valid CT run whose estimates start far out: it stops and says why
+    data = {"schema_version": 1, "name": "theta_blowup", "module": "mimo",
+            "benchmark": "mimo-ct-2x2", "structure": "sf_xm",
+            "theta0": (1e4 * np.ones((8, 2))).tolist(), "horizon": 300}
+    p = _write(tmp_path, data)
     out = tmp_path / "od"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the event says it; numpy stays quiet
-        code = cli.main(["run", "--scenario", str(scn), "--out", str(out),
-                         "--step", "2.0", "--horizon", "300"])
+        code = cli.main(["run", "--scenario", str(p), "--out", str(out)])
     assert code == 2
-    assert "mimo_rd1_ct: diverged" in capsys.readouterr().out
-    report = json.loads((out / "mimo_rd1_ct_report.json").read_text(),
+    assert "theta_blowup: diverged" in capsys.readouterr().out
+    report = json.loads((out / "theta_blowup_report.json").read_text(),
                         parse_constant=_reject_constant)
     assert report["guard_aborted"] and not report["converged"]
     assert np.isfinite(report["tail_rms_e"])
     [event] = report["guard_events"]
     assert sorted(event) == ["diverged", "t"]
     # the trace ends at the row before the step that went non-finite
-    assert event["t"] == 2.0 * report["horizon"]
+    assert event["t"] == 1e-3 * report["horizon"]
+
+
+def test_cli_run_step_outside_rk4_region_exit_one(tmp_path, capsys):
+    # |R(h lambda)| = 6.3 > 1 on the plant's mode at -2.1: rejected at load
+    scn = Path(__file__).resolve().parents[1] / "scenarios" / "mimo_rd1_ct.json"
+    code = cli.main(["run", "--scenario", str(scn), "--out", str(tmp_path / "os"),
+                     "--step", "2.0", "--horizon", "300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ERROR: step:" in err and "RK4" in err
+    assert not (tmp_path / "os").exists()
+
+
+@pytest.mark.parametrize("bench,step", [("mimo-ct-2x2", 3.0), ("mimo-rd1-ct", 2.0)])
+def test_ct_step_outside_rk4_region_rejected_naming_field(tmp_path, bench, step):
+    data = {"schema_version": 1, "name": "s", "module": "mimo", "benchmark": bench,
+            "step": step}
+    with pytest.raises(ValidationError) as ei:
+        harness.load_scenario(_write(tmp_path, data))
+    assert ei.value.field == "step"
+    # the shipped steps keep every stable mode inside the region
+    data["step"] = 1e-3
+    harness.load_scenario(_write(tmp_path, data))
+
+
+def test_fl_step_outside_rk4_region_rejected_naming_field(tmp_path):
+    # the column filters 1/d_i: d_1 = s + 1 puts a mode at -1, |R(-4)| = 5
+    data = {"schema_version": 1, "name": "f", "module": "fl", "benchmark": "fl-2x3",
+            "step": 4.0}
+    with pytest.raises(ValidationError) as ei:
+        harness.load_scenario(_write(tmp_path, data))
+    assert ei.value.field == "step" and "interactor[0]" in str(ei.value)
+    data["step"] = 1.0  # |R(-1.2)| and |R(-1)| stay below 1
+    harness.load_scenario(_write(tmp_path, data))
+
+
+def test_rk4_gain_is_the_stability_function():
+    from adaptrack.linsys import rk4_gain
+    z = np.array([-0.5, -2.0, -2.785, -3.0, -1.0 + 2.0j])
+    want = np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    np.testing.assert_allclose(rk4_gain(z, 1.0), want, rtol=1e-14)
+    assert rk4_gain([-2.78], 1.0)[0] < 1.0 < rk4_gain([-2.79], 1.0)[0]
 
 
 def test_cli_run_invalid_exit_one(tmp_path):

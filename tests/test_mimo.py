@@ -296,10 +296,10 @@ def test_gradient_indefinite_psi_gain_rejected(bench_ct):
 def test_gain_prior_verified_in_test_mode(bench_dt):
     scn = _scn(bench_dt)
     _, kp = mimo.interactor_row_gains(bench_dt["plant"], bench_dt["interactor"])
-    mimo.verify_gain_prior(scn, kp)  # benchmark prior satisfies the assumption
+    mimo.verify_gain_prior(kp, scn.sp, scn.plant.domain)  # benchmark prior satisfies it
     bad = _scn(bench_dt, sp=np.array([[5.0, 0.0], [0.0, 5.0]]))  # Kp Sp not < 2I
     with pytest.raises(GainBoundViolation):
-        mimo.verify_gain_prior(bad, kp)
+        mimo.verify_gain_prior(kp, bad.sp, bad.plant.domain)
     with pytest.raises(GainBoundViolation):
         mimo.run(bad, adaptive=True, horizon=5, with_certificate=True)
 
@@ -432,3 +432,60 @@ def test_m1_reduction_bit_for_bit(structure):
     tr_m = mimo.run(mscn, adaptive=True, horizon=2000)
     for fld in ("y", "ym", "e", "u", "m", "eps", "theta_norm"):
         assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), fld
+
+
+def test_benchmark_gain_prior_checked_by_the_one_check():
+    # the builder derives Sp and verifies Kp Sp through mimo.verify_gain_prior,
+    # which raises under python -O too; a margin below zero puts Kp Sp above 2I
+    d = benchmarks.mimo_dt_2x2()
+    with pytest.raises(GainBoundViolation, match="below 2I"):
+        benchmarks._check_mimo(d, sp_margin=-0.5)
+
+
+# -- continuous-time reference block (engine.ReferenceBlock, stage tables) -----------
+
+
+@pytest.mark.parametrize("structure", [Structure.SF_XM, Structure.SF_YM])
+def test_ct_stage_tables_block_size_invariant(bench_ct, monkeypatch, structure):
+    # the stage tables are filled one block at a time; the block seams change nothing
+    scn = _scn(bench_ct, structure=structure, xm0=np.array([0.3, -0.2, 0.1]))
+    ref = mimo.run(scn, adaptive=True, horizon=300)
+    monkeypatch.setattr(engine, "CT_BLOCK", 7)
+    small = mimo.run(scn, adaptive=True, horizon=300)
+    for fld in ("e", "u", "eps", "m", "theta_norm"):
+        np.testing.assert_allclose(getattr(small, fld), getattr(ref, fld), rtol=1e-12,
+                                   atol=1e-14, err_msg=fld)
+
+
+def test_ct_stage_tables_memory_flat_in_horizon(bench_ct):
+    spec = _scn(bench_ct).loop_spec()
+    short = engine.ClosedLoop(spec, law=None, horizon=10)
+    long = engine.ClosedLoop(spec, law=None, horizon=50 * engine.CT_BLOCK)
+    assert short._tab.shape[0] == 10 and long._tab.shape[0] == engine.CT_BLOCK
+    assert long.s.size == short.s.size  # [lin, Theta, Psi]: no reference block in the state
+    long.measure(0)
+    long.advance()
+    with pytest.raises(ValueError, match="in order"):
+        long.measure(3 * engine.CT_BLOCK)
+
+
+def test_ct_reference_stage_maps_match_a_direct_rk4_step(bench_ct):
+    # stage maps of the reference block against a direct rk4 step of z' = F z + G u_m
+    scn = _scn(bench_ct, structure=Structure.SF_YM)
+    zb = scn.loop_spec().reference
+    h, m = bench_ct["plant"].domain.step, 2
+    rng = np.random.default_rng(5)
+    z, us = rng.standard_normal(zb.nz), rng.standard_normal((3, m))
+    w = np.concatenate((z, us.ravel()))
+    seen = []
+
+    def f(t, zz):
+        seen.append(zz)
+        return zb.f @ zz + zb.g @ us[{0.0: 0, 0.5 * h: 1, h: 2}[t]]
+
+    want = oc.rk4_sim(f, z, h, 1)[-1]
+    assert len(zb.stages) == 4
+    np.testing.assert_allclose(zb.step @ w, want, rtol=1e-13, atol=1e-15)
+    for (zw, u), zj in zip(zb.stages, seen[:4]):
+        np.testing.assert_allclose(zw @ w, zj, rtol=1e-13, atol=1e-15)
+    assert [np.flatnonzero(u.any(axis=0))[0] - zb.nz for _, u in zb.stages] == [0, m, m, 2 * m]
