@@ -254,8 +254,9 @@ class LoopSpec:
 
     plant: StateSpace
     refmodel: StateSpace
-    # input of the reference system: t -> (m,); an array of times gives the
-    # channels along a new leading axis, (m, *t.shape), as RefInput does
+    # input of the reference system: t -> (m,); continuous-time loops also
+    # call it on an array of times and read the channels along a new leading
+    # axis, (m, *t.shape), as RefInput gives them
     um: object
     structure: Structure
     interactor: DiagonalInteractor
@@ -455,10 +456,11 @@ class ClosedLoop:
 
     def _reference_run(self, z0, horizon):
         """DT: u_m, y_m and the reference part of omega for every step."""
-        um = self.spec.um(np.arange(horizon, dtype=float)).T
+        um = np.empty((horizon, self.spec.m))
         z = np.empty((horizon, z0.size))
         zk = z0
         for k in range(horizon):
+            um[k] = self.spec.um(float(k))
             z[k] = zk
             zk = self._ref.f @ zk + self._ref.g @ um[k]
         self._exo = np.hstack((z, um)) @ self._om_ref.T

@@ -20,7 +20,8 @@ class Channel:
     bias: float = 0.0
 
     def value(self, t):
-        v = self.bias
+        """The channel at t; an array of times gives an array of that shape."""
+        v = np.full(np.shape(t), self.bias)
         for s in self.sinusoids:
             v += s.amp * np.sin(s.freq * t + s.phase)
         return v

@@ -128,6 +128,41 @@ def test_explicit_plant_scenario(tmp_path):
     assert trace.n_samples == 200
 
 
+_SIN = {"amp": 0.8, "freq": 0.4, "phase": 0.3}
+
+
+@pytest.mark.parametrize("bench,structure", [("mimo-dt-2x2", "sf_ym"),
+                                             ("mimo-ct-2x2", "sf_ym"),
+                                             ("mimo-ct-2x2", "sf_xm")])
+@pytest.mark.parametrize("sinusoid_on_second", [False, True])
+def test_bias_only_channel_runs_as_a_zero_amplitude_sinusoid(tmp_path, bench, structure,
+                                                             sinusoid_on_second):
+    # a channel with no sinusoids is a plain step; the loops read u_m at one
+    # time (DT) or on arrays of stage times (CT), and both shapes must hold
+    def run(first):
+        second = {"sinusoids": [_SIN], "bias": -0.1} if sinusoid_on_second else {"bias": -0.1}
+        data = {"schema_version": 1, "name": "b", "module": "mimo", "benchmark": bench,
+                "structure": structure, "horizon": 300,
+                "um": {"channels": [first, second]}}
+        return harness.run_experiment(harness.load_scenario(_write(tmp_path, data)))[0]
+
+    step = run({"bias": 0.4})
+    zero_sin = run({"sinusoids": [dict(_SIN, amp=0.0)], "bias": 0.4})
+    assert step.n_samples == 300
+    for fld in ("y", "ym", "e", "u", "theta_norm"):
+        assert np.array_equal(getattr(step, fld), getattr(zero_sin, fld)), fld
+
+
+def test_ref_input_on_arrays_matches_one_time_at_a_time():
+    um = harness._ref_input({"channels": [{"bias": 0.4}, {"sinusoids": [_SIN]}, {}]}, "um")
+    t = np.arange(12.0).reshape(3, 4) * 0.37
+    tab = um(t)
+    assert tab.shape == (3, 3, 4)
+    for idx in np.ndindex(t.shape):
+        assert np.array_equal(tab[(slice(None),) + idx], um(float(t[idx])))
+    assert um(0.5).shape == (3,)
+
+
 # -- metrics and outputs ----------------------------------------------------------
 
 
