@@ -12,13 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import feedback_lin, mimo, signals
+from .errors import NotHurwitz
 from .linsys import (
     DiagonalInteractor,
     Polynomial,
     StateSpace,
     ct,
     dt,
-    row_relative_degree,
 )
 
 
@@ -86,13 +86,11 @@ def _check_mimo(d, sp_margin=0.5):
     """Verify the benchmark assumptions and derive the gain prior."""
     plant = d["plant"]
     ia = d["interactor"]
-    degs = [row_relative_degree(plant, i) for i in range(plant.n_outputs)]
-    assert degs == ia.degrees, f"row degrees {degs} != interactor {ia.degrees}"
+    # raises RelativeDegreeViolation unless the row degrees are the interactor's
     hidden = mimo.hidden_modes(plant, ia)
-    if hidden.size:
-        mags = np.abs(hidden) if plant.domain.is_dt else np.real(hidden)
-        lim = 1.0 if plant.domain.is_dt else 0.0
-        assert np.all(mags < lim), f"unstable cancelled modes {hidden}"
+    mags = np.abs(hidden) if plant.domain.is_dt else np.real(hidden)
+    if not np.all(mags < (1.0 if plant.domain.is_dt else 0.0)):
+        raise NotHurwitz(f"unstable cancelled modes {hidden}")
     _, kp = mimo.interactor_row_gains(plant, ia)
     if plant.domain.is_dt:
         kkt = kp @ kp.T

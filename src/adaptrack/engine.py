@@ -96,8 +96,8 @@ class Frame:
 
 def gradient_rhs(gz, sp, gpsi, zeta, xi, eps, m2):
     """Right-hand sides of the normalized-gradient law (see module docstring)."""
-    dtheta = -((gz @ zeta)[:, None] * (sp @ eps)) / m2
-    dpsi = -((gpsi @ eps)[:, None] * xi) / m2
+    dtheta = (gz @ zeta)[:, None] * (sp @ eps) / -m2
+    dpsi = (gpsi @ eps)[:, None] * xi / -m2
     return dtheta, dpsi
 
 
@@ -254,9 +254,9 @@ class LoopSpec:
 
     plant: StateSpace
     refmodel: StateSpace
-    # input of the reference system: t -> (m,); continuous-time loops also
-    # call it on an array of times and read the channels along a new leading
-    # axis, (m, *t.shape), as RefInput gives them
+    # input of the reference system: t -> (m,); the loops call it on an array
+    # of times and read the channels along a new leading axis, (m, *t.shape),
+    # as RefInput gives them
     um: object
     structure: Structure
     interactor: DiagonalInteractor
@@ -379,6 +379,7 @@ class ClosedLoop:
     def __init__(self, spec, law, horizon):
         self.spec = spec
         self.law = law  # None = nominal (frozen parameters)
+        self._gradient = law is not None and not isinstance(law, Rd1Law)
         self.domain = dom = spec.plant.domain
         plant, s = spec.plant, spec.structure
         n, m, q = spec.n, spec.m, spec.q
@@ -456,11 +457,10 @@ class ClosedLoop:
 
     def _reference_run(self, z0, horizon):
         """DT: u_m, y_m and the reference part of omega for every step."""
-        um = np.empty((horizon, self.spec.m))
+        um = self.spec.um(np.arange(horizon, dtype=float)).T
         z = np.empty((horizon, z0.size))
         zk = z0
         for k in range(horizon):
-            um[k] = self.spec.um(float(k))
             z[k] = zk
             zk = self._ref.f @ zk + self._ref.g @ um[k]
         self._exo = np.hstack((z, um)) @ self._om_ref.T
@@ -498,63 +498,72 @@ class ClosedLoop:
         self._z_next, self._k0 = z, k0
         np.matmul(w, self._tab_read.T, out=self._tab.reshape(nb, -1))
 
-    def _signals(self, lin, theta, psi, exo, ym):
-        """Algebraic pipeline at one state; returns signals and the state update."""
+    def _evaluate(self, flat, exo, ym, frame=False):
+        """[dlin, dTheta, dPsi] at one state (DT: lin+ in place of dlin).
+
+        Only what the law reads is computed: Rd1Law reads e and omega, a
+        nominal run nothing, GradientLaw the estimation-error signals.  With
+        frame set, the signals (y, y_m, e, u, Frame) that measure records are
+        returned too, from the same expressions.
+        """
+        lin = flat[self._lin]
+        theta = flat[self._theta].reshape(self.theta.shape)
         sig = self._read @ lin
         y = sig[self._y]
         e = y - ym
         omega = sig[self._om] + exo
         u = theta.T @ omega
-        zeta = sig[self._zeta]
-        xi = theta.T @ zeta - sig[self._eta]
-        ebar = sig[self._ebar] + self._je * e
-        eps = ebar + psi @ xi
-        frame = Frame(omega, zeta, xi, ebar, eps, np.sqrt(1.0 + zeta @ zeta + xi @ xi))
-        dtheta, dpsi = self._update_rhs(e, frame, theta, psi)
-        dlin = self._f @ lin + self._g @ np.concatenate((u, y, omega, e))
-        return y, ym, e, u, frame, dlin, dtheta, dpsi
+        d = np.empty(flat.size)
+        dlin = d[self._lin]
+        np.matmul(self._f, lin, out=dlin)
+        dlin += self._g @ np.concatenate((u, y, omega, e))
+        law = self.law
+        if frame or self._gradient:
+            psi = flat[self._psi].reshape(self.psi.shape)
+            zeta = sig[self._zeta]
+            xi = theta.T @ zeta - sig[self._eta]
+            ebar = sig[self._ebar] + self._je * e
+            eps = ebar + psi @ xi
+            mm = math.sqrt(1.0 + zeta @ zeta + xi @ xi)
+        if self._gradient:
+            dtheta, dpsi = gradient_rhs(law.gz, law.sp, law.gpsi, zeta, xi, eps, mm * mm)
+            d[self._theta] = dtheta.ravel()
+            d[self._psi] = dpsi.ravel()
+        elif law is None:
+            d[self._par] = 0.0
+        else:
+            d[self._theta] = law.rhs(e, omega).ravel()
+            d[self._psi] = 0.0
+        if not frame:
+            return d
+        return d, (y, ym, e, u, Frame(omega, zeta, xi, ebar, eps, mm))
 
-    def _update_rhs(self, e, frame, theta, psi):
-        if self.law is None:
-            return np.zeros_like(theta), np.zeros_like(psi)
-        if isinstance(self.law, Rd1Law):
-            return self.law.rhs(e, frame.omega), np.zeros_like(psi)
-        return gradient_rhs(
-            self.law.gz, self.law.sp, self.law.gpsi,
-            frame.zeta, frame.xi, frame.eps, frame.m2,
-        )
-
-    def _rhs(self, flat, stage):
-        """CT: derivative of the flat state at one stage-table row (also the signals)."""
-        out = self._signals(
-            flat[self._lin], flat[self._theta].reshape(self.theta.shape),
-            flat[self._psi].reshape(self.psi.shape), stage[self._st_om], stage[self._st_ym],
-        )
-        dlin, dtheta, dpsi = out[5:]
-        return np.concatenate((dlin, dtheta.ravel(), dpsi.ravel())), out
+    def _stage_rhs(self, flat, row, frame=False):
+        """CT: _evaluate at one stage-table row."""
+        return self._evaluate(flat, row[self._st_om], row[self._st_ym], frame)
 
     def measure(self, k):
         """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
         if self.domain.is_dt:
-            out = self._signals(self.lin, self.theta, self.psi, self._exo[k], self._ym[k])
-            self._pending = out[4:]
+            d, out = self._evaluate(self.s, self._exo[k], self._ym[k], frame=True)
+            self._pending = (out[4], d)
         else:
             r = k - self._k0
             if not 0 <= r < self._w.shape[0]:
                 self._fill_block(k)
                 r = 0
             stages = self._tab[r]
-            k1, out = self._rhs(self.s, stages[0])
+            k1, out = self._stage_rhs(self.s, stages[0], frame=True)
             self._pending = (out[4], k * self.domain.step, k1, stages)
-        return out[:5]
+        return out
 
     def advance(self):
         """Move the stored state to the next grid point (after measure)."""
         frame = self._pending[0]
         if self.domain.is_dt:
-            _, dlin, dtheta, dpsi = self._pending
-            dpar = np.concatenate((dtheta.ravel(), dpsi.ravel()))
-            self.lin[:] = dlin
+            d = self._pending[1]
+            dpar = d[self._par]
+            self.lin[:] = d[self._lin]
             self.s[self._par] += dpar
             self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar)
@@ -563,7 +572,8 @@ class ClosedLoop:
             h = self.domain.step
             # rk4_step evaluates stages 2, 3 and 4 in that order
             rows = iter(stages[1:])
-            new = rk4_step(lambda tt, flat: self._rhs(flat, next(rows))[0], t, self.s, h, k1=k1)
+            new = rk4_step(lambda tt, flat: self._stage_rhs(flat, next(rows)), t, self.s, h,
+                           k1=k1)
             dpar = new[self._par] - self.s[self._par]
             self.l2_eps += h * float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar) / h

@@ -30,28 +30,25 @@ from .linsys import DiagonalInteractor, Polynomial, RationalFilter, ct, rk4_step
 class FLPlant:
     """Input-affine follower dx = F(x) theta* + G(x) u, y = h(x).
 
-    The evaluators omega1/omega2_w/omega3 are controller-side knowledge; the
-    true parameter vector and the Theta*-matrices derived from it are
-    simulation/test data that the controller path never reads.
+    at(x) returns (y, omega1, W, omega3, F, G) at one state, W giving omega2 =
+    W(x) u.  The regressors are controller-side knowledge; the true parameter
+    vector and the Theta*-matrices derived from it are simulation/test data
+    that the controller path never reads.
     """
 
     n: int
     m: int
     rho: tuple
     theta_star: np.ndarray
-    fmat: object  # x -> (n, l)
-    gmat: object  # x -> (n, m)
-    h: object  # x -> (m,)
-    omega1: object  # x -> (q1,)
-    omega2_w: object  # x -> (q2, m), omega2 = W(x) u
-    omega3: object  # x -> (q3,)
+    at: object  # x -> (y (m,), omega1 (q1,), W (q2, m), omega3 (q3,), F (n, l), G (n, m))
     dims: tuple  # (q1, q2, q3)
     b_true: object = None  # x -> (m,), from theta_star
     a_true: object = None  # x -> (m, m)
     lie1_true: object = None  # x -> (m,), first Lie derivatives of h along f
 
     def deriv(self, x, u):
-        return self.fmat(x) @ self.theta_star + self.gmat(x) @ u
+        *_, f, g = self.at(x)
+        return f @ self.theta_star + g @ u
 
 
 @dataclass
@@ -60,9 +57,7 @@ class LeaderSystem:
 
     n: int
     m: int
-    deriv: object  # (x_m, u_m) -> dx_m, hidden-parameter closure
-    h: object  # x_m -> y_m
-    omega_m: object  # (x_m, u_m) -> (qm,)
+    at: object  # (x_m, u_m) -> (dx_m, y_m, omega_m (qm,)), hidden-parameter closure
     um: object  # t -> (m,)
     qm: int
     x0: np.ndarray
@@ -102,17 +97,19 @@ class FLController:
         self.alpha_last = np.array([d.coeffs[0] for d in self.interactor.rows])
 
 
-def estimates(ctrl, tht, om1, w, om3, omm, y):
+def estimates(ctrl, tht, om1, w, om3, omm, y, x=None):
     """(b_hat, A_hat, v) at one state, from the regressors evaluated there.
 
     tht is Theta^T (row i = theta_i).  A_hat u = Theta2^T W(x) u, b_hat =
     Theta1^T omega1 and the outer-loop signal v = Theta_m^T omega_m -
     (Theta3^T omega3 + alpha y) come from one product Theta^T X, X holding
-    omega1, W and [-omega3; omega_m] in its column blocks.
+    omega1, W and [-omega3; omega_m] in its column blocks.  x, when given, is
+    a (q, m + 2) buffer for X that is zero outside those blocks.
     """
     q1, q2, q3, _ = ctrl.dims
     m = ctrl.m
-    x = np.zeros((ctrl.q, m + 2))
+    if x is None:
+        x = np.zeros((ctrl.q, m + 2))
     x[:q1, 0] = om1
     x[q1 : q1 + q2, 1 : m + 1] = w
     x[q1 + q2 : q1 + q2 + q3, m + 1] = -om3
@@ -154,7 +151,8 @@ def linearizing_control(ahat, bhat, v, guard=1e-6, t=None):
         if smin < guard:
             raise SingularityGuard(smin, t)
         r0, r1 = (v - bhat).tolist()
-        return np.array([d * r0 - b * r1, a * r1 - c * r0]) / (a * d - b * c)
+        det = a * d - b * c
+        return np.array([(d * r0 - b * r1) / det, (a * r1 - c * r0) / det])
     smin = sigma_min(ahat)
     if smin < guard:
         raise SingularityGuard(smin, t)
@@ -201,7 +199,7 @@ class FLLoop:
     states of every column filter (see column_filters), and the estimates
     are stored transposed, row i = theta_i, so their update is one product
     with the block-diagonal gain.  The leader stays in the state: its
-    dynamics are hidden, so only its callables give x_m between grid points.
+    dynamics are hidden, so only its callable gives x_m between grid points.
     """
 
     def __init__(self, plant, leader, ctrl, adaptive=True, x0=None):
@@ -220,7 +218,13 @@ class FLLoop:
             self.s[self._x] = x0
         self.s[self._xm] = leader.x0
         self.s[self._theta] = ctrl.theta.T.ravel()
-        self._zero_dtheta = np.zeros(q * m)
+        # scratch of every right-hand side: X of estimates (zero outside its
+        # blocks), omega = [omega1, W u, omega3, -omega_m] and the filter drive
+        self._est = np.zeros((q, m + 2))
+        self._omega = np.empty(q)
+        self._drive = np.empty((m, q + 1))
+        o = np.cumsum([0, *ctrl.dims])
+        self._om = tuple(map(slice, o[:-1], o[1:]))
         self.l2_eps = 0.0
 
     def blocks(self, flat):
@@ -238,28 +242,32 @@ class FLLoop:
 
     def evaluate(self, t, flat):
         """Derivative of the flat state and the signals (y, y_m, e, u, zetas, eps, m_i)."""
-        plant, leader, ctrl = self.plant, self.leader, self.ctrl
+        plant, ctrl = self.plant, self.ctrl
         x, xm, filt, tht = self.blocks(flat)
         q = ctrl.q
-        y = plant.h(x)
-        ym = leader.h(xm)
+        y, om1, w, om3, fx, gx = plant.at(x)
+        dxm, ym, omm = self.leader.at(xm, self.leader.um(t))
         e = y - ym
-        umt = np.atleast_1d(leader.um(t))
-        om1, w, om3 = plant.omega1(x), plant.omega2_w(x), plant.omega3(x)
-        omm = leader.omega_m(xm, umt)
-        bhat, ahat, v = estimates(ctrl, tht, om1, w, om3, omm, y)
+        bhat, ahat, v = estimates(ctrl, tht, om1, w, om3, omm, y, self._est)
         u = linearizing_control(ahat, bhat, v, ctrl.guard, t)
-        omega = np.concatenate((om1, w @ u, om3, -omm))
+        omega, drive = self._omega, self._drive
+        o1, o2, o3, om = self._om
+        omega[o1] = om1
+        omega[o2] = w @ u
+        omega[o3] = om3
+        np.negative(omm, out=omega[om])
         zeta_eta = self._hs @ filt
         zetas = zeta_eta[:, :q]
         _, eps, mi = column_frames(tht, e, zetas, zeta_eta[:, q])
-        drive = np.empty((ctrl.m, q + 1))
         drive[:, :q] = omega
         drive[:, q] = tht @ omega
-        dfilt = self._a @ filt + self._b @ drive
-        dtheta = gradient_rhs(ctrl.gain, zetas, eps, mi) if self.adaptive else self._zero_dtheta
-        deriv = np.concatenate((plant.deriv(x, u), leader.deriv(xm, umt), dfilt.ravel(),
-                                dtheta))
+        deriv = np.empty(self.s.size)
+        deriv[self._x] = fx @ plant.theta_star + gx @ u
+        deriv[self._xm] = dxm
+        dfilt = deriv[self._filt].reshape(self._fshape)
+        np.matmul(self._a, filt, out=dfilt)
+        dfilt += self._b @ drive
+        deriv[self._theta] = gradient_rhs(ctrl.gain, zetas, eps, mi) if self.adaptive else 0.0
         return deriv, (y, ym, e, u, zetas, eps, mi)
 
     def rhs(self, t, flat):
@@ -289,7 +297,8 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     loop = FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=x0)
     m = ctrl.m
     rec = _Recorder(horizon, m)
-    theta = loop.blocks(loop.s)[3].T  # a view: the estimates in effect at each grid point
+    flat_theta = loop.s[loop._theta]  # a view: the estimates in effect at each grid point
+    theta = flat_theta.reshape(loop._tshape).T
     guard_events = []
     ident = np.zeros((horizon, m)) if theta_star is not None else None
     mi_extra = np.zeros((horizon, m))
@@ -312,7 +321,7 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
             if not math.isfinite(loop.l2_eps):
                 guard_events.append({"t": t, "diverged": loop.diverged_block(loop.s)})
                 break
-            tn = float(np.linalg.norm(theta))
+            tn = math.sqrt(flat_theta @ flat_theta)
             rec.push(t, y, ym, e, u, magg, eps, v, tn,
                      loop.l2_eps, 0.0)
             loop.s[:] = new
@@ -360,26 +369,20 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
     interactor = DiagonalInteractor([d1, d2])
     a21, a22 = d2.coeffs[1], d2.coeffs[0]
 
-    def fmat(x):
-        return np.array(
-            [[x[1], 0.0, 0.0], [0.0, x[2], np.sin(x[0])], [0.0, 0.0, x[0]]]
-        )
-
-    def gmat(x):
-        return np.array([[1.0 + x[1] ** 2, 0.0], [0.0, 0.0], [0.0, 1.0]])
-
-    def h(x):
-        return np.array([x[0], x[1]])
-
-    def omega1(x):
-        return np.array([x[1], x[1] * np.cos(x[0]), x[0]])
-
-    def omega2_w(x):
-        g11 = 1.0 + x[1] ** 2
-        return np.array([[g11, 0.0], [0.0, 1.0], [np.cos(x[0]) * g11, 0.0]])
-
-    def omega3(x):
-        return np.array([x[2], np.sin(x[0])])
+    def plant_at(x):
+        x1, x2, x3 = x.tolist()
+        s1, c1 = math.sin(x1), math.cos(x1)
+        g11 = 1.0 + x2**2  # pow, as in numpy scalar code: x2 * x2 can differ in the last bit
+        v = np.array([
+            x1, x2,  # y
+            x2, x2 * c1, x1,  # omega1
+            g11, 0.0, 0.0, 1.0, c1 * g11, 0.0,  # W
+            x3, s1,  # omega3
+            x2, 0.0, 0.0, 0.0, x3, s1, 0.0, 0.0, x1,  # F
+            g11, 0.0, 0.0, 0.0, 0.0, 1.0,  # G
+        ])
+        return (v[:2], v[2:5], v[5:11].reshape(3, 2), v[11:13], v[13:22].reshape(3, 3),
+                v[22:].reshape(3, 2))
 
     def b_true(x):
         return np.array(
@@ -397,34 +400,23 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
     plant = FLPlant(
         n=3, m=2, rho=(1, 2),
         theta_star=np.array(theta_star, dtype=float),
-        fmat=fmat, gmat=gmat, h=h,
-        omega1=omega1, omega2_w=omega2_w, omega3=omega3,
-        dims=(3, 3, 2),
+        at=plant_at, dims=(3, 3, 2),
         b_true=b_true, a_true=a_true, lie1_true=lie1_true,
     )
     b1, a1, a5, a2, a3, b3, a4 = 1.0, 0.5, -1.0, 0.5, 0.4, 1.0, 0.3
 
-    def leader_deriv(xm, um):
-        return np.array(
-            [
-                -b1 * xm[0] + a1 * xm[1] + (1.0 + xm[1] ** 2) * um[0],
-                a5 * xm[1] + a2 * xm[2] + a3 * np.sin(xm[0]),
-                -b3 * xm[2] + a4 * xm[0] + um[1],
-            ]
-        )
-
-    def leader_h(xm):
-        return np.array([xm[0], xm[1]])
-
-    def leader_omega_m(xm, um):
-        g11 = 1.0 + xm[1] ** 2
-        cx = np.cos(xm[0])
-        return np.array(
-            [
-                xm[0], xm[1], xm[2], np.sin(xm[0]), xm[0] * cx, xm[1] * cx,
-                g11 * um[0], cx * g11 * um[0], um[1],
-            ]
-        )
+    def leader_at(xm, um):
+        x1, x2, x3 = xm.tolist()
+        u1, u2 = um.tolist()
+        s1, c1 = math.sin(x1), math.cos(x1)
+        g11 = 1.0 + x2**2
+        v = np.array([
+            -b1 * x1 + a1 * x2 + g11 * u1, a5 * x2 + a2 * x3 + a3 * s1,
+            -b3 * x3 + a4 * x1 + u2,  # dx_m
+            x1, x2,  # y_m
+            x1, x2, x3, s1, x1 * c1, x2 * c1, g11 * u1, c1 * g11 * u1, u2,  # omega_m
+        ])
+        return v[:3], v[3:5], v[5:]
 
     def leader_lie1(xm):
         return np.array(
@@ -456,7 +448,7 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
 
     leader = LeaderSystem(
         n=3, m=2,
-        deriv=leader_deriv, h=leader_h, omega_m=leader_omega_m, um=leader_um,
+        at=leader_at, um=leader_um,
         qm=9, x0=np.array([0.2, -0.1, 0.3]),
         theta_m_star=theta_m_star, lie1_true=leader_lie1,
     )

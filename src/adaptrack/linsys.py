@@ -217,33 +217,26 @@ def markov_params(ss, count):
     return out
 
 
-def relative_degree(ss, row=None):
+def relative_degree(ss, row=None, allow_decoupled=False):
     """Smallest i >= 1 with a nonzero i-th Markov parameter in the row.
 
     With row=None the system must be SISO.  The zero test is scaled by the
-    largest Markov-parameter magnitude seen; raises NoRelativeDegree when
-    all parameters up to order n vanish.
+    largest Markov-parameter magnitude seen.  A row whose parameters all
+    vanish up to order n is decoupled from the input: that raises
+    NoRelativeDegree, or gives None when allow_decoupled is set.
     """
     if row is None:
         if ss.n_outputs != 1:
             raise ValueError("row index required for a multi-output system")
         row = 0
-    rr = row_relative_degree(ss, row)
-    if rr is None:
-        raise NoRelativeDegree(f"output row {row} is decoupled from the input")
-    return rr
-
-
-def row_relative_degree(ss, row):
-    """Like relative_degree but returns None for a fully decoupled row."""
     seq = markov_params(ss, ss.n)
     scale = max(np.max(np.abs(m)) for m in seq)
-    if scale == 0.0:
-        return None
     for i, m in enumerate(seq, start=1):
-        if np.max(np.abs(m[row])) > RANK_RTOL * scale:
+        if scale > 0.0 and np.max(np.abs(m[row])) > RANK_RTOL * scale:
             return i
-    return None
+    if allow_decoupled:
+        return None
+    raise NoRelativeDegree(f"output row {row} is decoupled from the input")
 
 
 def ctrb(a, b):
@@ -392,7 +385,7 @@ def ref_input_from_state(refmodel, interactor):
     a1t = np.zeros((mm, n))
     a2 = np.zeros((mm, m_in))
     for i, d in enumerate(interactor.rows):
-        rr = row_relative_degree(refmodel, i)
+        rr = relative_degree(refmodel, i, allow_decoupled=True)
         if rr is not None and rr < d.degree:
             raise RelativeDegreeViolation(
                 f"reference row {i} relative degree {rr} < interactor degree {d.degree}"

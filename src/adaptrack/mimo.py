@@ -24,7 +24,7 @@ from .linsys import (
     lyapunov_solve_ct,
     ref_input_from_io,
     ref_input_from_state,
-    row_relative_degree,
+    relative_degree,
 )
 
 
@@ -37,7 +37,7 @@ def interactor_row_gains(plant, interactor):
     degrees (checked).
     """
     for i, d in enumerate(interactor.rows):
-        rr = row_relative_degree(plant, i)
+        rr = relative_degree(plant, i, allow_decoupled=True)
         if rr != d.degree:
             raise RelativeDegreeViolation(
                 f"plant row {i} relative degree {rr} != interactor degree {d.degree}"

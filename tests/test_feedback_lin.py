@@ -24,8 +24,12 @@ def _controller(interactor, leader, theta=None, **kw):
 def _estimates(ctrl, plant, leader, x, xm, umt, theta=None):
     """fl.estimates with every regressor evaluated at (x, x_m, u_m)."""
     theta = ctrl.theta if theta is None else theta
-    return fl.estimates(ctrl, theta.T, plant.omega1(x), plant.omega2_w(x), plant.omega3(x),
-                        leader.omega_m(xm, umt), plant.h(x))
+    y, om1, w, om3, _, _ = plant.at(x)
+    return fl.estimates(ctrl, theta.T, om1, w, om3, leader.at(xm, umt)[2], y)
+
+
+def _leader_rhs(leader):
+    return lambda t, x: leader.at(x, leader.um(t))[0]
 
 
 # -- estimate assembly ------------------------------------------------------------
@@ -62,7 +66,7 @@ def test_assemble_estimates_linear_in_u(pair):
         x = rng.standard_normal(3)
         u1 = rng.standard_normal(2)
         u2 = rng.standard_normal(2)
-        w = plant.omega2_w(x)
+        w = plant.at(x)[2]
         _, ahat, _ = _estimates(ctrl, plant, leader, x, rng.standard_normal(3),
                                 rng.standard_normal(2))
         lhs = ahat @ (u1 + u2)
@@ -129,12 +133,12 @@ def test_v_signal_leader_reconstruction(pair):
     plant, leader, ia, tstar = pair
     h = 1e-3
     steps = 6000
-    traj = oc.rk4_sim(lambda t, x: leader.deriv(x, leader.um(t)), leader.x0, h, steps)
-    ys = np.array([leader.h(x) for x in traj])
-    lhs = oc.interactor_apply_ct([d.coeffs for d in ia.rows], ys, h)
+    traj = oc.rk4_sim(_leader_rhs(leader), leader.x0, h, steps)
     ts = np.arange(steps + 1) * h
+    ys = np.array([leader.at(x, leader.um(t))[1] for x, t in zip(traj, ts)])
+    lhs = oc.interactor_apply_ct([d.coeffs for d in ia.rows], ys, h)
     rhs = np.array(
-        [leader.theta_m_star.T @ leader.omega_m(x, leader.um(t))
+        [leader.theta_m_star.T @ leader.at(x, leader.um(t))[2]
          for x, t in zip(traj, ts)]
     )[2:-2]
     assert np.max(np.abs(lhs - rhs)) < 1e-8
@@ -150,12 +154,11 @@ def test_modified_equals_unimplementable_with_true_leader_params(pair):
         x = rng.standard_normal(3)
         xm = rng.standard_normal(3)
         umt = rng.standard_normal(2)
-        y = plant.h(x)
+        y, _, _, om3, _, _ = plant.at(x)
         v_mod = _estimates(ctrl, plant, leader, x, xm, umt)[2]
         # unimplementable form: xi_m(s)[y_m] - v_hat_y with true Lie data
-        ym = leader.h(xm)
+        dxm, ym, _ = leader.at(xm, umt)
         lm1 = leader.lie1_true(xm)
-        dxm = leader.deriv(xm, umt)
         # d/dt of leader lie1 row 2 via chain rule on the true dynamics
         a5, a2, a3 = -1.0, 0.5, 0.4  # hidden leader constants (test knows them)
         ym2dd = a5 * dxm[1] + a2 * dxm[2] + a3 * np.cos(xm[0]) * dxm[0]
@@ -165,7 +168,7 @@ def test_modified_equals_unimplementable_with_true_leader_params(pair):
             [dxm[0] + d1c[0] * ym[0], ym2dd + d2c[1] * lm1[1] + d2c[0] * ym[1]]
         )
         th3 = ctrl.theta[6:8]
-        vy = th3.T @ plant.omega3(x) + ctrl.alpha_last * y
+        vy = th3.T @ om3 + ctrl.alpha_last * y
         v_unimpl = xi_ym - vy
         assert np.max(np.abs(v_mod - v_unimpl)) < 1e-12
 
@@ -308,16 +311,47 @@ def test_benchmark_relative_degree_structure(pair):
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = 0.5 * rng.standard_normal(3)
-        g = plant.gmat(x)
+        g = plant.at(x)[5]
         assert abs(g[0, 0]) >= 1.0  # L_g h1 row never vanishes
         assert np.all(g[1] == 0.0)  # rho_2 = 2: no direct input on y2 rate
         assert fl.sigma_min(plant.a_true(x)) > 0.2  # decoupling matrix nonsingular
 
 
+def test_benchmark_callables_match_docstring_forms(pair):
+    # plant.at and leader.at against the closed forms written in benchmark()
+    plant, leader, ia, _ = pair
+    th1, th2, th3 = plant.theta_star
+    b1, a1, a5, a2, a3, b3, a4 = 1.0, 0.5, -1.0, 0.5, 0.4, 1.0, 0.3  # hidden leader constants
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        x, xm, u, um = (rng.standard_normal(k) for k in (3, 3, 2, 2))
+        (x1, x2, x3), (m1, m2, m3) = x, xm
+        g11, c1 = 1.0 + x2**2, np.cos(x1)
+        y, om1, w, om3, f, g = plant.at(x)
+        np.testing.assert_allclose(y, [x1, x2], rtol=1e-15)
+        np.testing.assert_allclose(om1, [x2, x2 * c1, x1], rtol=1e-15)
+        np.testing.assert_allclose(w, [[g11, 0.0], [0.0, 1.0], [c1 * g11, 0.0]], rtol=1e-15)
+        np.testing.assert_allclose(om3, [x3, np.sin(x1)], rtol=1e-15)
+        np.testing.assert_allclose(
+            plant.deriv(x, u),
+            [th1 * x2 + g11 * u[0], th2 * x3 + th3 * np.sin(x1), th3 * x1 + u[1]], rtol=1e-14)
+        assert f.shape == (3, 3) and g.shape == (3, 2)
+        np.testing.assert_allclose(f @ plant.theta_star + g @ u, plant.deriv(x, u), rtol=1e-15)
+        dxm, ym, omm = leader.at(xm, um)
+        gm, cm = 1.0 + m2**2, np.cos(m1)
+        np.testing.assert_allclose(dxm, [-b1 * m1 + a1 * m2 + gm * um[0],
+                                         a5 * m2 + a2 * m3 + a3 * np.sin(m1),
+                                         -b3 * m3 + a4 * m1 + um[1]], rtol=1e-14)
+        np.testing.assert_allclose(ym, [m1, m2], rtol=1e-15)
+        np.testing.assert_allclose(omm, [m1, m2, m3, np.sin(m1), m1 * cm, m2 * cm, gm * um[0],
+                                         cm * gm * um[0], um[1]], rtol=1e-15)
+        assert omm.shape == (leader.qm,)
+
+
 def test_benchmark_leader_bounded(pair):
     plant, leader, ia, _ = pair
     h = 5e-3
-    traj = oc.rk4_sim(lambda t, x: leader.deriv(x, leader.um(t)), leader.x0, h, 20000)
+    traj = oc.rk4_sim(_leader_rhs(leader), leader.x0, h, 20000)
     assert np.max(np.abs(traj)) < 10.0  # bounded over a 100 s horizon
 
 
@@ -343,7 +377,7 @@ def test_benchmark_output_dynamics_identity(pair):
         flat = rk4_step(loop.rhs, t, flat, h)
     xs = np.asarray(xs)
     us = np.asarray(us)
-    ys = np.array([plant.h(x) for x in xs])
+    ys = np.array([plant.at(x)[0] for x in xs])
     d1y1 = oc.d1_stencil(ys[:, 0], h)
     d2y2 = oc.d2_stencil(ys[:, 1], h)
     blk = np.array([plant.b_true(x) for x in xs])

@@ -72,6 +72,22 @@ def test_relative_degree_decoupled_raises():
         ls.relative_degree(ssm)
 
 
+def test_relative_degree_decoupled_row_of_a_multi_output_system():
+    # row 0 sees the input after one step, row 1 never: raise, or None on request
+    ssm = StateSpace([[0.5, 0], [0, 0.2]], [[1.0], [0.0]], np.eye(2), dt())
+    assert ls.relative_degree(ssm, 0) == 1
+    assert ls.relative_degree(ssm, 0, allow_decoupled=True) == 1
+    assert ls.relative_degree(ssm, 1, allow_decoupled=True) is None
+    with pytest.raises(NoRelativeDegree, match="row 1"):
+        ls.relative_degree(ssm, 1)
+    with pytest.raises(ValueError, match="row index"):
+        ls.relative_degree(ssm)
+    zero = StateSpace([[0.5]], [0.0], [1.0], dt())  # every Markov parameter vanishes
+    assert ls.relative_degree(zero, allow_decoupled=True) is None
+    with pytest.raises(NoRelativeDegree):
+        ls.siso_transfer(zero)
+
+
 def test_relative_degree_similarity_invariant():
     rng = np.random.default_rng(7)
     base = StateSpace([[0, 1, 0], [0, 0, 1], [0.1, -0.2, 0.3]], [0, 0, 1], [1.0, 0.5, 0.0], dt())

@@ -5,7 +5,13 @@ import pytest
 
 from adaptrack import benchmarks, engine, mimo, siso
 from adaptrack.engine import Frame, GradientLaw, Rd1Law, Structure
-from adaptrack.errors import DomainMismatch, GainBoundViolation, RelativeDegreeViolation, SingularKp
+from adaptrack.errors import (
+    DomainMismatch,
+    GainBoundViolation,
+    NotHurwitz,
+    RelativeDegreeViolation,
+    SingularKp,
+)
 from adaptrack.linsys import (
     DiagonalInteractor,
     Polynomial,
@@ -91,6 +97,20 @@ def test_row_gains_degree_mismatch():
     bad = DiagonalInteractor([Polynomial.from_roots([0.1, 0.2]), b["interactor"].rows[1]])
     with pytest.raises(RelativeDegreeViolation):
         mimo.interactor_row_gains(b["plant"], bad)
+
+
+def test_row_gains_decoupled_row_is_a_degree_violation():
+    # a decoupled output row has no relative degree: RelativeDegreeViolation,
+    # not NoRelativeDegree, on both the plant and the reference-model path
+    b = benchmarks.mimo_dt_2x2()
+    p = b["plant"]
+    c = p.c.copy()
+    c[1] = [0.0, 0.0, 0.0]
+    dec = StateSpace(p.a, p.b, c, dt())
+    with pytest.raises(RelativeDegreeViolation, match="row 1 relative degree None"):
+        mimo.interactor_row_gains(dec, b["interactor"])
+    a1, a2 = ref_input_from_state(dec, b["interactor"])
+    assert np.all(a1[:, 1] == 0.0) and np.all(a2[1] == 0.0)
 
 
 def test_row_gains_singular_kp():
@@ -442,6 +462,18 @@ def test_benchmark_gain_prior_checked_by_the_one_check():
         benchmarks._check_mimo(d, sp_margin=-0.5)
 
 
+def test_check_mimo_rejects_unstable_cancelled_mode():
+    # the rd1 benchmark cancels its zero dynamics dx3 = a33 x3; a33 = +2 makes
+    # that mode unstable, which raises under python -O too
+    d = benchmarks.mimo_rd1_ct()
+    p = d["plant"]
+    a = p.a.copy()
+    a[2, 2] = 2.0
+    d["plant"] = StateSpace(a, p.b, p.c, p.domain)
+    with pytest.raises(NotHurwitz, match="unstable cancelled modes"):
+        benchmarks._check_mimo(d)
+
+
 # -- continuous-time reference block (engine.ReferenceBlock, stage tables) -----------
 
 
@@ -467,6 +499,30 @@ def test_ct_stage_tables_memory_flat_in_horizon(bench_ct):
     long.advance()
     with pytest.raises(ValueError, match="in order"):
         long.measure(3 * engine.CT_BLOCK)
+
+
+@pytest.mark.parametrize("design", ["gradient", "rd1", "nominal"])
+def test_ct_stage_derivative_is_the_k1_of_measure(bench_ct, bench_rd1, design):
+    # stages 2-4 compute only what the law reads; at one state and stage row
+    # they must give measure's k1 bit for bit
+    b = bench_rd1 if design == "rd1" else bench_ct
+    scn = _scn(b, structure=Structure.SF_XM if design == "rd1" else Structure.SF_YM)
+    law = None
+    if design == "gradient":
+        law = GradientLaw(gz=np.eye(scn.theta_dim), sp=scn.sp, gpsi=scn.gamma)
+    elif design == "rd1":
+        law = mimo.rd1_law(scn.interactor, scn.sp)
+    loop = engine.ClosedLoop(scn.loop_spec(), law=law, horizon=5)
+    loop.measure(0)  # fills the first block of stage tables
+    rng = np.random.default_rng(21)
+    loop.s[:] = rng.standard_normal(loop.s.size)
+    loop._tab[0, 0] = rng.standard_normal(loop._tab.shape[2])
+    loop.measure(0)
+    k1 = loop._pending[2]
+    assert np.array_equal(loop._stage_rhs(loop.s.copy(), loop._tab[0, 0]), k1)
+    dpar = k1[loop._par]
+    assert np.all(dpar == 0.0) if design == "nominal" else np.any(dpar != 0.0)
+    assert np.all(k1[loop._psi] == 0.0) == (design != "gradient")
 
 
 def test_ct_reference_stage_maps_match_a_direct_rk4_step(bench_ct):
