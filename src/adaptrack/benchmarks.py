@@ -17,17 +17,10 @@ from .linsys import (
     DiagonalInteractor,
     Polynomial,
     StateSpace,
+    companion,
     ct,
     dt,
 )
-
-
-def _companion(charpoly):
-    n = charpoly.degree
-    a = np.zeros((n, n))
-    a[:-1, 1:] = np.eye(n - 1)
-    a[-1, :] = -charpoly.coeffs[:n]
-    return a
 
 
 def siso_third_order():
@@ -37,9 +30,9 @@ def siso_third_order():
     feeds through into the equivalent reference signal) and different poles.
     """
     p = Polynomial.from_roots([0.8, 0.5, -0.4])
-    plant = StateSpace(_companion(p), [0, 0, 1], [1.5 * (-0.3), 1.5, 0.0], dt())
+    plant = StateSpace(companion(p), [0, 0, 1], [1.5 * (-0.3), 1.5, 0.0], dt())
     pref = Polynomial.from_roots([0.6, 0.4, 0.1])
-    refmodel = StateSpace(_companion(pref), [0, 0, 1], [-0.2, 1.0, 0.0], dt())
+    refmodel = StateSpace(companion(pref), [0, 0, 1], [-0.2, 1.0, 0.0], dt())
     # filter roots spread away from the target poles: keeps the closed-loop
     # regressor spectrum well conditioned, which sets the adaptation rate
     return {

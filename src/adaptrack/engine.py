@@ -35,8 +35,10 @@ from .linsys import (
     FilterBank,
     Polynomial,
     RationalFilter,
+    ReferenceBlock,
     StateSpace,
     rk4_step,
+    stack,
 )
 
 
@@ -272,7 +274,8 @@ class LoopSpec:
 
     def __post_init__(self):
         # exogenous, so built with the spec, ahead of any stepping loop
-        self.reference = ReferenceBlock(self)
+        ym = self.structure in (Structure.SF_YM, Structure.OF_YM)
+        self.reference = ReferenceBlock(self.refmodel, *((self.lam_e, self.nbe) if ym else ()))
 
     @property
     def n(self):
@@ -288,69 +291,6 @@ class LoopSpec:
 
 
 CT_BLOCK = 256  # steps per block of continuous-time stage tables
-
-
-class ReferenceBlock:
-    """The reference block z = [x_m, bank_um, bank_ym] of a loop, driven by u_m alone.
-
-    z+ = F z + G u_m (DT) or dz/dt = F z + G u_m (CT), y_m = C_y z (y_m is
-    folded into F), and read maps each reference regressor block to its rows
-    over [z, u_m].  In continuous time, `stages` and `step` hold the RK4 step
-    of z alone as linear maps of w = [z, u(t), u(t + h/2), u(t + h)]:
-    rk4_step runs once on matrix arguments, and its f records the four stage
-    arguments, so stage j's z is stages[j][0] w, its input stages[j][1] w, and
-    z(t + h) = step w.
-    """
-
-    def __init__(self, spec):
-        ref, m, dom = spec.refmodel, spec.m, spec.plant.domain
-        vu, vy = slice(0, m), slice(m, 2 * m)
-        blocks = [("xm", (ref.a, ref.b, np.eye(ref.n), 0.0), vu)]
-        if spec.structure in (Structure.SF_YM, Structure.OF_YM):
-            bank = FilterBank(range(spec.nbe), spec.lam_e, dom, width=m).realization()
-            blocks += [("wum", bank, vu), ("wym", bank, vy)]
-        f, g, zr = _stack(blocks, 2 * m)
-        self.cy = ref.c @ zr["xm"][0]
-        self.f = f + g[:, vy] @ self.cy
-        self.g = g[:, vu]
-        self.nz = f.shape[0]
-        zr["ym"] = (self.cy, np.zeros((m, 2 * m)))
-        self.read = {name: np.hstack((h + j[:, vy] @ self.cy, j[:, vu]))
-                     for name, (h, j) in zr.items()}
-        self.stages = self.step = None
-        if not dom.is_dt:
-            h = dom.step
-            eye = np.eye(self.nz + 3 * m)
-            pick = dict(zip((0.0, 0.5 * h, h), np.split(eye[self.nz :], 3)))
-            self.stages = []
-
-            def rhs(t, zw):
-                self.stages.append((zw, pick[t]))
-                return self.f @ zw + self.g @ pick[t]
-
-            self.step = rk4_step(rhs, 0.0, eye[: self.nz], h)
-
-
-def _stack(blocks, n_in):
-    """Block-diagonal companion realization of several filters on one input vector.
-
-    blocks holds (name, (F, G, H, J), input columns); returns F and G over the
-    stacked state, and per name its output rows (H over the stacked state, J
-    over the input vector).
-    """
-    sizes = [b[1][0].shape[0] for b in blocks]
-    ns = sum(sizes)
-    f, g, read = np.zeros((ns, ns)), np.zeros((ns, n_in)), {}
-    i = 0
-    for (name, (fb, gb, hb, jb), cols), k in zip(blocks, sizes):
-        f[i : i + k, i : i + k] = fb
-        g[i : i + k, cols] = gb
-        h, j = np.zeros((hb.shape[0], ns)), np.zeros((hb.shape[0], n_in))
-        h[:, i : i + k] = hb
-        j[:, cols] = jb
-        read[name] = (h, j)
-        i += k
-    return f, g, read
 
 
 class ClosedLoop:
@@ -399,7 +339,7 @@ class ClosedLoop:
         ]
         blocks += [(i, RationalFilter(d, spec.fpoly, dom).realization(), [ve.start + i])
                    for i, d in enumerate(spec.interactor.rows)]
-        self._f, self._g, lr = _stack(blocks, ve.stop)
+        self._f, self._g, lr = stack(blocks, ve.stop)
         ebar_h = [lr[i][0] for i in range(m)]
         self._je = np.diag(np.vstack([lr[i][1] for i in range(m)])[:, ve])
 

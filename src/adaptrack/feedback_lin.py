@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _Recorder, _stack, check_gain
+from .engine import _Recorder, check_gain
 from .errors import SingularityGuard
-from .linsys import DiagonalInteractor, Polynomial, RationalFilter, ct, rk4_step
+from .linsys import DiagonalInteractor, Polynomial, RationalFilter, ct, rk4_step, stack
 
 
 @dataclass
@@ -188,7 +188,7 @@ def column_filters(interactor):
         raise ValueError("column filters 1/d_i need deg d_i >= 1")
     blocks = [(i, RationalFilter([1.0], d, ct()).realization(), [i])
               for i, d in enumerate(interactor.rows)]
-    a, b, read = _stack(blocks, interactor.m)
+    a, b, read = stack(blocks, interactor.m)
     return a, b, np.vstack([read[i][0] for i in range(interactor.m)])
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, feedback_lin, mimo, siso
-from .engine import Structure, check_gain
+from .engine import Structure, check_gain, regressor_dim
 from .errors import GainBoundViolation, ParseError, ValidationError
 from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt, rk4_gain
 from .signals import Channel, RefInput, Sinusoid
@@ -78,6 +78,21 @@ def _require(cond, fld, msg):
         raise ValidationError(fld, msg)
 
 
+def _conv(fn, value, fld):
+    """fn(value), with a ValueError or TypeError reported against the scenario field."""
+    try:
+        return fn(value)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(fld, str(exc)) from exc
+
+
+def _array(value, fld, *shapes):
+    """value as a float array of one of the given shapes, else a ValidationError on fld."""
+    a = _conv(lambda v: np.asarray(v, dtype=float), value, fld)
+    _require(a.shape in shapes, fld, f"has shape {a.shape}, expected one of {list(shapes)}")
+    return a
+
+
 def _check_keys(d, allowed, where):
     for k in d:
         if k not in allowed:
@@ -118,37 +133,38 @@ def _check_rk4_step(comps, h):
 
 
 def _poly(coeffs, fld, domain_tag=None, monic=True):
-    try:
-        p = Polynomial(coeffs, monic=monic)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(fld, str(exc)) from exc
+    p = _conv(lambda c: Polynomial(c, monic=monic), coeffs, fld)
     if domain_tag is not None and p.degree > 0 and not p.is_stable(domain_tag):
         raise ValidationError(fld, "polynomial is not stable for the domain")
     return p
 
 
 def _statespace(d, fld, domain):
+    d = _conv(dict, d, fld)
     _check_keys(d, {"A", "B", "C"}, f"{fld}.")
     for key in ("A", "B", "C"):
         _require(key in d, f"{fld}.{key}", "missing matrix")
-    try:
-        return StateSpace(d["A"], d["B"], d["C"], domain)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(fld, str(exc)) from exc
+    return _conv(lambda d: StateSpace(d["A"], d["B"], d["C"], domain), d, fld)
 
 
 def _ref_input(d, fld):
+    d = _conv(dict, d, fld)
     _check_keys(d, {"channels"}, f"{fld}.")
     _require("channels" in d and isinstance(d["channels"], list) and d["channels"],
              f"{fld}.channels", "must be a non-empty list")
     chans = []
     for i, chd in enumerate(d["channels"]):
-        _check_keys(chd, {"sinusoids", "bias"}, f"{fld}.channels[{i}].")
+        at = f"{fld}.channels[{i}]"
+        chd = _conv(dict, chd, at)
+        _check_keys(chd, {"sinusoids", "bias"}, f"{at}.")
         sins = []
-        for j, sd in enumerate(chd.get("sinusoids", [])):
-            _check_keys(sd, {"amp", "freq", "phase"}, f"{fld}.channels[{i}].sinusoids[{j}].")
-            sins.append(Sinusoid(float(sd["amp"]), float(sd["freq"]), float(sd.get("phase", 0.0))))
-        chans.append(Channel(sins, float(chd.get("bias", 0.0))))
+        for j, sd in enumerate(_conv(list, chd.get("sinusoids", []), f"{at}.sinusoids")):
+            sat = f"{at}.sinusoids[{j}]"
+            sd = {"phase": 0.0, **_conv(dict, sd, sat)}
+            _check_keys(sd, {"amp", "freq", "phase"}, f"{sat}.")
+            sins.append(Sinusoid(*(_conv(float, sd.get(k), f"{sat}.{k}")
+                                   for k in ("amp", "freq", "phase"))))
+        chans.append(Channel(sins, _conv(float, chd.get("bias", 0.0), f"{at}.bias")))
     return RefInput(chans)
 
 
@@ -160,6 +176,8 @@ def scenario_from_dict(data, name=None):
     _require(data.get("schema_version") == SCHEMA_VERSION, "schema_version",
              f"must be {SCHEMA_VERSION}")
     name = data.get("name", name or "scenario")
+    _require("name" not in data or isinstance(name, str) and name and not {"/", "\\"} & set(name),
+             "name", "must be a non-empty file name without path separators")
     module = data.get("module")
     _require(module in _MODULES, "module", f"must be one of {sorted(_MODULES)}")
     mode = data.get("mode", "adaptive")
@@ -169,8 +187,10 @@ def scenario_from_dict(data, name=None):
     test_mode = bool(data.get("test_mode", False))
     _require(mode != "nominal" or test_mode, "mode",
              "nominal mode needs matching parameters: set test_mode true")
-    seed = int(data.get("seed", 0))
-    tail_fraction = float(data.get("tail_fraction", 0.2 if module == "fl" else 0.1))
+    structure = _conv(Structure, data.get("structure", "sf_xm"), "structure")
+    seed = _conv(int, data.get("seed", 0), "seed")
+    tail_fraction = _conv(float, data.get("tail_fraction", 0.2 if module == "fl" else 0.1),
+                          "tail_fraction")
     _require(0.0 < tail_fraction < 1.0, "tail_fraction", "must lie in (0, 1)")
 
     comps = {}
@@ -186,16 +206,15 @@ def scenario_from_dict(data, name=None):
         raise ValidationError("benchmark", "fl scenarios must reference a benchmark")
 
     if module == "fl":
-        horizon = int(data.get("horizon", 20000))
         if "step" in data:
-            comps["step"] = float(data["step"])
+            comps["step"] = _conv(float, data["step"], "step")
             _require(comps["step"] > 0, "step", "must be positive")
     else:
         dom_tag = data.get("domain")
         if bench_name is None:
             _require(dom_tag in ("dt", "ct"), "domain",
                      "explicit scenarios must declare dt or ct")
-            step = float(data.get("step", 1.0 if dom_tag == "dt" else 1e-3))
+            step = _conv(float, data.get("step", 1.0 if dom_tag == "dt" else 1e-3), "step")
             domain = dt(step) if dom_tag == "dt" else ct(step)
             _require("plant" in data, "plant", "missing")
             _require("refmodel" in data, "refmodel", "missing")
@@ -208,14 +227,15 @@ def scenario_from_dict(data, name=None):
                      f"benchmark {bench_name!r} is {bench_dom}")
             if "step" in data:
                 _require(bench_dom == "ct", "step", "step override applies to ct only")
-                step = float(data["step"])
+                step = _conv(float, data["step"], "step")
                 _require(step > 0, "step", "must be positive")
                 newdom = ct(step)
                 for key in ("plant", "refmodel"):
                     comps[key] = StateSpace(
                         comps[key].a, comps[key].b, comps[key].c, newdom
                     )
-        horizon = int(data.get("horizon", 5000 if comps["plant"].domain.is_dt else 10000))
+    default = 20000 if module == "fl" else 5000 if comps["plant"].domain.is_dt else 10000
+    horizon = _conv(int, data.get("horizon", default), "horizon")
     _require(horizon > 0, "horizon", "must be positive")
 
     domain_tag = None
@@ -231,65 +251,82 @@ def scenario_from_dict(data, name=None):
             comps["fpoly"] = _poly(data["f"], "f", domain_tag)
         if "interactor" in data:
             rows = [_poly(c, f"interactor[{i}]", domain_tag)
-                    for i, c in enumerate(data["interactor"])]
+                    for i, c in enumerate(_conv(list, data["interactor"], "interactor"))]
             comps["interactor"] = DiagonalInteractor(rows)
-        if "nu" in data:
-            comps["nu"] = int(data["nu"])
-        if "nbe" in data:
-            comps["nbe"] = int(data["nbe"])
+        for key, conv in (("nu", int), ("nbe", int), ("sign_kp", float)):
+            if key in data:
+                comps[key] = _conv(conv, data[key], key)
         if "um" in data:
             comps["um"] = _ref_input(data["um"], "um")
-        if "sign_kp" in data:
-            comps["sign_kp"] = float(data["sign_kp"])
+            _require(comps["um"].width == comps["refmodel"].n_inputs, "um",
+                     f"needs one channel per reference input ({comps['refmodel'].n_inputs})")
         if "kp_bound" in data:
-            kb = float(data["kp_bound"])
+            kb = _conv(float, data["kp_bound"], "kp_bound")
             _require(kb > 0, "kp_bound", "must be positive")
             comps["kp_bound"] = kb
 
     if module == "fl" or not comps["plant"].domain.is_dt:
         _check_rk4_step(comps, comps["step"] if module == "fl" else comps["plant"].domain.step)
 
-    gains = dict(data.get("gains", {}))
+    # Theta is (q, m); x0 sizes the plant state, xm0 the reference state (unread by fl)
+    n = comps["plant"].n
+    sizes = {"x0": n}
+    if module == "fl":
+        q, m = sum(comps["dims"]), comps["interactor"].m
+    else:
+        m, sizes["xm0"] = comps["plant"].n_outputs, comps["refmodel"].n
+        order = mimo.default_order(n, m)
+        q = (siso.theta_dim(structure, n) if module == "siso" else
+             regressor_dim(structure, n, m, comps.get("nu", order), comps.get("nbe", order)))
+
+    gains = _conv(dict, data.get("gains", {}), "gains")
     _check_keys(gains, _GAIN_FIELDS, "gains.")
     if module == "siso":
         kp_bound = comps.get("kp_bound")
         _require(kp_bound is not None, "kp_bound", "missing")
-        for fld, upper in (("gamma_theta", 2.0 / kp_bound), ("gamma_rho", 2.0)):
+        for fld, upper, shapes in (("gamma_theta", 2.0 / kp_bound, [(), (q, q)]),
+                                   ("gamma_rho", 2.0, [()])):
             if gains.get(fld) is not None:
-                _check_gain(gains[fld], upper, f"gains.{fld}")
+                _check_gain(_array(gains[fld], f"gains.{fld}", *shapes), upper, f"gains.{fld}")
     if module == "mimo":
-        if "sp" in gains:
-            comps["sp"] = np.atleast_2d(np.asarray(gains["sp"], dtype=float))
+        for key, fld in (("sp", "sp"), ("q", "q_matrix")):
+            if key in gains:
+                comps[fld] = _array(gains[key], f"gains.{key}", (m, m))
         _require("sp" in comps, "gains.sp", "missing known gain matrix")
         if "gamma" in gains:
-            g = gains["gamma"]
-            gm = (float(g) * np.eye(comps["plant"].n_outputs)
-                  if np.isscalar(g) else np.atleast_2d(np.asarray(g, dtype=float)))
+            g = _array(gains["gamma"], "gains.gamma", (), (m, m))
+            gm = float(g) * np.eye(m) if g.ndim == 0 else g
             _check_gain(gm, 2.0 if comps["plant"].domain.is_dt else None, "gains.gamma")
             comps["gamma"] = gm
-        if "q" in gains:
-            comps["q_matrix"] = np.atleast_2d(np.asarray(gains["q"], dtype=float))
     if module == "fl" and "guard" in gains:
-        _require(float(gains["guard"]) > 0, "gains.guard", "must be positive")
+        _require(_conv(float, gains["guard"], "gains.guard") > 0, "gains.guard",
+                 "must be positive")
 
     theta0 = data.get("theta0", "zero")
     if isinstance(theta0, str):
         _require(theta0 in ("zero", "near"), "theta0", "must be zero, near, or a list")
         _require(theta0 != "near" or test_mode, "theta0",
                  "near-convergence start needs test_mode")
+    else:
+        _array(theta0, "theta0", *([(q,), (q, 1)] if module == "siso" else [(q, m)]))
+    if module == "mimo" and structure in (Structure.OF_XM, Structure.OF_YM):
+        # multivariable matching parameters are synthesized for state feedback only
+        _require(mode != "nominal", "mode", "needs state-feedback matching parameters")
+        _require(theta0 != "near", "theta0", "near start needs state-feedback matching parameters")
     x0 = data.get("x0", "zero")
     xm0 = data.get("xm0", "zero")
     for fld, val in (("x0", x0), ("xm0", xm0)):
         if isinstance(val, str):
             _require(val in ("zero", "random"), fld, "must be zero, random, or a list")
+        elif fld in sizes:
+            _array(val, fld, (sizes[fld],))
 
     return Scenario(
-        name=name, module=module, mode=mode,
-        structure=Structure(data.get("structure", "sf_xm")),
+        name=name, module=module, mode=mode, structure=structure,
         design=design, test_mode=test_mode, horizon=horizon, seed=seed,
         components=comps, gains=gains, theta0=theta0, x0=x0, xm0=xm0,
         tail_fraction=tail_fraction,
-        converge_tol=float(data.get("converge_tol", 1e-2)),
+        converge_tol=_conv(float, data.get("converge_tol", 1e-2), "converge_tol"),
         benchmark=bench_name, raw=data,
     )
 
@@ -426,12 +463,7 @@ def run_experiment(scenario):
         nominal = mimo.nominal_params(scn) if scenario.test_mode and sf_structure else None
         theta0 = scenario.theta0
         if isinstance(theta0, str):
-            if theta0 == "near":
-                _require(nominal is not None, "theta0",
-                         "near start needs state-feedback matching parameters")
-                theta0 = 0.9 * nominal.theta_star
-            else:
-                theta0 = None
+            theta0 = None if theta0 == "zero" else 0.9 * nominal.theta_star
         trace = mimo.run(
             scn, design=scenario.design, adaptive=adaptive, horizon=scenario.horizon,
             theta0=theta0, q_matrix=comps.get("q_matrix"), nominal=nominal,

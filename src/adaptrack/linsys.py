@@ -256,87 +256,131 @@ def _rank_deficient(m):
     return s[-1] < RANK_RTOL * max(s[0], 1.0)
 
 
-class RationalFilter:
-    """Stable proper scalar transfer N(D)/d(D) replicated over a vector input.
+def companion(poly):
+    """Companion matrix of a monic polynomial: the controllable canonical A of 1/poly."""
+    a = np.eye(poly.degree, k=1)
+    a[-1:] = -poly.coeffs[:-1]
+    return a
 
-    Held as its controllable canonical realization (fmat, g, h, j); the same
-    scalar filter acts on each of `width` input channels independently.  The
+
+class RationalFilter:
+    """Stable proper scalar transfers n_r(D)/d(D) replicated over a vector input.
+
+    num is one numerator (a Polynomial or its ascending coefficients) or a
+    2-D array of numerator rows, one filter per row, all over the same d.
+    Held as the controllable canonical realization (fmat, g, h, j) of 1/d
+    with output rows h_r = n_r[:k] - j_r d[:k] and feedthrough j_r = n_r[k];
+    each filter acts on each of `width` input channels independently.  The
     loops stack realization() into their own state.
     """
 
     def __init__(self, num, den, domain, width=1):
-        if not isinstance(num, Polynomial):
-            num = Polynomial(num)
-        if num.degree > den.degree:
+        if np.ndim(num) < 2:
+            num = (num if isinstance(num, Polynomial) else Polynomial(num)).coeffs
+        rows = np.atleast_2d(np.asarray(num, dtype=float))
+        k = den.degree
+        if rows.shape[1] > k + 1:
             raise ValueError("filter must be proper (deg N <= deg d)")
         if not den.monic:
             raise ValueError("denominator must be monic")
         if not den.is_stable(domain.tag):
             raise ValueError("filter denominator is not stable for the domain")
-        k = den.degree
         self.width = width
-        nc = np.zeros(k + 1)
-        nc[: num.coeffs.size] = num.coeffs
-        self.j = nc[k]  # feedthrough (nonzero only for a biproper filter)
-        self.h = nc[:k] - self.j * den.coeffs[:k]  # output row over the canonical state
-        self.fmat = np.zeros((k, k))
-        if k > 0:
-            self.fmat[:-1, 1:] = np.eye(k - 1)
-            self.fmat[-1, :] = -den.coeffs[:k]
+        nc = np.zeros((rows.shape[0], k + 1))
+        nc[:, : rows.shape[1]] = rows
+        self.j = nc[:, k]  # feedthrough (nonzero only for a biproper filter)
+        self.h = nc[:, :k] - self.j[:, None] * den.coeffs[:k]  # output rows over the state
+        self.fmat = companion(den)
         self.g = np.zeros(k)
-        if k > 0:
-            self.g[-1] = 1.0
+        self.g[k - 1 :] = 1.0  # u enters the last state (there is none for k = 0)
 
     def realization(self):
-        """(F, G, H, J) acting on the row-major flattened state, one input per channel."""
+        """(F, G, H, J) on the row-major flattened state; outputs: per row, every channel."""
         eye = np.eye(self.width)
         return (np.kron(self.fmat, eye), np.kron(self.g[:, None], eye),
-                np.kron(self.h[None, :], eye), self.j * eye)
+                np.kron(self.h, eye), np.kron(self.j[:, None], eye))
 
 
-class FilterBank:
+class FilterBank(RationalFilter):
     """[D^p / L(D) for p in powers] applied to each channel of a vector input.
 
-    In the controllable canonical realization of 1/L the state coordinates
-    are exactly D^p/L(D)[u], p = 0..deg L - 1, so outputs are read off the
-    state; the power p = deg L (biproper top block) is u minus the
-    denominator-weighted state.  Output stacks power blocks: for each power,
-    all input channels.
+    The rational filter with monomial numerator rows: in the canonical
+    realization of 1/L the state coordinates are exactly D^p/L(D)[u],
+    p = 0..deg L - 1, and the power p = deg L (biproper top block) is u minus
+    the denominator-weighted state.
     """
 
     def __init__(self, powers, lam, domain, width=1):
-        self.powers = list(powers)
-        self.lam = lam
-        self.width = width
-        k = lam.degree
-        if any(p > k or p < 0 for p in self.powers):
+        powers = list(powers)
+        if any(p > lam.degree or p < 0 for p in powers):
             raise ValueError("numerator power exceeds denominator degree")
-        if not lam.monic:
-            raise ValueError("bank denominator must be monic")
-        if k > 0 and not lam.is_stable(domain.tag):
-            raise ValueError("bank denominator is not stable for the domain")
-        self.k = k
-        self.fmat = np.zeros((k, k))
-        if k > 0:
-            self.fmat[:-1, 1:] = np.eye(k - 1)
-            self.fmat[-1, :] = -lam.coeffs[:k]
-        self.g = np.zeros(k)
-        if k > 0:
-            self.g[-1] = 1.0
+        super().__init__(np.eye(lam.degree + 1)[powers], lam, domain, width)
 
-    def realization(self):
-        """(F, G, H, J) acting on the row-major flattened state, one input per channel."""
-        h = np.zeros((len(self.powers), self.k))
-        j = np.zeros((len(self.powers), 1))
-        for r, p in enumerate(self.powers):
-            if p < self.k:
-                h[r, p] = 1.0
-            else:
-                h[r] = -self.lam.coeffs[: self.k]
-                j[r] = 1.0
-        eye = np.eye(self.width)
-        return (np.kron(self.fmat, eye), np.kron(self.g[:, None], eye),
-                np.kron(h, eye), np.kron(j, eye))
+
+def stack(blocks, n_in):
+    """Block-diagonal companion realization of several filters on one input vector.
+
+    blocks holds (name, (F, G, H, J), input columns); returns F and G over the
+    stacked state, and per name its output rows (H over the stacked state, J
+    over the input vector).
+    """
+    sizes = [b[1][0].shape[0] for b in blocks]
+    ns = sum(sizes)
+    f, g, read = np.zeros((ns, ns)), np.zeros((ns, n_in)), {}
+    i = 0
+    for (name, (fb, gb, hb, jb), cols), k in zip(blocks, sizes):
+        f[i : i + k, i : i + k] = fb
+        g[i : i + k, cols] = gb
+        h, j = np.zeros((hb.shape[0], ns)), np.zeros((hb.shape[0], n_in))
+        h[:, i : i + k] = hb
+        j[:, cols] = jb
+        read[name] = (h, j)
+        i += k
+    return f, g, read
+
+
+class ReferenceBlock:
+    """The reference block z = [x_m, bank_um, bank_ym], driven by u_m alone.
+
+    The banks [1, D, ..., D^(nbe-1)]/lam_e(D) of u_m and y_m are present when
+    lam_e is given.  z+ = F z + G u_m (DT) or dz/dt = F z + G u_m (CT),
+    y_m = C_y z (y_m is folded into F), and read maps each reference
+    regressor block (xm, ym, and with the banks wum, wym) to its rows over
+    [z, u_m].  In continuous time, `stages` and `step` hold the RK4 step of z
+    alone as linear maps of w = [z, u(t), u(t + h/2), u(t + h)]: rk4_step
+    runs once on matrix arguments, and its f records the four stage
+    arguments, so stage j's z is stages[j][0] w, its input stages[j][1] w,
+    and z(t + h) = step w.
+    """
+
+    def __init__(self, refmodel, lam_e=None, nbe=0):
+        ref, dom = refmodel, refmodel.domain
+        mi, mo = ref.n_inputs, ref.n_outputs
+        vu, vy = slice(0, mi), slice(mi, mi + mo)
+        blocks = [("xm", (ref.a, ref.b, np.eye(ref.n), 0.0), vu)]
+        if lam_e is not None:
+            blocks += [("wum", FilterBank(range(nbe), lam_e, dom, mi).realization(), vu),
+                       ("wym", FilterBank(range(nbe), lam_e, dom, mo).realization(), vy)]
+        f, g, zr = stack(blocks, mi + mo)
+        self.cy = ref.c @ zr["xm"][0]
+        self.f = f + g[:, vy] @ self.cy
+        self.g = g[:, vu]
+        self.nz = f.shape[0]
+        zr["ym"] = (self.cy, np.zeros((mo, mi + mo)))
+        self.read = {name: np.hstack((h + j[:, vy] @ self.cy, j[:, vu]))
+                     for name, (h, j) in zr.items()}
+        self.stages = self.step = None
+        if not dom.is_dt:
+            h = dom.step
+            eye = np.eye(self.nz + 3 * mi)
+            pick = dict(zip((0.0, 0.5 * h, h), np.split(eye[self.nz :], 3)))
+            self.stages = []
+
+            def rhs(t, zw):
+                self.stages.append((zw, pick[t]))
+                return self.f @ zw + self.g @ pick[t]
+
+            self.step = rk4_step(rhs, 0.0, eye[: self.nz], h)
 
 
 @dataclass
@@ -434,17 +478,17 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, se
     xi_m(D)[y_m]; identification is exact up to transients for an observable
     reference model.
 
-    The reference model and both banks form one LTI system in
-    s = [x_m, F-state of u_m, F-state of y_m], s' = M s + N u_m (DT:
-    s+ = M s + N u_m), so every simulation step is the same linear map
+    The reference model and both banks are the loops' ReferenceBlock
+    z = [x_m, F-state of u_m, F-state of y_m], z' = F z + G u_m (DT:
+    z+ = F z + G u_m), so every simulation step is the same linear map
 
-        s+ = P s + Q0 u_m(t) + Qh u_m(t + h/2) + Q1 u_m(t + h).
+        z+ = P z + Q0 u_m(t) + Qh u_m(t + h/2) + Q1 u_m(t + h).
 
-    In DT, P = M and Q0 = N.  In CT it is the classical RK4 step, built once
-    by applying rk4_step to matrix arguments.  The input is evaluated at all
-    grid and half-step times at once, the map is iterated over the horizon,
-    and the regressor rows and targets are matrix products over the stored
-    states after `settle`.
+    In DT, P = F and Q0 = G.  In CT it is the block's RK4 step map.  The
+    input is evaluated at all grid and half-step times at once, the map is
+    iterated over the horizon, and the regressor rows (the block's wum, wym
+    and ym readouts) and targets are matrix products over the stored states
+    after `settle`.
 
     The fit simulates instead of matching transfer-function coefficients
     exactly.  Where the filtered signals are nearly dependent (mimo-ct-2x2:
@@ -454,53 +498,35 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, se
     the recorded reference runs carry it, and an exact solver would pick
     another.
     """
-    am, bm, cm = refmodel.a, refmodel.b, refmodel.c
-    n, m_in, mm = refmodel.n, refmodel.n_inputs, interactor.m
-    dom = refmodel.domain
+    am, cm, n, dom = refmodel.a, refmodel.c, refmodel.n, refmodel.domain
     if _rank_deficient(obsv(am, cm)):
         raise UnobservablePair("(A_m, C_m) observability matrix is rank deficient")
     a1, a2 = ref_input_from_state(refmodel, interactor)
     horizon = horizon or (1500 if dom.is_dt else 20000)
     settle = settle or horizon // 3
-    fu, gu, hu, ju = FilterBank(range(n_blocks), lambda_e, dom, width=m_in).realization()
-    fy, gy, hy, jy = FilterBank(range(n_blocks), lambda_e, dom, width=mm).realization()
-    ku, nb_u, nb_y = fu.shape[0], hu.shape[0], hy.shape[0]
-    ns = n + ku + fy.shape[0]
-    xs, us, ys = slice(0, n), slice(n, n + ku), slice(n + ku, ns)
-    mmat, nmat = np.zeros((ns, ns)), np.zeros((ns, m_in))
-    mmat[xs, xs], mmat[us, us], mmat[ys, ys], mmat[ys, xs] = am, fu, fy, gy @ cm
-    nmat[xs], nmat[us] = bm, gu
-    # regressor row [F[u_m], F[y_m], y_m] over s and over u_m
-    read = np.zeros((nb_u + nb_y + mm, ns))
-    read[:nb_u, us] = hu
-    read[nb_u : nb_u + nb_y, ys] = hy
-    read[nb_u : nb_u + nb_y, xs] = jy @ cm
-    read[nb_u + nb_y :, xs] = cm
-    read_u = np.vstack((ju, np.zeros((nb_y + mm, m_in))))
-
+    zb = ReferenceBlock(refmodel, lambda_e, n_blocks)
+    ns = zb.nz
+    # regressor row [F[u_m], F[y_m], y_m] over [z, u_m]
+    rows = [zb.read[name] for name in ("wum", "wym", "ym")]
+    read = np.vstack(rows)
     if dom.is_dt:
-        p, q = mmat, nmat
+        p, q = zb.f, zb.g
         times = np.arange(horizon, dtype=float)[None]
     else:
-        # [P, Q0, Qh, Q1] is one RK4 step from [I, 0]: the input at t, t + h/2
-        # and t + h enters through its own block of identity columns
         h = dom.step
         t0 = np.arange(horizon) * h
         times = np.stack((t0, t0 + 0.5 * h, t0 + h))
-        eye = np.eye(ns + 3 * m_in)
-        pick = dict(zip((0.0, 0.5 * h, h), np.split(eye[ns:], 3)))
-        pq = rk4_step(lambda t, s: mmat @ s + nmat @ pick[t], 0.0, eye[:ns], h)
-        p, q = pq[:, :ns], pq[:, ns:]
-    um = _pe_input(m_in, dom)(times)  # (stages, horizon, m_in)
-    # row k + 1 first holds the input drive of step k, then gains P s_k
+        p, q = zb.step[:, :ns], zb.step[:, ns:]
+    um = _pe_input(refmodel.n_inputs, dom)(times)  # (stages, horizon, m_in)
+    # row k + 1 first holds the input drive of step k, then gains P z_k
     traj = np.empty((horizon, ns))
     traj[0] = 0.0
-    traj[0, xs] = np.random.default_rng(11).standard_normal(n)
+    traj[0, :n] = np.random.default_rng(11).standard_normal(n)
     np.matmul(np.hstack(um[:, :-1]), q.T, out=traj[1:])
     for k in range(horizon - 1):
         traj[k + 1] += p @ traj[k]
-    phi = traj[settle:] @ read.T + um[0, settle:] @ read_u.T
-    tgt = traj[settle:, xs] @ a1  # xi_m(D)[y_m] minus the A2 u_m part
+    phi = traj[settle:] @ read[:, :ns].T + um[0, settle:] @ read[:, ns:].T
+    tgt = traj[settle:, :n] @ a1  # xi_m(D)[y_m] minus the A2 u_m part
     beta, *_ = np.linalg.lstsq(phi, tgt, rcond=None)
     fit = phi @ beta
     resid = np.max(np.abs(fit - tgt))
@@ -510,10 +536,8 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, se
             f"filtered-signal reconstruction failed (residual {resid:.2e}); "
             "reference model may not be observable"
         )
-    b1 = beta[:nb_u]
-    b2 = beta[nb_u : nb_u + nb_y]
-    b20 = beta[nb_u + nb_y :].T
-    return b1, b2, b20, a2
+    b1, b2, b20 = np.split(beta, np.cumsum([len(r) for r in rows[:2]]))
+    return b1, b2, b20.T, a2
 
 
 def lyapunov_solve_ct(a0, q):

@@ -72,6 +72,11 @@ def hidden_modes(plant, interactor):
     return np.array(eigs)
 
 
+def default_order(n, m):
+    """nu and nbe of a scenario that leaves them unset."""
+    return max(n - m, 1)
+
+
 @dataclass
 class MimoScenario:
     """A square multivariable tracking problem in either time domain."""
@@ -113,14 +118,14 @@ class MimoScenario:
         n = self.plant.n
         if self.structure in (Structure.OF_XM, Structure.OF_YM):
             if self.nu is None:
-                self.nu = max(n - m, 1)
+                self.nu = default_order(n, m)
             if self.lam is None or self.lam.degree != self.nu - 1 or not self.lam.monic:
                 raise ValueError("lam must be monic of degree nu-1")
             if self.lam.degree > 0 and not self.lam.is_stable(self.plant.domain.tag):
                 raise ValueError("lam must be stable")
         if self.structure in (Structure.SF_YM, Structure.OF_YM):
             if self.nbe is None:
-                self.nbe = max(n - m, 1)
+                self.nbe = default_order(n, m)
             if self.lam_e is None or not self.lam_e.monic:
                 raise ValueError("lam_e must be monic")
             if self.lam_e.degree > 0 and not self.lam_e.is_stable(self.plant.domain.tag):

@@ -28,6 +28,11 @@ from .linsys import (
 )
 
 
+def theta_dim(structure, n):
+    """Regressor length of the design for an n-state plant (nu = n, nbe = n - 1)."""
+    return regressor_dim(structure, n, 1, nu=n, nbe=n - 1)
+
+
 @dataclass
 class SisoScenario:
     """A discrete-time SISO tracking problem plus the design choices for it."""
@@ -85,7 +90,7 @@ class SisoScenario:
 
     @property
     def theta_dim(self):
-        return regressor_dim(self.structure, self.n, 1, nu=self.n, nbe=self.n - 1)
+        return theta_dim(self.structure, self.n)
 
     def loop_spec(self, theta0=None, rho0=None):
         return engine.LoopSpec(

@@ -100,6 +100,54 @@ def test_near_start_requires_test_mode(tmp_path):
         harness.load_scenario(_write(tmp_path, _minimal(theta0="near")))
 
 
+_MIMO = {"module": "mimo", "benchmark": "mimo-dt-2x2", "test_mode": True}
+_FL = {"module": "fl", "benchmark": "fl-2x3"}
+_SIN = {"amp": "x", "freq": 0.1}
+
+# (base fields, field values, field named): each used to pass validation, or to
+# end in a numpy or Python traceback from validate or run
+_MALFORMED = {
+    # wrong sizes are not broadcast over the state or parameter vector
+    "siso_x0": ({}, {"x0": [0.1]}, "x0"),
+    "mimo_xm0": (_MIMO, {"xm0": [0.1]}, "xm0"),
+    "fl_x0": (_FL, {"x0": [1.0]}, "x0"),
+    "siso_theta0": ({}, {"theta0": [0.0, 1.0]}, "theta0"),
+    "mimo_theta0": (_MIMO, {"theta0": [[0.0, 0.0]] * 7}, "theta0"),
+    "fl_theta0": (_FL, {"theta0": [[0.0, 0.0]] * 16}, "theta0"),
+    "siso_gamma_theta": ({}, {"gains": {"gamma_theta": np.eye(2).tolist()}}, "gains.gamma_theta"),
+    "mimo_gamma": (_MIMO, {"gains": {"gamma": [[1.0]]}}, "gains.gamma"),
+    "mimo_sp": (_MIMO, {"gains": {"sp": [1.0, 1.0]}}, "gains.sp"),
+    "siso_um_channels": ({}, {"um": {"channels": [{"bias": 0.5}] * 2}}, "um"),
+    "mimo_um_channels": (_MIMO, {"um": {"channels": [{"bias": 0.5}]}}, "um"),
+    # malformed scalars and containers
+    "seed": ({}, {"seed": "abc"}, "seed"),
+    "horizon": ({}, {"horizon": "x"}, "horizon"),
+    "tail_fraction": ({}, {"tail_fraction": "a"}, "tail_fraction"),
+    "structure": ({}, {"structure": "zz"}, "structure"),
+    "amp": ({}, {"um": {"channels": [{"sinusoids": [_SIN]}]}}, "um.channels[0].sinusoids[0].amp"),
+    "gains": ({}, {"gains": [1]}, "gains"),
+    "um_channel": ({}, {"um": {"channels": [1]}}, "um.channels[0]"),
+    "interactor": (_MIMO, {"interactor": 5}, "interactor"),
+    "plant": ({"benchmark": None, "domain": "dt", "refmodel": {}}, {"plant": 5}, "plant"),
+    # multivariable output-feedback matching parameters are not synthesized
+    "mimo_of_nominal": (_MIMO, {"structure": "of_xm", "mode": "nominal"}, "mode"),
+    "mimo_of_near": (_MIMO, {"structure": "of_xm", "theta0": "near"}, "theta0"),
+    # the name becomes part of the output paths
+    "name_path": ({}, {"name": "../escaped"}, "name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_field_rejected_at_load_naming_it(tmp_path, capsys, case):
+    base, fields, named = _MALFORMED[case]
+    data = _minimal(**base, **fields)
+    with pytest.raises(ValidationError) as ei:
+        harness.scenario_from_dict(data)
+    assert ei.value.field == named
+    assert cli.main(["validate", "--scenario", str(_write(tmp_path, data))]) == 1
+    assert f"INVALID: {named}: " in capsys.readouterr().err
+
+
 def test_wrong_schema_version(tmp_path):
     with pytest.raises(ValidationError) as ei:
         harness.load_scenario(_write(tmp_path, _minimal(schema_version=2)))

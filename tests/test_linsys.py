@@ -210,6 +210,25 @@ def test_filter_bank_empty():
     assert oc.lti_sim(bank.realization(), [[1.0, 2.0]]).shape == (1, 0)
 
 
+def test_filter_numerator_rows_are_the_single_filters_stacked():
+    den = Polynomial.from_roots([0.3, -0.5, 0.2])
+    nums = [[1.0], [0.2, 1.0], [0.5, -0.3, 0.0, 1.0], [0.0, 0.0, 2.0], [-0.7, 0.1, 0.4]]
+    rows = np.zeros((len(nums), den.degree + 1))
+    for r, c in enumerate(nums):
+        rows[r, : len(c)] = c
+    got = RationalFilter(rows, den, dt(), width=2).realization()
+    singles = [RationalFilter(c, den, dt(), width=2).realization() for c in nums]
+    assert np.array_equal(got[0], singles[0][0]) and np.array_equal(got[1], singles[0][1])
+    for i in (2, 3):
+        assert np.array_equal(got[i], np.vstack([s[i] for s in singles]))
+
+
+@pytest.mark.parametrize("powers", [[-1, 0], [0, 1, 3]], ids=["negative", "above_deg"])
+def test_filter_bank_rejects_powers_outside_the_denominator_range(powers):
+    with pytest.raises(ValueError, match="power"):
+        FilterBank(powers, Polynomial.from_roots([0.2, 0.3]), dt())
+
+
 def test_markov_matching_after_closed_form_gain():
     # closed loop under the matching gain -kp^-1 c Pm(A) matches 1/Pm for 2n
     # parameters: the gain places the closed-loop poles at Z(z) Pm(z)
@@ -328,6 +347,31 @@ def test_ref_input_from_io_fresh_trajectory_consistency():
     wy = oc.lti_sim(bank, ys)
     rm_true = xs @ a1s[:, 0] + a2s[0, 0] * u[:, 0]
     rm_fit = wu @ b1[:, 0] + wy @ b2[:, 0] + b20[0, 0] * ys[:, 0] + a2[0, 0] * u[:, 0]
+    assert np.max(np.abs((rm_true - rm_fit)[150:])) < 1e-6
+
+
+def test_ref_input_from_io_non_square_fresh_trajectory_consistency():
+    # two reference inputs, one output: the u_m and y_m banks differ in width
+    a = np.array([[0.6, 1.0, 0.0], [0.0, 0.4, 1.0], [0.0, 0.0, 0.1]])
+    b = np.array([[0.0, 0.0], [0.3, 1.0], [1.0, -0.4]])
+    c = np.array([[1.0, 0.0, 0.0]])
+    rm = StateSpace(a, b, c, dt())
+    ia = DiagonalInteractor([Polynomial.from_roots([0.1, 0.2])])
+    lam_e = Polynomial.from_roots([0.2, 0.3])
+    b1, b2, b20, a2 = ls.ref_input_from_io(rm, ia, lam_e, 2)
+    a1s, a2s = ls.ref_input_from_state(rm, ia)
+    assert b1.shape == (4, 1) and b2.shape == (2, 1) and a2.shape == (1, 2)
+
+    rng = np.random.default_rng(43)
+    horizon = 400
+    t = np.arange(horizon)
+    u = np.column_stack([np.sin(0.21 * t), np.cos(0.37 * t + 0.5)])
+    u += 0.4 * rng.standard_normal(u.shape)
+    xs, ys = oc.simulate_dt(a, b, c, rng.standard_normal(3), u)
+    wu = oc.lti_sim(FilterBank([0, 1], lam_e, dt(), width=2).realization(), u)
+    wy = oc.lti_sim(FilterBank([0, 1], lam_e, dt(), width=1).realization(), ys)
+    rm_true = xs @ a1s[:, 0] + u @ a2s[0]
+    rm_fit = wu @ b1[:, 0] + wy @ b2[:, 0] + b20[0, 0] * ys[:, 0] + u @ a2[0]
     assert np.max(np.abs((rm_true - rm_fit)[150:])) < 1e-6
 
 

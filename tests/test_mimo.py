@@ -474,7 +474,7 @@ def test_check_mimo_rejects_unstable_cancelled_mode():
         benchmarks._check_mimo(d)
 
 
-# -- continuous-time reference block (engine.ReferenceBlock, stage tables) -----------
+# -- continuous-time reference block (linsys.ReferenceBlock, stage tables) -----------
 
 
 @pytest.mark.parametrize("structure", [Structure.SF_XM, Structure.SF_YM])
