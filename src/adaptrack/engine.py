@@ -96,18 +96,25 @@ class Frame:
         return self.m * self.m
 
 
-def gradient_rhs(gz, sp, gpsi, zeta, xi, eps, m2):
-    """Right-hand sides of the normalized-gradient law (see module docstring)."""
-    dtheta = (gz @ zeta)[:, None] * (sp @ eps) / -m2
-    dpsi = (gpsi @ eps)[:, None] * xi / -m2
-    return dtheta, dpsi
+def gradient_rhs(gz, sp, gpsi, zeta, xi, eps, m2, out=None):
+    """Right-hand sides (dTheta, dPsi) of the normalized-gradient law (see module docstring).
+
+    out, when given, is the pair of arrays the two are written into.
+    """
+    if out is None:
+        out = (np.empty((zeta.size, eps.size)), np.empty((eps.size, xi.size)))
+    r = eps / -m2
+    np.multiply.outer(gz @ zeta, sp @ r, out=out[0])
+    np.multiply.outer(gpsi @ r, xi, out=out[1])
+    return out
 
 
 def certificate(theta_star, kp, gz, sp, gpsi):
     """Lyapunov certificate V(Theta, Psi) of the gradient law, as a closure.
 
     The gain inverses and Gp = Kp^T Sp^-1 are formed once, here; each trace
-    is taken as tr(A^T B) = <A, B>.
+    is taken as tr(A^T B) = <A, B>.  theta and psi carry a leading step axis,
+    and v returns one value per step.
     """
     gz_inv_t = np.linalg.inv(gz).T
     gpsi_inv_t = np.linalg.inv(gpsi).T
@@ -116,7 +123,8 @@ def certificate(theta_star, kp, gz, sp, gpsi):
     def v(theta, psi):
         tht = theta - theta_star
         psit = psi - kp
-        return np.vdot(gz_inv_t @ tht, tht @ gp) + np.vdot(gpsi_inv_t @ psit, psit)
+        return (np.einsum("kij,kij->k", gz_inv_t @ tht, tht @ gp)
+                + np.einsum("kij,kij->k", gpsi_inv_t @ psit, psit))
 
     return v
 
@@ -166,8 +174,12 @@ class Rd1Law:
     p: np.ndarray
     q: np.ndarray
 
-    def rhs(self, e, omega):
-        return -(omega[:, None] * (self.s.T @ (self.p @ e)))
+    def __post_init__(self):
+        self._nsp = -(self.s.T @ self.p)
+
+    def rhs(self, e, omega, out=None):
+        """dTheta = omega (-S^T P e)^T, written into out when given."""
+        return np.multiply.outer(omega, self._nsp @ e, out=out)
 
 
 @dataclass
@@ -196,7 +208,14 @@ class SimTrace:
 
 
 class _Recorder:
-    def __init__(self, n, m):
+    """Trace rows pushed one step at a time, and the diagnostics of each block of rows.
+
+    The loops copy the parameters in effect at each step into row k - k0 of
+    par; close_block then fills theta_norm, and calls diagnose(rows, par),
+    over the rows pushed since the last block, at most CT_BLOCK of them.
+    """
+
+    def __init__(self, n, m, npar):
         self.t = np.zeros(n)
         self.y = np.zeros((n, m))
         self.ym = np.zeros((n, m))
@@ -209,8 +228,11 @@ class _Recorder:
         self.l2_eps = np.zeros(n)
         self.l2_dtheta = np.zeros(n)
         self.k = 0
+        self.par = np.empty((min(CT_BLOCK, n), npar))
+        self.k0 = 0  # first row of the open block
 
-    def push(self, t, y, ym, e, u, m, eps, v, theta_norm, l2e, l2d):
+    def push(self, t, y, ym, e, u, m, eps, l2e, l2d):
+        """Record row k; True when that fills the open block."""
         k = self.k
         self.t[k] = t
         self.y[k] = y
@@ -219,12 +241,19 @@ class _Recorder:
         self.u[k] = u
         self.m[k] = m
         self.eps[k] = eps
-        if v is not None:
-            self.v[k] = v
-        self.theta_norm[k] = theta_norm
         self.l2_eps[k] = l2e
         self.l2_dtheta[k] = l2d
         self.k += 1
+        return self.k - self.k0 == self.par.shape[0]
+
+    def close_block(self, diagnose=None):
+        k0, k = self.k0, self.k
+        if k > k0:
+            par = self.par[: k - k0]
+            self.theta_norm[k0:k] = np.sqrt(np.vecdot(par, par))
+            if diagnose is not None:
+                diagnose(slice(k0, k), par)
+        self.k0 = k
 
     def trace(self, guard_events=None, extra=None):
         k = self.k
@@ -290,7 +319,9 @@ class LoopSpec:
         return regressor_dim(self.structure, self.n, self.m, self.nu, self.nbe)
 
 
-CT_BLOCK = 256  # steps per block of continuous-time stage tables
+# steps per block of reference tables and of diagnostics; small, because a CT table
+# holds four rows per step, each as wide as lin's drive c
+CT_BLOCK = 64
 
 
 class ClosedLoop:
@@ -304,13 +335,25 @@ class ClosedLoop:
 
     The reference block z = [x_m, bank_um, bank_ym] is driven by u_m alone,
     so it is exogenous: y_m = C_m x_m and its part of omega never depend on
-    the loop.  In discrete time both are computed for the whole horizon
-    before the loop.  In continuous time the coupled ODE is triangular, so
-    RK4 gives z the same stage values whether it is stepped with the rest or
-    alone: z is stepped alone, through the RK4 stage maps of the spec's
-    ReferenceBlock, and y_m and the reference part of omega are tabulated at
-    the four stage points of every step, one block of at most CT_BLOCK steps
-    at a time.
+    the loop.  In continuous time the coupled ODE is triangular, so RK4 gives
+    z the same stage values whether it is stepped with the rest or alone.  In
+    both domains z is stepped alone, through the step map of the spec's
+    ReferenceBlock, one block of at most CT_BLOCK steps at a time, and its
+    contribution is tabulated at the stage points of every step (one in DT,
+    the four RK4 stages in CT).
+
+    y, e = y - y_m and omega are each a readout of lin plus an exogenous
+    part, so the loop is closed through them once, at build time:
+
+        F lin + G v = Fc lin + c + G_u u,
+        Fc = F + G_y R_y + G_omega R_omega + G_e R_y,
+        c = G_omega omega_ref - G_e y_m,
+
+    R_y and R_omega reading y and the lin part of omega.  Fc is stacked on
+    the readouts of e, ebar, omega, zeta, eta and y, so one product per
+    stage gives the state part of the derivative and every signal.  A table
+    row holds the exogenous parts (c, -y_m, -J_e y_m, omega_ref) of the first
+    four blocks of that product, then y_m.
 
     Layout of the flat state: [lin, Theta, Psi]; theta, psi and lin are views
     into it, valid for the life of the loop.
@@ -321,9 +364,11 @@ class ClosedLoop:
         self.law = law  # None = nominal (frozen parameters)
         self._gradient = law is not None and not isinstance(law, Rd1Law)
         self.domain = dom = spec.plant.domain
+        self._h = 1.0 if dom.is_dt else dom.step
         plant, s = spec.plant, spec.structure
         n, m, q = spec.n, spec.m, spec.q
-        vu, vy, ve = slice(0, m), slice(m, 2 * m), slice(2 * m + q, 3 * m + q)
+        vu, vy = slice(0, m), slice(m, 2 * m)
+        vo, ve = slice(2 * m, 2 * m + q), slice(2 * m + q, 3 * m + q)
 
         # lin, fed from v = [u, y, omega, e]
         blocks = [("x", (plant.a, plant.b, np.eye(n), 0.0), vu)]
@@ -333,19 +378,18 @@ class ClosedLoop:
                 raise ValueError("output-feedback filter banks must be strictly proper")
             blocks += [("w1", bank, vu), ("w2", bank, vy)]
         blocks += [
-            ("zeta", RationalFilter([1.0], spec.fpoly, dom, width=q).realization(),
-             slice(2 * m, 2 * m + q)),
+            ("zeta", RationalFilter([1.0], spec.fpoly, dom, width=q).realization(), vo),
             ("eta", RationalFilter([1.0], spec.fpoly, dom, width=m).realization(), vu),
         ]
         blocks += [(i, RationalFilter(d, spec.fpoly, dom).realization(), [ve.start + i])
                    for i, d in enumerate(spec.interactor.rows)]
-        self._f, self._g, lr = stack(blocks, ve.stop)
-        ebar_h = [lr[i][0] for i in range(m)]
-        self._je = np.diag(np.vstack([lr[i][1] for i in range(m)])[:, ve])
+        f, g, lr = stack(blocks, ve.stop)
+        self._f, self._g = f, g
+        self._je = np.diag(np.vstack([lr[i][1] for i in range(m)])[:, ve])  # e into ebar
 
         # every regressor block as rows over [lin, z, u_m]
         self._ref = zb = spec.reference
-        nl, nz = self._f.shape[0], zb.nz
+        nl, nz = f.shape[0], zb.nz
 
         def rows(h, at):
             out = np.zeros((h.shape[0], nl + nz + m))
@@ -357,14 +401,33 @@ class ClosedLoop:
         parts["um"] = rows(np.eye(m), nl + nz)
         for name, hz in zb.read.items():
             parts[name] = rows(hz, nl)
-        omega = assemble_regressor(s, parts)
-        # one readout of lin: [y, omega (lin part), zeta, eta, ebar (strict part)]
-        self._read = np.vstack((parts["y"][:, :nl], omega[:, :nl], lr["zeta"][0],
-                                lr["eta"][0], *ebar_h))
-        self._om_ref = omega[:, nl:]
-        self._y, self._om = slice(0, m), slice(m, m + q)
-        self._zeta, self._eta = slice(m + q, m + 2 * q), slice(m + 2 * q, 2 * m + 2 * q)
-        self._ebar = slice(2 * m + 2 * q, 3 * m + 2 * q)
+        # the signals as rows over [lin, z, u_m]; ebar = (its row) + J_e e
+        self._read = rd = {
+            "y": parts["y"], "ym": parts["ym"], "omega": assemble_regressor(s, parts),
+            "zeta": rows(lr["zeta"][0], 0), "eta": rows(lr["eta"][0], 0),
+            "ebar": rows(np.vstack([lr[i][0] for i in range(m)]), 0)}
+        ry, ym = rd["y"][:, :nl], rd["ym"][:, nl:]
+        rom, om_ref = rd["omega"][:, :nl], rd["omega"][:, nl:]
+        je = self._je[:, None]
+
+        # one product of lin gives [dlin - c - G_u u, e, ebar, omega, zeta, eta, y]
+        # (in DT, lin+ in place of dlin); the first four blocks take their
+        # exogenous parts, over [z, u_m], from the table row.  omega and zeta
+        # are adjacent, so one product with Theta gives u and Theta^T zeta
+        fused = [("dlin", f + (g[:, vy] + g[:, ve]) @ ry + g[:, vo] @ rom,
+                  g[:, vo] @ om_ref - g[:, ve] @ ym),
+                 ("e", ry, -ym), ("ebar", rd["ebar"][:, :nl] + je * ry, -je * ym),
+                 ("omega", rom, om_ref), ("zeta", rd["zeta"][:, :nl], None),
+                 ("eta", rd["eta"][:, :nl], None), ("y", ry, None)]
+        self._fused = np.vstack([r for _, r, _ in fused])
+        self._gu = np.ascontiguousarray(g[:, vu])
+        o = np.cumsum([0] + [r.shape[0] for _, r, _ in fused])
+        (_, self._e, self._ebar, self._om, self._zeta, self._eta,
+         self._y) = map(slice, o[:-1], o[1:])
+        self._exo, self._ym = slice(0, o[4]), slice(o[4], o[4] + m)
+        self._oz, self._zx = slice(o[3], o[5]), slice(o[4], o[6])
+        exo = np.vstack([x for *_, x in fused if x is not None] + [ym])
+        self._tab_read = np.vstack([exo[:, :nz] @ zw + exo[:, nz:] @ u for zw, u in zb.stages])
 
         # flat state [lin, Theta, Psi]
         o = np.cumsum([0, nl, q * m, m * m])
@@ -373,9 +436,6 @@ class ClosedLoop:
         self.s = np.zeros(o[3])
         if spec.x0 is not None:
             self.s[:n] = spec.x0
-        z0 = np.zeros(nz)
-        if spec.xm0 is not None:
-            z0[: spec.refmodel.n] = spec.xm0
         self.lin = self.s[self._lin]
         self.theta = self.s[self._theta].reshape(q, m)
         self.psi = self.s[self._psi].reshape(m, m)
@@ -386,51 +446,32 @@ class ClosedLoop:
             self.theta[:] = theta0
         if spec.psi0 is not None:
             self.psi[:] = spec.psi0
-        if dom.is_dt:
-            self._reference_run(z0, horizon)
-        else:
-            self._stage_tables(z0, horizon)
+
+        # stage tables, one block of steps at a time
+        z0 = np.zeros(nz)
+        if spec.xm0 is not None:
+            z0[: spec.refmodel.n] = spec.xm0
+        nb = min(CT_BLOCK, horizon)
+        self._offsets = np.array(zb.offsets)[:, None]
+        self._w = np.empty((nb, nz + len(zb.offsets) * m))
+        self._tab = np.empty((nb, len(zb.stages), exo.shape[0]))
+        self._z_next, self._k0 = z0, -nb  # the first block starts at step 0
         self._pending = None
         # cumulative L2 bookkeeping
         self.l2_eps = 0.0
         self.l2_dtheta = 0.0
 
-    def _reference_run(self, z0, horizon):
-        """DT: u_m, y_m and the reference part of omega for every step."""
-        um = self.spec.um(np.arange(horizon, dtype=float)).T
-        z = np.empty((horizon, z0.size))
-        zk = z0
-        for k in range(horizon):
-            z[k] = zk
-            zk = self._ref.f @ zk + self._ref.g @ um[k]
-        self._exo = np.hstack((z, um)) @ self._om_ref.T
-        self._ym = z @ self._ref.cy.T
-
-    def _stage_tables(self, z0, horizon):
-        """CT: preallocated blocks of [reference part of omega, y_m] at the RK4 stages.
-
-        Row j of a step's table is R_j w, w = [z, u(t), u(t + h/2), u(t + h)],
-        from the reference block's stage maps.
-        """
-        zb, m, q = self._ref, self.spec.m, self.spec.q
-        om_z, om_u = self._om_ref[:, : zb.nz], self._om_ref[:, zb.nz :]
-        self._tab_read = np.vstack([np.vstack((om_z @ zw + om_u @ u, zb.cy @ zw))
-                                    for zw, u in zb.stages])
-        self._st_om, self._st_ym = slice(0, q), slice(q, q + m)
-        nb = min(CT_BLOCK, horizon)
-        self._w = np.empty((nb, zb.nz + 3 * m))
-        self._tab = np.empty((nb, 4, q + m))
-        self._z_next, self._k0 = z0, -nb  # the first block starts at step 0
-
     def _fill_block(self, k0):
-        """CT: stage tables of steps k0 .. k0 + CT_BLOCK - 1, continuing from the last block."""
-        nb, nz, m = self._w.shape[0], self._ref.nz, self.spec.m
+        """Stage tables of steps k0 .. k0 + CT_BLOCK - 1, continuing from the last block.
+
+        Row j of a step's table is R_j w, w = [z, u_m at the step's input
+        times], from the reference block's stage maps.
+        """
+        nb, nz = self._w.shape[0], self._ref.nz
         if k0 != self._k0 + nb:
-            raise ValueError("continuous-time steps must be measured in order")
-        h = self.domain.step
-        t0 = np.arange(k0, k0 + nb) * h
-        um = self.spec.um(np.stack((t0, t0 + 0.5 * h, t0 + h)))  # (m, 3, nb)
-        self._w[:, nz:] = um.transpose(2, 1, 0).reshape(nb, 3 * m)
+            raise ValueError("steps must be measured in order")
+        um = self.spec.um(np.arange(k0, k0 + nb) * self._h + self._offsets)  # (m, stages, nb)
+        self._w[:, nz:] = um.transpose(2, 1, 0).reshape(nb, -1)
         z, w, p = self._z_next, self._w, self._ref.step.T
         for r in range(nb):
             w[r, :nz] = z
@@ -438,82 +479,72 @@ class ClosedLoop:
         self._z_next, self._k0 = z, k0
         np.matmul(w, self._tab_read.T, out=self._tab.reshape(nb, -1))
 
-    def _evaluate(self, flat, exo, ym, frame=False):
-        """[dlin, dTheta, dPsi] at one state (DT: lin+ in place of dlin).
+    def _stage_rhs(self, flat, row, frame=False):
+        """[dlin, dTheta, dPsi] at one state and table row (DT: lin+ in place of dlin).
 
         Only what the law reads is computed: Rd1Law reads e and omega, a
-        nominal run nothing, GradientLaw the estimation-error signals.  With
-        frame set, the signals (y, y_m, e, u, Frame) that measure records are
-        returned too, from the same expressions.
+        nominal run nothing, GradientLaw the estimation-error signals; the
+        laws write into the derivative array.  With frame set, the signals
+        (y, y_m, e, u, Frame) that measure records are returned too, from
+        the same expressions.
         """
         lin = flat[self._lin]
         theta = flat[self._theta].reshape(self.theta.shape)
-        sig = self._read @ lin
-        y = sig[self._y]
-        e = y - ym
-        omega = sig[self._om] + exo
-        u = theta.T @ omega
+        sig = self._fused @ lin
+        sig[self._exo] += row[self._exo]
+        uz = sig[self._oz].reshape(2, -1) @ theta  # [u, Theta^T zeta]
+        u = uz[0]
         d = np.empty(flat.size)
-        dlin = d[self._lin]
-        np.matmul(self._f, lin, out=dlin)
-        dlin += self._g @ np.concatenate((u, y, omega, e))
+        np.add(sig[self._lin], self._gu @ u, out=d[self._lin])
         law = self.law
         if frame or self._gradient:
             psi = flat[self._psi].reshape(self.psi.shape)
-            zeta = sig[self._zeta]
-            xi = theta.T @ zeta - sig[self._eta]
-            ebar = sig[self._ebar] + self._je * e
-            eps = ebar + psi @ xi
-            mm = math.sqrt(1.0 + zeta @ zeta + xi @ xi)
+            zeta, xi = sig[self._zeta], sig[self._eta]
+            np.subtract(uz[1], xi, out=xi)  # xi takes eta's place: [zeta, xi] is contiguous
+            eps = psi @ xi
+            eps += sig[self._ebar]
+            zx = sig[self._zx]
+            mm = math.sqrt(1.0 + zx @ zx)
         if self._gradient:
-            dtheta, dpsi = gradient_rhs(law.gz, law.sp, law.gpsi, zeta, xi, eps, mm * mm)
-            d[self._theta] = dtheta.ravel()
-            d[self._psi] = dpsi.ravel()
+            gradient_rhs(law.gz, law.sp, law.gpsi, zeta, xi, eps, mm * mm,
+                         out=(d[self._theta].reshape(self.theta.shape),
+                              d[self._psi].reshape(self.psi.shape)))
         elif law is None:
             d[self._par] = 0.0
         else:
-            d[self._theta] = law.rhs(e, omega).ravel()
+            law.rhs(sig[self._e], sig[self._om], out=d[self._theta].reshape(self.theta.shape))
             d[self._psi] = 0.0
         if not frame:
             return d
-        return d, (y, ym, e, u, Frame(omega, zeta, xi, ebar, eps, mm))
-
-    def _stage_rhs(self, flat, row, frame=False):
-        """CT: _evaluate at one stage-table row."""
-        return self._evaluate(flat, row[self._st_om], row[self._st_ym], frame)
+        return d, (sig[self._y], row[self._ym], sig[self._e], u,
+                   Frame(sig[self._om], zeta, xi, sig[self._ebar], eps, mm))
 
     def measure(self, k):
         """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
-        if self.domain.is_dt:
-            d, out = self._evaluate(self.s, self._exo[k], self._ym[k], frame=True)
-            self._pending = (out[4], d)
-        else:
-            r = k - self._k0
-            if not 0 <= r < self._w.shape[0]:
-                self._fill_block(k)
-                r = 0
-            stages = self._tab[r]
-            k1, out = self._stage_rhs(self.s, stages[0], frame=True)
-            self._pending = (out[4], k * self.domain.step, k1, stages)
+        r = k - self._k0
+        if not 0 <= r < self._w.shape[0]:
+            self._fill_block(k)
+            r = 0
+        stages = self._tab[r]
+        d, out = self._stage_rhs(self.s, stages[0], frame=True)
+        self._pending = (out[4], k * self._h, d, stages)
         return out
 
     def advance(self):
         """Move the stored state to the next grid point (after measure)."""
-        frame = self._pending[0]
+        frame, t, d, stages = self._pending
         if self.domain.is_dt:
-            d = self._pending[1]
             dpar = d[self._par]
             self.lin[:] = d[self._lin]
             self.s[self._par] += dpar
             self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar)
         else:
-            _, t, k1, stages = self._pending
-            h = self.domain.step
+            h = self._h
             # rk4_step evaluates stages 2, 3 and 4 in that order
             rows = iter(stages[1:])
             new = rk4_step(lambda tt, flat: self._stage_rhs(flat, next(rows)), t, self.s, h,
-                           k1=k1)
+                           k1=d)
             dpar = new[self._par] - self.s[self._par]
             self.l2_eps += h * float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar) / h
@@ -536,13 +567,14 @@ class ClosedLoop:
 def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     """Run the loop for `horizon` steps; returns a SimTrace.
 
-    vprobe, when given, is called as vprobe(theta, psi, e) with the
-    parameters in effect at each grid point and its value recorded in the V
-    column (test mode only).  probes maps names to callables
-    f(theta, psi, frame, e) whose per-step values land in trace.extra.
-    theta and psi are views of the loop state, valid during the call.  Row k
-    of the trace holds the time-t_k values of every signal, with parameters
-    as used by u(t_k).
+    Row k of the trace holds the time-t_k values of every signal, with
+    parameters as used by u(t_k).  The diagnostics are evaluated once per
+    block of at most CT_BLOCK rows, on arrays with a leading step axis:
+    theta (k, q, m) and psi (k, m, m) hold the parameters in effect at each
+    row, e is (k, m).  vprobe(theta, psi, e), when given, returns the k
+    values of the V column (test mode).  probes maps names to callables
+    f(theta, psi, frame, e) whose k values land in trace.extra; frame holds
+    zeta, xi, eps and m along the same axis (omega and ebar are None).
 
     A step whose running L2 sums come out non-finite ends the run: the trace
     stops at the last finite row and trace.guard_events holds one
@@ -551,24 +583,40 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     step are silenced.
     """
     loop = ClosedLoop(spec, law=law, horizon=horizon)
-    rec = _Recorder(horizon, spec.m)
+    q, m = spec.q, spec.m
+    rec = _Recorder(horizon, m, q * m + m * m)
     probes = probes or {}
     probe_vals = {name: np.zeros(horizon) for name in probes}
-    h = 1.0 if loop.domain.is_dt else loop.domain.step
+    kept = np.empty((rec.par.shape[0], q + m)) if probes else None  # [zeta, xi] of each row
     par = loop.s[loop._par]
+
+    def diagnose(rows, p):
+        n = p.shape[0]
+        theta, psi, e = p[:, : q * m].reshape(n, q, m), p[:, q * m :].reshape(n, m, m), rec.e[rows]
+        if vprobe is not None:
+            rec.v[rows] = vprobe(theta, psi, e)
+        if probes:
+            frame = Frame(None, kept[:n, :q], kept[:n, q:], None, rec.eps[rows], rec.m[rows])
+            for name, fn in probes.items():
+                probe_vals[name][rows] = fn(theta, psi, frame, e)
+
+    diag = diagnose if vprobe is not None or probes else None
     events = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
-            tn = np.sqrt(par @ par)
             y, ym, e, u, frame = loop.measure(k)
-            v = vprobe(loop.theta, loop.psi, e) if vprobe is not None else None
-            for name, fn in probes.items():
-                probe_vals[name][k] = fn(loop.theta, loop.psi, frame, e)
+            r = k - rec.k0
+            rec.par[r] = par
+            if probes:
+                kept[r, :q] = frame.zeta
+                kept[r, q:] = frame.xi
             loop.advance()
             if not (math.isfinite(loop.l2_eps) and math.isfinite(loop.l2_dtheta)):
-                events.append({"t": k * h, "diverged": loop.diverged_block()})
+                events.append({"t": k * loop._h, "diverged": loop.diverged_block()})
                 break
-            rec.push(k * h, y, ym, e, u, frame.m, frame.eps, v, tn,
-                     loop.l2_eps, loop.l2_dtheta)
+            if rec.push(k * loop._h, y, ym, e, u, frame.m, frame.eps, loop.l2_eps,
+                        loop.l2_dtheta):
+                rec.close_block(diag)
+        rec.close_block(diag)
     return rec.trace(guard_events=events,
                      extra={name: vals[: rec.k] for name, vals in probe_vals.items()})

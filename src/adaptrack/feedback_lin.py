@@ -164,17 +164,17 @@ def column_frames(tht, e, zetas, etas):
 
     xi_i = eta_i - theta_i^T zeta_i, eps_i = e_i + xi_i, m_i = sqrt(1 + |zeta_i|^2).
     """
-    xi = etas - np.einsum("ij,ij->i", tht, zetas)
-    return xi, e + xi, np.sqrt(1.0 + np.einsum("ij,ij->i", zetas, zetas))
+    xi = etas - np.vecdot(tht, zetas)
+    return xi, e + xi, np.sqrt(1.0 + np.vecdot(zetas, zetas))
 
 
-def gradient_rhs(gain, zetas, eps, mi):
+def gradient_rhs(gain, zetas, eps, mi, out=None):
     """d theta_i / dt = + Gamma_i zeta_i eps_i / m_i^2 for every column.
 
     gain is the block-diagonal FLController.gain; returns dTheta^T flattened
-    row by row (row i = d theta_i).
+    row by row (row i = d theta_i), written into out when given.
     """
-    return gain @ (zetas * (eps / (mi * mi))[:, None]).ravel()
+    return np.matmul(gain, (zetas * (eps / (mi * mi))[:, None]).ravel(), out=out)
 
 
 def column_filters(interactor):
@@ -200,6 +200,20 @@ class FLLoop:
     are stored transposed, row i = theta_i, so their update is one product
     with the block-diagonal gain.  The leader stays in the state: its
     dynamics are hidden, so only its callable gives x_m between grid points.
+
+    The regressor is read off the matrix X that estimates fills, whose column
+    blocks are [omega1 | W | (-omega3; omega_m)]: omega = [omega1, W u,
+    omega3, -omega_m] = X [1, u, -1].  Row i of the filter drive is
+    [omega^T, theta_i^T omega], and the control makes its last entry known:
+
+        theta_i^T omega = (Theta1^T omega1)_i + (Theta2^T W u)_i
+                          + (Theta3^T omega3 - Theta_m^T omega_m)_i
+                        = b_hat_i + (A_hat u)_i - (v_i + alpha_i y_i),
+
+    with v = Theta_m^T omega_m - Theta3^T omega3 - alpha y.  u solves
+    A_hat u = v - b_hat, so theta_i^T omega = -alpha_i y_i exactly, and the
+    drive's last column is -alpha y in place of the product (the two differ
+    by the rounding of the solve).
     """
 
     def __init__(self, plant, leader, ctrl, adaptive=True, x0=None):
@@ -219,12 +233,12 @@ class FLLoop:
         self.s[self._xm] = leader.x0
         self.s[self._theta] = ctrl.theta.T.ravel()
         # scratch of every right-hand side: X of estimates (zero outside its
-        # blocks), omega = [omega1, W u, omega3, -omega_m] and the filter drive
+        # blocks), the weights [1, u, -1] that read omega off it, the drive
         self._est = np.zeros((q, m + 2))
-        self._omega = np.empty(q)
+        self._omega_w = np.ones(m + 2)
+        self._omega_w[-1] = -1.0
         self._drive = np.empty((m, q + 1))
-        o = np.cumsum([0, *ctrl.dims])
-        self._om = tuple(map(slice, o[:-1], o[1:]))
+        self._nalpha = -ctrl.alpha_last
         self.l2_eps = 0.0
 
     def blocks(self, flat):
@@ -250,24 +264,23 @@ class FLLoop:
         e = y - ym
         bhat, ahat, v = estimates(ctrl, tht, om1, w, om3, omm, y, self._est)
         u = linearizing_control(ahat, bhat, v, ctrl.guard, t)
-        omega, drive = self._omega, self._drive
-        o1, o2, o3, om = self._om
-        omega[o1] = om1
-        omega[o2] = w @ u
-        omega[o3] = om3
-        np.negative(omm, out=omega[om])
+        drive = self._drive
+        self._omega_w[1:-1] = u
+        drive[:, :q] = self._est @ self._omega_w
+        np.multiply(self._nalpha, y, out=drive[:, q])
         zeta_eta = self._hs @ filt
         zetas = zeta_eta[:, :q]
         _, eps, mi = column_frames(tht, e, zetas, zeta_eta[:, q])
-        drive[:, :q] = omega
-        drive[:, q] = tht @ omega
         deriv = np.empty(self.s.size)
-        deriv[self._x] = fx @ plant.theta_star + gx @ u
+        np.add(fx @ plant.theta_star, gx @ u, out=deriv[self._x])
         deriv[self._xm] = dxm
         dfilt = deriv[self._filt].reshape(self._fshape)
         np.matmul(self._a, filt, out=dfilt)
         dfilt += self._b @ drive
-        deriv[self._theta] = gradient_rhs(ctrl.gain, zetas, eps, mi) if self.adaptive else 0.0
+        if self.adaptive:
+            gradient_rhs(ctrl.gain, zetas, eps, mi, out=deriv[self._theta])
+        else:
+            deriv[self._theta] = 0.0
         return deriv, (y, ym, e, u, zetas, eps, mi)
 
     def rhs(self, t, flat):
@@ -277,10 +290,11 @@ class FLLoop:
 def certificate(theta, theta_star, gain_inv):
     """Sum over columns of 0.5 (theta_i* - theta_i)^T Gamma_i^-1 (theta_i* - theta_i).
 
-    gain_inv is the inverse of the block-diagonal FLController.gain.
+    theta carries a leading step axis, (k, q, m), and one value per step is
+    returned.  gain_inv is the inverse of the block-diagonal FLController.gain.
     """
-    d = (theta_star - theta).T.ravel()
-    return 0.5 * float(d @ gain_inv @ d)
+    d = (theta_star - theta).transpose(0, 2, 1).reshape(theta.shape[0], -1)
+    return 0.5 * np.vecdot(d @ gain_inv, d)
 
 
 def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
@@ -292,17 +306,27 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     block>}), the partial trace is returned with the event recorded in
     trace.guard_events.  theta_star (test mode) enables the V column and the
     per-column identity residual eps_i - theta~_i^T zeta_i in
-    trace.extra["ident_resid"].
+    trace.extra["ident_resid"].  Both are evaluated, as theta_norm is, once
+    per block of at most CT_BLOCK rows.
     """
     loop = FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=x0)
-    m = ctrl.m
-    rec = _Recorder(horizon, m)
+    m, q = ctrl.m, ctrl.q
+    rec = _Recorder(horizon, m, q * m)
     flat_theta = loop.s[loop._theta]  # a view: the estimates in effect at each grid point
-    theta = flat_theta.reshape(loop._tshape).T
     guard_events = []
-    ident = np.zeros((horizon, m)) if theta_star is not None else None
     mi_extra = np.zeros((horizon, m))
-    gain_inv = np.linalg.inv(ctrl.gain)
+    diagnose = ident = None
+    if theta_star is not None:
+        ident = np.zeros((horizon, m))
+        kept = np.empty((rec.par.shape[0], m, q))  # the zetas of each row
+        gain_inv = np.linalg.inv(ctrl.gain)
+
+        def diagnose(rows, par):
+            n = par.shape[0]
+            theta = par.reshape(n, m, q).transpose(0, 2, 1)
+            rec.v[rows] = certificate(theta, theta_star, gain_inv)
+            ident[rows] = rec.eps[rows] - np.einsum("kji,kij->ki", theta_star - theta, kept[:n])
+
     with np.errstate(over="ignore", invalid="ignore"):  # the diverged event reports it
         for k in range(horizon):
             t = k * step
@@ -314,17 +338,18 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
                 break
             mi_extra[k] = mis
             magg = math.sqrt(1.0 + float(np.vdot(zetas, zetas)))
-            v = certificate(theta, theta_star, gain_inv) if theta_star is not None else None
-            if ident is not None:
-                ident[k] = eps - np.einsum("ji,ij->i", theta_star - theta, zetas)
             loop.l2_eps += step * float(np.sum((eps / mis) ** 2))
             if not math.isfinite(loop.l2_eps):
                 guard_events.append({"t": t, "diverged": loop.diverged_block(loop.s)})
                 break
-            tn = math.sqrt(flat_theta @ flat_theta)
-            rec.push(t, y, ym, e, u, magg, eps, v, tn,
-                     loop.l2_eps, 0.0)
+            rec.par[k - rec.k0] = flat_theta
+            if ident is not None:
+                kept[k - rec.k0] = zetas
+            full = rec.push(t, y, ym, e, u, magg, eps, loop.l2_eps, 0.0)
             loop.s[:] = new
+            if full:
+                rec.close_block(diagnose)
+        rec.close_block(diagnose)
     extra = {"m_i": mi_extra[: rec.k]}
     if ident is not None:
         extra["ident_resid"] = ident[: rec.k]

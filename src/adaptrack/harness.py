@@ -180,11 +180,14 @@ def scenario_from_dict(data, name=None):
              "name", "must be a non-empty file name without path separators")
     module = data.get("module")
     _require(module in _MODULES, "module", f"must be one of {sorted(_MODULES)}")
+    _require(module != "fl" or "xm0" not in data, "xm0",
+             "is not read by the nonlinear module: the leader starts at its benchmark state")
     mode = data.get("mode", "adaptive")
     _require(mode in _MODES, "mode", f"must be one of {sorted(_MODES)}")
     design = data.get("design", "gradient")
     _require(design in _DESIGNS, "design", f"must be one of {sorted(_DESIGNS)}")
-    test_mode = bool(data.get("test_mode", False))
+    test_mode = data.get("test_mode", False)
+    _require(isinstance(test_mode, bool), "test_mode", "must be true or false")
     _require(mode != "nominal" or test_mode, "mode",
              "nominal mode needs matching parameters: set test_mode true")
     structure = _conv(Structure, data.get("structure", "sf_xm"), "structure")
@@ -268,7 +271,7 @@ def scenario_from_dict(data, name=None):
     if module == "fl" or not comps["plant"].domain.is_dt:
         _check_rk4_step(comps, comps["step"] if module == "fl" else comps["plant"].domain.step)
 
-    # Theta is (q, m); x0 sizes the plant state, xm0 the reference state (unread by fl)
+    # Theta is (q, m); x0 sizes the plant state, xm0 the reference state (rejected for fl)
     n = comps["plant"].n
     sizes = {"x0": n}
     if module == "fl":

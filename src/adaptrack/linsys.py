@@ -346,11 +346,13 @@ class ReferenceBlock:
     lam_e is given.  z+ = F z + G u_m (DT) or dz/dt = F z + G u_m (CT),
     y_m = C_y z (y_m is folded into F), and read maps each reference
     regressor block (xm, ym, and with the banks wum, wym) to its rows over
-    [z, u_m].  In continuous time, `stages` and `step` hold the RK4 step of z
-    alone as linear maps of w = [z, u(t), u(t + h/2), u(t + h)]: rk4_step
-    runs once on matrix arguments, and its f records the four stage
-    arguments, so stage j's z is stages[j][0] w, its input stages[j][1] w,
-    and z(t + h) = step w.
+    [z, u_m].  `stages` and `step` hold one step of z as linear maps of
+    w = [z, u(t + offsets[0]), u(t + offsets[1]), ...]: stage j's z is
+    stages[j][0] w, its input stages[j][1] w, and the next z is step w.  In
+    discrete time that is the one stage [z, u(t)] with step [F, G].  In
+    continuous time it is the RK4 step of z alone, with w = [z, u(t),
+    u(t + h/2), u(t + h)]: rk4_step runs once on matrix arguments, and its f
+    records the four stage arguments.
     """
 
     def __init__(self, refmodel, lam_e=None, nbe=0):
@@ -369,11 +371,16 @@ class ReferenceBlock:
         zr["ym"] = (self.cy, np.zeros((mo, mi + mo)))
         self.read = {name: np.hstack((h + j[:, vy] @ self.cy, j[:, vu]))
                      for name, (h, j) in zr.items()}
-        self.stages = self.step = None
-        if not dom.is_dt:
+        if dom.is_dt:
+            self.offsets = (0.0,)
+            eye = np.eye(self.nz + mi)
+            self.stages = [(eye[: self.nz], eye[self.nz :])]
+            self.step = np.hstack((self.f, self.g))
+        else:
             h = dom.step
+            self.offsets = (0.0, 0.5 * h, h)
             eye = np.eye(self.nz + 3 * mi)
-            pick = dict(zip((0.0, 0.5 * h, h), np.split(eye[self.nz :], 3)))
+            pick = dict(zip(self.offsets, np.split(eye[self.nz :], 3)))
             self.stages = []
 
             def rhs(t, zw):
@@ -484,7 +491,7 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, se
 
         z+ = P z + Q0 u_m(t) + Qh u_m(t + h/2) + Q1 u_m(t + h).
 
-    In DT, P = F and Q0 = G.  In CT it is the block's RK4 step map.  The
+    [P, Q0, ...] is the block's step map: [F, G] in DT, the RK4 step in CT.  The
     input is evaluated at all grid and half-step times at once, the map is
     iterated over the horizon, and the regressor rows (the block's wum, wym
     and ym readouts) and targets are matrix products over the stored states
@@ -509,14 +516,8 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, se
     # regressor row [F[u_m], F[y_m], y_m] over [z, u_m]
     rows = [zb.read[name] for name in ("wum", "wym", "ym")]
     read = np.vstack(rows)
-    if dom.is_dt:
-        p, q = zb.f, zb.g
-        times = np.arange(horizon, dtype=float)[None]
-    else:
-        h = dom.step
-        t0 = np.arange(horizon) * h
-        times = np.stack((t0, t0 + 0.5 * h, t0 + h))
-        p, q = zb.step[:, :ns], zb.step[:, ns:]
+    p, q = zb.step[:, :ns], zb.step[:, ns:]
+    times = np.arange(horizon) * (1.0 if dom.is_dt else dom.step) + np.array(zb.offsets)[:, None]
     um = _pe_input(refmodel.n_inputs, dom)(times)  # (stages, horizon, m_in)
     # row k + 1 first holds the input drive of step k, then gains P z_k
     traj = np.empty((horizon, ns))

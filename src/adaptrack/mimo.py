@@ -227,7 +227,7 @@ def verify_gain_prior(kp, sp, domain):
 
 
 def certificate_probe(scenario, nominal):
-    """Gradient-law certificate V for test-mode runs."""
+    """Gradient-law certificate V for test-mode runs, one value per step of a block."""
     v = engine.certificate(nominal.theta_star, nominal.kp, np.eye(scenario.theta_dim),
                            scenario.sp, scenario.gamma)
 
@@ -238,25 +238,24 @@ def certificate_probe(scenario, nominal):
 
 
 def identity_probe(nominal):
-    """Residual of eps = Kp Theta~^T zeta + Psi~ xi (test mode)."""
+    """Residual of eps = Kp Theta~^T zeta + Psi~ xi (test mode), per step of a block."""
 
     def probe(theta, psi, frame, e):
-        pred = nominal.kp @ ((theta - nominal.theta_star).T @ frame.zeta) + (
-            psi - nominal.kp
-        ) @ frame.xi
-        return float(np.abs(frame.eps - pred).max())
+        tz = np.einsum("kij,ki->kj", theta - nominal.theta_star, frame.zeta)
+        pred = tz @ nominal.kp.T + np.einsum("kij,kj->ki", psi - nominal.kp, frame.xi)
+        return np.abs(frame.eps - pred).max(axis=1)
 
     return probe
 
 
 def rd1_certificate_probe(scenario, nominal, law):
-    """V = e^T P e + tr[Theta~ Ms^-1 Theta~^T] with Ms = Kp^-1 S (test mode)."""
+    """V = e^T P e + tr[Theta~ Ms^-1 Theta~^T] with Ms = Kp^-1 S (test mode), per step."""
     ms = np.linalg.inv(nominal.kp) @ law.s
     ms_inv = np.linalg.inv(0.5 * (ms + ms.T))
 
     def probe(theta, psi, e):
         tht = theta - nominal.theta_star
-        return float(e @ law.p @ e + np.vdot(tht @ ms_inv, tht))
+        return np.vecdot(e @ law.p, e) + np.einsum("kij,kij->k", tht @ ms_inv, tht)
 
     return probe
 

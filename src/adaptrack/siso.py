@@ -249,7 +249,7 @@ class SisoGains:
 
 
 def certificate_probe(scenario, nominal, gains=None):
-    """V(theta~, rho~) evaluator for test-mode runs (plant knowledge needed)."""
+    """V(theta~, rho~) evaluator for test-mode runs (plant knowledge needed), per step."""
     q = scenario.theta_dim
     gz, grho = (gains or SisoGains()).resolved(q, scenario.kp_bound)
     tstar = nominal.theta_star.reshape(-1, 1)
@@ -264,13 +264,13 @@ def certificate_probe(scenario, nominal, gains=None):
 
 
 def identity_probe(nominal):
-    """Residual of eps = rho* theta~^T zeta + rho~ xi (test mode)."""
-    tstar = nominal.theta_star.reshape(-1, 1)
+    """Residual of eps = rho* theta~^T zeta + rho~ xi (test mode), per step of a block."""
     kp = nominal.kp
 
     def probe(theta, psi, frame, e):
-        pred = kp * ((theta - tstar)[:, 0] @ frame.zeta) + (psi[0, 0] - kp) * frame.xi[0]
-        return abs(float(frame.eps[0] - pred))
+        pred = (kp * np.vecdot(theta[:, :, 0] - nominal.theta_star, frame.zeta)
+                + (psi[:, 0, 0] - kp) * frame.xi[:, 0])
+        return np.abs(frame.eps[:, 0] - pred)
 
     return probe
 

@@ -1,0 +1,235 @@
+"""The fused continuous- and discrete-time stage, the nonlinear drive, and per-block diagnostics.
+
+Each fast path is checked against the plain formula it replaces: the engine's
+one closed-loop product against F lin + G v with every signal read out
+separately, the nonlinear loop's regressor and filter drive against the
+regressor blocks and theta_i^T omega, and the per-block certificate, identity
+residual and parameter norm against their per-step formulas.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from adaptrack import benchmarks, engine, feedback_lin as fl, mimo, siso
+from adaptrack.engine import GradientLaw, Rd1Law, Structure
+from adaptrack.linsys import Polynomial, StateSpace, dt, rk4_step
+
+
+def _close(got, want, rtol):
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * max(np.abs(want).max(), 1.0))
+
+
+def _mimo_scn(b, structure, **kw):
+    return mimo.MimoScenario(
+        plant=b["plant"], refmodel=b["refmodel"], interactor=b["interactor"],
+        fpoly=b["fpoly"], sp=b["sp"], structure=structure, nu=b["nu"], lam=b["lam"],
+        lam_e=b["lam_e"], nbe=b["nbe"], gamma=b["gamma"], um=b["um"], **kw)
+
+
+# -- engine: one closed-loop product per stage ------------------------------------------
+
+
+def _unfused(loop, flat, zu):
+    """[dlin, dTheta, dPsi] and (y, y_m, e, u, eps, m) from F, G, the readouts and the law."""
+    rd, nl = loop._read, loop._f.shape[0]
+    q, m = loop.theta.shape
+    lin = flat[:nl]
+    theta, psi = flat[loop._theta].reshape(q, m), flat[loop._psi].reshape(m, m)
+    w = np.concatenate((lin, zu))
+    y, ym, omega = rd["y"] @ w, rd["ym"] @ w, rd["omega"] @ w
+    e = y - ym
+    u = theta.T @ omega
+    d = np.zeros(flat.size)
+    d[:nl] = loop._f @ lin + loop._g @ np.concatenate((u, y, omega, e))
+    zeta = rd["zeta"] @ w
+    xi = theta.T @ zeta - rd["eta"] @ w
+    eps = rd["ebar"] @ w + loop._je * e + psi @ xi
+    m2 = 1.0 + zeta @ zeta + xi @ xi
+    law = loop.law
+    if isinstance(law, GradientLaw):
+        d[loop._theta] = -np.outer(law.gz @ zeta, law.sp @ eps).ravel() / m2
+        d[loop._psi] = -np.outer(law.gpsi @ eps, xi).ravel() / m2
+    elif isinstance(law, Rd1Law):
+        d[loop._theta] = -np.outer(omega, law.s.T @ (law.p @ e)).ravel()
+    return d, (y, ym, e, u, eps, np.sqrt(m2))
+
+
+@pytest.mark.parametrize("bench,design", [
+    ("mimo-dt-2x2", "gradient"), ("mimo-dt-2x2", "nominal"),
+    ("mimo-ct-2x2", "gradient"), ("mimo-ct-2x2", "nominal"), ("mimo-rd1-ct", "rd1"),
+])
+def test_fused_stage_equals_the_unfused_block_formula(bench, design):
+    b = benchmarks.build(bench)
+    scn = _mimo_scn(b, Structure.SF_XM if design == "rd1" else Structure.SF_YM)
+    q = scn.theta_dim
+    law = None
+    if design == "gradient":
+        law = GradientLaw(gz=np.diag(np.linspace(0.5, 1.5, q)), sp=scn.sp, gpsi=scn.gamma)
+    elif design == "rd1":
+        law = mimo.rd1_law(scn.interactor, scn.sp)
+    loop = engine.ClosedLoop(scn.loop_spec(), law=law, horizon=5)
+    zb = scn.loop_spec().reference
+    nst, width = loop._tab.shape[1:]
+    assert nst == (1 if b["plant"].domain.is_dt else 4)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        flat = rng.standard_normal(loop.s.size)
+        w = rng.standard_normal(loop._w.shape[1])  # [z, u_m at the step's input times]
+        for j, (zw, uw) in enumerate(zb.stages):
+            row = loop._tab_read.reshape(nst, width, -1)[j] @ w
+            want, sigs = _unfused(loop, flat, np.concatenate((zw @ w, uw @ w)))
+            got = loop._stage_rhs(flat, row)
+            _close(got, want, 1e-12)
+            got_f, (y, ym, e, u, fr) = loop._stage_rhs(flat, row, frame=True)
+            assert np.array_equal(got_f, got)
+            for a, b_ in zip((y, ym, e, u, fr.eps, fr.m), sigs):
+                _close(a, b_, 1e-12)
+
+
+# -- nonlinear loop: regressor from the estimate matrix ----------------------------------
+
+
+def test_fl_regressor_and_drive_from_the_estimate_matrix():
+    plant, leader, ia = fl.benchmark()
+    tstar = fl.benchmark_theta_star(plant, leader, ia)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        theta = tstar * (1.0 + 0.2 * rng.standard_normal(tstar.shape))
+        ctrl = fl.FLController(interactor=ia, dims=(*plant.dims, leader.qm), theta=theta)
+        loop = fl.FLLoop(plant, leader, ctrl)
+        flat = loop.s.copy()
+        x, xm, filt, _ = loop.blocks(flat)
+        x[:], xm[:] = rng.standard_normal(3), rng.standard_normal(3)
+        filt[:] = rng.standard_normal(filt.shape)
+        t = rng.uniform(0.0, 10.0)
+        _, (y, _, _, u, _, _, _) = loop.evaluate(t, flat)
+        _, om1, w, om3, _, _ = plant.at(x)
+        omm = leader.at(xm, leader.um(t))[2]
+        omega = np.concatenate((om1, w @ u, om3, -omm))
+        _close(loop._est @ np.concatenate(([1.0], u, [-1.0])), omega, 1e-12)
+        for row in loop._drive:
+            _close(row[:-1], omega, 1e-12)
+        # theta_i^T omega = -alpha_i y_i whenever A_hat u = v - b_hat
+        tw = theta.T @ omega
+        scale = np.abs(theta.T) @ np.abs(omega)
+        assert np.all(np.abs(tw + ctrl.alpha_last * y) <= 1e-12 * scale)
+        assert np.array_equal(loop._drive[:, -1], -ctrl.alpha_last * y)
+
+
+# -- diagnostics per block ----------------------------------------------------------------
+
+
+def _per_step_engine(spec, law, horizon, step_diag):
+    """Step a ClosedLoop by hand; step_diag(loop, frame) gives one row of diagnostics."""
+    loop = engine.ClosedLoop(spec, law=law, horizon=horizon)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon):
+            *_, fr = loop.measure(k)
+            row = step_diag(loop, fr)
+            loop.advance()
+            if not (np.isfinite(loop.l2_eps) and np.isfinite(loop.l2_dtheta)):
+                break
+            out.append(row)
+    return np.array(out)
+
+
+def test_engine_block_diagnostics_match_per_step_formulas():
+    # a horizon that is not a multiple of CT_BLOCK: two full blocks and a partial one
+    b = benchmarks.mimo_dt_2x2()
+    scn = _mimo_scn(b, Structure.SF_XM, x0=np.array([0.3, -0.2, 0.1]))
+    nom = mimo.nominal_params(scn)
+    q = scn.theta_dim
+    horizon = 2 * engine.CT_BLOCK + 37
+    law = GradientLaw(gz=np.eye(q), sp=scn.sp, gpsi=scn.gamma, gpsi_max=2.0)
+    spec = scn.loop_spec(theta0=0.9 * nom.theta_star, psi0=scn.sp.T.copy())
+    tr = engine.run_closed_loop(spec, law=law, horizon=horizon,
+                                vprobe=mimo.certificate_probe(scn, nom),
+                                probes={"ident_resid": mimo.identity_probe(nom)})
+    gp, gamma_inv = nom.kp.T @ np.linalg.inv(scn.sp), np.linalg.inv(scn.gamma)
+
+    def step_diag(loop, fr):
+        tht, psit = loop.theta - nom.theta_star, loop.psi - nom.kp
+        v = np.trace(tht.T @ tht @ gp) + np.trace(psit.T @ gamma_inv @ psit)
+        ident = np.max(np.abs(fr.eps - (nom.kp @ tht.T @ fr.zeta + psit @ fr.xi)))
+        return v, ident, np.linalg.norm(np.concatenate((loop.theta.ravel(), loop.psi.ravel())))
+
+    want = _per_step_engine(spec, law, horizon, step_diag)
+    assert tr.n_samples == horizon == want.shape[0]
+    _close(tr.v, want[:, 0], 1e-14)
+    _close(tr.extra["ident_resid"], want[:, 1], 1e-14)
+    _close(tr.theta_norm, want[:, 2], 1e-14)
+
+
+def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
+    # unstable plant (pole at 3) under frozen parameters: the free response
+    # overflows and the run stops inside a block of 16 rows
+    monkeypatch.setattr(engine, "CT_BLOCK", 16)
+    b = benchmarks.siso_third_order()
+    poles = Polynomial.from_roots([3.0, 0.5, -0.4]).coeffs
+    plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), b["plant"].b, b["plant"].c, dt())
+    scn = siso.SisoScenario(
+        plant=plant, refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"], lam_e=b["lam_e"],
+        structure=Structure.SF_XM, sign_kp=b["sign_kp"], kp_bound=b["kp_bound"],
+        um=b["um"], x0=np.ones(3))
+    nom = siso.nominal_params(scn)
+    spec = scn.loop_spec(theta0=0.5 * nom.theta_star, rho0=0.7)
+    tr = engine.run_closed_loop(spec, horizon=2000,
+                                vprobe=siso.certificate_probe(scn, nom),
+                                probes={"ident_resid": siso.identity_probe(nom)})
+    assert tr.guard_events and "diverged" in tr.guard_events[0]
+    assert tr.n_samples % 16 != 0
+    gz, grho = siso.SisoGains().resolved(scn.theta_dim, scn.kp_bound)
+    tstar, kp = nom.theta_star, nom.kp
+
+    def step_diag(loop, fr):
+        tht, rhot = loop.theta[:, 0] - tstar, loop.psi[0, 0] - kp
+        v = abs(kp) * tht @ np.linalg.solve(gz, tht) + rhot * rhot / grho
+        ident = abs(fr.eps[0] - (kp * tht @ fr.zeta + rhot * fr.xi[0]))
+        return v, ident, np.linalg.norm(np.append(loop.theta, loop.psi))
+
+    want = _per_step_engine(spec, None, 2000, step_diag)
+    assert want.shape[0] == tr.n_samples
+    _close(tr.v, want[:, 0], 1e-14)
+    _close(tr.theta_norm, want[:, 2], 1e-14)
+    # the residual grows with the diverging signals: relative to each row's size
+    np.testing.assert_allclose(tr.extra["ident_resid"], want[:, 1], rtol=1e-14,
+                               atol=1e-14 * np.max(np.abs(tr.eps)))
+
+
+@pytest.mark.parametrize("horizon,nan_at", [(2 * engine.CT_BLOCK + 9, None), (100, 0.02)])
+def test_fl_block_diagnostics_match_per_step_formulas(horizon, nan_at):
+    # a horizon that is not a multiple of CT_BLOCK, and a run whose leader input
+    # turns NaN, so it stops at row 20 of its first block
+    plant, leader, ia = fl.benchmark()
+    tstar = fl.benchmark_theta_star(plant, leader, ia)
+    if nan_at is not None:
+        um = leader.um
+        leader = dataclasses.replace(
+            leader, um=lambda t: um(t) if t < nan_at else np.full(2, np.nan))
+
+    def ctrl():
+        return fl.FLController(interactor=ia, dims=(*plant.dims, leader.qm), theta=0.9 * tstar)
+
+    x0 = fl.matched_x0(plant, leader)
+    tr = fl.run(plant, leader, ctrl(), horizon=horizon, step=1e-3, x0=x0, theta_star=tstar)
+    loop = fl.FLLoop(plant, leader, ctrl(), x0=x0)
+    want = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(tr.n_samples):
+            k1, (*_, zetas, eps, _) = loop.evaluate(k * 1e-3, loop.s)
+            theta = loop.blocks(loop.s)[3].T
+            tht = tstar - theta
+            v = sum(0.5 * tht[:, i] @ np.linalg.solve(g, tht[:, i])
+                    for i, g in enumerate(loop.ctrl.gammas))
+            ident = [eps[i] - tht[:, i] @ zetas[i] for i in range(2)]
+            want.append((v, *ident, np.linalg.norm(theta)))
+            loop.s[:] = rk4_step(loop.rhs, k * 1e-3, loop.s, 1e-3, k1=k1)
+    want = np.array(want)
+    assert tr.n_samples == (20 if nan_at is not None else horizon)
+    _close(tr.v, want[:, 0], 1e-14)
+    _close(tr.extra["ident_resid"], want[:, 1:3], 1e-14)
+    _close(tr.theta_norm, want[:, 3], 1e-14)

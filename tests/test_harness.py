@@ -134,6 +134,12 @@ _MALFORMED = {
     "mimo_of_near": (_MIMO, {"structure": "of_xm", "theta0": "near"}, "theta0"),
     # the name becomes part of the output paths
     "name_path": ({}, {"name": "../escaped"}, "name"),
+    # only JSON booleans: the string "false" would switch test mode on
+    "test_mode_string": ({}, {"test_mode": "false"}, "test_mode"),
+    "test_mode_int": ({}, {"test_mode": 1}, "test_mode"),
+    # the nonlinear leader starts at its benchmark state; a given xm0 was dropped
+    "fl_xm0": (_FL, {"xm0": [9.0, 9.0]}, "xm0"),
+    "fl_xm0_zero": (_FL, {"xm0": "zero"}, "xm0"),
 }
 
 
