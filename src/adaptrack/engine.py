@@ -104,8 +104,8 @@ def gradient_rhs(gz, sp, gpsi, zeta, xi, eps, m2, out=None):
     if out is None:
         out = (np.empty((zeta.size, eps.size)), np.empty((eps.size, xi.size)))
     r = eps / -m2
-    np.multiply.outer(gz @ zeta, sp @ r, out=out[0])
-    np.multiply.outer(gpsi @ r, xi, out=out[1])
+    np.multiply((gz @ zeta)[:, None], sp @ r, out=out[0])
+    np.multiply((gpsi @ r)[:, None], xi, out=out[1])
     return out
 
 
@@ -357,6 +357,13 @@ class ClosedLoop:
 
     Layout of the flat state: [lin, Theta, Psi]; theta, psi and lin are views
     into it, valid for the life of the loop.
+
+    Every stage runs on buffers fixed at build: the derivative rows K[0..3],
+    rk4_step's work arrays (the arguments of stages 2-4 and two
+    accumulators), and for each stage j its signal arrays and its views of
+    the state blocks of its argument (the state itself for j = 0) and of
+    K[j].  Each stage has signal arrays of its own, so what measure returns
+    survives the later stages of the step, until the next measure.
     """
 
     def __init__(self, spec, law, horizon):
@@ -452,14 +459,42 @@ class ClosedLoop:
         if spec.xm0 is not None:
             z0[: spec.refmodel.n] = spec.xm0
         nb = min(CT_BLOCK, horizon)
+        nst = len(zb.stages)
         self._offsets = np.array(zb.offsets)[:, None]
         self._w = np.empty((nb, nz + len(zb.offsets) * m))
-        self._tab = np.empty((nb, len(zb.stages), exo.shape[0]))
+        self._tab = np.empty((nb, nst, exo.shape[0]))
         self._z_next, self._k0 = z0, -nb  # the first block starts at step 0
-        self._pending = None
+        # the exogenous part of every table row, and y_m of each step
+        self._rows = [tuple(self._tab[r, :, self._exo]) for r in range(nb)]
+        self._ym_rows = list(self._tab[:, 0, self._ym])
+
+        # RK4 buffers: the derivative rows K[0..3] (the law's unused blocks stay
+        # zero), the stage arguments and accumulators, and stage j's views of
+        # its argument (the state itself for j = 0), of K[j] and of its signals
+        self._k = np.zeros((nst, self.s.size))
+        self._work = tuple(np.empty((5, self.s.size)))
+        self._stages = [self._stage_buffers(a, k)
+                        for a, k in zip((self.s, *self._work[: nst - 1]), self._k)]
+        self._dpar = np.empty(o[3] - o[1])
+        self._new_par = self._work[4][self._par]
+        self._par_view = self.s[self._par]
+        self._dpar0 = self._k[0][self._par]
+        self._t = self._r = self._frame = None  # time, table row and frame of the last measure
         # cumulative L2 bookkeeping
         self.l2_eps = 0.0
         self.l2_dtheta = 0.0
+
+    def _stage_buffers(self, arg, d):
+        """Views of one stage argument and of its derivative row, and the stage's signals."""
+        q, m = self.theta.shape
+        sig = np.empty(self._fused.shape[0])
+        uz = np.empty((2, m))  # [u, Theta^T zeta]
+        return (arg[self._lin], arg[self._theta].reshape(q, m), arg[self._psi].reshape(m, m),
+                sig, sig[self._exo], sig[self._oz].reshape(2, -1), uz, uz[0], uz[1],
+                np.empty(self._gu.shape[0]), sig[self._lin], d[self._lin],
+                sig[self._zeta], sig[self._eta], sig[self._ebar], sig[self._zx], np.empty(m),
+                sig[self._e], sig[self._om], sig[self._y],
+                (d[self._theta].reshape(q, m), d[self._psi].reshape(m, m)))
 
     def _fill_block(self, k0):
         """Stage tables of steps k0 .. k0 + CT_BLOCK - 1, continuing from the last block.
@@ -479,77 +514,71 @@ class ClosedLoop:
         self._z_next, self._k0 = z, k0
         np.matmul(w, self._tab_read.T, out=self._tab.reshape(nb, -1))
 
-    def _stage_rhs(self, flat, row, frame=False):
-        """[dlin, dTheta, dPsi] at one state and table row (DT: lin+ in place of dlin).
+    def _stage_rhs(self, j, row, frame=False):
+        """[dlin, dTheta, dPsi] at stage j's argument, written into K[j] and returned.
 
-        Only what the law reads is computed: Rd1Law reads e and omega, a
-        nominal run nothing, GradientLaw the estimation-error signals; the
-        laws write into the derivative array.  With frame set, the signals
-        (y, y_m, e, u, Frame) that measure records are returned too, from
-        the same expressions.
+        row is the exogenous part of the stage's table row (DT: lin+ in place
+        of dlin).  Only what the law reads is computed: Rd1Law reads e and
+        omega, a nominal run nothing, GradientLaw the estimation-error
+        signals; the laws write into K[j].  With frame set, the signals (y, e,
+        u, Frame) that measure records are returned too, as views of stage
+        j's buffers.
         """
-        lin = flat[self._lin]
-        theta = flat[self._theta].reshape(self.theta.shape)
-        sig = self._fused @ lin
-        sig[self._exo] += row[self._exo]
-        uz = sig[self._oz].reshape(2, -1) @ theta  # [u, Theta^T zeta]
-        u = uz[0]
-        d = np.empty(flat.size)
-        np.add(sig[self._lin], self._gu @ u, out=d[self._lin])
-        law = self.law
+        (lin, theta, psi, sig, exo, oz, uz, u, tz, gu_u, sig_lin, dlin, zeta, xi, ebar, zx,
+         eps, e, om, y, dpar) = self._stages[j]
+        np.matmul(self._fused, lin, out=sig)
+        np.add(exo, row, out=exo)
+        np.matmul(oz, theta, out=uz)
+        np.add(sig_lin, np.matmul(self._gu, u, out=gu_u), out=dlin)
         if frame or self._gradient:
-            psi = flat[self._psi].reshape(self.psi.shape)
-            zeta, xi = sig[self._zeta], sig[self._eta]
-            np.subtract(uz[1], xi, out=xi)  # xi takes eta's place: [zeta, xi] is contiguous
-            eps = psi @ xi
-            eps += sig[self._ebar]
-            zx = sig[self._zx]
+            np.subtract(tz, xi, out=xi)  # xi takes eta's place: [zeta, xi] is contiguous
+            np.add(np.matmul(psi, xi, out=eps), ebar, out=eps)
             mm = math.sqrt(1.0 + zx @ zx)
+        law = self.law
         if self._gradient:
-            gradient_rhs(law.gz, law.sp, law.gpsi, zeta, xi, eps, mm * mm,
-                         out=(d[self._theta].reshape(self.theta.shape),
-                              d[self._psi].reshape(self.psi.shape)))
-        elif law is None:
-            d[self._par] = 0.0
-        else:
-            law.rhs(sig[self._e], sig[self._om], out=d[self._theta].reshape(self.theta.shape))
-            d[self._psi] = 0.0
+            gradient_rhs(law.gz, law.sp, law.gpsi, zeta, xi, eps, mm * mm, out=dpar)
+        elif law is not None:
+            law.rhs(e, om, out=dpar[0])
         if not frame:
-            return d
-        return d, (sig[self._y], row[self._ym], sig[self._e], u,
-                   Frame(sig[self._om], zeta, xi, sig[self._ebar], eps, mm))
+            return self._k[j]
+        return self._k[j], (y, e, u, Frame(om, zeta, xi, ebar, eps, mm))
 
     def measure(self, k):
-        """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
+        """Signals (y, y_m, e, u, frame) at grid point k and the stored state.
+
+        They are views of buffers that the next measure overwrites.
+        """
         r = k - self._k0
         if not 0 <= r < self._w.shape[0]:
             self._fill_block(k)
             r = 0
-        stages = self._tab[r]
-        d, out = self._stage_rhs(self.s, stages[0], frame=True)
-        self._pending = (out[4], k * self._h, d, stages)
-        return out
+        _, (y, e, u, frame) = self._stage_rhs(0, self._rows[r][0], frame=True)
+        self._t, self._r, self._frame = k * self._h, r, frame
+        return y, self._ym_rows[r], e, u, frame
 
     def advance(self):
         """Move the stored state to the next grid point (after measure)."""
-        frame, t, d, stages = self._pending
+        frame, d = self._frame, self._k[0]
         if self.domain.is_dt:
-            dpar = d[self._par]
-            self.lin[:] = d[self._lin]
-            self.s[self._par] += dpar
+            dpar = self._dpar0
+            self.lin[...] = self._stages[0][11]  # lin+
+            np.add(self._par_view, dpar, out=self._par_view)
             self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar)
         else:
             h = self._h
-            # rk4_step evaluates stages 2, 3 and 4 in that order
-            rows = iter(stages[1:])
-            new = rk4_step(lambda tt, flat: self._stage_rhs(flat, next(rows)), t, self.s, h,
-                           k1=d)
-            dpar = new[self._par] - self.s[self._par]
+            rows, js = self._rows[self._r], iter((1, 2, 3))
+
+            def stage(tt, arg):  # rk4_step evaluates stages 2, 3 and 4 in that order
+                j = next(js)
+                return self._stage_rhs(j, rows[j])
+
+            new = rk4_step(stage, self._t, self.s, h, k1=d, work=self._work)
+            dpar = np.subtract(self._new_par, self._par_view, out=self._dpar)
             self.l2_eps += h * float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar) / h
-            self.s[:] = new
-        self._pending = None
+            self.s[...] = new
+        self._frame = None
 
     def diverged_block(self):
         """Name of the first state block holding a non-finite value.

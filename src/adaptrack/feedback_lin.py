@@ -97,25 +97,33 @@ class FLController:
         self.alpha_last = np.array([d.coeffs[0] for d in self.interactor.rows])
 
 
-def estimates(ctrl, tht, om1, w, om3, omm, y, x=None):
+def _estimate_buffers(ctrl):
+    """Buffers of estimates: X (zero outside its blocks) and its block views, Theta^T X
+    and its column views, alpha y and v."""
+    q1, q2, q3, _ = ctrl.dims
+    m = ctrl.m
+    x, p = np.zeros((ctrl.q, m + 2)), np.empty((m, m + 2))
+    return (x, x[:q1, 0], x[q1 : q1 + q2, 1 : m + 1], x[q1 + q2 : q1 + q2 + q3, m + 1],
+            x[q1 + q2 + q3 :, m + 1], p, p[:, 0], p[:, 1 : m + 1], p[:, m + 1], np.empty(m),
+            np.empty(m))
+
+
+def estimates(ctrl, tht, om1, w, om3, omm, y, buf=None):
     """(b_hat, A_hat, v) at one state, from the regressors evaluated there.
 
     tht is Theta^T (row i = theta_i).  A_hat u = Theta2^T W(x) u, b_hat =
     Theta1^T omega1 and the outer-loop signal v = Theta_m^T omega_m -
     (Theta3^T omega3 + alpha y) come from one product Theta^T X, X holding
-    omega1, W and [-omega3; omega_m] in its column blocks.  x, when given, is
-    a (q, m + 2) buffer for X that is zero outside those blocks.
+    omega1, W and [-omega3; omega_m] in its column blocks.  buf, when given,
+    is a _estimate_buffers tuple that X and the results are written into.
     """
-    q1, q2, q3, _ = ctrl.dims
-    m = ctrl.m
-    if x is None:
-        x = np.zeros((ctrl.q, m + 2))
-    x[:q1, 0] = om1
-    x[q1 : q1 + q2, 1 : m + 1] = w
-    x[q1 + q2 : q1 + q2 + q3, m + 1] = -om3
-    x[q1 + q2 + q3 :, m + 1] = omm
-    p = tht @ x
-    return p[:, 0], p[:, 1 : m + 1], p[:, m + 1] - ctrl.alpha_last * y
+    x, xo1, xw, xo3, xom, p, bhat, ahat, pv, ay, v = buf or _estimate_buffers(ctrl)
+    xo1[...] = om1
+    xw[...] = w
+    np.negative(om3, out=xo3)
+    xom[...] = omm
+    np.matmul(tht, x, out=p)
+    return bhat, ahat, np.subtract(pv, np.multiply(ctrl.alpha_last, y, out=ay), out=v)
 
 
 def _sigma_min_2x2(p, q, r, t):
@@ -146,11 +154,12 @@ def linearizing_control(ahat, bhat, v, guard=1e-6, t=None):
     """u solving A_hat u = v - b_hat, guarded against near-singular A_hat."""
     if ahat.shape[0] == 2:
         # Python floats: the same IEEE operations without numpy scalar overhead
-        a, b, c, d = ahat.ravel().tolist()
+        (a, b), (c, d) = ahat.tolist()
         smin = _sigma_min_2x2(a, b, c, d)
         if smin < guard:
             raise SingularityGuard(smin, t)
-        r0, r1 = (v - bhat).tolist()
+        (v0, v1), (b0, b1) = v.tolist(), bhat.tolist()
+        r0, r1 = v0 - b0, v1 - b1
         det = a * d - b * c
         return np.array([(d * r0 - b * r1) / det, (a * r1 - c * r0) / det])
     smin = sigma_min(ahat)
@@ -159,13 +168,19 @@ def linearizing_control(ahat, bhat, v, guard=1e-6, t=None):
     return np.linalg.solve(ahat, v - bhat)
 
 
-def column_frames(tht, e, zetas, etas):
+def column_frames(tht, e, zetas, etas, out=None):
     """(xi, eps, m) of every column at once; row i of tht is theta_i, of zetas zeta_i.
 
     xi_i = eta_i - theta_i^T zeta_i, eps_i = e_i + xi_i, m_i = sqrt(1 + |zeta_i|^2).
+    out, when given, is the triple of arrays the three are written into.
     """
-    xi = etas - np.vecdot(tht, zetas)
-    return xi, e + xi, np.sqrt(1.0 + np.vecdot(zetas, zetas))
+    if out is None:
+        out = tuple(np.empty(etas.shape) for _ in range(3))
+    xi, eps, mi = out
+    np.subtract(etas, np.vecdot(tht, zetas, out=xi), out=xi)
+    np.add(e, xi, out=eps)
+    np.sqrt(np.add(1.0, np.vecdot(zetas, zetas, out=mi), out=mi), out=mi)
+    return out
 
 
 def gradient_rhs(gain, zetas, eps, mi, out=None):
@@ -214,6 +229,15 @@ class FLLoop:
     A_hat u = v - b_hat, so theta_i^T omega = -alpha_i y_i exactly, and the
     drive's last column is -alpha y in place of the product (the two differ
     by the rounding of the solve).
+
+    run steps through buffers fixed at build: the derivative rows K[0..3],
+    rk4_step's work arrays, and for each RK4 stage its signal arrays and its
+    views of the blocks of its argument (the state itself at the grid
+    point) and of its K row.  Each stage has signal arrays of its own, so the
+    grid-point signals survive the step's later stages.  The scratch that a
+    right-hand side reads only while it runs (X, omega, the drive) is one
+    set per loop.  evaluate and rhs take any state and allocate what they
+    return.
     """
 
     def __init__(self, plant, leader, ctrl, adaptive=True, x0=None):
@@ -232,14 +256,39 @@ class FLLoop:
             self.s[self._x] = x0
         self.s[self._xm] = leader.x0
         self.s[self._theta] = ctrl.theta.T.ravel()
-        # scratch of every right-hand side: X of estimates (zero outside its
-        # blocks), the weights [1, u, -1] that read omega off it, the drive
-        self._est = np.zeros((q, m + 2))
+        # scratch of every right-hand side, read only inside it: X of
+        # estimates (zero outside its blocks), the weights [1, u, -1] that
+        # read omega off it, omega, the drive and the products summed into
+        # the derivative
+        self._eb = _estimate_buffers(ctrl)
+        self._est = self._eb[0]
         self._omega_w = np.ones(m + 2)
         self._omega_w[-1] = -1.0
-        self._drive = np.empty((m, q + 1))
+        self._omega_u, self._omega = self._omega_w[1:-1], np.empty(q)
+        self._gu = np.empty(plant.n)
+        # [S; drive], so that one product with [A, B] gives dS
+        self._ab = np.hstack((self._a, self._b))
+        self._sd = np.empty((nk + m, q + 1))
+        self._sd_s, self._drive = self._sd[:nk], self._sd[nk:]
+        self._drive_omega, self._drive_alpha = self._drive[:, :q], self._drive[:, q]
         self._nalpha = -ctrl.alpha_last
         self.l2_eps = 0.0
+        self.l2_dtheta = 0.0
+        # RK4 buffers: the derivative rows K[0..3], the stage arguments and
+        # accumulators, and stage j's views of its argument (the state
+        # itself for j = 0), of K[j] and of its signals
+        self._k = np.zeros((4, self.s.size))
+        self._work = tuple(np.empty((5, self.s.size)))
+        self._stages = [self._stage_buffers(a, k) for a, k in zip((self.s, *self._work[:3]),
+                                                                     self._k)]
+
+    def _stage_buffers(self, flat, deriv):
+        """Views of one stage argument and of its derivative, and the stage's signals."""
+        m, q = self._tshape
+        zeta_eta = np.empty((m, q + 1))
+        return (self.blocks(flat), deriv, (*self.blocks(deriv)[:3], deriv[self._theta]),
+                zeta_eta, zeta_eta[:, :q], zeta_eta[:, q], np.empty(m),
+                (np.empty(m), np.empty(m), np.empty(m)))
 
     def blocks(self, flat):
         """Views (x, x_m, S, Theta^T) of a flat state."""
@@ -254,34 +303,35 @@ class FLLoop:
                 return name
         return "l2_eps"
 
-    def evaluate(self, t, flat):
-        """Derivative of the flat state and the signals (y, y_m, e, u, zetas, eps, m_i)."""
+    def _stage(self, t, bufs):
+        """Derivative and signals (y, y_m, e, u, zetas, eps, m_i) into one stage's buffers."""
         plant, ctrl = self.plant, self.ctrl
-        x, xm, filt, tht = self.blocks(flat)
-        q = ctrl.q
+        ((x, xm, filt, tht), deriv, (dx, dxm, dfilt, dtheta), zeta_eta, zetas, etas, e,
+         frames) = bufs
         y, om1, w, om3, fx, gx = plant.at(x)
-        dxm, ym, omm = self.leader.at(xm, self.leader.um(t))
-        e = y - ym
-        bhat, ahat, v = estimates(ctrl, tht, om1, w, om3, omm, y, self._est)
+        dxm_, ym, omm = self.leader.at(xm, self.leader.um(t))
+        np.subtract(y, ym, out=e)
+        bhat, ahat, v = estimates(ctrl, tht, om1, w, om3, omm, y, self._eb)
         u = linearizing_control(ahat, bhat, v, ctrl.guard, t)
-        drive = self._drive
-        self._omega_w[1:-1] = u
-        drive[:, :q] = self._est @ self._omega_w
-        np.multiply(self._nalpha, y, out=drive[:, q])
-        zeta_eta = self._hs @ filt
-        zetas = zeta_eta[:, :q]
-        _, eps, mi = column_frames(tht, e, zetas, zeta_eta[:, q])
-        deriv = np.empty(self.s.size)
-        np.add(fx @ plant.theta_star, gx @ u, out=deriv[self._x])
-        deriv[self._xm] = dxm
-        dfilt = deriv[self._filt].reshape(self._fshape)
-        np.matmul(self._a, filt, out=dfilt)
-        dfilt += self._b @ drive
-        if self.adaptive:
-            gradient_rhs(ctrl.gain, zetas, eps, mi, out=deriv[self._theta])
-        else:
-            deriv[self._theta] = 0.0
+        self._omega_u[...] = u
+        self._drive_omega[...] = np.matmul(self._est, self._omega_w, out=self._omega)
+        np.multiply(self._nalpha, y, out=self._drive_alpha)
+        np.matmul(self._hs, filt, out=zeta_eta)
+        _, eps, mi = column_frames(tht, e, zetas, etas, out=frames)
+        np.add(np.matmul(fx, plant.theta_star, out=dx), np.matmul(gx, u, out=self._gu), out=dx)
+        dxm[...] = dxm_
+        self._sd_s[...] = filt
+        np.matmul(self._ab, self._sd, out=dfilt)
+        if self.adaptive:  # else dtheta stays zero, as allocated
+            gradient_rhs(ctrl.gain, zetas, eps, mi, out=dtheta)
         return deriv, (y, ym, e, u, zetas, eps, mi)
+
+    def evaluate(self, t, flat):
+        """Derivative of the flat state and the signals (y, y_m, e, u, zetas, eps, m_i).
+
+        Every array returned is allocated by this call.
+        """
+        return self._stage(t, self._stage_buffers(flat, np.zeros(flat.size)))
 
     def rhs(self, t, flat):
         return self.evaluate(t, flat)[0]
@@ -313,6 +363,8 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     m, q = ctrl.m, ctrl.q
     rec = _Recorder(horizon, m, q * m)
     flat_theta = loop.s[loop._theta]  # a view: the estimates in effect at each grid point
+    new_theta, dtheta = loop._work[4][loop._theta], np.empty(q * m)
+    grid, later = loop._stages[0], loop._stages[1:]
     guard_events = []
     mi_extra = np.zeros((horizon, m))
     diagnose = ident = None
@@ -330,23 +382,27 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     with np.errstate(over="ignore", invalid="ignore"):  # the diverged event reports it
         for k in range(horizon):
             t = k * step
+            stages = iter(later)  # rk4_step evaluates stages 2, 3 and 4 in that order
             try:
-                k1, (y, ym, e, u, zetas, eps, mis) = loop.evaluate(t, loop.s)
-                new = rk4_step(loop.rhs, t, loop.s, step, k1=k1)
+                k1, (y, ym, e, u, zetas, eps, mis) = loop._stage(t, grid)
+                new = rk4_step(lambda tt, _: loop._stage(tt, next(stages))[0], t, loop.s,
+                               step, k1=k1, work=loop._work)
             except SingularityGuard as g:
                 guard_events.append({"t": t, "sigma_min": g.sigma_min})
                 break
             mi_extra[k] = mis
             magg = math.sqrt(1.0 + float(np.vdot(zetas, zetas)))
-            loop.l2_eps += step * float(np.sum((eps / mis) ** 2))
+            loop.l2_eps += step * float(np.add.reduce((eps / mis) ** 2))
             if not math.isfinite(loop.l2_eps):
                 guard_events.append({"t": t, "diverged": loop.diverged_block(loop.s)})
                 break
+            np.subtract(new_theta, flat_theta, out=dtheta)
+            loop.l2_dtheta += float(dtheta @ dtheta) / step
             rec.par[k - rec.k0] = flat_theta
             if ident is not None:
                 kept[k - rec.k0] = zetas
-            full = rec.push(t, y, ym, e, u, magg, eps, loop.l2_eps, 0.0)
-            loop.s[:] = new
+            full = rec.push(t, y, ym, e, u, magg, eps, loop.l2_eps, loop.l2_dtheta)
+            loop.s[...] = new
             if full:
                 rec.close_block(diagnose)
         rec.close_block(diagnose)

@@ -217,8 +217,9 @@ def scenario_from_dict(data, name=None):
         if bench_name is None:
             _require(dom_tag in ("dt", "ct"), "domain",
                      "explicit scenarios must declare dt or ct")
-            step = _conv(float, data.get("step", 1.0 if dom_tag == "dt" else 1e-3), "step")
-            domain = dt(step) if dom_tag == "dt" else ct(step)
+            _require(dom_tag == "ct" or "step" not in data, "step",
+                     "step applies to ct only; a dt loop steps once per sample")
+            domain = dt() if dom_tag == "dt" else ct(_conv(float, data.get("step", 1e-3), "step"))
             _require("plant" in data, "plant", "missing")
             _require("refmodel" in data, "refmodel", "missing")
             comps["plant"] = _statespace(data["plant"], "plant", domain)

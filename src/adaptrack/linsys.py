@@ -149,18 +149,35 @@ class StateSpace:
         return self.c.shape[0]
 
 
-def rk4_step(f, t, x, h, k1=None):
-    """One classical 4th-order Runge-Kutta step of x' = f(t, x).
+def rk4_step(f, t, x, h, k1=None, work=None):
+    """One classical 4th-order Runge-Kutta step of x' = f(t, x); returns the new x.
 
     k1 may be passed in when f(t, x) was already evaluated at the grid point
     (the closed-loop drivers record signals from that same evaluation).
+    work, when given, is five arrays shaped like x: the stage arguments x +
+    (c h) k of stages 2, 3 and 4, then two accumulators, the last of which
+    receives the new state.  Absent, they are allocated here.  x is never
+    written, and each stage argument is an array of its own, so an f that
+    keeps its arguments finds them intact after the step.  The update is
+    x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), operation for operation.
     """
     if k1 is None:
         k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if work is None:
+        dtype = np.result_type(x, k1)
+        work = [np.empty(np.shape(x), dtype) for _ in range(5)]
+    x2, x3, x4, acc, new = work
+    np.add(x, np.multiply(k1, 0.5 * h, out=x2), out=x2)
+    k2 = f(t + 0.5 * h, x2)
+    np.add(x, np.multiply(k2, 0.5 * h, out=x3), out=x3)
+    k3 = f(t + 0.5 * h, x3)
+    np.add(x, np.multiply(k3, h, out=x4), out=x4)
+    k4 = f(t + h, x4)
+    np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+    np.add(acc, np.multiply(k3, 2.0, out=new), out=new)
+    np.add(new, k4, out=new)
+    np.multiply(new, h / 6.0, out=new)
+    return np.add(x, new, out=new)
 
 
 def rk4_gain(eigs, h):

@@ -81,10 +81,12 @@ def test_fused_stage_equals_the_unfused_block_formula(bench, design):
         for j, (zw, uw) in enumerate(zb.stages):
             row = loop._tab_read.reshape(nst, width, -1)[j] @ w
             want, sigs = _unfused(loop, flat, np.concatenate((zw @ w, uw @ w)))
-            got = loop._stage_rhs(flat, row)
+            (loop.s if j == 0 else loop._work[j - 1])[:] = flat  # stage j's argument
+            got = loop._stage_rhs(j, row[loop._exo]).copy()
             _close(got, want, 1e-12)
-            got_f, (y, ym, e, u, fr) = loop._stage_rhs(flat, row, frame=True)
+            got_f, (y, e, u, fr) = loop._stage_rhs(j, row[loop._exo], frame=True)
             assert np.array_equal(got_f, got)
+            ym = row[loop._ym]  # measure reads y_m off the table row
             for a, b_ in zip((y, ym, e, u, fr.eps, fr.m), sigs):
                 _close(a, b_, 1e-12)
 

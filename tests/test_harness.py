@@ -129,6 +129,9 @@ _MALFORMED = {
     "um_channel": ({}, {"um": {"channels": [1]}}, "um.channels[0]"),
     "interactor": (_MIMO, {"interactor": 5}, "interactor"),
     "plant": ({"benchmark": None, "domain": "dt", "refmodel": {}}, {"plant": 5}, "plant"),
+    # a dt loop steps once per sample: a given step was ignored
+    "dt_explicit_step": ({"benchmark": None, "domain": "dt", "plant": {}, "refmodel": {}},
+                         {"step": 0.5}, "step"),
     # multivariable output-feedback matching parameters are not synthesized
     "mimo_of_nominal": (_MIMO, {"structure": "of_xm", "mode": "nominal"}, "mode"),
     "mimo_of_near": (_MIMO, {"structure": "of_xm", "theta0": "near"}, "theta0"),

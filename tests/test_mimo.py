@@ -518,8 +518,9 @@ def test_ct_stage_derivative_is_the_k1_of_measure(bench_ct, bench_rd1, design):
     loop.s[:] = rng.standard_normal(loop.s.size)
     loop._tab[0, 0] = rng.standard_normal(loop._tab.shape[2])
     loop.measure(0)
-    k1 = loop._pending[2]
-    assert np.array_equal(loop._stage_rhs(loop.s.copy(), loop._tab[0, 0]), k1)
+    k1 = loop._k[0].copy()
+    loop._work[0][:] = loop.s  # the argument of stage 2
+    assert np.array_equal(loop._stage_rhs(1, loop._tab[0, 0, loop._exo]), k1)
     dpar = k1[loop._par]
     assert np.all(dpar == 0.0) if design == "nominal" else np.any(dpar != 0.0)
     assert np.all(k1[loop._psi] == 0.0) == (design != "gradient")
