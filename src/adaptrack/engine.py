@@ -478,7 +478,7 @@ class ClosedLoop:
         self._dpar = np.empty(o[3] - o[1])
         self._new_par = self._work[4][self._par]
         self._par_view = self.s[self._par]
-        self._dpar0 = self._k[0][self._par]
+        self._lin_next, self._par_step = self._k[0][self._lin], self._k[0][self._par]  # DT
         self._t = self._r = self._frame = None  # time, table row and frame of the last measure
         # cumulative L2 bookkeeping
         self.l2_eps = 0.0
@@ -517,8 +517,8 @@ class ClosedLoop:
     def _stage_rhs(self, j, row, frame=False):
         """[dlin, dTheta, dPsi] at stage j's argument, written into K[j] and returned.
 
-        row is the exogenous part of the stage's table row (DT: lin+ in place
-        of dlin).  Only what the law reads is computed: Rd1Law reads e and
+        DT: lin+ in place of dlin.  row is the exogenous part of the stage's
+        table row.  Only what the law reads is computed: Rd1Law reads e and
         omega, a nominal run nothing, GradientLaw the estimation-error
         signals; the laws write into K[j].  With frame set, the signals (y, e,
         u, Frame) that measure records are returned too, as views of stage
@@ -560,8 +560,8 @@ class ClosedLoop:
         """Move the stored state to the next grid point (after measure)."""
         frame, d = self._frame, self._k[0]
         if self.domain.is_dt:
-            dpar = self._dpar0
-            self.lin[...] = self._stages[0][11]  # lin+
+            dpar = self._par_step
+            self.lin[...] = self._lin_next
             np.add(self._par_view, dpar, out=self._par_view)
             self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar)

@@ -175,22 +175,26 @@ def test_fl_evaluate_returns_arrays_no_later_call_overwrites():
 
 @pytest.mark.parametrize("bench,design", _ENGINE)
 def test_engine_loops_stepped_interleaved_equal_separate_runs(bench, design):
+    # each loop is measured before the other advances, so any buffer the two
+    # shared would carry one loop's values into the other's step
     build = _mimo_loop(bench, design)
 
-    def record(loop, k, rows):
-        y, ym, e, u, fr = loop.measure(k)
-        rows.append(np.concatenate((y, ym, e, u, fr.eps, [fr.m])))
-        loop.advance()
+    def row(out):
+        y, ym, e, u, fr = out
+        return np.concatenate((y, ym, e, u, fr.eps, [fr.m]))
 
-    alone = []
-    loop = build()
+    alone, loop = [], build()
     for k in range(200):
-        record(loop, k, alone)
+        alone.append(row(loop.measure(k)))
+        loop.advance()
     a, b_ = build(), build()
     ra, rb = [], []
     for k in range(200):
-        record(a, k, ra)
-        record(b_, k, rb)
+        out_a, out_b = a.measure(k), b_.measure(k)
+        ra.append(row(out_a))
+        rb.append(row(out_b))
+        a.advance()
+        b_.advance()
     assert np.array_equal(np.array(ra), np.array(alone))
     assert np.array_equal(np.array(rb), np.array(alone))
     assert np.array_equal(a.s, loop.s) and np.array_equal(b_.s, loop.s)
@@ -199,21 +203,31 @@ def test_engine_loops_stepped_interleaved_equal_separate_runs(bench, design):
 def test_fl_loops_stepped_interleaved_equal_separate_runs():
     h = 1e-3
 
-    def record(loop, k, rows):
-        (y, ym, e, u, _, eps, mi), new = _fl_step(loop, k * h, h)
-        rows.append(np.concatenate((y, ym, e, u, eps, mi)))
-        loop.s[:] = new
+    def grid(loop, k):
+        k1, (y, ym, e, u, _, eps, mi) = loop._stage(k * h, loop._stages[0])
+        return k1, np.concatenate((y, ym, e, u, eps, mi))
+
+    def advance(loop, k, k1):
+        later = iter(loop._stages[1:])
+        loop.s[:] = rk4_step(lambda tt, _: loop._stage(tt, next(later))[0], k * h, loop.s, h,
+                             k1=k1, work=loop._work)
 
     alone, loop = [], _fl_loop()
     for k in range(150):
-        record(loop, k, alone)
+        k1, r = grid(loop, k)
+        alone.append(r)
+        advance(loop, k, k1)
     a, b_ = _fl_loop(), _fl_loop()
     ra, rb = [], []
     for k in range(150):
-        record(a, k, ra)
-        record(b_, k, rb)
+        (k1a, r_a), (k1b, r_b) = grid(a, k), grid(b_, k)
+        ra.append(r_a)
+        rb.append(r_b)
+        advance(a, k, k1a)
+        advance(b_, k, k1b)
     assert np.array_equal(np.array(ra), np.array(alone))
     assert np.array_equal(np.array(rb), np.array(alone))
+    assert np.array_equal(a.s, loop.s) and np.array_equal(b_.s, loop.s)
 
 
 # -- the nonlinear loop's parameter-increment sum --------------------------------------------
