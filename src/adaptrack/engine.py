@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GainBoundViolation
+from .errors import GainBoundViolation, SingularityGuard
 from .linsys import (
     DiagonalInteractor,
     FilterBank,
@@ -210,7 +210,7 @@ class SimTrace:
 class _Recorder:
     """Trace rows pushed one step at a time, and the diagnostics of each block of rows.
 
-    The loops copy the parameters in effect at each step into row k - k0 of
+    drive copies the parameters in effect at each step into row k - k0 of
     par; close_block then fills theta_norm, and calls diagnose(rows, par),
     over the rows pushed since the last block, at most CT_BLOCK of them.
     """
@@ -255,11 +255,10 @@ class _Recorder:
                 diagnose(slice(k0, k), par)
         self.k0 = k
 
-    def trace(self, guard_events=None, extra=None):
+    def trace(self, guard_events, extra):
+        """The SimTrace of the rows pushed; extra maps names to arrays with a row per step."""
         k = self.k
-        ex = {"l2_eps_cum": self.l2_eps[:k], "l2_dtheta_cum": self.l2_dtheta[:k]}
-        if extra:
-            ex.update(extra)
+        ex = {"l2_eps_cum": self.l2_eps, "l2_dtheta_cum": self.l2_dtheta, **extra}
         return SimTrace(
             t=self.t[:k],
             y=self.y[:k],
@@ -270,8 +269,8 @@ class _Recorder:
             eps=self.eps[:k],
             v=self.v[:k],
             theta_norm=self.theta_norm[:k],
-            guard_events=list(guard_events or []),
-            extra=ex,
+            guard_events=guard_events,
+            extra={name: vals[:k] for name, vals in ex.items()},
         )
 
 
@@ -324,7 +323,62 @@ class LoopSpec:
 CT_BLOCK = 64
 
 
-class ClosedLoop:
+class FlatLoop:
+    """A loop over one flat state s, in the interface that drive steps.
+
+    measure(k) -> (y, y_m, e, u, Frame) gives the signals at grid point k;
+    advance() moves s to the next grid point and adds the step's terms to
+    the running sums l2_eps and l2_dtheta.  h is the grid step (1 in
+    discrete time), par the view of s holding the adaptive parameters.
+
+    Every stage runs on buffers fixed at build: the derivative rows K[j] (a
+    block that no stage writes stays zero), rk4_step's work arrays, and,
+    from _stage_buffers, each stage's signal arrays and its views of its
+    argument (s itself for j = 0) and of K[j].  Each stage has signal arrays
+    of its own, so what measure returns survives the later stages of the
+    step, until the next measure.
+    """
+
+    def _allocate(self, blocks, par, nst=4):
+        """Build s, zero and laid out in the (name, slice) blocks, par and nst stages' buffers."""
+        self.s = np.zeros(blocks[-1][1].stop)
+        self._named = blocks
+        self.par = self.s[par]
+        self._k = np.zeros((nst, self.s.size))
+        self._work = tuple(np.empty((5, self.s.size)))
+        self._stages = [self._stage_buffers(a, d)
+                        for a, d in zip((self.s, *self._work[: nst - 1]), self._k)]
+        self._new_par, self._dpar = self._work[4][par], np.empty(self.par.size)
+        self.l2_eps = self.l2_dtheta = 0.0  # the running L2 sums
+
+    def _rk4_advance(self, stage, t, l2e):
+        """One RK4 step of s from grid time t, whose first stage measure wrote into K[0].
+
+        stage(tt, j) returns K[j], the derivative at stage j = 1, 2, 3, whose
+        argument is rk4_step's work[j - 1].  l2e is the step's increment of
+        l2_eps; each loop writes its own expression, which fixes its rounding.
+        """
+        js = iter((1, 2, 3))  # rk4_step evaluates stages 2, 3 and 4 in that order
+        new = rk4_step(lambda tt, _: stage(tt, next(js)), t, self.s, self.h, k1=self._k[0],
+                       work=self._work)
+        dpar = np.subtract(self._new_par, self.par, out=self._dpar)
+        self.l2_eps += l2e
+        self.l2_dtheta += float(dpar @ dpar) / self.h
+        self.s[...] = new
+
+    def diverged_block(self):
+        """Name of the first state block holding a non-finite value.
+
+        Falls back to the name of the non-finite running L2 sum when the state
+        itself is still finite (an overflow inside the sum).
+        """
+        for name, at in self._named:
+            if not np.isfinite(self.s[at]).all():
+                return name
+        return "l2_eps" if not math.isfinite(self.l2_eps) else "l2_dtheta"
+
+
+class ClosedLoop(FlatLoop):
     """Closed loop over one preallocated flat state vector.
 
     The linear part lin = [x, S] holds the plant state and the stacked states
@@ -357,13 +411,6 @@ class ClosedLoop:
 
     Layout of the flat state: [lin, Theta, Psi]; theta, psi and lin are views
     into it, valid for the life of the loop.
-
-    Every stage runs on buffers fixed at build: the derivative rows K[0..3],
-    rk4_step's work arrays (the arguments of stages 2-4 and two
-    accumulators), and for each stage j its signal arrays and its views of
-    the state blocks of its argument (the state itself for j = 0) and of
-    K[j].  Each stage has signal arrays of its own, so what measure returns
-    survives the later stages of the step, until the next measure.
     """
 
     def __init__(self, spec, law, horizon):
@@ -371,7 +418,7 @@ class ClosedLoop:
         self.law = law  # None = nominal (frozen parameters)
         self._gradient = law is not None and not isinstance(law, Rd1Law)
         self.domain = dom = spec.plant.domain
-        self._h = 1.0 if dom.is_dt else dom.step
+        self.h = 1.0 if dom.is_dt else dom.step
         plant, s = spec.plant, spec.structure
         n, m, q = spec.n, spec.m, spec.q
         vu, vy = slice(0, m), slice(m, 2 * m)
@@ -436,11 +483,13 @@ class ClosedLoop:
         exo = np.vstack([x for *_, x in fused if x is not None] + [ym])
         self._tab_read = np.vstack([exo[:, :nz] @ zw + exo[:, nz:] @ u for zw, u in zb.stages])
 
-        # flat state [lin, Theta, Psi]
+        # flat state [lin, Theta, Psi] and the RK4 buffers (the law's unused blocks stay zero)
         o = np.cumsum([0, nl, q * m, m * m])
         self._lin, self._theta, self._psi = map(slice, o[:-1], o[1:])
-        self._par = slice(o[1], o[3])
-        self.s = np.zeros(o[3])
+        self._par = par = slice(o[1], o[3])
+        nst = len(zb.stages)
+        self._allocate((("plant_filters", self._lin), ("theta", self._theta),
+                        ("psi", self._psi)), par, nst)
         if spec.x0 is not None:
             self.s[:n] = spec.x0
         self.lin = self.s[self._lin]
@@ -459,7 +508,6 @@ class ClosedLoop:
         if spec.xm0 is not None:
             z0[: spec.refmodel.n] = spec.xm0
         nb = min(CT_BLOCK, horizon)
-        nst = len(zb.stages)
         self._offsets = np.array(zb.offsets)[:, None]
         self._w = np.empty((nb, nz + len(zb.offsets) * m))
         self._tab = np.empty((nb, nst, exo.shape[0]))
@@ -468,25 +516,12 @@ class ClosedLoop:
         self._rows = [tuple(self._tab[r, :, self._exo]) for r in range(nb)]
         self._ym_rows = list(self._tab[:, 0, self._ym])
 
-        # RK4 buffers: the derivative rows K[0..3] (the law's unused blocks stay
-        # zero), the stage arguments and accumulators, and stage j's views of
-        # its argument (the state itself for j = 0), of K[j] and of its signals
-        self._k = np.zeros((nst, self.s.size))
-        self._work = tuple(np.empty((5, self.s.size)))
-        self._stages = [self._stage_buffers(a, k)
-                        for a, k in zip((self.s, *self._work[: nst - 1]), self._k)]
-        self._dpar = np.empty(o[3] - o[1])
-        self._new_par = self._work[4][self._par]
-        self._par_view = self.s[self._par]
-        self._lin_next, self._par_step = self._k[0][self._lin], self._k[0][self._par]  # DT
+        self._lin_next, self._par_step = self._k[0][self._lin], self._k[0][par]  # DT
         self._t = self._r = self._frame = None  # time, table row and frame of the last measure
-        # cumulative L2 bookkeeping
-        self.l2_eps = 0.0
-        self.l2_dtheta = 0.0
 
     def _stage_buffers(self, arg, d):
         """Views of one stage argument and of its derivative row, and the stage's signals."""
-        q, m = self.theta.shape
+        q, m = self.spec.q, self.spec.m
         sig = np.empty(self._fused.shape[0])
         uz = np.empty((2, m))  # [u, Theta^T zeta]
         return (arg[self._lin], arg[self._theta].reshape(q, m), arg[self._psi].reshape(m, m),
@@ -505,7 +540,7 @@ class ClosedLoop:
         nb, nz = self._w.shape[0], self._ref.nz
         if k0 != self._k0 + nb:
             raise ValueError("steps must be measured in order")
-        um = self.spec.um(np.arange(k0, k0 + nb) * self._h + self._offsets)  # (m, stages, nb)
+        um = self.spec.um(np.arange(k0, k0 + nb) * self.h + self._offsets)  # (m, stages, nb)
         self._w[:, nz:] = um.transpose(2, 1, 0).reshape(nb, -1)
         z, w, p = self._z_next, self._w, self._ref.step.T
         for r in range(nb):
@@ -544,57 +579,67 @@ class ClosedLoop:
         return self._k[j], (y, e, u, Frame(om, zeta, xi, ebar, eps, mm))
 
     def measure(self, k):
-        """Signals (y, y_m, e, u, frame) at grid point k and the stored state.
-
-        They are views of buffers that the next measure overwrites.
-        """
+        """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
         r = k - self._k0
         if not 0 <= r < self._w.shape[0]:
             self._fill_block(k)
             r = 0
         _, (y, e, u, frame) = self._stage_rhs(0, self._rows[r][0], frame=True)
-        self._t, self._r, self._frame = k * self._h, r, frame
+        self._t, self._r, self._frame = k * self.h, r, frame
         return y, self._ym_rows[r], e, u, frame
 
     def advance(self):
         """Move the stored state to the next grid point (after measure)."""
-        frame, d = self._frame, self._k[0]
+        frame = self._frame
         if self.domain.is_dt:
             dpar = self._par_step
             self.lin[...] = self._lin_next
-            np.add(self._par_view, dpar, out=self._par_view)
+            np.add(self.par, dpar, out=self.par)
             self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar)
         else:
-            h = self._h
-            rows, js = self._rows[self._r], iter((1, 2, 3))
-
-            def stage(tt, arg):  # rk4_step evaluates stages 2, 3 and 4 in that order
-                j = next(js)
-                return self._stage_rhs(j, rows[j])
-
-            new = rk4_step(stage, self._t, self.s, h, k1=d, work=self._work)
-            dpar = np.subtract(self._new_par, self._par_view, out=self._dpar)
-            self.l2_eps += h * float(frame.eps @ frame.eps) / frame.m2
-            self.l2_dtheta += float(dpar @ dpar) / h
-            self.s[...] = new
+            rows = self._rows[self._r]
+            self._rk4_advance(lambda tt, j: self._stage_rhs(j, rows[j]), self._t,
+                              self.h * float(frame.eps @ frame.eps) / frame.m2)
         self._frame = None
 
-    def diverged_block(self):
-        """Name of the first state block holding a non-finite value.
 
-        Falls back to the name of the non-finite running L2 sum when the state
-        itself is still finite (an overflow inside the sum).
-        """
-        for name, at in (("plant_filters", self._lin), ("theta", self._theta),
-                         ("psi", self._psi)):
-            if not np.isfinite(self.s[at]).all():
-                return name
-        return "l2_eps" if not math.isfinite(self.l2_eps) else "l2_dtheta"
+def drive(loop, rec, keep=None, diagnose=None):
+    """Step a FlatLoop through the rows of rec; returns the stop events.
+
+    Row k holds loop.measure(k) and, in rec.par, the parameters in effect
+    then; keep(k, frame), when given, sees the frame of each row recorded.
+    rec.close_block(diagnose) runs on every full block and the final one.
+
+    The stop rule: the first failing step ends the run before its row, with
+    one event, {"t": t_k, "sigma_min": <value>} for a SingularityGuard and
+    {"t": t_k, "diverged": <state block>} for running L2 sums non-finite
+    after the step.  The event reports the fault, so numpy's overflow and
+    invalid-value warnings of the failing step are silenced.
+    """
+    events, par, h = [], loop.par, loop.h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rec.t.size):
+            rec.par[k - rec.k0] = par
+            try:
+                y, ym, e, u, frame = loop.measure(k)
+                loop.advance()
+            except SingularityGuard as g:
+                events.append({"t": k * h, "sigma_min": g.sigma_min})
+                break
+            if not (math.isfinite(loop.l2_eps) and math.isfinite(loop.l2_dtheta)):
+                events.append({"t": k * h, "diverged": loop.diverged_block()})
+                break
+            if keep is not None:
+                keep(k, frame)  # the frame survives the step, until the next measure
+            if rec.push(k * h, y, ym, e, u, frame.m, frame.eps, loop.l2_eps, loop.l2_dtheta):
+                rec.close_block(diagnose)
+        rec.close_block(diagnose)
+    return events
 
 
 def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
-    """Run the loop for `horizon` steps; returns a SimTrace.
+    """Run the loop for `horizon` steps through drive; returns a SimTrace.
 
     Row k of the trace holds the time-t_k values of every signal, with
     parameters as used by u(t_k).  The diagnostics are evaluated once per
@@ -605,11 +650,8 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     f(theta, psi, frame, e) whose k values land in trace.extra; frame holds
     zeta, xi, eps and m along the same axis (omega and ebar are None).
 
-    A step whose running L2 sums come out non-finite ends the run: the trace
-    stops at the last finite row and trace.guard_events holds one
-    {"t": t_k, "diverged": <state block>} event.  That event reports the
-    fault, so numpy's overflow and invalid-value warnings of the diverging
-    step are silenced.
+    A run stopped by drive's stop rule returns the rows before the failing
+    step, with the event in trace.guard_events.
     """
     loop = ClosedLoop(spec, law=law, horizon=horizon)
     q, m = spec.q, spec.m
@@ -617,7 +659,11 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     probes = probes or {}
     probe_vals = {name: np.zeros(horizon) for name in probes}
     kept = np.empty((rec.par.shape[0], q + m)) if probes else None  # [zeta, xi] of each row
-    par = loop.s[loop._par]
+
+    def keep(k, frame):
+        r = k - rec.k0
+        kept[r, :q] = frame.zeta
+        kept[r, q:] = frame.xi
 
     def diagnose(rows, p):
         n = p.shape[0]
@@ -629,23 +675,6 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
             for name, fn in probes.items():
                 probe_vals[name][rows] = fn(theta, psi, frame, e)
 
-    diag = diagnose if vprobe is not None or probes else None
-    events = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon):
-            y, ym, e, u, frame = loop.measure(k)
-            r = k - rec.k0
-            rec.par[r] = par
-            if probes:
-                kept[r, :q] = frame.zeta
-                kept[r, q:] = frame.xi
-            loop.advance()
-            if not (math.isfinite(loop.l2_eps) and math.isfinite(loop.l2_dtheta)):
-                events.append({"t": k * loop._h, "diverged": loop.diverged_block()})
-                break
-            if rec.push(k * loop._h, y, ym, e, u, frame.m, frame.eps, loop.l2_eps,
-                        loop.l2_dtheta):
-                rec.close_block(diag)
-        rec.close_block(diag)
-    return rec.trace(guard_events=events,
-                     extra={name: vals[: rec.k] for name, vals in probe_vals.items()})
+    events = drive(loop, rec, keep if probes else None,
+                   diagnose if vprobe is not None or probes else None)
+    return rec.trace(events, probe_vals)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _Recorder, check_gain
+from .engine import FlatLoop, Frame, _Recorder, check_gain, drive
 from .errors import SingularityGuard
-from .linsys import DiagonalInteractor, Polynomial, RationalFilter, ct, rk4_step, stack
+from .linsys import DiagonalInteractor, Polynomial, RationalFilter, ct, stack
 
 
 @dataclass
@@ -207,7 +207,7 @@ def column_filters(interactor):
     return a, b, np.vstack([read[i][0] for i in range(interactor.m)])
 
 
-class FLLoop:
+class FLLoop(FlatLoop):
     """Closed loop of follower, leader, filters and adaptation over one flat state.
 
     Layout [x, x_m, S, Theta^T], read through slices fixed here: S holds the
@@ -230,28 +230,26 @@ class FLLoop:
     drive's last column is -alpha y in place of the product (the two differ
     by the rounding of the solve).
 
-    run steps through buffers fixed at build: the derivative rows K[0..3],
-    rk4_step's work arrays, and for each RK4 stage its signal arrays and its
-    views of the blocks of its argument (the state itself at the grid
-    point) and of its K row.  Each stage has signal arrays of its own, so the
-    grid-point signals survive the step's later stages.  The scratch that a
+    The stages run on FlatLoop's buffers, with h = step.  The scratch that a
     right-hand side reads only while it runs (X, omega, the drive) is one
     set per loop.  evaluate and rhs take any state and allocate what they
     return.
     """
 
-    def __init__(self, plant, leader, ctrl, adaptive=True, x0=None):
+    def __init__(self, plant, leader, ctrl, adaptive=True, x0=None, step=1e-3):
         self.plant = plant
         self.leader = leader
         self.ctrl = ctrl
         self.adaptive = adaptive
+        self.h = step
         q, m = ctrl.q, ctrl.m
         self._a, self._b, self._hs = column_filters(ctrl.interactor)
         nk = self._a.shape[0]
         self._fshape, self._tshape = (nk, q + 1), (m, q)
         o = np.cumsum([0, plant.n, leader.n, nk * (q + 1), q * m])
         self._x, self._xm, self._filt, self._theta = map(slice, o[:-1], o[1:])
-        self.s = np.zeros(o[-1])
+        self._allocate((("plant", self._x), ("leader", self._xm), ("filters", self._filt),
+                        ("theta", self._theta)), self._theta)
         if x0 is not None:
             self.s[self._x] = x0
         self.s[self._xm] = leader.x0
@@ -272,15 +270,8 @@ class FLLoop:
         self._sd_s, self._drive = self._sd[:nk], self._sd[nk:]
         self._drive_omega, self._drive_alpha = self._drive[:, :q], self._drive[:, q]
         self._nalpha = -ctrl.alpha_last
-        self.l2_eps = 0.0
-        self.l2_dtheta = 0.0
-        # RK4 buffers: the derivative rows K[0..3], the stage arguments and
-        # accumulators, and stage j's views of its argument (the state
-        # itself for j = 0), of K[j] and of its signals
-        self._k = np.zeros((4, self.s.size))
-        self._work = tuple(np.empty((5, self.s.size)))
-        self._stages = [self._stage_buffers(a, k) for a, k in zip((self.s, *self._work[:3]),
-                                                                     self._k)]
+        self._xi, _, self.m_i = self._stages[0][-1]  # the grid stage's
+        self._t = self._frame = None  # time and frame of the last measure
 
     def _stage_buffers(self, flat, deriv):
         """Views of one stage argument and of its derivative, and the stage's signals."""
@@ -294,14 +285,6 @@ class FLLoop:
         """Views (x, x_m, S, Theta^T) of a flat state."""
         return (flat[self._x], flat[self._xm], flat[self._filt].reshape(self._fshape),
                 flat[self._theta].reshape(self._tshape))
-
-    def diverged_block(self, flat):
-        """Name of the first block of the flat state holding a non-finite value."""
-        for name, at in (("plant", self._x), ("leader", self._xm), ("filters", self._filt),
-                         ("theta", self._theta)):
-            if not np.isfinite(flat[at]).all():
-                return name
-        return "l2_eps"
 
     def _stage(self, t, bufs):
         """Derivative and signals (y, y_m, e, u, zetas, eps, m_i) into one stage's buffers."""
@@ -336,6 +319,25 @@ class FLLoop:
     def rhs(self, t, flat):
         return self.evaluate(t, flat)[0]
 
+    def measure(self, k):
+        """Signals (y, y_m, e, u, frame) at grid point k, as ClosedLoop.measure gives them.
+
+        frame.m is sqrt(1 + |zeta|^2) over every column, and m_i holds each
+        column's m_i; frame.omega and frame.ebar are None.
+        """
+        self._t = t = k * self.h
+        _, (y, ym, e, u, zetas, eps, _) = self._stage(t, self._stages[0])
+        self._frame = Frame(None, zetas, self._xi, None, eps,
+                            math.sqrt(1.0 + float(np.vdot(zetas, zetas))))
+        return y, ym, e, u, self._frame
+
+    def advance(self):
+        """Move the stored state to the next grid point (after measure)."""
+        stages = self._stages
+        self._rk4_advance(lambda tt, j: self._stage(tt, stages[j])[0], self._t,
+                          self.h * float(np.add.reduce((self._frame.eps / self.m_i) ** 2)))
+        self._frame = None
+
 
 def certificate(theta, theta_star, gain_inv):
     """Sum over columns of 0.5 (theta_i* - theta_i)^T Gamma_i^-1 (theta_i* - theta_i).
@@ -349,27 +351,22 @@ def certificate(theta, theta_star, gain_inv):
 
 def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
         theta_star=None):
-    """Simulate the leader-follower loop; returns a SimTrace.
+    """Simulate the leader-follower loop through engine.drive; returns a SimTrace.
 
-    On a singularity-guard abort, or when the running L2 sum of the
-    normalized errors goes non-finite (event {"t", "diverged": <state
-    block>}), the partial trace is returned with the event recorded in
-    trace.guard_events.  theta_star (test mode) enables the V column and the
+    A run stopped by drive's stop rule returns the rows before the failing
+    step, with the event in trace.guard_events.  trace.extra["m_i"] holds
+    each column's m_i.  theta_star (test mode) enables the V column and the
     per-column identity residual eps_i - theta~_i^T zeta_i in
     trace.extra["ident_resid"].  Both are evaluated, as theta_norm is, once
     per block of at most CT_BLOCK rows.
     """
-    loop = FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=x0)
+    loop = FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=x0, step=step)
     m, q = ctrl.m, ctrl.q
     rec = _Recorder(horizon, m, q * m)
-    flat_theta = loop.s[loop._theta]  # a view: the estimates in effect at each grid point
-    new_theta, dtheta = loop._work[4][loop._theta], np.empty(q * m)
-    grid, later = loop._stages[0], loop._stages[1:]
-    guard_events = []
-    mi_extra = np.zeros((horizon, m))
+    extra = {"m_i": np.zeros((horizon, m))}
     diagnose = ident = None
     if theta_star is not None:
-        ident = np.zeros((horizon, m))
+        ident = extra["ident_resid"] = np.zeros((horizon, m))
         kept = np.empty((rec.par.shape[0], m, q))  # the zetas of each row
         gain_inv = np.linalg.inv(ctrl.gain)
 
@@ -379,37 +376,12 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
             rec.v[rows] = certificate(theta, theta_star, gain_inv)
             ident[rows] = rec.eps[rows] - np.einsum("kji,kij->ki", theta_star - theta, kept[:n])
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the diverged event reports it
-        for k in range(horizon):
-            t = k * step
-            stages = iter(later)  # rk4_step evaluates stages 2, 3 and 4 in that order
-            try:
-                k1, (y, ym, e, u, zetas, eps, mis) = loop._stage(t, grid)
-                new = rk4_step(lambda tt, _: loop._stage(tt, next(stages))[0], t, loop.s,
-                               step, k1=k1, work=loop._work)
-            except SingularityGuard as g:
-                guard_events.append({"t": t, "sigma_min": g.sigma_min})
-                break
-            mi_extra[k] = mis
-            magg = math.sqrt(1.0 + float(np.vdot(zetas, zetas)))
-            loop.l2_eps += step * float(np.add.reduce((eps / mis) ** 2))
-            if not math.isfinite(loop.l2_eps):
-                guard_events.append({"t": t, "diverged": loop.diverged_block(loop.s)})
-                break
-            np.subtract(new_theta, flat_theta, out=dtheta)
-            loop.l2_dtheta += float(dtheta @ dtheta) / step
-            rec.par[k - rec.k0] = flat_theta
-            if ident is not None:
-                kept[k - rec.k0] = zetas
-            full = rec.push(t, y, ym, e, u, magg, eps, loop.l2_eps, loop.l2_dtheta)
-            loop.s[...] = new
-            if full:
-                rec.close_block(diagnose)
-        rec.close_block(diagnose)
-    extra = {"m_i": mi_extra[: rec.k]}
-    if ident is not None:
-        extra["ident_resid"] = ident[: rec.k]
-    return rec.trace(guard_events=guard_events, extra=extra)
+    def keep(k, frame):
+        extra["m_i"][k] = loop.m_i
+        if ident is not None:
+            kept[k - rec.k0] = frame.zeta
+
+    return rec.trace(drive(loop, rec, keep, diagnose), extra)
 
 
 def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):

@@ -208,18 +208,19 @@ def scenario_from_dict(data, name=None):
     elif module == "fl":
         raise ValidationError("benchmark", "fl scenarios must reference a benchmark")
 
+    # a given step, read once for the fl, explicit and benchmark paths alike
+    step = _conv(float, data["step"], "step") if "step" in data else None
+    _require(step is None or step > 0, "step", "must be positive")
     if module == "fl":
-        if "step" in data:
-            comps["step"] = _conv(float, data["step"], "step")
-            _require(comps["step"] > 0, "step", "must be positive")
+        comps["step"] = comps["step"] if step is None else step
     else:
         dom_tag = data.get("domain")
         if bench_name is None:
             _require(dom_tag in ("dt", "ct"), "domain",
                      "explicit scenarios must declare dt or ct")
-            _require(dom_tag == "ct" or "step" not in data, "step",
+            _require(dom_tag == "ct" or step is None, "step",
                      "step applies to ct only; a dt loop steps once per sample")
-            domain = dt() if dom_tag == "dt" else ct(_conv(float, data.get("step", 1e-3), "step"))
+            domain = dt() if dom_tag == "dt" else ct(1e-3 if step is None else step)
             _require("plant" in data, "plant", "missing")
             _require("refmodel" in data, "refmodel", "missing")
             comps["plant"] = _statespace(data["plant"], "plant", domain)
@@ -229,10 +230,8 @@ def scenario_from_dict(data, name=None):
             bench_dom = "dt" if comps["plant"].domain.is_dt else "ct"
             _require(dom_tag is None or dom_tag == bench_dom, "domain",
                      f"benchmark {bench_name!r} is {bench_dom}")
-            if "step" in data:
+            if step is not None:
                 _require(bench_dom == "ct", "step", "step override applies to ct only")
-                step = _conv(float, data["step"], "step")
-                _require(step > 0, "step", "must be positive")
                 newdom = ct(step)
                 for key in ("plant", "refmodel"):
                     comps[key] = StateSpace(

@@ -433,6 +433,22 @@ def test_run_guard_abort_records_event(pair):
     assert tr.n_samples == 0
 
 
+def test_run_guard_stop_mid_run_keeps_rows_before_it(pair):
+    # estimates at -0.5 theta* with a guard of 0.2: sigma_min of A_hat falls
+    # below the guard at k = 988 = 15 * 64 + 28, so the last block is partial
+    plant, leader, ia, tstar = pair
+    ctrl = _controller(ia, leader, theta=-0.5 * tstar, guard=0.2)
+    tr = fl.run(plant, leader, ctrl, adaptive=True, horizon=4000, step=1e-3,
+                x0=fl.matched_x0(plant, leader), theta_star=tstar)
+    assert tr.n_samples == 988
+    [event] = tr.guard_events
+    assert event["t"] == 988 * 1e-3 and sorted(event) == ["sigma_min", "t"]
+    assert 0.19 < event["sigma_min"] < 0.2
+    for arr in (tr.v, tr.theta_norm, tr.extra["m_i"], tr.extra["ident_resid"]):
+        assert arr.shape[0] == 988 and np.isfinite(arr).all()
+    assert np.max(np.abs(tr.extra["ident_resid"])) < 1e-8
+
+
 def test_gradient_lyapunov_slope_finite_difference(pair):
     plant, leader, ia, tstar = pair
     ctrl = _controller(ia, leader, theta=0.9 * tstar)
@@ -456,4 +472,5 @@ def test_run_nonfinite_state_records_diverged_event(pair):
     assert tr.n_samples == 20
     assert tr.guard_events == [{"t": 20 * 1e-3, "diverged": "plant"}]
     assert np.isfinite(tr.e).all() and np.isfinite(tr.extra["l2_eps_cum"]).all()
+    assert np.isfinite(tr.extra["l2_dtheta_cum"]).all()
     assert tr.extra["ident_resid"].shape == (20, 2)

@@ -132,6 +132,11 @@ _MALFORMED = {
     # a dt loop steps once per sample: a given step was ignored
     "dt_explicit_step": ({"benchmark": None, "domain": "dt", "plant": {}, "refmodel": {}},
                          {"step": 0.5}, "step"),
+    # an explicit ct step of zero or less ended in linsys.TimeDomain's bare ValueError
+    "ct_explicit_step_zero": ({"benchmark": None, "domain": "ct", "plant": {}, "refmodel": {}},
+                              {"step": 0.0}, "step"),
+    "ct_explicit_step_negative": ({"benchmark": None, "domain": "ct", "plant": {},
+                                   "refmodel": {}}, {"step": -0.01}, "step"),
     # multivariable output-feedback matching parameters are not synthesized
     "mimo_of_nominal": (_MIMO, {"structure": "of_xm", "mode": "nominal"}, "mode"),
     "mimo_of_near": (_MIMO, {"structure": "of_xm", "theta0": "near"}, "theta0"),

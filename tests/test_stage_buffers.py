@@ -136,26 +136,24 @@ def _fl_loop(adaptive=True):
     return fl.FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=fl.matched_x0(plant, leader))
 
 
-def _fl_step(loop, t, h):
-    """One step as feedback_lin.run takes it; returns the grid-point signals and the new state."""
-    k1, sig = loop._stage(t, loop._stages[0])
-    later = iter(loop._stages[1:])
-    new = rk4_step(lambda tt, _: loop._stage(tt, next(later))[0], t, loop.s, h, k1=k1,
-                   work=loop._work)
-    return sig, new
+def _fl_measured(loop, out):
+    y, ym, e, u, fr = out
+    return [y, ym, e, u, fr.zeta, fr.xi, fr.eps, np.array(fr.m), loop.m_i]
 
 
 @pytest.mark.parametrize("adaptive", [True, False], ids=["gradient", "nominal"])
 def test_fl_grid_signals_survive_the_step(adaptive):
-    loop, h = _fl_loop(adaptive), 1e-3
+    # the allocating reference step runs between measure and advance, so the
+    # grid-point signals must also survive the scratch its stages write
+    loop = _fl_loop(adaptive)
     for k in range(100):
-        sig, new = _fl_step(loop, k * h, h)
-        before = [np.array(a, copy=True) for a in sig]
-        want_new = rk4_step(loop.rhs, k * h, loop.s, h)
-        assert np.array_equal(new, want_new)
-        for a, b_ in zip(sig, before):
+        out = loop.measure(k)
+        before = [np.array(a, copy=True) for a in _fl_measured(loop, out)]
+        want_new = rk4_step(loop.rhs, k * loop.h, loop.s, loop.h)
+        loop.advance()
+        assert np.array_equal(loop.s, want_new)
+        for a, b_ in zip(_fl_measured(loop, out), before):
             assert np.array_equal(a, b_)
-        loop.s[:] = new
 
 
 def test_fl_evaluate_returns_arrays_no_later_call_overwrites():
@@ -165,7 +163,8 @@ def test_fl_evaluate_returns_arrays_no_later_call_overwrites():
     before = [d1.copy()] + [np.array(a, copy=True) for a in sig1]
     flat2 = flat + 0.1
     loop.evaluate(0.5, flat2)
-    _fl_step(loop, 0.0, 1e-3)
+    loop.measure(0)
+    loop.advance()
     for a, b_ in zip([d1, *sig1], before):
         assert np.array_equal(a, b_)
 
@@ -201,30 +200,22 @@ def test_engine_loops_stepped_interleaved_equal_separate_runs(bench, design):
 
 
 def test_fl_loops_stepped_interleaved_equal_separate_runs():
-    h = 1e-3
-
-    def grid(loop, k):
-        k1, (y, ym, e, u, _, eps, mi) = loop._stage(k * h, loop._stages[0])
-        return k1, np.concatenate((y, ym, e, u, eps, mi))
-
-    def advance(loop, k, k1):
-        later = iter(loop._stages[1:])
-        loop.s[:] = rk4_step(lambda tt, _: loop._stage(tt, next(later))[0], k * h, loop.s, h,
-                             k1=k1, work=loop._work)
+    def row(loop, out):
+        y, ym, e, u, fr = out
+        return np.concatenate((y, ym, e, u, fr.eps, loop.m_i))
 
     alone, loop = [], _fl_loop()
     for k in range(150):
-        k1, r = grid(loop, k)
-        alone.append(r)
-        advance(loop, k, k1)
+        alone.append(row(loop, loop.measure(k)))
+        loop.advance()
     a, b_ = _fl_loop(), _fl_loop()
     ra, rb = [], []
     for k in range(150):
-        (k1a, r_a), (k1b, r_b) = grid(a, k), grid(b_, k)
-        ra.append(r_a)
-        rb.append(r_b)
-        advance(a, k, k1a)
-        advance(b_, k, k1b)
+        out_a, out_b = a.measure(k), b_.measure(k)
+        ra.append(row(a, out_a))
+        rb.append(row(b_, out_b))
+        a.advance()
+        b_.advance()
     assert np.array_equal(np.array(ra), np.array(alone))
     assert np.array_equal(np.array(rb), np.array(alone))
     assert np.array_equal(a.s, loop.s) and np.array_equal(b_.s, loop.s)
