@@ -2,10 +2,11 @@
 system with unknown parameters.
 
 Subpackages by role: `linsys` (polynomials, state spaces, filters, the
-reference-input parametrizations), `siso` (discrete-time single-channel
-designs), `mimo` (unified multivariable designs in both domains),
-`feedback_lin` (nonlinear leader-follower tracking), `harness`/`cli`
-(scenario files, metrics, persistence), `benchmarks` (ready systems).
+reference-input parametrizations), `mimo` (unified multivariable designs in
+both domains), `siso` (discrete-time single-channel designs, validated and
+run as the one-channel configuration of `mimo`), `feedback_lin` (nonlinear
+leader-follower tracking), `harness`/`cli` (scenario files, metrics,
+persistence), `benchmarks` (ready systems).
 """
 
 from .engine import SimTrace, Structure

@@ -24,15 +24,21 @@ from .signals import Channel, RefInput, Sinusoid
 
 SCHEMA_VERSION = 1
 
-_TOP_FIELDS = {
-    "schema_version", "name", "module", "benchmark", "mode", "structure",
-    "design", "test_mode", "horizon", "step", "seed", "domain",
-    "plant", "refmodel", "pm", "interactor", "f", "lambda", "lambda_e",
-    "nu", "nbe", "gains", "sign_kp", "kp_bound", "um",
-    "theta0", "x0", "xm0", "tail_fraction", "converge_tol",
+_COMMON_FIELDS = {
+    "schema_version", "name", "module", "benchmark", "mode", "design", "test_mode",
+    "horizon", "step", "seed", "gains", "theta0", "x0", "tail_fraction", "converge_tol",
 }
-_GAIN_FIELDS = {"gamma_theta", "gamma_rho", "gamma", "sp", "q", "guard"}
-_MODULES = {"siso", "mimo", "fl"}
+_LINEAR_FIELDS = _COMMON_FIELDS | {
+    "structure", "domain", "plant", "refmodel", "lambda", "lambda_e", "um", "xm0",
+}
+# module -> (top-level fields, gain fields) that the module reads
+_FIELDS = {
+    "siso": (_LINEAR_FIELDS | {"pm", "sign_kp", "kp_bound"}, {"gamma_theta", "gamma_rho"}),
+    "mimo": (_LINEAR_FIELDS | {"interactor", "f", "nu", "nbe"}, {"gamma", "sp", "q"}),
+    "fl": (_COMMON_FIELDS, {"guard"}),
+}
+_TOP_FIELDS = set().union(*(top for top, _ in _FIELDS.values()))
+_GAIN_FIELDS = set().union(*(gains for _, gains in _FIELDS.values()))
 _MODES = {"nominal", "adaptive"}
 _DESIGNS = {"gradient", "rd1"}
 
@@ -93,10 +99,10 @@ def _array(value, fld, *shapes):
     return a
 
 
-def _check_keys(d, allowed, where):
+def _check_keys(d, allowed, where, msg="unknown field"):
     for k in d:
         if k not in allowed:
-            raise ValidationError(f"{where}{k}", "unknown field")
+            raise ValidationError(f"{where}{k}", msg)
 
 
 def _check_gain(g, upper, fld):
@@ -179,13 +185,15 @@ def scenario_from_dict(data, name=None):
     _require("name" not in data or isinstance(name, str) and name and not {"/", "\\"} & set(name),
              "name", "must be a non-empty file name without path separators")
     module = data.get("module")
-    _require(module in _MODULES, "module", f"must be one of {sorted(_MODULES)}")
-    _require(module != "fl" or "xm0" not in data, "xm0",
-             "is not read by the nonlinear module: the leader starts at its benchmark state")
+    _require(module in _FIELDS, "module", f"must be one of {sorted(_FIELDS)}")
+    unread = f"is not read by the {module} module"
+    _check_keys(data, _FIELDS[module][0], "", unread)
     mode = data.get("mode", "adaptive")
     _require(mode in _MODES, "mode", f"must be one of {sorted(_MODES)}")
     design = data.get("design", "gradient")
     _require(design in _DESIGNS, "design", f"must be one of {sorted(_DESIGNS)}")
+    _require(design == "gradient" or module == "mimo", "design",
+             "rd1 is a multivariable design: use module mimo")
     test_mode = data.get("test_mode", False)
     _require(isinstance(test_mode, bool), "test_mode", "must be true or false")
     _require(mode != "nominal" or test_mode, "mode",
@@ -268,6 +276,12 @@ def scenario_from_dict(data, name=None):
             _require(kb > 0, "kp_bound", "must be positive")
             comps["kp_bound"] = kb
 
+    if design == "rd1":
+        _require(not comps["plant"].domain.is_dt, "design", "rd1 needs a continuous-time plant")
+        rows = comps["interactor"].rows if "interactor" in comps else []
+        _require(all(d.degree == 1 for d in rows), "design",
+                 "rd1 needs first-order interactor rows")
+
     if module == "fl" or not comps["plant"].domain.is_dt:
         _check_rk4_step(comps, comps["step"] if module == "fl" else comps["plant"].domain.step)
 
@@ -279,11 +293,13 @@ def scenario_from_dict(data, name=None):
     else:
         m, sizes["xm0"] = comps["plant"].n_outputs, comps["refmodel"].n
         order = mimo.default_order(n, m)
+        nu = comps.get("nu", order)
         q = (siso.theta_dim(structure, n) if module == "siso" else
-             regressor_dim(structure, n, m, comps.get("nu", order), comps.get("nbe", order)))
+             regressor_dim(structure, n, m, nu, comps.get("nbe", order)))
 
     gains = _conv(dict, data.get("gains", {}), "gains")
     _check_keys(gains, _GAIN_FIELDS, "gains.")
+    _check_keys(gains, _FIELDS[module][1], "gains.", unread)
     if module == "siso":
         kp_bound = comps.get("kp_bound")
         _require(kp_bound is not None, "kp_bound", "missing")
@@ -312,10 +328,10 @@ def scenario_from_dict(data, name=None):
                  "near-convergence start needs test_mode")
     else:
         _array(theta0, "theta0", *([(q,), (q, 1)] if module == "siso" else [(q, m)]))
-    if module == "mimo" and structure in (Structure.OF_XM, Structure.OF_YM):
-        # multivariable matching parameters are synthesized for state feedback only
-        _require(mode != "nominal", "mode", "needs state-feedback matching parameters")
-        _require(theta0 != "near", "theta0", "near start needs state-feedback matching parameters")
+    if module == "mimo" and not mimo.has_matching(structure, n, m, nu):
+        missing = "matching parameters, synthesized for state feedback and one-channel nu = n"
+        _require(mode != "nominal", "mode", f"needs {missing}")
+        _require(theta0 != "near", "theta0", f"near start needs {missing}")
     x0 = data.get("x0", "zero")
     xm0 = data.get("xm0", "zero")
     for fld, val in (("x0", x0), ("xm0", xm0)):
@@ -430,49 +446,7 @@ def run_experiment(scenario):
     rng = np.random.default_rng(scenario.seed)
     comps = scenario.components
     adaptive = scenario.mode == "adaptive"
-    if scenario.module == "siso":
-        scn = siso.SisoScenario(
-            plant=comps["plant"], refmodel=comps["refmodel"], pm=comps["pm"],
-            lam=comps["lam"], lam_e=comps["lam_e"], structure=scenario.structure,
-            sign_kp=comps["sign_kp"], kp_bound=comps["kp_bound"], um=comps["um"],
-            x0=_init_vec(scenario.x0, comps["plant"].n, rng),
-            xm0=_init_vec(scenario.xm0, comps["refmodel"].n, rng),
-        )
-        g = scenario.gains
-        gains = siso.SisoGains(
-            gamma_theta=g.get("gamma_theta"), gamma_rho=g.get("gamma_rho", 1.0)
-        )
-        nominal = siso.nominal_params(scn) if scenario.test_mode else None
-        theta0 = scenario.theta0
-        if isinstance(theta0, str):
-            theta0 = None if theta0 == "zero" else 0.9 * nominal.theta_star
-        trace = siso.run(
-            scn, adaptive=adaptive, horizon=scenario.horizon, gains=gains,
-            theta0=theta0, nominal=nominal,
-            with_certificate=scenario.test_mode and adaptive,
-        )
-    elif scenario.module == "mimo":
-        scn = mimo.MimoScenario(
-            plant=comps["plant"], refmodel=comps["refmodel"],
-            interactor=comps["interactor"], fpoly=comps["fpoly"], sp=comps["sp"],
-            structure=scenario.structure, nu=comps.get("nu"), lam=comps.get("lam"),
-            lam_e=comps.get("lam_e"), nbe=comps.get("nbe"),
-            gamma=comps.get("gamma"), um=comps["um"],
-            x0=_init_vec(scenario.x0, comps["plant"].n, rng),
-            xm0=_init_vec(scenario.xm0, comps["refmodel"].n, rng),
-        )
-        sf_structure = scenario.structure in (Structure.SF_XM, Structure.SF_YM)
-        with_cert = scenario.test_mode and adaptive and sf_structure
-        nominal = mimo.nominal_params(scn) if scenario.test_mode and sf_structure else None
-        theta0 = scenario.theta0
-        if isinstance(theta0, str):
-            theta0 = None if theta0 == "zero" else 0.9 * nominal.theta_star
-        trace = mimo.run(
-            scn, design=scenario.design, adaptive=adaptive, horizon=scenario.horizon,
-            theta0=theta0, q_matrix=comps.get("q_matrix"), nominal=nominal,
-            with_certificate=with_cert,
-        )
-    else:
+    if scenario.module == "fl":
         plant, leader, interactor = comps["plant"], comps["leader"], comps["interactor"]
         tstar = None
         if scenario.test_mode:
@@ -495,6 +469,38 @@ def run_experiment(scenario):
             plant, leader, ctrl, adaptive=adaptive, horizon=scenario.horizon,
             step=comps["step"], x0=x0, theta_star=tstar,
         )
+        return trace, compute_metrics(scenario, trace)
+    x0 = _init_vec(scenario.x0, comps["plant"].n, rng)
+    xm0 = _init_vec(scenario.xm0, comps["refmodel"].n, rng)
+    if scenario.module == "siso":
+        g = scenario.gains
+        scn = siso.SisoScenario(
+            plant=comps["plant"], refmodel=comps["refmodel"], pm=comps["pm"],
+            lam=comps["lam"], lam_e=comps["lam_e"], structure=scenario.structure,
+            sign_kp=comps["sign_kp"], kp_bound=comps["kp_bound"], um=comps["um"],
+            x0=x0, xm0=xm0,
+        ).as_mimo(siso.SisoGains(gamma_theta=g.get("gamma_theta"),
+                                 gamma_rho=g.get("gamma_rho", 1.0)))
+    else:
+        scn = mimo.MimoScenario(
+            plant=comps["plant"], refmodel=comps["refmodel"],
+            interactor=comps["interactor"], fpoly=comps["fpoly"], sp=comps["sp"],
+            structure=scenario.structure, nu=comps.get("nu"), lam=comps.get("lam"),
+            lam_e=comps.get("lam_e"), nbe=comps.get("nbe"),
+            gamma=comps.get("gamma"), um=comps["um"], x0=x0, xm0=xm0,
+        )
+    oracle = scenario.test_mode and mimo.has_matching(scn.structure, scn.n, scn.m, scn.nu)
+    nominal = mimo.nominal_params(scn) if oracle else None
+    theta0 = scenario.theta0
+    if isinstance(theta0, str):
+        theta0 = None if theta0 == "zero" else 0.9 * nominal.theta_star
+    else:
+        theta0 = np.reshape(np.asarray(theta0, dtype=float), (-1, scn.m))
+    trace = mimo.run(
+        scn, design=scenario.design, adaptive=adaptive, horizon=scenario.horizon,
+        theta0=theta0, q_matrix=comps.get("q_matrix"), nominal=nominal,
+        with_certificate=oracle and adaptive,
+    )
     return trace, compute_metrics(scenario, trace)
 
 

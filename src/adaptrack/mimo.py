@@ -1,22 +1,28 @@
 """Multivariable adaptive tracking designs, unified over both time domains.
 
-The plant interactor is restricted to the diagonal case diag{d_i(D)}; the
+The plant interactor is restricted to the diagonal case diag{d_i(D)}.  The
 reconstruction of the equivalent reference input, the controller structures
-and the matrix normalized-gradient laws mirror the single-output module,
-which is exactly the one-channel instance of this machinery.  A separate
-Lyapunov-design law covers continuous-time plants whose channels all have
-relative degree one.
+and the matrix normalized-gradient laws live here once: the single-output
+module `siso` only validates its problem and maps it to a one-channel
+`MimoScenario`.  A separate Lyapunov-design law covers continuous-time
+plants whose channels all have relative degree one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
 from .engine import GradientLaw, Rd1Law, Structure, regressor_dim
-from .errors import DomainMismatch, GainBoundViolation, RelativeDegreeViolation, SingularKp
+from .errors import (
+    DomainMismatch,
+    GainBoundViolation,
+    RelativeDegreeViolation,
+    SingularKp,
+    SingularMatchingSystem,
+)
 from .linsys import (
     DiagonalInteractor,
     Polynomial,
@@ -25,6 +31,7 @@ from .linsys import (
     ref_input_from_io,
     ref_input_from_state,
     relative_degree,
+    siso_transfer,
 )
 
 
@@ -92,6 +99,7 @@ class MimoScenario:
     lam_e: Polynomial = None  # reference-signal filter denominator
     nbe: int = None  # reference-signal bank blocks
     gamma: np.ndarray = None  # Psi gain; default I
+    gz: np.ndarray = None  # zeta-side gain; default I
     um: object = None
     x0: np.ndarray = None
     xm0: np.ndarray = None
@@ -132,6 +140,8 @@ class MimoScenario:
                 raise ValueError("lam_e must be stable")
             if self.nbe > self.lam_e.degree + 1:
                 raise ValueError("nbe exceeds what lam_e can realize properly")
+        self.gz = (np.eye(self.theta_dim) if self.gz is None
+                   else np.atleast_2d(np.asarray(self.gz, dtype=float)))
 
     @property
     def n(self):
@@ -166,35 +176,93 @@ class MimoScenario:
 
 @dataclass
 class MimoNominal:
-    structure: Structure
     kp: np.ndarray
     theta_star: np.ndarray
-    blocks: dict = field(default_factory=dict)
+
+
+def has_matching(structure, n, m, nu):
+    """Whether nominal_params synthesizes Theta*: every state-feedback
+    structure, and output feedback of one channel with nu = n."""
+    return structure in (Structure.SF_XM, Structure.SF_YM) or (m == 1 and nu == n)
+
+
+def nominal_output_feedback(scenario):
+    """Solve the one-channel polynomial matching identity for the output-feedback gains.
+
+    Returns (theta1, theta2, theta20, theta3) with theta3 = 1/kp, from the
+    linear system obtained by matching powers of D in
+
+        theta1^T a(D) P(D) + (theta2^T a(D) + theta20 L(D)) kp Z(D)
+            = L(D) (P(D) - kp theta3 Z(D) Pm(D)),
+
+    where Pm is the interactor row and nu = n.
+    """
+    n = scenario.n
+    kp, zpoly, ppoly = siso_transfer(scenario.plant)
+    lam = scenario.lam
+    theta3 = 1.0 / kp
+    ncoef = 2 * n - 1  # powers D^0 .. D^(2n-2)
+
+    def padded(coeffs):
+        out = np.zeros(ncoef)
+        c = np.asarray(coeffs, dtype=float)
+        if c.size > ncoef and np.max(np.abs(c[ncoef:])) > 1e-12:
+            raise AssertionError("matching identity degree overflow")
+        out[: min(c.size, ncoef)] = c[:ncoef]
+        return out
+
+    cols = []
+    for i in range(n - 1):  # theta1 columns: D^i P(D)
+        cols.append(padded(np.convolve(np.eye(1, i + 1, i).ravel(), ppoly.coeffs)))
+    kpz = kp * zpoly.coeffs
+    for i in range(n - 1):  # theta2 columns: D^i kp Z(D)
+        cols.append(padded(np.convolve(np.eye(1, i + 1, i).ravel(), kpz)))
+    cols.append(padded(np.convolve(lam.coeffs, kpz)))  # theta20 column
+    mat = np.column_stack(cols)
+    zpm = np.convolve(zpoly.coeffs, scenario.interactor.rows[0].coeffs)  # monic, as long as P
+    rhs = padded(np.convolve(lam.coeffs, ppoly.coeffs - (kp * theta3) * zpm))
+    sv = np.linalg.svd(mat, compute_uv=False) if mat.size else np.array([1.0])
+    if sv[-1] < 1e-9 * max(sv[0], 1.0):
+        raise SingularMatchingSystem(
+            "matching system is singular; plant numerator and denominator share a factor"
+        )
+    sol = np.linalg.solve(mat, rhs)
+    theta1 = sol[: n - 1]
+    theta2 = sol[n - 1 : 2 * n - 2]
+    theta20 = float(sol[2 * n - 2])
+    return theta1, theta2, theta20, theta3
 
 
 def nominal_params(scenario):
-    """Assemble Theta* for a state-feedback scenario (plant knowledge needed).
+    """Assemble Theta* for the scenario's structure (plant knowledge needed).
 
-    Output-feedback matching gains are not synthesized here; adaptive
-    output-feedback runs operate without certificate oracles.
+    Theta* stacks K1, the reference-input blocks times K2^T and (K2 A2)^T.
+    State feedback takes (K1, K2) from sf_nominal; output feedback takes
+    K1 = [theta1; theta2; theta20] and K2 = theta3 from
+    nominal_output_feedback, which covers one channel only.
     """
     s = scenario.structure
-    if s in (Structure.OF_XM, Structure.OF_YM):
+    if not has_matching(s, scenario.n, scenario.m, scenario.nu):
         raise NotImplementedError(
-            "output-feedback nominal gains are not synthesized for multivariable plants"
+            "output-feedback matching gains are synthesized for one channel with nu = n"
         )
-    k1, k2, kp = sf_nominal(scenario.plant, scenario.interactor)
+    if s in (Structure.OF_XM, Structure.OF_YM):
+        theta1, theta2, theta20, theta3 = nominal_output_feedback(scenario)
+        k1 = np.concatenate([theta1, theta2, [theta20]])[:, None]
+        k2 = np.array([[theta3]])
+        kp = np.linalg.inv(k2)
+    else:
+        k1, k2, kp = sf_nominal(scenario.plant, scenario.interactor)
     a1, a2 = ref_input_from_state(scenario.refmodel, scenario.interactor)
-    blocks = {"k1": k1, "k2": k2, "a1": a1, "a2": a2}
-    if s is Structure.SF_XM:
-        theta = np.vstack([k1, a1 @ k2.T, (k2 @ a2).T])
+    if s in (Structure.SF_XM, Structure.OF_XM):
+        ref = [a1 @ k2.T]
     else:
         b1, b2, b20, _ = ref_input_from_io(
             scenario.refmodel, scenario.interactor, scenario.lam_e, scenario.nbe
         )
-        blocks.update(b1=b1, b2=b2, b20=b20)
-        theta = np.vstack([k1, b1 @ k2.T, b2 @ k2.T, (k2 @ b20).T, (k2 @ a2).T])
-    return MimoNominal(structure=s, kp=kp, theta_star=theta, blocks=blocks)
+        ref = [b1 @ k2.T, b2 @ k2.T, (k2 @ b20).T]
+    theta = np.vstack([k1, *ref, (k2 @ a2).T])
+    return MimoNominal(kp=kp, theta_star=theta)
 
 
 def rd1_law(interactor, s, q=None):
@@ -209,12 +277,13 @@ def rd1_law(interactor, s, q=None):
     return Rd1Law(s=np.atleast_2d(np.asarray(s, dtype=float)), p=p, q=q)
 
 
-def verify_gain_prior(kp, sp, domain):
+def verify_gain_prior(kp, sp, domain, gz=None):
     """Check the known-gain assumption of the basic law against the true Kp.
 
-    Kp Sp must be symmetric positive definite, and additionally below 2I in
-    discrete time.  Only possible with plant knowledge (test mode and the
-    benchmark builders).
+    Kp Sp must be symmetric positive definite.  In discrete time the law also
+    needs lambda_max(sym Kp Sp) lambda_max(sym gz) < 2: Kp Sp < 2I at the
+    default gz = I, and |kp| gamma_theta < 2 for one channel.  Only possible
+    with plant knowledge (test mode and the benchmark builders).
     """
     prod = kp @ sp
     if np.max(np.abs(prod - prod.T)) > 1e-9 * max(1.0, np.max(np.abs(prod))):
@@ -222,14 +291,16 @@ def verify_gain_prior(kp, sp, domain):
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))
     if ev[0] <= 0:
         raise GainBoundViolation("Kp Sp is not positive definite")
-    if domain.is_dt and ev[-1] >= 2.0:
-        raise GainBoundViolation("Kp Sp must be below 2I in discrete time")
+    gz_max = 1.0 if gz is None else np.linalg.eigvalsh(0.5 * (gz + gz.T))[-1]
+    if domain.is_dt and ev[-1] * gz_max >= 2.0:
+        raise GainBoundViolation(
+            f"Kp Sp must be below 2I / lambda_max(gz) = {2.0 / gz_max:.4g} I in discrete time")
 
 
 def certificate_probe(scenario, nominal):
     """Gradient-law certificate V for test-mode runs, one value per step of a block."""
-    v = engine.certificate(nominal.theta_star, nominal.kp, np.eye(scenario.theta_dim),
-                           scenario.sp, scenario.gamma)
+    v = engine.certificate(nominal.theta_star, nominal.kp, scenario.gz, scenario.sp,
+                           scenario.gamma)
 
     def probe(theta, psi, e):
         return v(theta, psi)
@@ -267,45 +338,37 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
     design="gradient" is the basic normalized-gradient law in either domain;
     design="rd1" is the continuous-time Lyapunov law (state feedback,
     first-order interactor rows).  Nominal mode and certificates require the
-    matching parameters, available for state-feedback structures only.
+    matching parameters: every state-feedback structure, and output feedback
+    for one channel.
     """
     m, q = scenario.m, scenario.theta_dim
     dom = scenario.plant.domain
-    vprobe = None
     if design == "rd1":
         if dom.is_dt:
             raise DomainMismatch("the relative-degree-one design is continuous-time")
         law = rd1_law(scenario.interactor, scenario.sp, q_matrix)
-        if not adaptive:
-            law = None
     elif design == "gradient":
-        law = GradientLaw(gz=np.eye(q), sp=scenario.sp, gpsi=scenario.gamma,
+        law = GradientLaw(gz=scenario.gz, sp=scenario.sp, gpsi=scenario.gamma,
                           gpsi_max=2.0 if dom.is_dt else None)
-        if not adaptive:
-            law = None
     else:
         raise ValueError(f"unknown design {design!r}")
-    if adaptive:
+    if nominal is None and (with_certificate or not adaptive):
+        nominal = nominal_params(scenario)
+    vprobe = probes = None
+    if with_certificate:
+        if design == "rd1":
+            vprobe = rd1_certificate_probe(scenario, nominal, law)
+        else:
+            verify_gain_prior(nominal.kp, scenario.sp, dom, scenario.gz)
+            vprobe = certificate_probe(scenario, nominal)
+            probes = {"ident_resid": identity_probe(nominal)}
+    if not adaptive:
+        law, th0, ps0 = None, nominal.theta_star, np.zeros((m, m))
+    else:
         th0 = np.zeros((q, m)) if theta0 is None else np.asarray(theta0, dtype=float)
         ps0 = scenario.sp.T.copy() if psi0 is None else np.asarray(psi0, dtype=float)
         if design == "rd1":
             ps0 = np.zeros((m, m))
-    else:
-        if nominal is None:
-            nominal = nominal_params(scenario)
-        th0 = nominal.theta_star
-        ps0 = np.zeros((m, m))
-    probes = None
-    if with_certificate:
-        if nominal is None:
-            nominal = nominal_params(scenario)
-        if design == "rd1":
-            vprobe = rd1_certificate_probe(scenario, nominal, law or rd1_law(
-                scenario.interactor, scenario.sp, q_matrix))
-        else:
-            verify_gain_prior(nominal.kp, scenario.sp, scenario.plant.domain)
-            vprobe = certificate_probe(scenario, nominal)
-            probes = {"ident_resid": identity_probe(nominal)}
     spec = scenario.loop_spec(theta0=th0, psi0=ps0)
     return engine.run_closed_loop(spec, law=law, horizon=horizon, vprobe=vprobe,
                                   probes=probes)

@@ -130,13 +130,14 @@ def test_criterion_1_nominal_matching(siso_bench):
     want = oc.inverse_poly_impulse(b["pm"].coeffs, 2 * n)
 
     scn = _siso_scn(b, Structure.SF_XM)
-    k1, k2, kp = siso.nominal_state_feedback(scn)
+    nom = mimo.nominal_params(scn.as_mimo())  # theta* = [k1; k2 alpha1; k2 alpha2]
+    k1, k2 = nom.theta_star[:n, 0], 1.0 / nom.kp[0, 0]
     acl = scn.plant.a + np.outer(scn.plant.b[:, 0], k1)
     closed = StateSpace(acl, scn.plant.b * k2, scn.plant.c, dt())
     got_sf = np.array([m[0, 0] for m in markov_params(closed, 2 * n)])
     assert np.max(np.abs(got_sf - want)) < 1e-8
 
-    th1, th2, th20, th3 = siso.nominal_output_feedback(scn)
+    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
     acl, bcl, ccl = oc.of_closed_loop(
         scn.plant.a, scn.plant.b[:, 0], scn.plant.c, scn.lam.coeffs, th1, th2, th20, th3
     )
@@ -183,7 +184,7 @@ def test_criterion_2_matching_identity_random_plants():
             structure=Structure.OF_XM, sign_kp=np.sign(kp), kp_bound=abs(kp) * 1.2,
             um=multisine(1),
         )
-        th1, th2, th20, th3 = siso.nominal_output_feedback(scn)
+        th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
         pts = np.linspace(-2.1, 2.3, 2 * n + 2)
         az = lambda z: np.array([z**i for i in range(n - 1)])
         lhs = np.array(

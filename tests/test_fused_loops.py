@@ -177,15 +177,17 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
         plant=plant, refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"], lam_e=b["lam_e"],
         structure=Structure.SF_XM, sign_kp=b["sign_kp"], kp_bound=b["kp_bound"],
         um=b["um"], x0=np.ones(3))
-    nom = siso.nominal_params(scn)
-    spec = scn.loop_spec(theta0=0.5 * nom.theta_star, rho0=0.7)
+    mscn = scn.as_mimo()
+    nom = mimo.nominal_params(mscn)
+    spec = mscn.loop_spec(theta0=0.5 * nom.theta_star, psi0=np.array([[0.7]]))
     tr = engine.run_closed_loop(spec, horizon=2000,
-                                vprobe=siso.certificate_probe(scn, nom),
-                                probes={"ident_resid": siso.identity_probe(nom)})
+                                vprobe=mimo.certificate_probe(mscn, nom),
+                                probes={"ident_resid": mimo.identity_probe(nom)})
     assert tr.guard_events and "diverged" in tr.guard_events[0]
     assert tr.n_samples % 16 != 0
-    gz, grho = siso.SisoGains().resolved(scn.theta_dim, scn.kp_bound)
-    tstar, kp = nom.theta_star, nom.kp
+    gz, grho = mscn.gz, mscn.gamma[0, 0]
+    np.testing.assert_array_equal(gz, np.eye(scn.theta_dim) / scn.kp_bound)
+    tstar, kp = nom.theta_star[:, 0], nom.kp[0, 0]
 
     def step_diag(loop, fr):
         tht, rhot = loop.theta[:, 0] - tstar, loop.psi[0, 0] - kp

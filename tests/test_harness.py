@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptrack import cli, harness, siso
+from adaptrack import cli, harness, mimo, siso
 from adaptrack.engine import SimTrace
 from adaptrack.errors import ParseError, ValidationError
 
@@ -148,6 +148,27 @@ _MALFORMED = {
     # the nonlinear leader starts at its benchmark state; a given xm0 was dropped
     "fl_xm0": (_FL, {"xm0": [9.0, 9.0]}, "xm0"),
     "fl_xm0_zero": (_FL, {"xm0": "zero"}, "xm0"),
+    # another module's fields were loaded and silently dropped
+    "mimo_gamma_theta": (_MIMO, {"gains": {"gamma_theta": 0.5}}, "gains.gamma_theta"),
+    "mimo_guard": (_MIMO, {"gains": {"guard": 1e-6}}, "gains.guard"),
+    "mimo_kp_bound": (_MIMO, {"kp_bound": 2.0}, "kp_bound"),
+    "mimo_sign_kp": (_MIMO, {"sign_kp": 1.0}, "sign_kp"),
+    "siso_sp": ({}, {"gains": {"sp": [[1.0]]}}, "gains.sp"),
+    "siso_gamma": ({}, {"gains": {"gamma": 1.0}}, "gains.gamma"),
+    "siso_q": ({}, {"gains": {"q": [[1.0]]}}, "gains.q"),
+    "siso_nu": ({}, {"nu": 3}, "nu"),
+    "siso_nbe": ({}, {"nbe": 2}, "nbe"),
+    "fl_structure": (_FL, {"structure": "sf_xm"}, "structure"),
+    "fl_gamma_theta": (_FL, {"gains": {"gamma_theta": 0.5}}, "gains.gamma_theta"),
+    "fl_sp": (_FL, {"gains": {"sp": [[1.0]]}}, "gains.sp"),
+    # rd1 is the continuous-time multivariable design with first-order interactor
+    # rows: a dt plant failed at run with DomainMismatch, second-order rows in a
+    # bare ValueError, and siso ran the gradient law
+    "mimo_dt_rd1": (_MIMO, {"design": "rd1"}, "design"),
+    "mimo_ct_second_order_rd1": (dict(_MIMO, benchmark="mimo-ct-2x2"), {"design": "rd1"},
+                                 "design"),
+    "siso_rd1": ({}, {"design": "rd1"}, "design"),
+    "fl_rd1": (_FL, {"design": "rd1"}, "design"),
 }
 
 
@@ -454,6 +475,7 @@ def test_blind_run_never_touches_matching_oracles(tmp_path, monkeypatch):
         raise AssertionError("matching-parameter oracle touched in blind mode")
 
     monkeypatch.setattr(siso, "nominal_params", boom)
+    monkeypatch.setattr(mimo, "nominal_params", boom)
     data = _minimal(horizon=300)  # test_mode False
     scn = harness.load_scenario(_write(tmp_path, data))
     trace, report = harness.run_experiment(scn)
@@ -480,13 +502,13 @@ def test_blind_fl_run_never_touches_oracles(tmp_path, monkeypatch):
 
 def test_test_mode_uses_oracles(tmp_path, monkeypatch):
     called = {"n": 0}
-    real = siso.nominal_params
+    real = mimo.nominal_params  # the one oracle of both linear modules
 
     def spy(*a, **k):
         called["n"] += 1
         return real(*a, **k)
 
-    monkeypatch.setattr(siso, "nominal_params", spy)
+    monkeypatch.setattr(mimo, "nominal_params", spy)
     _run_small(tmp_path)
     assert called["n"] >= 1
 

@@ -149,9 +149,9 @@ def test_sf_nominal_m1_matches_siso(bench_dt):
         lam_e=b["lam_e"], structure=Structure.SF_XM, sign_kp=b["sign_kp"],
         kp_bound=b["kp_bound"], um=b["um"],
     )
-    k1s, k2s, kps = siso.nominal_state_feedback(scn)
-    assert np.array_equal(k1m[:, 0], k1s)
-    assert kpm[0, 0] == kps
+    nom = siso.nominal_params(scn)  # theta* = [k1; k2 alpha1; k2 alpha2]
+    assert np.array_equal(k1m[:, 0], nom.theta_star[:3, 0])
+    assert kpm[0, 0] == nom.kp[0, 0]
 
 
 def test_sf_nominal_closed_loop_tracks(bench_dt):
@@ -452,6 +452,33 @@ def test_m1_reduction_bit_for_bit(structure):
     tr_m = mimo.run(mscn, adaptive=True, horizon=2000)
     for fld in ("y", "ym", "e", "u", "m", "eps", "theta_norm"):
         assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), fld
+
+
+def test_two_channel_output_feedback_matching_not_synthesized(bench_dt):
+    for structure in (Structure.OF_XM, Structure.OF_YM):
+        with pytest.raises(NotImplementedError):
+            mimo.nominal_params(_scn(bench_dt, structure=structure))
+
+
+def test_one_channel_gain_prior_bounds_kp_times_gz():
+    # siso-3rd has kp = 1.5: the discrete-time law needs |kp| lambda_max(gz) < 2
+    sscn, mscn = _siso_as_mimo_pair(Structure.SF_XM)
+    nom = mimo.nominal_params(mscn)
+    q = mscn.theta_dim
+
+    def run(scn, gz_scale):
+        return mimo.run(dataclasses.replace(scn, gz=gz_scale * np.eye(q)), horizon=5,
+                        nominal=nom, with_certificate=True)
+
+    assert run(mscn, 1.3).n_samples == 5  # 1.95 < 2
+    with pytest.raises(GainBoundViolation, match="below 2I"):
+        run(mscn, 1.34)  # 2.01
+    # a kp_bound below |kp| lets gamma_theta = 1/kp_bound pass the siso check; the
+    # test-mode prior check catches it, since 1.5 / 0.7 > 2
+    low = dataclasses.replace(sscn, kp_bound=0.7)
+    assert siso.run(low, horizon=5).n_samples == 5  # blind: Kp is unknown
+    with pytest.raises(GainBoundViolation, match="below 2I"):
+        siso.run(low, horizon=5, nominal=siso.nominal_params(low), with_certificate=True)
 
 
 def test_benchmark_gain_prior_checked_by_the_one_check():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptrack import engine, siso
+from adaptrack import engine, mimo, siso
 from adaptrack.engine import GradientLaw, Structure
 from adaptrack.errors import GainBoundViolation, SingularMatchingSystem
 from adaptrack.linsys import Polynomial, StateSpace, dt, markov_params
@@ -26,6 +26,13 @@ def _scenario(bench, structure, **kw):
     return siso.SisoScenario(**args)
 
 
+def _sf_gains(scn):
+    """(k1, k2, kp) of the matching state feedback, read off mimo's theta* of the scenario."""
+    nom = mimo.nominal_params(scn.as_mimo())
+    kp = float(nom.kp[0, 0])
+    return nom.theta_star[: scn.n, 0], 1.0 / kp, kp
+
+
 # -- nominal state feedback ----------------------------------------------------
 
 
@@ -37,7 +44,7 @@ def test_nominal_sf_scalar_example():
         lam=Polynomial([1.0]), lam_e=Polynomial([1.0]),
         structure=Structure.SF_XM, sign_kp=1.0, kp_bound=2.5, um=multisine(1),
     )
-    k1, k2, kp = siso.nominal_state_feedback(scn)
+    k1, k2, kp = _sf_gains(scn)
     assert abs(kp - 2.0) < 1e-14
     assert abs(k2 - 0.5) < 1e-14
     assert abs(k1[0] + 0.9) < 1e-14  # places the closed-loop pole at -0.4
@@ -58,7 +65,7 @@ def test_nominal_sf_plant_already_matching():
         lam=Polynomial.from_roots([0.15, 0.25]), lam_e=Polynomial.from_roots([0.2, 0.3]),
         structure=Structure.SF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
     )
-    k1, k2, kp = siso.nominal_state_feedback(scn)
+    k1, k2, kp = _sf_gains(scn)
     assert abs(kp - 1.0) < 1e-12
     assert abs(k2 - 1.0) < 1e-12
     assert np.max(np.abs(k1)) < 1e-12
@@ -66,7 +73,7 @@ def test_nominal_sf_plant_already_matching():
 
 def test_nominal_sf_closed_loop_markov_matches_inverse_pm(bench):
     scn = _scenario(bench, Structure.SF_XM)
-    k1, k2, kp = siso.nominal_state_feedback(scn)
+    k1, k2, kp = _sf_gains(scn)
     n = scn.n
     acl = scn.plant.a + np.outer(scn.plant.b[:, 0], k1)
     closed = StateSpace(acl, scn.plant.b * k2, scn.plant.c, dt())
@@ -86,7 +93,7 @@ def test_nominal_of_first_order_reduction():
         lam=Polynomial([1.0]), lam_e=Polynomial([1.0]),
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=2.5, um=multisine(1),
     )
-    th1, th2, th20, th3 = siso.nominal_output_feedback(scn)
+    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
     assert th1.size == 0 and th2.size == 0
     assert abs(th3 - 0.5) < 1e-14  # 1/kp
     assert abs(th20 - (-(0.5 + 0.4) / 2.0)) < 1e-12  # -(a + p0)/kp
@@ -104,14 +111,14 @@ def test_nominal_of_identity_matching():
         lam=Polynomial.from_roots([0.3]), lam_e=Polynomial.from_roots([0.3]),
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
     )
-    th1, th2, th20, th3 = siso.nominal_output_feedback(scn)
+    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
     assert abs(th3 - 1.0) < 1e-12
     assert np.max(np.abs(np.concatenate([th1, th2, [th20]]))) < 1e-10
 
 
 def test_nominal_of_polynomial_identity_residual(bench):
     scn = _scenario(bench, Structure.OF_XM)
-    th1, th2, th20, th3 = siso.nominal_output_feedback(scn)
+    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
     from adaptrack.linsys import siso_transfer
 
     kp, zp, pp = siso_transfer(scn.plant)
@@ -145,7 +152,7 @@ def test_nominal_of_non_coprime_raises():
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
     )
     with pytest.raises(SingularMatchingSystem):
-        siso.nominal_output_feedback(scn)
+        mimo.nominal_output_feedback(scn.as_mimo())
 
 
 # -- regressor ------------------------------------------------------------------
@@ -184,8 +191,8 @@ def test_regressor_sf_xm_layout():
 
 
 def _frozen_loop(scn, theta, rho=1.0, horizon=1):
-    """The engine loop with frozen parameters (no update law)."""
-    spec = scn.loop_spec(theta0=theta, rho0=rho)
+    """The engine loop of the one-channel scenario with frozen parameters (no update law)."""
+    spec = scn.as_mimo().loop_spec(theta0=np.reshape(theta, (-1, 1)), psi0=np.array([[rho]]))
     return engine.ClosedLoop(spec, law=None, horizon=horizon)
 
 
@@ -216,7 +223,8 @@ def test_frame_m_direct_values():
 def test_frame_frozen_theta_swap_term_decays(bench):
     scn = _scenario(bench, Structure.SF_XM, x0=np.ones(3))
     rng = np.random.default_rng(2)
-    theta = siso.nominal_params(scn).theta_star * (1.0 + 0.1 * rng.standard_normal(scn.theta_dim))
+    theta = siso.nominal_params(scn).theta_star[:, 0] * (
+        1.0 + 0.1 * rng.standard_normal(scn.theta_dim))
     loop = _frozen_loop(scn, theta, horizon=100)
     for k in range(100):
         *_, fr = loop.measure(k)
@@ -252,7 +260,7 @@ def test_gain_bounds_enforced(bench):
         law(gpsi=2.0)
     with pytest.raises(GainBoundViolation):
         law(gz=-0.1)
-    with pytest.raises(GainBoundViolation):  # siso.run builds the law with these bounds
+    with pytest.raises(GainBoundViolation):  # siso.run checks gamma_theta against 2/kp_bound
         siso.run(_scenario(bench, Structure.SF_XM), horizon=5,
                  gains=siso.SisoGains(gamma_theta=np.diag([-0.3] + [0.5] * 6)))
 
@@ -381,7 +389,7 @@ def test_run_stops_at_nonfinite_l2_sum(bench):
     plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), bench["plant"].b,
                        bench["plant"].c, dt())
     scn = _scenario(bench, Structure.SF_XM, plant=plant)
-    spec = scn.loop_spec(theta0=np.zeros(scn.theta_dim), rho0=1.0)
+    spec = scn.as_mimo().loop_spec(theta0=np.zeros((scn.theta_dim, 1)), psi0=np.ones((1, 1)))
     spec.x0 = np.ones(3)
     tr = engine.run_closed_loop(spec, horizon=1000,
                                 probes={"one": lambda th, ps, fr, e: 1.0})
