@@ -30,16 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GainBoundViolation, SingularityGuard
-from .linsys import (
-    DiagonalInteractor,
-    FilterBank,
-    Polynomial,
-    RationalFilter,
-    ReferenceBlock,
-    StateSpace,
-    rk4_step,
-    stack,
-)
+from .linsys import FilterBank, RationalFilter, rk4_step, stack
 
 
 class Structure(Enum):
@@ -49,19 +40,6 @@ class Structure(Enum):
     OF_YM = "of_ym"  # output feedback, reference input/output only
 
 
-def regressor_dim(structure, n, m, nu=None, nbe=None):
-    """Regressor length for a controller structure (n states, m channels)."""
-    if structure is Structure.SF_XM:
-        return 2 * n + m
-    if structure is Structure.SF_YM:
-        return n + 2 * m * nbe + 2 * m
-    if structure is Structure.OF_XM:
-        return 2 * m * (nu - 1) + m + n + m
-    if structure is Structure.OF_YM:
-        return 2 * m * (nu - 1) + m + 2 * m * nbe + 2 * m
-    raise ValueError(structure)
-
-
 # regressor blocks of each structure, in stacking order
 _BLOCKS = {
     Structure.SF_XM: ("x", "xm", "um"),
@@ -69,6 +47,18 @@ _BLOCKS = {
     Structure.OF_XM: ("w1", "w2", "y", "xm", "um"),
     Structure.OF_YM: ("w1", "w2", "y", "wum", "wym", "ym", "um"),
 }
+
+
+def regressor_dim(structure, n, m, n_m, nu=None, nbe=None):
+    """Regressor length: the summed widths of the structure's blocks.
+
+    n plant states, m channels, n_m reference-model states (the width of xm),
+    nu - 1 blocks in each output-feedback bank, nbe in each reference bank.
+    """
+    w = {"x": n, "xm": n_m, "y": m, "ym": m, "um": m,
+         "w1": m * ((nu or 1) - 1), "wum": m * (nbe or 0)}
+    w["w2"], w["wym"] = w["w1"], w["wum"]
+    return sum(w[b] for b in _BLOCKS[Structure(structure)])
 
 
 def assemble_regressor(structure, parts):
@@ -274,50 +264,6 @@ class _Recorder:
         )
 
 
-@dataclass
-class LoopSpec:
-    """Everything the closed-loop engine needs for one run.
-
-    The controller side (structure, design polynomials, gains, theta0) never
-    reads the plant matrices; they appear only through the simulated signals.
-    """
-
-    plant: StateSpace
-    refmodel: StateSpace
-    # input of the reference system: t -> (m,); the loops call it on an array
-    # of times and read the channels along a new leading axis, (m, *t.shape),
-    # as RefInput gives them
-    um: object
-    structure: Structure
-    interactor: DiagonalInteractor
-    fpoly: Polynomial
-    lam: Polynomial = None
-    nu: int = None
-    lam_e: Polynomial = None
-    nbe: int = None
-    theta0: np.ndarray = None
-    psi0: np.ndarray = None
-    x0: np.ndarray = None
-    xm0: np.ndarray = None
-
-    def __post_init__(self):
-        # exogenous, so built with the spec, ahead of any stepping loop
-        ym = self.structure in (Structure.SF_YM, Structure.OF_YM)
-        self.reference = ReferenceBlock(self.refmodel, *((self.lam_e, self.nbe) if ym else ()))
-
-    @property
-    def n(self):
-        return self.plant.n
-
-    @property
-    def m(self):
-        return self.plant.n_outputs
-
-    @property
-    def q(self):
-        return regressor_dim(self.structure, self.n, self.m, self.nu, self.nbe)
-
-
 # steps per block of reference tables and of diagnostics; small, because a CT table
 # holds four rows per step, each as wide as lin's drive c
 CT_BLOCK = 64
@@ -391,7 +337,7 @@ class ClosedLoop(FlatLoop):
     so it is exogenous: y_m = C_m x_m and its part of omega never depend on
     the loop.  In continuous time the coupled ODE is triangular, so RK4 gives
     z the same stage values whether it is stepped with the rest or alone.  In
-    both domains z is stepped alone, through the step map of the spec's
+    both domains z is stepped alone, through the step map of the scenario's
     ReferenceBlock, one block of at most CT_BLOCK steps at a time, and its
     contribution is tabulated at the stage points of every step (one in DT,
     the four RK4 stages in CT).
@@ -411,38 +357,45 @@ class ClosedLoop(FlatLoop):
 
     Layout of the flat state: [lin, Theta, Psi]; theta, psi and lin are views
     into it, valid for the life of the loop.
+
+    scenario is a multivariable scenario (mimo.MimoScenario): the plant and
+    the reference model, its input um and its prebuilt ReferenceBlock
+    `reference`, the structure and its design polynomials, theta_dim and the
+    initial states x0 and xm0.  theta0 and psi0 are the initial parameters.
+    The controller side never reads the plant matrices; they appear only
+    through the simulated signals.
     """
 
-    def __init__(self, spec, law, horizon):
-        self.spec = spec
+    def __init__(self, scenario, law, horizon, theta0=None, psi0=None):
+        self.scenario = scn = scenario
         self.law = law  # None = nominal (frozen parameters)
         self._gradient = law is not None and not isinstance(law, Rd1Law)
-        self.domain = dom = spec.plant.domain
+        self.domain = dom = scn.plant.domain
         self.h = 1.0 if dom.is_dt else dom.step
-        plant, s = spec.plant, spec.structure
-        n, m, q = spec.n, spec.m, spec.q
+        plant, s = scn.plant, scn.structure
+        n, m, q = scn.n, scn.m, scn.theta_dim
         vu, vy = slice(0, m), slice(m, 2 * m)
         vo, ve = slice(2 * m, 2 * m + q), slice(2 * m + q, 3 * m + q)
 
         # lin, fed from v = [u, y, omega, e]
         blocks = [("x", (plant.a, plant.b, np.eye(n), 0.0), vu)]
         if s in (Structure.OF_XM, Structure.OF_YM):
-            bank = FilterBank(range(spec.nu - 1), spec.lam, dom, width=m).realization()
+            bank = FilterBank(range(scn.nu - 1), scn.lam, dom, width=m).realization()
             if np.any(bank[3]):
                 raise ValueError("output-feedback filter banks must be strictly proper")
             blocks += [("w1", bank, vu), ("w2", bank, vy)]
         blocks += [
-            ("zeta", RationalFilter([1.0], spec.fpoly, dom, width=q).realization(), vo),
-            ("eta", RationalFilter([1.0], spec.fpoly, dom, width=m).realization(), vu),
+            ("zeta", RationalFilter([1.0], scn.fpoly, dom, width=q).realization(), vo),
+            ("eta", RationalFilter([1.0], scn.fpoly, dom, width=m).realization(), vu),
         ]
-        blocks += [(i, RationalFilter(d, spec.fpoly, dom).realization(), [ve.start + i])
-                   for i, d in enumerate(spec.interactor.rows)]
+        blocks += [(i, RationalFilter(d, scn.fpoly, dom).realization(), [ve.start + i])
+                   for i, d in enumerate(scn.interactor.rows)]
         f, g, lr = stack(blocks, ve.stop)
         self._f, self._g = f, g
         self._je = np.diag(np.vstack([lr[i][1] for i in range(m)])[:, ve])  # e into ebar
 
         # every regressor block as rows over [lin, z, u_m]
-        self._ref = zb = spec.reference
+        self._ref = zb = scn.reference
         nl, nz = f.shape[0], zb.nz
 
         def rows(h, at):
@@ -490,23 +443,23 @@ class ClosedLoop(FlatLoop):
         nst = len(zb.stages)
         self._allocate((("plant_filters", self._lin), ("theta", self._theta),
                         ("psi", self._psi)), par, nst)
-        if spec.x0 is not None:
-            self.s[:n] = spec.x0
+        if scn.x0 is not None:
+            self.s[:n] = scn.x0
         self.lin = self.s[self._lin]
         self.theta = self.s[self._theta].reshape(q, m)
         self.psi = self.s[self._psi].reshape(m, m)
-        if spec.theta0 is not None:
-            theta0 = np.asarray(spec.theta0, dtype=float)
+        if theta0 is not None:
+            theta0 = np.asarray(theta0, dtype=float)
             if theta0.shape != (q, m):
                 raise ValueError(f"theta0 shape {theta0.shape} != {(q, m)}")
             self.theta[:] = theta0
-        if spec.psi0 is not None:
-            self.psi[:] = spec.psi0
+        if psi0 is not None:
+            self.psi[:] = psi0
 
         # stage tables, one block of steps at a time
         z0 = np.zeros(nz)
-        if spec.xm0 is not None:
-            z0[: spec.refmodel.n] = spec.xm0
+        if scn.xm0 is not None:
+            z0[: scn.refmodel.n] = scn.xm0
         nb = min(CT_BLOCK, horizon)
         self._offsets = np.array(zb.offsets)[:, None]
         self._w = np.empty((nb, nz + len(zb.offsets) * m))
@@ -521,7 +474,7 @@ class ClosedLoop(FlatLoop):
 
     def _stage_buffers(self, arg, d):
         """Views of one stage argument and of its derivative row, and the stage's signals."""
-        q, m = self.spec.q, self.spec.m
+        q, m = self.scenario.theta_dim, self.scenario.m
         sig = np.empty(self._fused.shape[0])
         uz = np.empty((2, m))  # [u, Theta^T zeta]
         return (arg[self._lin], arg[self._theta].reshape(q, m), arg[self._psi].reshape(m, m),
@@ -540,7 +493,7 @@ class ClosedLoop(FlatLoop):
         nb, nz = self._w.shape[0], self._ref.nz
         if k0 != self._k0 + nb:
             raise ValueError("steps must be measured in order")
-        um = self.spec.um(np.arange(k0, k0 + nb) * self.h + self._offsets)  # (m, stages, nb)
+        um = self.scenario.um(np.arange(k0, k0 + nb) * self.h + self._offsets)  # (m, stages, nb)
         self._w[:, nz:] = um.transpose(2, 1, 0).reshape(nb, -1)
         z, w, p = self._z_next, self._w, self._ref.step.T
         for r in range(nb):
@@ -638,8 +591,9 @@ def drive(loop, rec, keep=None, diagnose=None):
     return events
 
 
-def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
-    """Run the loop for `horizon` steps through drive; returns a SimTrace.
+def run_closed_loop(scenario, law=None, horizon=1000, theta0=None, psi0=None, vprobe=None,
+                    probes=None):
+    """Run the scenario's ClosedLoop for `horizon` steps through drive; returns a SimTrace.
 
     Row k of the trace holds the time-t_k values of every signal, with
     parameters as used by u(t_k).  The diagnostics are evaluated once per
@@ -653,8 +607,8 @@ def run_closed_loop(spec, law=None, horizon=1000, vprobe=None, probes=None):
     A run stopped by drive's stop rule returns the rows before the failing
     step, with the event in trace.guard_events.
     """
-    loop = ClosedLoop(spec, law=law, horizon=horizon)
-    q, m = spec.q, spec.m
+    loop = ClosedLoop(scenario, law, horizon, theta0, psi0)
+    q, m = scenario.theta_dim, scenario.m
     rec = _Recorder(horizon, m, q * m + m * m)
     probes = probes or {}
     probe_vals = {name: np.zeros(horizon) for name in probes}

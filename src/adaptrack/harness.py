@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,16 @@ _FIELDS = {
     "siso": (_LINEAR_FIELDS | {"pm", "sign_kp", "kp_bound"}, {"gamma_theta", "gamma_rho"}),
     "mimo": (_LINEAR_FIELDS | {"interactor", "f", "nu", "nbe"}, {"gamma", "sp", "q"}),
     "fl": (_COMMON_FIELDS, {"guard"}),
+}
+_ALL = set(Structure)
+_OF, _YM = {Structure.OF_XM, Structure.OF_YM}, {Structure.SF_YM, Structure.OF_YM}
+# module -> the components its loop reads, each required at load from the scenario or
+# its benchmark: (scenario field, component key, structures whose loop reads it)
+_REQUIRED = {
+    "siso": [("pm", "pm", _ALL), ("lambda", "lam", _ALL), ("lambda_e", "lam_e", _ALL),
+             ("sign_kp", "sign_kp", _ALL), ("kp_bound", "kp_bound", _ALL), ("um", "um", _ALL)],
+    "mimo": [("interactor", "interactor", _ALL), ("f", "fpoly", _ALL), ("um", "um", _ALL),
+             ("lambda", "lam", _OF), ("lambda_e", "lam_e", _YM)],
 }
 _TOP_FIELDS = set().union(*(top for top, _ in _FIELDS.values()))
 _GAIN_FIELDS = set().union(*(gains for _, gains in _FIELDS.values()))
@@ -276,10 +286,13 @@ def scenario_from_dict(data, name=None):
             _require(kb > 0, "kp_bound", "must be positive")
             comps["kp_bound"] = kb
 
+    for fld, key, structures in _REQUIRED.get(module, ()):
+        _require(key in comps or structure not in structures, fld,
+                 f"missing: the {module} {structure.value} loop reads it")
+
     if design == "rd1":
         _require(not comps["plant"].domain.is_dt, "design", "rd1 needs a continuous-time plant")
-        rows = comps["interactor"].rows if "interactor" in comps else []
-        _require(all(d.degree == 1 for d in rows), "design",
+        _require(all(d.degree == 1 for d in comps["interactor"].rows), "design",
                  "rd1 needs first-order interactor rows")
 
     if module == "fl" or not comps["plant"].domain.is_dt:
@@ -291,18 +304,18 @@ def scenario_from_dict(data, name=None):
     if module == "fl":
         q, m = sum(comps["dims"]), comps["interactor"].m
     else:
-        m, sizes["xm0"] = comps["plant"].n_outputs, comps["refmodel"].n
+        m, n_m = comps["plant"].n_outputs, comps["refmodel"].n
+        sizes["xm0"] = n_m
         order = mimo.default_order(n, m)
         nu = comps.get("nu", order)
-        q = (siso.theta_dim(structure, n) if module == "siso" else
-             regressor_dim(structure, n, m, nu, comps.get("nbe", order)))
+        q = (siso.theta_dim(structure, n, n_m) if module == "siso" else
+             regressor_dim(structure, n, m, n_m, nu, comps.get("nbe", order)))
 
     gains = _conv(dict, data.get("gains", {}), "gains")
     _check_keys(gains, _GAIN_FIELDS, "gains.")
     _check_keys(gains, _FIELDS[module][1], "gains.", unread)
     if module == "siso":
-        kp_bound = comps.get("kp_bound")
-        _require(kp_bound is not None, "kp_bound", "missing")
+        kp_bound = comps["kp_bound"]
         for fld, upper, shapes in (("gamma_theta", 2.0 / kp_bound, [(), (q, q)]),
                                    ("gamma_rho", 2.0, [()])):
             if gains.get(fld) is not None:
@@ -377,16 +390,7 @@ class MetricsReport:
     horizon: int = 0
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "tail_rms_e": self.tail_rms_e,
-            "sup_theta_norm": self.sup_theta_norm,
-            "l2_tail": self.l2_tail,
-            "converged": self.converged,
-            "lyapunov_violations": self.lyapunov_violations,
-            "guard_aborted": self.guard_aborted,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

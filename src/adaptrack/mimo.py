@@ -26,6 +26,7 @@ from .errors import (
 from .linsys import (
     DiagonalInteractor,
     Polynomial,
+    ReferenceBlock,
     StateSpace,
     lyapunov_solve_ct,
     ref_input_from_io,
@@ -86,7 +87,11 @@ def default_order(n, m):
 
 @dataclass
 class MimoScenario:
-    """A square multivariable tracking problem in either time domain."""
+    """A square multivariable tracking problem in either time domain.
+
+    Everything engine.ClosedLoop reads for one run; `reference` is the
+    scenario's ReferenceBlock, built once here.
+    """
 
     plant: StateSpace
     refmodel: StateSpace
@@ -100,6 +105,9 @@ class MimoScenario:
     nbe: int = None  # reference-signal bank blocks
     gamma: np.ndarray = None  # Psi gain; default I
     gz: np.ndarray = None  # zeta-side gain; default I
+    # input of the reference system: t -> (m,); the loops call it on an array
+    # of times and read the channels along a new leading axis, (m, *t.shape),
+    # as RefInput gives them
     um: object = None
     x0: np.ndarray = None
     xm0: np.ndarray = None
@@ -142,6 +150,9 @@ class MimoScenario:
                 raise ValueError("nbe exceeds what lam_e can realize properly")
         self.gz = (np.eye(self.theta_dim) if self.gz is None
                    else np.atleast_2d(np.asarray(self.gz, dtype=float)))
+        # exogenous, so built with the scenario, ahead of any stepping loop
+        ym = self.structure in (Structure.SF_YM, Structure.OF_YM)
+        self.reference = ReferenceBlock(self.refmodel, *((self.lam_e, self.nbe) if ym else ()))
 
     @property
     def n(self):
@@ -153,25 +164,7 @@ class MimoScenario:
 
     @property
     def theta_dim(self):
-        return regressor_dim(self.structure, self.n, self.m, nu=self.nu, nbe=self.nbe)
-
-    def loop_spec(self, theta0=None, psi0=None):
-        return engine.LoopSpec(
-            plant=self.plant,
-            refmodel=self.refmodel,
-            um=self.um,
-            structure=self.structure,
-            interactor=self.interactor,
-            fpoly=self.fpoly,
-            lam=self.lam,
-            nu=self.nu,
-            lam_e=self.lam_e,
-            nbe=self.nbe,
-            theta0=theta0,
-            psi0=psi0,
-            x0=self.x0,
-            xm0=self.xm0,
-        )
+        return regressor_dim(self.structure, self.n, self.m, self.refmodel.n, self.nu, self.nbe)
 
 
 @dataclass
@@ -369,6 +362,5 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
         ps0 = scenario.sp.T.copy() if psi0 is None else np.asarray(psi0, dtype=float)
         if design == "rd1":
             ps0 = np.zeros((m, m))
-    spec = scenario.loop_spec(theta0=th0, psi0=ps0)
-    return engine.run_closed_loop(spec, law=law, horizon=horizon, vprobe=vprobe,
-                                  probes=probes)
+    return engine.run_closed_loop(scenario, law=law, horizon=horizon, theta0=th0, psi0=ps0,
+                                  vprobe=vprobe, probes=probes)

@@ -30,9 +30,9 @@ from .linsys import DiagonalInteractor, Polynomial, StateSpace, relative_degree,
 from .linsys import ref_input_from_io  # noqa: F401
 
 
-def theta_dim(structure, n):
-    """Regressor length of the design for an n-state plant (nu = n, nbe = n - 1)."""
-    return regressor_dim(structure, n, 1, nu=n, nbe=n - 1)
+def theta_dim(structure, n, n_m):
+    """Regressor length of the design, n plant and n_m reference states (nu = n, nbe = n - 1)."""
+    return regressor_dim(structure, n, 1, n_m, nu=n, nbe=n - 1)
 
 
 @dataclass
@@ -94,7 +94,7 @@ class SisoScenario:
 
     @property
     def theta_dim(self):
-        return theta_dim(self.structure, self.n)
+        return theta_dim(self.structure, self.n, self.refmodel.n)
 
     def as_mimo(self, gains=None):
         """The one-channel MimoScenario of this problem, with its adaptation gains.

@@ -70,8 +70,8 @@ def test_fused_stage_equals_the_unfused_block_formula(bench, design):
         law = GradientLaw(gz=np.diag(np.linspace(0.5, 1.5, q)), sp=scn.sp, gpsi=scn.gamma)
     elif design == "rd1":
         law = mimo.rd1_law(scn.interactor, scn.sp)
-    loop = engine.ClosedLoop(scn.loop_spec(), law=law, horizon=5)
-    zb = scn.loop_spec().reference
+    loop = engine.ClosedLoop(scn, law=law, horizon=5)
+    zb = scn.reference
     nst, width = loop._tab.shape[1:]
     assert nst == (1 if b["plant"].domain.is_dt else 4)
     rng = np.random.default_rng(31)
@@ -124,9 +124,9 @@ def test_fl_regressor_and_drive_from_the_estimate_matrix():
 # -- diagnostics per block ----------------------------------------------------------------
 
 
-def _per_step_engine(spec, law, horizon, step_diag):
+def _per_step_engine(scn, law, horizon, theta0, psi0, step_diag):
     """Step a ClosedLoop by hand; step_diag(loop, frame) gives one row of diagnostics."""
-    loop = engine.ClosedLoop(spec, law=law, horizon=horizon)
+    loop = engine.ClosedLoop(scn, law, horizon, theta0, psi0)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
@@ -147,8 +147,8 @@ def test_engine_block_diagnostics_match_per_step_formulas():
     q = scn.theta_dim
     horizon = 2 * engine.CT_BLOCK + 37
     law = GradientLaw(gz=np.eye(q), sp=scn.sp, gpsi=scn.gamma, gpsi_max=2.0)
-    spec = scn.loop_spec(theta0=0.9 * nom.theta_star, psi0=scn.sp.T.copy())
-    tr = engine.run_closed_loop(spec, law=law, horizon=horizon,
+    theta0, psi0 = 0.9 * nom.theta_star, scn.sp.T.copy()
+    tr = engine.run_closed_loop(scn, law=law, horizon=horizon, theta0=theta0, psi0=psi0,
                                 vprobe=mimo.certificate_probe(scn, nom),
                                 probes={"ident_resid": mimo.identity_probe(nom)})
     gp, gamma_inv = nom.kp.T @ np.linalg.inv(scn.sp), np.linalg.inv(scn.gamma)
@@ -159,7 +159,7 @@ def test_engine_block_diagnostics_match_per_step_formulas():
         ident = np.max(np.abs(fr.eps - (nom.kp @ tht.T @ fr.zeta + psit @ fr.xi)))
         return v, ident, np.linalg.norm(np.concatenate((loop.theta.ravel(), loop.psi.ravel())))
 
-    want = _per_step_engine(spec, law, horizon, step_diag)
+    want = _per_step_engine(scn, law, horizon, theta0, psi0, step_diag)
     assert tr.n_samples == horizon == want.shape[0]
     _close(tr.v, want[:, 0], 1e-14)
     _close(tr.extra["ident_resid"], want[:, 1], 1e-14)
@@ -179,8 +179,8 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
         um=b["um"], x0=np.ones(3))
     mscn = scn.as_mimo()
     nom = mimo.nominal_params(mscn)
-    spec = mscn.loop_spec(theta0=0.5 * nom.theta_star, psi0=np.array([[0.7]]))
-    tr = engine.run_closed_loop(spec, horizon=2000,
+    theta0, psi0 = 0.5 * nom.theta_star, np.array([[0.7]])
+    tr = engine.run_closed_loop(mscn, horizon=2000, theta0=theta0, psi0=psi0,
                                 vprobe=mimo.certificate_probe(mscn, nom),
                                 probes={"ident_resid": mimo.identity_probe(nom)})
     assert tr.guard_events and "diverged" in tr.guard_events[0]
@@ -195,7 +195,7 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
         ident = abs(fr.eps[0] - (kp * tht @ fr.zeta + rhot * fr.xi[0]))
         return v, ident, np.linalg.norm(np.append(loop.theta, loop.psi))
 
-    want = _per_step_engine(spec, None, 2000, step_diag)
+    want = _per_step_engine(mscn, None, 2000, theta0, psi0, step_diag)
     assert want.shape[0] == tr.n_samples
     _close(tr.v, want[:, 0], 1e-14)
     _close(tr.theta_norm, want[:, 2], 1e-14)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptrack import cli, harness, mimo, siso
+from adaptrack import benchmarks, cli, harness, mimo, siso
 from adaptrack.engine import SimTrace
 from adaptrack.errors import ParseError, ValidationError
 
@@ -101,6 +101,22 @@ def test_near_start_requires_test_mode(tmp_path):
 
 
 _MIMO = {"module": "mimo", "benchmark": "mimo-dt-2x2", "test_mode": True}
+# explicit one-state scenarios giving every component their module reads
+_EXPLICIT = {
+    "benchmark": None, "domain": "dt",
+    "plant": {"A": [[0.5]], "B": [[1.0]], "C": [[2.0]]},
+    "refmodel": {"A": [[0.3]], "B": [[1.0]], "C": [[1.0]]},
+    "lambda": [1.0], "lambda_e": [1.0],
+    "um": {"channels": [{"sinusoids": [{"amp": 1.0, "freq": 0.3}], "bias": 0.2}]},
+}
+_EXPLICIT_SISO = dict(_EXPLICIT, pm=[0.4, 1.0], sign_kp=1.0, kp_bound=2.5)
+_EXPLICIT_MIMO = dict(_EXPLICIT, module="mimo", interactor=[[0.4, 1.0]], f=[0.4, 1.0],
+                      gains={"sp": [[0.5]]})
+
+
+def _without(base, fld):
+    return {k: v for k, v in base.items() if k != fld}
+
 _FL = {"module": "fl", "benchmark": "fl-2x3"}
 _SIN = {"amp": "x", "freq": 0.1}
 
@@ -169,6 +185,16 @@ _MALFORMED = {
                                  "design"),
     "siso_rd1": ({}, {"design": "rd1"}, "design"),
     "fl_rd1": (_FL, {"design": "rd1"}, "design"),
+    # a component the module's loop reads was missing: run ended in a KeyError, or in
+    # MimoScenario's bare ValueError for lambda and lambda_e
+    **{f"siso_missing_{f}": (_without(_EXPLICIT_SISO, f), {}, f)
+       for f in ("pm", "lambda", "lambda_e", "sign_kp", "um")},
+    **{f"mimo_missing_{f}": (_without(_EXPLICIT_MIMO, f), {}, f)
+       for f in ("interactor", "f", "um")},
+    "mimo_of_missing_lambda": (_without(_EXPLICIT_MIMO, "lambda"), {"structure": "of_xm"},
+                               "lambda"),
+    "mimo_ym_missing_lambda_e": (_without(_EXPLICIT_MIMO, "lambda_e"), {"structure": "sf_ym"},
+                                 "lambda_e"),
 }
 
 
@@ -197,18 +223,22 @@ def test_fl_requires_benchmark(tmp_path):
 
 
 def test_explicit_plant_scenario(tmp_path):
-    data = {
-        "schema_version": 1, "name": "explicit", "module": "siso", "domain": "dt",
-        "plant": {"A": [[0.5]], "B": [[1.0]], "C": [[2.0]]},
-        "refmodel": {"A": [[0.3]], "B": [[1.0]], "C": [[1.0]]},
-        "pm": [0.4, 1.0], "lambda": [1.0], "lambda_e": [1.0],
-        "sign_kp": 1.0, "kp_bound": 2.5,
-        "um": {"channels": [{"sinusoids": [{"amp": 1.0, "freq": 0.3}], "bias": 0.2}]},
-        "horizon": 200,
-    }
+    data = _minimal(**_EXPLICIT_SISO, name="explicit", horizon=200)
     scn = harness.load_scenario(_write(tmp_path, data))
     trace, report = harness.run_experiment(scn)
     assert trace.n_samples == 200
+
+
+@pytest.mark.parametrize("structure", ["sf_xm", "sf_ym", "of_xm", "of_ym"])
+def test_explicit_mimo_scenario_needs_only_what_its_structure_reads(structure):
+    # lambda feeds the output-feedback banks, lambda_e the reference banks
+    data = _minimal(**_EXPLICIT_MIMO, structure=structure, horizon=100)
+    if not structure.startswith("of"):
+        data = _without(data, "lambda")
+    if not structure.endswith("ym"):
+        data = _without(data, "lambda_e")
+    trace, report = harness.run_experiment(harness.scenario_from_dict(data))
+    assert trace.n_samples == 100 and not report.guard_aborted
 
 
 _SIN = {"amp": 0.8, "freq": 0.4, "phase": 0.3}
@@ -234,6 +264,75 @@ def test_bias_only_channel_runs_as_a_zero_amplitude_sinusoid(tmp_path, bench, st
     assert step.n_samples == 300
     for fld in ("y", "ym", "e", "u", "theta_norm"):
         assert np.array_equal(getattr(step, fld), getattr(zero_sin, fld)), fld
+
+
+# -- a reference model of another order than the plant's -------------------------------
+
+# x_m enters the _xm regressors, so its block is as wide as the reference model;
+# nothing ties that order to the plant's
+_REF2 = {"A": [[0.0, 1.0], [-0.24, 1.0]], "B": [[0.0], [1.0]],
+         "C": [[1.0, 0.0]]}  # poles 0.6, 0.4, relative degree 2
+_REF4 = {"A": [[0.4, 0.0, 0.0, 0.1], [0.0, 0.0, 1.0, 0.0], [0.0, -0.06, 0.5, 0.0],
+               [0.0, 0.0, 0.0, 0.3]],
+         "B": [[1.0, 0.1], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+         "C": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}  # row relative degrees (1, 2)
+
+
+def _explicit_with_refmodel(bench, refmodel, **kw):
+    """The DT benchmark written out as an explicit scenario, with another reference model."""
+    b = benchmarks.build(bench)
+    d = _minimal(module=b["kind"], benchmark=None, domain="dt", refmodel=refmodel, horizon=400,
+                 plant={k: getattr(b["plant"], k.lower()).tolist() for k in "ABC"},
+                 um={"channels": [{"sinusoids": [{"amp": 1.0, "freq": 0.3},
+                                                 {"amp": 0.5, "freq": 1.1}], "bias": 0.2}]
+                     * b["plant"].n_outputs},
+                 **{"lambda": b["lam"].coeffs.tolist(), "lambda_e": b["lam_e"].coeffs.tolist()})
+    if b["kind"] == "siso":
+        d.update(pm=b["pm"].coeffs.tolist(), sign_kp=b["sign_kp"], kp_bound=b["kp_bound"])
+    else:
+        d.update(interactor=[r.coeffs.tolist() for r in b["interactor"].rows],
+                 f=b["fpoly"].coeffs.tolist(), nu=b["nu"], nbe=b["nbe"],
+                 gains={"sp": b["sp"].tolist()})
+    d.update(kw)
+    return d
+
+
+def _report(data):
+    return harness.run_experiment(harness.scenario_from_dict(data))[1]
+
+
+@pytest.mark.parametrize("structure", ["sf_xm", "sf_ym", "of_xm", "of_ym"])
+def test_siso_reference_model_of_lower_order_than_the_plant(structure):
+    # siso-3rd's plant (n = 3) with a second-order reference model: the _xm
+    # structures ended in a numpy matmul error
+    blind = _report(_explicit_with_refmodel("siso-3rd", _REF2, structure=structure))
+    assert blind.horizon == 400 and not blind.guard_aborted
+    nominal = _report(_explicit_with_refmodel("siso-3rd", _REF2, structure=structure,
+                                              test_mode=True, mode="nominal"))
+    assert nominal.tail_rms_e < 1e-12
+    near = _report(_explicit_with_refmodel("siso-3rd", _REF2, structure=structure,
+                                           test_mode=True, theta0="near"))
+    assert near.horizon == 400 and near.lyapunov_violations == 0
+
+
+@pytest.mark.parametrize("structure", ["sf_xm", "sf_ym", "of_xm", "of_ym"])
+def test_mimo_reference_model_of_higher_order_than_the_plant(structure):
+    # mimo-dt-2x2's plant (n = 3) with a fourth-order reference model
+    blind = _report(_explicit_with_refmodel("mimo-dt-2x2", _REF4, structure=structure))
+    assert blind.horizon == 400 and not blind.guard_aborted
+    if structure.startswith("sf"):  # matching parameters exist
+        nominal = _report(_explicit_with_refmodel("mimo-dt-2x2", _REF4, structure=structure,
+                                                  test_mode=True, mode="nominal"))
+        assert nominal.tail_rms_e < 1e-12
+
+
+def test_theta0_is_sized_by_the_reference_model_order():
+    q = 3 + 2 + 1  # sf_xm: [x, x_m, u_m]
+    data = _explicit_with_refmodel("siso-3rd", _REF2, theta0=[0.0] * q)
+    assert _report(data).horizon == 400
+    with pytest.raises(ValidationError) as ei:
+        harness.scenario_from_dict(dict(data, theta0=[0.0] * (q + 1)))
+    assert ei.value.field == "theta0"
 
 
 def test_ref_input_on_arrays_matches_one_time_at_a_time():

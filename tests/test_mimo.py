@@ -225,9 +225,24 @@ def test_ref_input_from_state_ct_trajectory(bench_ct):
 def test_regressor_dims_formulas():
     from adaptrack.engine import regressor_dim
 
-    assert regressor_dim(Structure.SF_XM, n=4, m=2) == 10
-    assert regressor_dim(Structure.OF_XM, n=4, m=2, nu=2) == 2 * 2 * 1 + 2 + 4 + 2
-    assert regressor_dim(Structure.OF_YM, n=4, m=2, nu=2, nbe=1) == 4 + 2 + 4 + 4
+    assert regressor_dim(Structure.SF_XM, n=4, m=2, n_m=4) == 10
+    assert regressor_dim(Structure.SF_YM, n=4, m=2, n_m=4, nbe=1) == 4 + 4 + 4
+    assert regressor_dim(Structure.OF_XM, n=4, m=2, n_m=4, nu=2) == 2 * 2 * 1 + 2 + 4 + 2
+    assert regressor_dim(Structure.OF_YM, n=4, m=2, n_m=4, nu=2, nbe=1) == 4 + 2 + 4 + 4
+    # x_m is as wide as the reference model, whatever the plant's order
+    assert regressor_dim(Structure.SF_XM, n=4, m=2, n_m=1) == 7
+    assert regressor_dim(Structure.OF_XM, n=4, m=2, n_m=6, nu=2) == 4 + 2 + 6 + 2
+
+
+@pytest.mark.parametrize("structure", list(Structure))
+@pytest.mark.parametrize("n_m", [2, 4])
+def test_regressor_dim_is_the_width_of_the_assembled_regressor(bench_dt, structure, n_m):
+    # a stable reference model of n_m states beside the 3-state plant
+    ref = StateSpace(np.diag(np.linspace(0.1, 0.5, n_m)), np.eye(n_m, 2), np.eye(2, n_m), dt())
+    scn = _scn(bench_dt, structure=structure, refmodel=ref)
+    loop = engine.ClosedLoop(scn, law=None, horizon=1)
+    assert loop._read["omega"].shape[0] == scn.theta_dim
+    assert loop.theta.shape == (scn.theta_dim, 2)
 
 
 def test_regressor_zero(bench_dt):
@@ -243,8 +258,7 @@ def test_regressor_zero(bench_dt):
 
 def _frozen_loop(scn, theta, psi, horizon=1):
     """The engine loop with frozen parameters (no update law)."""
-    return engine.ClosedLoop(scn.loop_spec(theta0=theta, psi0=psi), law=None,
-                             horizon=horizon)
+    return engine.ClosedLoop(scn, None, horizon, theta0=theta, psi0=psi)
 
 
 def test_frame_zero(bench_dt):
@@ -517,9 +531,9 @@ def test_ct_stage_tables_block_size_invariant(bench_ct, monkeypatch, structure):
 
 
 def test_ct_stage_tables_memory_flat_in_horizon(bench_ct):
-    spec = _scn(bench_ct).loop_spec()
-    short = engine.ClosedLoop(spec, law=None, horizon=10)
-    long = engine.ClosedLoop(spec, law=None, horizon=50 * engine.CT_BLOCK)
+    scn = _scn(bench_ct)
+    short = engine.ClosedLoop(scn, law=None, horizon=10)
+    long = engine.ClosedLoop(scn, law=None, horizon=50 * engine.CT_BLOCK)
     assert short._tab.shape[0] == 10 and long._tab.shape[0] == engine.CT_BLOCK
     assert long.s.size == short.s.size  # [lin, Theta, Psi]: no reference block in the state
     long.measure(0)
@@ -539,7 +553,7 @@ def test_ct_stage_derivative_is_the_k1_of_measure(bench_ct, bench_rd1, design):
         law = GradientLaw(gz=np.eye(scn.theta_dim), sp=scn.sp, gpsi=scn.gamma)
     elif design == "rd1":
         law = mimo.rd1_law(scn.interactor, scn.sp)
-    loop = engine.ClosedLoop(scn.loop_spec(), law=law, horizon=5)
+    loop = engine.ClosedLoop(scn, law=law, horizon=5)
     loop.measure(0)  # fills the first block of stage tables
     rng = np.random.default_rng(21)
     loop.s[:] = rng.standard_normal(loop.s.size)
@@ -556,7 +570,7 @@ def test_ct_stage_derivative_is_the_k1_of_measure(bench_ct, bench_rd1, design):
 def test_ct_reference_stage_maps_match_a_direct_rk4_step(bench_ct):
     # stage maps of the reference block against a direct rk4 step of z' = F z + G u_m
     scn = _scn(bench_ct, structure=Structure.SF_YM)
-    zb = scn.loop_spec().reference
+    zb = scn.reference
     h, m = bench_ct["plant"].domain.step, 2
     rng = np.random.default_rng(5)
     z, us = rng.standard_normal(zb.nz), rng.standard_normal((3, m))

@@ -192,8 +192,8 @@ def test_regressor_sf_xm_layout():
 
 def _frozen_loop(scn, theta, rho=1.0, horizon=1):
     """The engine loop of the one-channel scenario with frozen parameters (no update law)."""
-    spec = scn.as_mimo().loop_spec(theta0=np.reshape(theta, (-1, 1)), psi0=np.array([[rho]]))
-    return engine.ClosedLoop(spec, law=None, horizon=horizon)
+    return engine.ClosedLoop(scn.as_mimo(), None, horizon, theta0=np.reshape(theta, (-1, 1)),
+                             psi0=np.array([[rho]]))
 
 
 def test_frame_zero_signals(bench):
@@ -389,10 +389,10 @@ def test_run_stops_at_nonfinite_l2_sum(bench):
     plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), bench["plant"].b,
                        bench["plant"].c, dt())
     scn = _scenario(bench, Structure.SF_XM, plant=plant)
-    spec = scn.as_mimo().loop_spec(theta0=np.zeros((scn.theta_dim, 1)), psi0=np.ones((1, 1)))
-    spec.x0 = np.ones(3)
-    tr = engine.run_closed_loop(spec, horizon=1000,
-                                probes={"one": lambda th, ps, fr, e: 1.0})
+    mscn = scn.as_mimo()
+    mscn.x0 = np.ones(3)
+    tr = engine.run_closed_loop(mscn, horizon=1000, theta0=np.zeros((scn.theta_dim, 1)),
+                                psi0=np.ones((1, 1)), probes={"one": lambda th, ps, fr, e: 1.0})
     assert 0 < tr.n_samples < 1000
     assert tr.guard_events == [{"t": float(tr.n_samples), "diverged": "l2_eps"}]
     for arr in (tr.e, tr.u, tr.eps, tr.m, tr.theta_norm, tr.extra["l2_eps_cum"],

@@ -3,7 +3,7 @@
 rk4_step with a work array must give the allocating step bit for bit.  The
 closed loops step through buffers fixed when they are built: the signals
 recorded at a grid point must survive the step's later stages, and two loops
-of one spec must not share any scratch.
+of one scenario must not share any scratch.
 """
 
 import numpy as np
@@ -104,8 +104,7 @@ def _mimo_loop(bench, design, horizon=300):
     elif design == "rd1":
         law = mimo.rd1_law(scn.interactor, scn.sp)
     theta0 = 0.9 * mimo.nominal_params(scn).theta_star
-    return lambda: engine.ClosedLoop(scn.loop_spec(theta0=theta0, psi0=scn.sp.T.copy()),
-                                     law=law, horizon=horizon)
+    return lambda: engine.ClosedLoop(scn, law, horizon, theta0=theta0, psi0=scn.sp.T.copy())
 
 
 _ENGINE = [("mimo-ct-2x2", "gradient"), ("mimo-ct-2x2", "nominal"), ("mimo-rd1-ct", "rd1"),
