@@ -381,8 +381,6 @@ class ClosedLoop(FlatLoop):
         blocks = [("x", (plant.a, plant.b, np.eye(n), 0.0), vu)]
         if s in (Structure.OF_XM, Structure.OF_YM):
             bank = FilterBank(range(scn.nu - 1), scn.lam, dom, width=m).realization()
-            if np.any(bank[3]):
-                raise ValueError("output-feedback filter banks must be strictly proper")
             blocks += [("w1", bank, vu), ("w2", bank, vy)]
         blocks += [
             ("zeta", RationalFilter([1.0], scn.fpoly, dom, width=q).realization(), vo),

@@ -22,7 +22,7 @@ class NotHurwitz(AdaptrackError):
 
 
 class SingularMatchingSystem(AdaptrackError):
-    """Output-feedback matching system is singular (non-coprime plant)."""
+    """No output-feedback matching gains: a non-minimal plant, or nu too small."""
 
 
 class SingularKp(AdaptrackError):

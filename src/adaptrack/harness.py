@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +77,9 @@ class Scenario:
 
     @property
     def domain(self):
-        obj = self.components.get("plant") or self.components["leader"]
         if self.module == "fl":
             return "ct"
-        return "dt" if obj.domain.is_dt else "ct"
+        return "dt" if self.components["plant"].domain.is_dt else "ct"
 
     @property
     def step(self):
@@ -210,6 +209,9 @@ def scenario_from_dict(data, name=None):
              "nominal mode needs matching parameters: set test_mode true")
     structure = _conv(Structure, data.get("structure", "sf_xm"), "structure")
     seed = _conv(int, data.get("seed", 0), "seed")
+    _require(seed >= 0, "seed", "must be non-negative")
+    converge_tol = _conv(float, data.get("converge_tol", 1e-2), "converge_tol")
+    _require(0.0 < converge_tol < math.inf, "converge_tol", "must be positive and finite")
     tail_fraction = _conv(float, data.get("tail_fraction", 0.2 if module == "fl" else 0.1),
                           "tail_fraction")
     _require(0.0 < tail_fraction < 1.0, "tail_fraction", "must lie in (0, 1)")
@@ -245,16 +247,15 @@ def scenario_from_dict(data, name=None):
             comps["refmodel"] = _statespace(data["refmodel"], "refmodel", domain)
             comps["kind"] = module
         else:
+            for key in ("plant", "refmodel"):
+                _require(key not in data, key, f"benchmark {bench_name!r} supplies it")
             bench_dom = "dt" if comps["plant"].domain.is_dt else "ct"
             _require(dom_tag is None or dom_tag == bench_dom, "domain",
                      f"benchmark {bench_name!r} is {bench_dom}")
             if step is not None:
                 _require(bench_dom == "ct", "step", "step override applies to ct only")
-                newdom = ct(step)
                 for key in ("plant", "refmodel"):
-                    comps[key] = StateSpace(
-                        comps[key].a, comps[key].b, comps[key].c, newdom
-                    )
+                    comps[key] = replace(comps[key], domain=ct(step))
     default = 20000 if module == "fl" else 5000 if comps["plant"].domain.is_dt else 10000
     horizon = _conv(int, data.get("horizon", default), "horizon")
     _require(horizon > 0, "horizon", "must be positive")
@@ -341,10 +342,10 @@ def scenario_from_dict(data, name=None):
                  "near-convergence start needs test_mode")
     else:
         _array(theta0, "theta0", *([(q,), (q, 1)] if module == "siso" else [(q, m)]))
-    if module == "mimo" and not mimo.has_matching(structure, n, m, nu):
-        missing = "matching parameters, synthesized for state feedback and one-channel nu = n"
-        _require(mode != "nominal", "mode", f"needs {missing}")
-        _require(theta0 != "near", "theta0", f"near start needs {missing}")
+    if module == "mimo" and (mode == "nominal" or theta0 == "near"):
+        _require(mimo.has_matching(structure, comps["plant"], nu), "nu",
+                 f"{nu} is below the observability index of the plant: no matching "
+                 "parameters for a nominal run or a near start")
     x0 = data.get("x0", "zero")
     xm0 = data.get("xm0", "zero")
     for fld, val in (("x0", x0), ("xm0", xm0)):
@@ -358,7 +359,7 @@ def scenario_from_dict(data, name=None):
         design=design, test_mode=test_mode, horizon=horizon, seed=seed,
         components=comps, gains=gains, theta0=theta0, x0=x0, xm0=xm0,
         tail_fraction=tail_fraction,
-        converge_tol=_conv(float, data.get("converge_tol", 1e-2), "converge_tol"),
+        converge_tol=converge_tol,
         benchmark=bench_name, raw=data,
     )
 
@@ -493,7 +494,7 @@ def run_experiment(scenario):
             lam_e=comps.get("lam_e"), nbe=comps.get("nbe"),
             gamma=comps.get("gamma"), um=comps["um"], x0=x0, xm0=xm0,
         )
-    oracle = scenario.test_mode and mimo.has_matching(scn.structure, scn.n, scn.m, scn.nu)
+    oracle = scenario.test_mode and mimo.has_matching(scn.structure, scn.plant, scn.nu)
     nominal = mimo.nominal_params(scn) if oracle else None
     theta0 = scenario.theta0
     if isinstance(theta0, str):

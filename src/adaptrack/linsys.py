@@ -80,22 +80,6 @@ class Polynomial:
     def __call__(self, z):
         return np.polyval(self.coeffs[::-1], z)
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial(self.coeffs * float(other))
-
-    def __add__(self, other):
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[: self.coeffs.size] = self.coeffs
-        b[: other.coeffs.size] = other.coeffs
-        return Polynomial(a + b)
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
     def roots(self):
         return np.roots(self.coeffs[::-1])
 
@@ -256,21 +240,38 @@ def relative_degree(ss, row=None, allow_decoupled=False):
     raise NoRelativeDegree(f"output row {row} is decoupled from the input")
 
 
-def ctrb(a, b):
-    n = a.shape[0]
-    cols = [b]
-    for _ in range(n - 1):
-        cols.append(a @ cols[-1])
-    return np.hstack(cols)
+def _krylov_blocks(f, g):
+    """Orthonormal blocks spanning the reachable subspace of (f, g), one per power of f.
+
+    Block Arnoldi: block 0 spans g, block k the part of f times block k - 1
+    outside the blocks before it (Gram-Schmidt, repeated once against
+    round-off), cut where a singular value falls below RANK_RTOL times the
+    scale: |g| for block 0, |f| after.  The count of blocks is the number of
+    powers the subspace needs: for (A^T, C^T), the observability index of
+    (A, C).
+    """
+    basis = np.zeros((f.shape[0], 0))
+    w, scale = g, np.linalg.norm(g, 2)
+    while w.shape[1]:
+        for _ in range(2):
+            w = w - basis @ (basis.T @ w)
+        u, s, _ = np.linalg.svd(w, full_matrices=False)
+        q = u[:, s > RANK_RTOL * scale]
+        if not q.shape[1]:
+            return
+        yield q
+        basis = np.hstack((basis, q))
+        w, scale = f @ q, np.linalg.norm(f, 2)
 
 
-def obsv(a, c):
-    return ctrb(a.T, c.T).T
+def reachable_basis(f, g):
+    """Orthonormal basis (columns) of the reachable subspace of (f, g)."""
+    return np.hstack([np.zeros((f.shape[0], 0)), *_krylov_blocks(f, g)])
 
 
-def _rank_deficient(m):
-    s = np.linalg.svd(m, compute_uv=False)
-    return s[-1] < RANK_RTOL * max(s[0], 1.0)
+def observability_index(ss):
+    """Smallest k such that [C; C A; ...; C A^(k-1)] spans the observable subspace of (A, C)."""
+    return sum(1 for _ in _krylov_blocks(ss.a.T, ss.c.T))
 
 
 def companion(poly):
@@ -488,7 +489,7 @@ def _pe_input(n_channels, domain, seed=7):
     return signal
 
 
-def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, settle=None):
+def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks):
     """Coefficients reconstructing xi_m(D)[y_m] from filtered (u_m, y_m) signals.
 
     Returns (b1, b2, b20, a2) such that, up to exponentially decaying filter
@@ -510,9 +511,9 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, se
 
     [P, Q0, ...] is the block's step map: [F, G] in DT, the RK4 step in CT.  The
     input is evaluated at all grid and half-step times at once, the map is
-    iterated over the horizon, and the regressor rows (the block's wum, wym
-    and ym readouts) and targets are matrix products over the stored states
-    after `settle`.
+    iterated over 1500 steps in DT and 20000 in CT, and the regressor rows
+    (the block's wum, wym and ym readouts) and targets are matrix products
+    over the stored states after the first third.
 
     The fit simulates instead of matching transfer-function coefficients
     exactly.  Where the filtered signals are nearly dependent (mimo-ct-2x2:
@@ -523,11 +524,11 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks, horizon=None, se
     another.
     """
     am, cm, n, dom = refmodel.a, refmodel.c, refmodel.n, refmodel.domain
-    if _rank_deficient(obsv(am, cm)):
-        raise UnobservablePair("(A_m, C_m) observability matrix is rank deficient")
+    if reachable_basis(am.T, cm.T).shape[1] < n:
+        raise UnobservablePair("(A_m, C_m) is not observable")
     a1, a2 = ref_input_from_state(refmodel, interactor)
-    horizon = horizon or (1500 if dom.is_dt else 20000)
-    settle = settle or horizon // 3
+    horizon = 1500 if dom.is_dt else 20000
+    settle = horizon // 3
     zb = ReferenceBlock(refmodel, lambda_e, n_blocks)
     ns = zb.nz
     # regressor row [F[u_m], F[y_m], y_m] over [z, u_m]

@@ -24,15 +24,19 @@ from .errors import (
     SingularMatchingSystem,
 )
 from .linsys import (
+    RANK_RTOL,
     DiagonalInteractor,
+    FilterBank,
     Polynomial,
     ReferenceBlock,
     StateSpace,
     lyapunov_solve_ct,
+    observability_index,
+    reachable_basis,
     ref_input_from_io,
     ref_input_from_state,
     relative_degree,
-    siso_transfer,
+    stack,
 )
 
 
@@ -173,79 +177,58 @@ class MimoNominal:
     theta_star: np.ndarray
 
 
-def has_matching(structure, n, m, nu):
-    """Whether nominal_params synthesizes Theta*: every state-feedback
-    structure, and output feedback of one channel with nu = n."""
-    return structure in (Structure.SF_XM, Structure.SF_YM) or (m == 1 and nu == n)
+def has_matching(structure, plant, nu):
+    """Whether the structure has matching parameters for the plant: every
+    state-feedback structure, and output feedback with nu at least the
+    observability index of (A, C) (Tao, Adaptive Control Design and Analysis,
+    2003, ch. 9).  Output feedback reads the plant."""
+    return structure in (Structure.SF_XM, Structure.SF_YM) or nu >= observability_index(plant)
 
 
-def nominal_output_feedback(scenario):
-    """Solve the one-channel polynomial matching identity for the output-feedback gains.
+def output_feedback_gains(scenario, k1):
+    """K1 = [theta1; theta2; theta20] with K1^T [w1; w2; y] = k1^T x along trajectories.
 
-    Returns (theta1, theta2, theta20, theta3) with theta3 = 1/kp, from the
-    linear system obtained by matching powers of D in
-
-        theta1^T a(D) P(D) + (theta2^T a(D) + theta20 L(D)) kp Z(D)
-            = L(D) (P(D) - kp theta3 Z(D) Pm(D)),
-
-    where Pm is the interactor row and nu = n.
+    The plant and both output-feedback banks are stacked as engine.ClosedLoop
+    stacks them, y = C x closed into the w2 bank, and the identity is solved
+    on the reachable subspace of that system from u: there u = K1^T [w1; w2;
+    y] + K2 r gives the loop of the state feedback u = k1^T x + K2 r, and the
+    modes outside it are the banks' own, which decay.  When the solution is
+    not unique (nu above the observability index, several channels), the
+    minimum-norm one is returned.  Raises SingularMatchingSystem for a
+    non-minimal plant, and when there is no solution (nu too small).
     """
-    n = scenario.n
-    kp, zpoly, ppoly = siso_transfer(scenario.plant)
-    lam = scenario.lam
-    theta3 = 1.0 / kp
-    ncoef = 2 * n - 1  # powers D^0 .. D^(2n-2)
-
-    def padded(coeffs):
-        out = np.zeros(ncoef)
-        c = np.asarray(coeffs, dtype=float)
-        if c.size > ncoef and np.max(np.abs(c[ncoef:])) > 1e-12:
-            raise AssertionError("matching identity degree overflow")
-        out[: min(c.size, ncoef)] = c[:ncoef]
-        return out
-
-    cols = []
-    for i in range(n - 1):  # theta1 columns: D^i P(D)
-        cols.append(padded(np.convolve(np.eye(1, i + 1, i).ravel(), ppoly.coeffs)))
-    kpz = kp * zpoly.coeffs
-    for i in range(n - 1):  # theta2 columns: D^i kp Z(D)
-        cols.append(padded(np.convolve(np.eye(1, i + 1, i).ravel(), kpz)))
-    cols.append(padded(np.convolve(lam.coeffs, kpz)))  # theta20 column
-    mat = np.column_stack(cols)
-    zpm = np.convolve(zpoly.coeffs, scenario.interactor.rows[0].coeffs)  # monic, as long as P
-    rhs = padded(np.convolve(lam.coeffs, ppoly.coeffs - (kp * theta3) * zpm))
-    sv = np.linalg.svd(mat, compute_uv=False) if mat.size else np.array([1.0])
-    if sv[-1] < 1e-9 * max(sv[0], 1.0):
+    plant, n, m = scenario.plant, scenario.n, scenario.m
+    a, b, c = plant.a, plant.b, plant.c
+    if min(reachable_basis(a, b).shape[1], reachable_basis(a.T, c.T).shape[1]) < n:
+        raise SingularMatchingSystem("plant (A, B, C) is not minimal")
+    vu, vy = slice(0, m), slice(m, 2 * m)
+    bank = FilterBank(range(scenario.nu - 1), scenario.lam, plant.domain, width=m).realization()
+    f, g, read = stack([("x", (a, b, np.eye(n), 0.0), vu), ("w1", bank, vu), ("w2", bank, vy)],
+                       2 * m)
+    x = read["x"][0]
+    basis = reachable_basis(f + g[:, vy] @ c @ x, g[:, vu])
+    lhs = np.vstack([read["w1"][0], read["w2"][0], c @ x]) @ basis
+    rhs = k1.T @ x @ basis
+    sol = np.linalg.lstsq(lhs.T, rhs.T, rcond=RANK_RTOL)[0]
+    if np.max(np.abs(sol.T @ lhs - rhs), initial=0.0) > 1e-9 * max(1.0, np.max(np.abs(rhs))):
         raise SingularMatchingSystem(
-            "matching system is singular; plant numerator and denominator share a factor"
-        )
-    sol = np.linalg.solve(mat, rhs)
-    theta1 = sol[: n - 1]
-    theta2 = sol[n - 1 : 2 * n - 2]
-    theta20 = float(sol[2 * n - 2])
-    return theta1, theta2, theta20, theta3
+            f"no output-feedback matching gains: nu = {scenario.nu} is below the "
+            "observability index of (A, C)")
+    return sol
 
 
 def nominal_params(scenario):
     """Assemble Theta* for the scenario's structure (plant knowledge needed).
 
     Theta* stacks K1, the reference-input blocks times K2^T and (K2 A2)^T.
-    State feedback takes (K1, K2) from sf_nominal; output feedback takes
-    K1 = [theta1; theta2; theta20] and K2 = theta3 from
-    nominal_output_feedback, which covers one channel only.
+    Every structure takes (k1, K2 = Kp^-1) from sf_nominal; K1 is k1 for
+    state feedback and output_feedback_gains(scenario, k1) for output
+    feedback.
     """
     s = scenario.structure
-    if not has_matching(s, scenario.n, scenario.m, scenario.nu):
-        raise NotImplementedError(
-            "output-feedback matching gains are synthesized for one channel with nu = n"
-        )
+    k1, k2, kp = sf_nominal(scenario.plant, scenario.interactor)
     if s in (Structure.OF_XM, Structure.OF_YM):
-        theta1, theta2, theta20, theta3 = nominal_output_feedback(scenario)
-        k1 = np.concatenate([theta1, theta2, [theta20]])[:, None]
-        k2 = np.array([[theta3]])
-        kp = np.linalg.inv(k2)
-    else:
-        k1, k2, kp = sf_nominal(scenario.plant, scenario.interactor)
+        k1 = output_feedback_gains(scenario, k1)
     a1, a2 = ref_input_from_state(scenario.refmodel, scenario.interactor)
     if s in (Structure.SF_XM, Structure.OF_XM):
         ref = [a1 @ k2.T]
@@ -331,8 +314,7 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
     design="gradient" is the basic normalized-gradient law in either domain;
     design="rd1" is the continuous-time Lyapunov law (state feedback,
     first-order interactor rows).  Nominal mode and certificates require the
-    matching parameters: every state-feedback structure, and output feedback
-    for one channel.
+    matching parameters (has_matching).
     """
     m, q = scenario.m, scenario.theta_dim
     dom = scenario.plant.domain

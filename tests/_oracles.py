@@ -148,6 +148,45 @@ def of_closed_loop(plant_a, plant_b, plant_c, lam_coeffs, th1, th2, th20, th3):
     return acl, bcl, ccl
 
 
+def of_gains(nominal, n):
+    """(theta1, theta2, theta20, theta3) of a one-channel output-feedback Theta*.
+
+    Read off its rows [theta1; theta2; theta20; ...] (nu = n) and theta3 = 1/kp.
+    """
+    th = nominal.theta_star[:, 0]
+    return th[: n - 1], th[n - 1 : 2 * n - 2], float(th[2 * n - 2]), 1.0 / nominal.kp[0, 0]
+
+
+def mimo_of_closed_loop(a, b, c, lam_coeffs, k1, k2):
+    """(Acl, Bcl, Ccl) of the loop u = K1^T [w1; w2; y] + K2 r, driven by r.
+
+    Built from scratch: w1 and w2 hold D^p / lam(D) of u and of y for
+    p = 0..deg lam - 1, power-major (entry p m + j is power p of channel j),
+    as the state of a controllable canonical chain per channel.
+    """
+    n, m = b.shape
+    k = len(lam_coeffs) - 1
+    km = k * m
+    fmat = np.eye(k, k=1)
+    fmat[-1:] = -np.asarray(lam_coeffs[:k], dtype=float)
+    f = np.kron(fmat, np.eye(m))
+    g = np.zeros((km, m))
+    if k:
+        g[-m:] = np.eye(m)
+    dim = n + 2 * km
+    aopen = np.zeros((dim, dim))
+    aopen[:n, :n] = a
+    aopen[n : n + km, n : n + km] = f
+    aopen[n + km :, :n] = g @ c
+    aopen[n + km :, n + km :] = f
+    bu = np.vstack([b, g, np.zeros((km, m))])
+    read = np.zeros((2 * km + m, dim))
+    read[: 2 * km, n:] = np.eye(2 * km)
+    read[2 * km :, :n] = c
+    ccl = np.hstack([c, np.zeros((m, 2 * km))])
+    return aopen + bu @ k1.T @ read, bu @ k2, ccl
+
+
 def rk4_sim(f, x0, h, steps):
     """Reference fixed-step RK4 integration, returning states at every grid point."""
     x = np.asarray(x0, dtype=float).copy()

@@ -91,6 +91,20 @@ def mimo_dt_sfym_run(mimo_dt_bench):
 
 
 @pytest.fixture(scope="module")
+def mimo_of_runs(mimo_dt_bench):
+    """Near-start output-feedback runs with certificates, (domain, structure) -> (scn, trace)."""
+    out = {}
+    for dom, b, horizon in (("dt", mimo_dt_bench, 1500), ("ct", benchmarks.mimo_ct_2x2(), 3000)):
+        for structure in (Structure.OF_XM, Structure.OF_YM):
+            scn = _mimo_scn(b, structure)
+            nom = mimo.nominal_params(scn)
+            out[dom, structure] = scn, mimo.run(
+                scn, adaptive=True, horizon=horizon, theta0=0.9 * nom.theta_star,
+                nominal=nom, with_certificate=True)
+    return out
+
+
+@pytest.fixture(scope="module")
 def mimo_ct_run():
     b = benchmarks.mimo_ct_2x2()
     scn = _mimo_scn(b)
@@ -124,7 +138,7 @@ def fl_run():
 # -- criterion 1: nominal matching ------------------------------------------------
 
 
-def test_criterion_1_nominal_matching(siso_bench):
+def test_criterion_1_nominal_matching(siso_bench, mimo_dt_bench):
     b = siso_bench
     n = b["plant"].n
     want = oc.inverse_poly_impulse(b["pm"].coeffs, 2 * n)
@@ -137,7 +151,7 @@ def test_criterion_1_nominal_matching(siso_bench):
     got_sf = np.array([m[0, 0] for m in markov_params(closed, 2 * n)])
     assert np.max(np.abs(got_sf - want)) < 1e-8
 
-    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
+    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(_siso_scn(b, Structure.OF_XM)), n)
     acl, bcl, ccl = oc.of_closed_loop(
         scn.plant.a, scn.plant.b[:, 0], scn.plant.c, scn.lam.coeffs, th1, th2, th20, th3
     )
@@ -151,6 +165,31 @@ def test_criterion_1_nominal_matching(siso_bench):
                             xm0=rng.standard_normal(n))
             tr = siso.run(scn, adaptive=False, horizon=260)
             assert np.max(np.abs(tr.e[200:])) < 1e-6, structure
+
+    # multivariable output feedback, nu = 2 (the observability index): the loop
+    # under K1^T [w1; w2; y] + Kp^-1 r is diag{1/d_i(D)}, and the nominal runs
+    # track from a random start (DT) and from rest (CT, whose transients outlast
+    # a short run)
+    for b in (mimo_dt_bench, benchmarks.mimo_ct_2x2()):
+        for structure in (Structure.OF_XM, Structure.OF_YM):
+            scn = _mimo_scn(b, structure)
+            nom = mimo.nominal_params(scn)
+            acl, bcl, ccl = oc.mimo_of_closed_loop(
+                scn.plant.a, scn.plant.b, scn.plant.c, scn.lam.coeffs,
+                nom.theta_star[: scn.m * (2 * scn.nu - 1)], np.linalg.inv(nom.kp))
+            got = np.array(oc.markov_of(acl, bcl, ccl, 2 * acl.shape[0]))
+            want = np.zeros_like(got)
+            for i, d in enumerate(scn.interactor.rows):
+                want[:, i, i] = oc.inverse_poly_impulse(d.coeffs, got.shape[0])
+            assert np.max(np.abs(got - want)) < 1e-8, structure
+            if scn.plant.domain.is_dt:
+                scn.x0 = rng.standard_normal(scn.n)
+                scn.xm0 = rng.standard_normal(scn.refmodel.n)
+                tr = mimo.run(scn, adaptive=False, horizon=260, nominal=nom)
+                assert np.max(np.abs(tr.e[200:])) < 1e-6, structure
+            else:
+                tr = mimo.run(scn, adaptive=False, horizon=1000, nominal=nom)
+                assert np.max(np.abs(tr.e)) < 1e-6, structure
     _ok("1 nominal-matching")
 
 
@@ -184,7 +223,7 @@ def test_criterion_2_matching_identity_random_plants():
             structure=Structure.OF_XM, sign_kp=np.sign(kp), kp_bound=abs(kp) * 1.2,
             um=multisine(1),
         )
-        th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
+        th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), n)
         pts = np.linspace(-2.1, 2.3, 2 * n + 2)
         az = lambda z: np.array([z**i for i in range(n - 1)])
         lhs = np.array(
@@ -245,19 +284,24 @@ def test_criterion_3_ref_input_identities(siso_bench, mimo_dt_bench):
 # -- criterion 4: Lyapunov certificates ----------------------------------------------
 
 
-def test_criterion_4a_dt_certificates(siso_adaptive_runs, mimo_dt_run, mimo_dt_sfym_run):
+def test_criterion_4a_dt_certificates(siso_adaptive_runs, mimo_dt_run, mimo_dt_sfym_run,
+                                     mimo_of_runs):
     for structure, tr in siso_adaptive_runs.items():
         assert np.max(np.diff(tr.v)) <= 1e-12, structure
     for _, tr in (mimo_dt_run, mimo_dt_sfym_run):
         assert np.max(np.diff(tr.v)) <= 1e-12
+    for structure in (Structure.OF_XM, Structure.OF_YM):
+        _, tr = mimo_of_runs["dt", structure]
+        assert np.max(np.diff(tr.v)) <= 1e-12, structure
     _ok("4a dt-lyapunov")
 
 
-def test_criterion_4b_ct_certificates(mimo_ct_run, fl_run):
-    scn, tr = mimo_ct_run
-    h = scn.plant.domain.step
-    vdot = np.diff(tr.v) / h
-    assert np.all(vdot <= 1e-6 * np.maximum(tr.v[:-1], 1.0))
+def test_criterion_4b_ct_certificates(mimo_ct_run, mimo_of_runs, fl_run):
+    runs = [mimo_ct_run] + [mimo_of_runs["ct", s] for s in (Structure.OF_XM, Structure.OF_YM)]
+    for scn, tr in runs:
+        h = scn.plant.domain.step
+        vdot = np.diff(tr.v) / h
+        assert np.all(vdot <= 1e-6 * np.maximum(tr.v[:-1], 1.0)), scn.structure
     *_, trf = fl_run
     vdotf = np.diff(trf.v) / 1e-3
     assert np.all(vdotf <= 1e-6 * np.maximum(trf.v[:-1], 1.0))
@@ -309,7 +353,7 @@ def test_criterion_5_l2_properties(siso_adaptive_runs, mimo_dt_bench):
 # -- criterion 6: asymptotic tracking ---------------------------------------------------
 
 
-def test_criterion_6_tracking(siso_adaptive_runs, mimo_dt_run, fl_run):
+def test_criterion_6_tracking(siso_adaptive_runs, mimo_dt_run, mimo_of_runs, fl_run):
     tr = siso_adaptive_runs[Structure.SF_XM]
     tail = tr.e[-500:]
     assert float(np.sqrt(np.mean(np.sum(tail**2, axis=1)))) < 1e-3
@@ -319,6 +363,13 @@ def test_criterion_6_tracking(siso_adaptive_runs, mimo_dt_run, fl_run):
     tail = trm.e[-800:]
     assert float(np.sqrt(np.mean(np.sum(tail**2, axis=1)))) < 1e-2
     assert np.max(trm.theta_norm) < 100.0
+    # multivariable output feedback from the near start, DT (a CT run of the
+    # fixture's 3000 steps has not converged yet)
+    for structure in (Structure.OF_XM, Structure.OF_YM):
+        _, tro = mimo_of_runs["dt", structure]
+        tail = tro.e[-150:]
+        assert float(np.sqrt(np.mean(np.sum(tail**2, axis=1)))) < 1e-2, structure
+        assert np.max(tro.theta_norm) < 100.0, structure
 
     *_, trf = fl_run
     tail = trf.e[-20000:]  # final 20 of 100 s
@@ -330,13 +381,17 @@ def test_criterion_6_tracking(siso_adaptive_runs, mimo_dt_run, fl_run):
 # -- criterion 7: estimation-error identity ----------------------------------------------
 
 
-def test_criterion_7_identity(siso_adaptive_runs, mimo_dt_run, mimo_ct_run, fl_run):
+def test_criterion_7_identity(siso_adaptive_runs, mimo_dt_run, mimo_ct_run, mimo_of_runs,
+                              fl_run):
     for structure, tr in siso_adaptive_runs.items():
         assert np.max(tr.extra["ident_resid"]) < 1e-8, structure
     _, trm = mimo_dt_run
     assert np.max(trm.extra["ident_resid"]) < 1e-8
     scn, trc = mimo_ct_run
     assert np.max(trc.extra["ident_resid"][500:]) < 1e-8
+    for (dom, structure), (_, tro) in mimo_of_runs.items():
+        resid = tro.extra["ident_resid"]
+        assert np.max(resid if dom == "dt" else resid[500:]) < 1e-8, (dom, structure)
     *_, trf = fl_run
     assert np.max(np.abs(trf.extra["ident_resid"])) < 1e-8
     _ok("7 estimation-error-identity")

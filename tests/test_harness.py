@@ -153,9 +153,18 @@ _MALFORMED = {
                               {"step": 0.0}, "step"),
     "ct_explicit_step_negative": ({"benchmark": None, "domain": "ct", "plant": {},
                                    "refmodel": {}}, {"step": -0.01}, "step"),
-    # multivariable output-feedback matching parameters are not synthesized
-    "mimo_of_nominal": (_MIMO, {"structure": "of_xm", "mode": "nominal"}, "mode"),
-    "mimo_of_near": (_MIMO, {"structure": "of_xm", "theta0": "near"}, "theta0"),
+    # output-feedback matching parameters need nu at least the observability index
+    # (2 for mimo-dt-2x2): nominal_params ended the run in SingularMatchingSystem
+    "mimo_of_nominal": (_MIMO, {"structure": "of_xm", "mode": "nominal", "nu": 1,
+                                "lambda": [1.0]}, "nu"),
+    "mimo_of_near": (_MIMO, {"structure": "of_xm", "theta0": "near", "nu": 1,
+                             "lambda": [1.0]}, "nu"),
+    # a benchmark's own plant and reference model ran in place of the given ones
+    "benchmark_plant": ({}, {"plant": _EXPLICIT["plant"]}, "plant"),
+    "benchmark_refmodel": ({}, {"refmodel": _EXPLICIT["refmodel"]}, "refmodel"),
+    # numpy's bare ValueError from run; a NaN tolerance reported not-converged always
+    "seed_negative": ({}, {"seed": -1}, "seed"),
+    "converge_tol_nan": ({}, {"converge_tol": "nan"}, "converge_tol"),
     # the name becomes part of the output paths
     "name_path": ({}, {"name": "../escaped"}, "name"),
     # only JSON booleans: the string "false" would switch test mode on
@@ -239,6 +248,17 @@ def test_explicit_mimo_scenario_needs_only_what_its_structure_reads(structure):
         data = _without(data, "lambda_e")
     trace, report = harness.run_experiment(harness.scenario_from_dict(data))
     assert trace.n_samples == 100 and not report.guard_aborted
+
+
+@pytest.mark.parametrize("structure", ["of_xm", "of_ym"])
+def test_mimo_output_feedback_nominal_and_near_start_run(structure):
+    # nu = 2 is mimo-dt-2x2's observability index: both requests load and run
+    # on the matching parameters, with the certificate in the near start
+    base = _minimal(**_MIMO, structure=structure, horizon=400)
+    _, nominal = harness.run_experiment(harness.scenario_from_dict(dict(base, mode="nominal")))
+    assert nominal.tail_rms_e < 1e-12
+    _, near = harness.run_experiment(harness.scenario_from_dict(dict(base, theta0="near")))
+    assert near.lyapunov_violations == 0 and not near.guard_aborted
 
 
 _SIN = {"amp": 0.8, "freq": 0.4, "phase": 0.3}

@@ -123,6 +123,33 @@ def test_markov_double_integrator():
     assert vals == [0.0, 1.0, 0.0, 0.0]
 
 
+# -- reachable subspace -------------------------------------------------------
+
+
+def test_reachable_basis_is_orthonormal_and_spans_the_krylov_columns():
+    rng = np.random.default_rng(5)
+    f, g = rng.standard_normal((6, 6)), rng.standard_normal((6, 2))
+    # reachable subspace of dimension 4: f keeps span{e0..e3} invariant
+    f[4:, :4] = 0.0
+    g[4:] = 0.0
+    v = ls.reachable_basis(f, g)
+    assert v.shape == (6, 4)
+    assert np.max(np.abs(v.T @ v - np.eye(4))) < 1e-12
+    krylov = np.hstack([np.linalg.matrix_power(f, k) @ g for k in range(6)])
+    assert np.max(np.abs(krylov - v @ (v.T @ krylov))) < 1e-10 * np.max(np.abs(krylov))
+    assert ls.reachable_basis(f, np.zeros((6, 2))).shape == (6, 0)
+
+
+def test_observability_index():
+    # a 4-state chain read at both ends: [C; C A] has rank 4
+    a = np.eye(4, k=1)
+    c = np.eye(4)[[0, 2]]
+    two = StateSpace(a, np.eye(4)[:, [3]], c, dt())
+    assert ls.observability_index(two) == 2
+    one_output = StateSpace(a, np.eye(4)[:, [3]], np.eye(4)[[0]], dt())
+    assert ls.observability_index(one_output) == 4
+
+
 # -- filters (driven through realization() by a plain recursion) ---------------
 
 
@@ -243,7 +270,7 @@ def test_markov_matching_after_closed_form_gain():
     assert abs(kpm[0, 0] - kp) < 1e-14
     k1 = -k0[:, 0] / kp
     acl = plant.a + np.outer(plant.b[:, 0], k1)
-    zpm = Polynomial([-0.3, 1.0]) * pm
+    zpm = Polynomial(np.convolve([-0.3, 1.0], pm.coeffs))
     assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(acl))
                          - np.sort_complex(zpm.roots()))) < 1e-6
     closed = StateSpace(acl, plant.b * (1.0 / kp), plant.c, dt())

@@ -11,6 +11,7 @@ from adaptrack.errors import (
     NotHurwitz,
     RelativeDegreeViolation,
     SingularKp,
+    SingularMatchingSystem,
 )
 from adaptrack.linsys import (
     DiagonalInteractor,
@@ -468,10 +469,39 @@ def test_m1_reduction_bit_for_bit(structure):
         assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), fld
 
 
-def test_two_channel_output_feedback_matching_not_synthesized(bench_dt):
-    for structure in (Structure.OF_XM, Structure.OF_YM):
-        with pytest.raises(NotImplementedError):
-            mimo.nominal_params(_scn(bench_dt, structure=structure))
+@pytest.mark.parametrize("domain", ["dt", "ct"])
+def test_two_channel_output_feedback_matching(bench_dt, bench_ct, domain):
+    # u = K1^T [w1; w2; y] + Kp^-1 r closes y = diag{1/d_i(D)}[r], as the state
+    # feedback does: Markov parameters of a from-scratch realization of the
+    # loop.  At nu = 3, above the plants' observability index 2 (acceptance
+    # criterion 1), the matching gains are not unique and the minimum-norm
+    # ones are returned.
+    b = bench_dt if domain == "dt" else bench_ct
+    nu = 3
+    lam = Polynomial.from_roots([0.2, 0.3] if domain == "dt" else [-1.0, -2.0])
+    scn = _scn(b, structure=Structure.OF_XM, nu=nu, lam=lam)
+    assert mimo.has_matching(scn.structure, scn.plant, nu)
+    nom = mimo.nominal_params(scn)
+    k1 = nom.theta_star[: scn.m * (2 * nu - 1)]
+    acl, bcl, ccl = oc.mimo_of_closed_loop(scn.plant.a, scn.plant.b, scn.plant.c,
+                                           lam.coeffs, k1, np.linalg.inv(nom.kp))
+    count = 2 * acl.shape[0]
+    got = np.array(oc.markov_of(acl, bcl, ccl, count))
+    want = np.zeros_like(got)
+    for i, d in enumerate(scn.interactor.rows):
+        want[:, i, i] = oc.inverse_poly_impulse(d.coeffs, count)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    # the output-feedback structures share K1 and the xm/um rows of the state feedback
+    sf = mimo.nominal_params(_scn(b, nu=nu, lam=lam)).theta_star
+    assert np.array_equal(nom.theta_star[k1.shape[0] :], sf[scn.n :])
+
+
+def test_output_feedback_matching_needs_nu_at_the_observability_index(bench_dt):
+    scn = _scn(bench_dt, structure=Structure.OF_XM, nu=1, lam=Polynomial([1.0]))
+    assert not mimo.has_matching(scn.structure, scn.plant, 1)
+    assert mimo.has_matching(Structure.SF_XM, scn.plant, 1)
+    with pytest.raises(SingularMatchingSystem, match="nu = 1"):
+        mimo.nominal_params(scn)
 
 
 def test_one_channel_gain_prior_bounds_kp_times_gz():

@@ -54,7 +54,7 @@ def test_nominal_sf_plant_already_matching():
     # plant = 1/Pm cascaded with its own zero: kp = 1, k1* = 0
     pm = Polynomial.from_roots([0.1, 0.2])
     zp = Polynomial([-0.3, 1.0])
-    charp = zp * pm
+    charp = Polynomial(np.convolve(zp.coeffs, pm.coeffs))
     a = np.zeros((3, 3))
     a[:-1, 1:] = np.eye(2)
     a[-1] = -charp.coeffs[:3]
@@ -93,7 +93,7 @@ def test_nominal_of_first_order_reduction():
         lam=Polynomial([1.0]), lam_e=Polynomial([1.0]),
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=2.5, um=multisine(1),
     )
-    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
+    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), scn.n)
     assert th1.size == 0 and th2.size == 0
     assert abs(th3 - 0.5) < 1e-14  # 1/kp
     assert abs(th20 - (-(0.5 + 0.4) / 2.0)) < 1e-12  # -(a + p0)/kp
@@ -111,14 +111,14 @@ def test_nominal_of_identity_matching():
         lam=Polynomial.from_roots([0.3]), lam_e=Polynomial.from_roots([0.3]),
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
     )
-    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
+    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), scn.n)
     assert abs(th3 - 1.0) < 1e-12
     assert np.max(np.abs(np.concatenate([th1, th2, [th20]]))) < 1e-10
 
 
 def test_nominal_of_polynomial_identity_residual(bench):
     scn = _scenario(bench, Structure.OF_XM)
-    th1, th2, th20, th3 = mimo.nominal_output_feedback(scn.as_mimo())
+    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), scn.n)
     from adaptrack.linsys import siso_transfer
 
     kp, zp, pp = siso_transfer(scn.plant)
@@ -152,7 +152,7 @@ def test_nominal_of_non_coprime_raises():
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
     )
     with pytest.raises(SingularMatchingSystem):
-        mimo.nominal_output_feedback(scn.as_mimo())
+        siso.nominal_params(scn)
 
 
 # -- regressor ------------------------------------------------------------------
