@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import benchmarks, harness
-from .errors import AdaptrackError, ParseError, ValidationError
+from .errors import AdaptrackError
 
 OUTDIR_ENV = "ADAPTRACK_OUT"
 
@@ -38,17 +38,9 @@ def _build_parser():
 
 
 def _load_with_overrides(path, args):
-    scn = harness.load_scenario(path)
-    data = dict(scn.raw)
-    changed = False
-    for key in ("horizon", "step", "seed", "mode"):
-        v = getattr(args, key, None)
-        if v is not None:
-            data[key] = v
-            changed = True
-    if changed:
-        scn = harness.scenario_from_dict(data, name=scn.name)
-    return scn
+    keys = ("horizon", "step", "seed", "mode")
+    return harness.load_scenario(
+        path, {k: getattr(args, k) for k in keys if getattr(args, k) is not None})
 
 
 def main(argv=None):
@@ -63,7 +55,7 @@ def main(argv=None):
             try:
                 scn = harness.load_scenario(path)
                 print(f"{path}: ok ({scn.module}/{scn.mode}, horizon {scn.horizon})")
-            except (ParseError, ValidationError) as exc:
+            except AdaptrackError as exc:
                 print(f"{path}: INVALID: {exc}", file=sys.stderr)
                 code = 1
         return code
@@ -85,7 +77,7 @@ def main(argv=None):
                 worst = max(worst, 2)
             elif not report.converged:
                 worst = max(worst, 1)
-        except (ParseError, ValidationError, AdaptrackError) as exc:
+        except AdaptrackError as exc:
             print(f"{path}: ERROR: {exc}", file=sys.stderr)
             worst = max(worst, 1)
     return worst

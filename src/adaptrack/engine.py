@@ -120,36 +120,35 @@ def certificate(theta_star, kp, gz, sp, gpsi):
 
 
 def check_gain(g, upper=None, what="gain"):
-    """Raise GainBoundViolation unless 0 < sym(g) and, given `upper`, sym(g) < upper I.
+    """Raise GainBoundViolation on `what` unless 0 < sym(g) and, given `upper`, sym(g) < upper I.
 
     sym(g) = (g + g^T) / 2; the one eigenvalue test of every adaptation gain.
     """
     ev = np.linalg.eigvalsh(0.5 * (g + g.T))
     if not ev[0] > 0.0:
-        raise GainBoundViolation(f"{what} must be positive definite")
+        raise GainBoundViolation(what, "must be positive definite")
     if upper is not None and not ev[-1] < upper:
-        raise GainBoundViolation(f"{what} must lie below {upper:.4g} I")
+        raise GainBoundViolation(what, f"must lie below {upper:.4g} I")
 
 
 @dataclass
 class GradientLaw:
     """Gain slots of the basic normalized-gradient law.
 
-    Both gains must be positive definite.  gz_max and gpsi_max are the
-    discrete-time upper bounds (None: unbounded, as in continuous time).
+    Both gains must be positive definite.  gpsi_max is the discrete-time
+    upper bound of the Psi gain (None: unbounded, as in continuous time).
     """
 
     gz: np.ndarray  # (q, q) zeta-side gain
     sp: np.ndarray  # (m, m) eps-side gain
     gpsi: np.ndarray  # (m, m) Psi gain
-    gz_max: float = None
     gpsi_max: float = None
 
     def __post_init__(self):
         self.gz = np.atleast_2d(np.asarray(self.gz, dtype=float))
         self.sp = np.atleast_2d(np.asarray(self.sp, dtype=float))
         self.gpsi = np.atleast_2d(np.asarray(self.gpsi, dtype=float))
-        check_gain(self.gz, self.gz_max, "zeta-side gain")
+        check_gain(self.gz, None, "zeta-side gain")
         check_gain(self.gpsi, self.gpsi_max, "Psi gain")
 
 

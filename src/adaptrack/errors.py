@@ -29,10 +29,6 @@ class SingularKp(AdaptrackError):
     """High-frequency gain matrix is singular."""
 
 
-class GainBoundViolation(AdaptrackError):
-    """Adaptation gain outside its admissible range."""
-
-
 class DomainMismatch(AdaptrackError):
     """Operation not defined for the time domain of its arguments."""
 
@@ -58,3 +54,8 @@ class ValidationError(AdaptrackError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+
+class GainBoundViolation(ValidationError):
+    """Adaptation gain, or the gain prior against the true Kp, outside its admissible range."""

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks, feedback_lin, mimo, siso
-from .engine import Structure, check_gain, regressor_dim
-from .errors import GainBoundViolation, ParseError, ValidationError
+from .engine import Structure
+from .errors import ParseError, ValidationError
 from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt, rk4_gain
 from .signals import Channel, RefInput, Sinusoid
 
@@ -47,6 +47,13 @@ _REQUIRED = {
     "mimo": [("interactor", "interactor", _ALL), ("f", "fpoly", _ALL), ("um", "um", _ALL),
              ("lambda", "lam", _OF), ("lambda_e", "lam_e", _YM)],
 }
+# model attribute -> scenario field, for the errors raised while building the run object;
+# siso's Sp is sign(kp), its Psi gain gamma_rho, and kp_bound its bound on |kp|
+_ATTR_FIELDS = {"lam": "lambda", "lam_e": "lambda_e", "fpoly": "f", "gz": "gains.gamma_theta"}
+_MODEL_FIELDS = {
+    "mimo": {**_ATTR_FIELDS, "gamma": "gains.gamma", "sp": "gains.sp", "kp": "gains.sp"},
+    "siso": {**_ATTR_FIELDS, "gamma": "gains.gamma_rho", "sp": "sign_kp", "kp": "kp_bound"},
+}
 _TOP_FIELDS = set().union(*(top for top, _ in _FIELDS.values()))
 _GAIN_FIELDS = set().union(*(gains for _, gains in _FIELDS.values()))
 _MODES = {"nominal", "adaptive"}
@@ -55,7 +62,13 @@ _DESIGNS = {"gradient", "rd1"}
 
 @dataclass
 class Scenario:
-    """A validated experiment description with resolved components."""
+    """A validated experiment description with its run object built.
+
+    `model` is the mimo.MimoScenario of a linear module, with its start
+    state drawn from the seed; for fl it is the benchmark's plant, leader,
+    interactor, dims, step and start state x0.  `theta0` is "zero", "near"
+    or a (q, m) array.
+    """
 
     name: str
     module: str
@@ -65,27 +78,21 @@ class Scenario:
     test_mode: bool
     horizon: int
     seed: int
-    components: dict
-    gains: dict
+    model: object
     theta0: object
-    x0: object
-    xm0: object
     tail_fraction: float
     converge_tol: float
+    q_matrix: np.ndarray = None  # the rd1 law's Q
+    guard: float = 1e-6  # the fl controller's singularity guard
     benchmark: str = None
-    raw: dict = field(default_factory=dict)
 
     @property
     def domain(self):
-        if self.module == "fl":
-            return "ct"
-        return "dt" if self.components["plant"].domain.is_dt else "ct"
+        return "ct" if self.module == "fl" else self.model.plant.domain.tag.value
 
     @property
     def step(self):
-        if self.module == "fl":
-            return self.components["step"]
-        return self.components["plant"].domain.step
+        return self.model["step"] if self.module == "fl" else self.model.plant.domain.step
 
 
 def _require(cond, fld, msg):
@@ -102,9 +109,10 @@ def _conv(fn, value, fld):
 
 
 def _array(value, fld, *shapes):
-    """value as a float array of one of the given shapes, else a ValidationError on fld."""
+    """value as a float array, of one of the given shapes if any, else a ValidationError on fld."""
     a = _conv(lambda v: np.asarray(v, dtype=float), value, fld)
-    _require(a.shape in shapes, fld, f"has shape {a.shape}, expected one of {list(shapes)}")
+    _require(not shapes or a.shape in shapes, fld,
+             f"has shape {a.shape}, expected one of {list(shapes)}")
     return a
 
 
@@ -112,14 +120,6 @@ def _check_keys(d, allowed, where, msg="unknown field"):
     for k in d:
         if k not in allowed:
             raise ValidationError(f"{where}{k}", msg)
-
-
-def _check_gain(g, upper, fld):
-    """The law's gain check at load time, reported against the scenario field."""
-    try:
-        check_gain(np.atleast_2d(np.asarray(g, dtype=float)), upper)
-    except GainBoundViolation as exc:
-        raise ValidationError(fld, str(exc)) from exc
 
 
 def _check_rk4_step(comps, h):
@@ -147,11 +147,8 @@ def _check_rk4_step(comps, h):
                 f"RK4's stability region (|R(h lambda)| = {r:.3g} > 1)")
 
 
-def _poly(coeffs, fld, domain_tag=None, monic=True):
-    p = _conv(lambda c: Polynomial(c, monic=monic), coeffs, fld)
-    if domain_tag is not None and p.degree > 0 and not p.is_stable(domain_tag):
-        raise ValidationError(fld, "polynomial is not stable for the domain")
-    return p
+def _poly(coeffs, fld):
+    return _conv(lambda c: Polynomial(c, monic=True), coeffs, fld)
 
 
 def _statespace(d, fld, domain):
@@ -183,8 +180,34 @@ def _ref_input(d, fld):
     return RefInput(chans)
 
 
+def _init_vec(spec, fld, dim, rng, scale=0.5):
+    """None for "zero", scale times a draw from rng for "random", else the given (dim,) vector."""
+    if isinstance(spec, str):
+        _require(spec in ("zero", "random"), fld, "must be zero, random, or a list")
+        return None if spec == "zero" else scale * rng.standard_normal(dim)
+    return _array(spec, fld, (dim,))
+
+
+def _build(module, structure, comps, gains, x0, xm0):
+    """The MimoScenario of a linear module; its checks raise against model attributes."""
+    if module == "siso":
+        return siso.SisoScenario(
+            plant=comps["plant"], refmodel=comps["refmodel"], pm=comps["pm"],
+            lam=comps["lam"], lam_e=comps["lam_e"], structure=structure,
+            sign_kp=comps["sign_kp"], kp_bound=comps["kp_bound"], um=comps["um"],
+            x0=x0, xm0=xm0,
+        ).as_mimo(siso.SisoGains(gamma_theta=gains.get("gamma_theta"),
+                                 gamma_rho=gains.get("gamma_rho", 1.0)))
+    return mimo.MimoScenario(
+        plant=comps["plant"], refmodel=comps["refmodel"], interactor=comps["interactor"],
+        fpoly=comps["fpoly"], sp=comps["sp"], structure=structure, nu=comps.get("nu"),
+        lam=comps.get("lam"), lam_e=comps.get("lam_e"), nbe=comps.get("nbe"),
+        gamma=comps.get("gamma"), um=comps["um"], x0=x0, xm0=xm0,
+    )
+
+
 def scenario_from_dict(data, name=None):
-    """Validate a scenario dict and resolve it into runnable components."""
+    """Validate a scenario dict and build its run object (Scenario.model)."""
     if not isinstance(data, dict):
         raise ParseError("scenario document must be a JSON object")
     _check_keys(data, _TOP_FIELDS, "")
@@ -260,32 +283,21 @@ def scenario_from_dict(data, name=None):
     horizon = _conv(int, data.get("horizon", default), "horizon")
     _require(horizon > 0, "horizon", "must be positive")
 
-    domain_tag = None
     if module != "fl":
-        domain_tag = comps["plant"].domain.tag
-        if "pm" in data:
-            comps["pm"] = _poly(data["pm"], "pm", domain_tag)
-        if "lambda" in data:
-            comps["lam"] = _poly(data["lambda"], "lambda", domain_tag)
-        if "lambda_e" in data:
-            comps["lam_e"] = _poly(data["lambda_e"], "lambda_e", domain_tag)
-        if "f" in data:
-            comps["fpoly"] = _poly(data["f"], "f", domain_tag)
+        for fld, key in (("pm", "pm"), ("lambda", "lam"), ("lambda_e", "lam_e"), ("f", "fpoly")):
+            if fld in data:
+                comps[key] = _poly(data[fld], fld)
         if "interactor" in data:
-            rows = [_poly(c, f"interactor[{i}]", domain_tag)
+            rows = [_poly(c, f"interactor[{i}]")
                     for i, c in enumerate(_conv(list, data["interactor"], "interactor"))]
             comps["interactor"] = DiagonalInteractor(rows)
-        for key, conv in (("nu", int), ("nbe", int), ("sign_kp", float)):
+        for key, conv in (("nu", int), ("nbe", int), ("sign_kp", float), ("kp_bound", float)):
             if key in data:
                 comps[key] = _conv(conv, data[key], key)
         if "um" in data:
             comps["um"] = _ref_input(data["um"], "um")
             _require(comps["um"].width == comps["refmodel"].n_inputs, "um",
                      f"needs one channel per reference input ({comps['refmodel'].n_inputs})")
-        if "kp_bound" in data:
-            kb = _conv(float, data["kp_bound"], "kp_bound")
-            _require(kb > 0, "kp_bound", "must be positive")
-            comps["kp_bound"] = kb
 
     for fld, key, structures in _REQUIRED.get(module, ()):
         _require(key in comps or structure not in structures, fld,
@@ -299,41 +311,45 @@ def scenario_from_dict(data, name=None):
     if module == "fl" or not comps["plant"].domain.is_dt:
         _check_rk4_step(comps, comps["step"] if module == "fl" else comps["plant"].domain.step)
 
-    # Theta is (q, m); x0 sizes the plant state, xm0 the reference state (rejected for fl)
-    n = comps["plant"].n
-    sizes = {"x0": n}
-    if module == "fl":
-        q, m = sum(comps["dims"]), comps["interactor"].m
-    else:
-        m, n_m = comps["plant"].n_outputs, comps["refmodel"].n
-        sizes["xm0"] = n_m
-        order = mimo.default_order(n, m)
-        nu = comps.get("nu", order)
-        q = (siso.theta_dim(structure, n, n_m) if module == "siso" else
-             regressor_dim(structure, n, m, n_m, nu, comps.get("nbe", order)))
-
     gains = _conv(dict, data.get("gains", {}), "gains")
     _check_keys(gains, _GAIN_FIELDS, "gains.")
     _check_keys(gains, _FIELDS[module][1], "gains.", unread)
-    if module == "siso":
-        kp_bound = comps["kp_bound"]
-        for fld, upper, shapes in (("gamma_theta", 2.0 / kp_bound, [(), (q, q)]),
-                                   ("gamma_rho", 2.0, [()])):
-            if gains.get(fld) is not None:
-                _check_gain(_array(gains[fld], f"gains.{fld}", *shapes), upper, f"gains.{fld}")
-    if module == "mimo":
-        for key, fld in (("sp", "sp"), ("q", "q_matrix")):
-            if key in gains:
-                comps[fld] = _array(gains[key], f"gains.{key}", (m, m))
-        _require("sp" in comps, "gains.sp", "missing known gain matrix")
-        if "gamma" in gains:
-            g = _array(gains["gamma"], "gains.gamma", (), (m, m))
-            gm = float(g) * np.eye(m) if g.ndim == 0 else g
-            _check_gain(gm, 2.0 if comps["plant"].domain.is_dt else None, "gains.gamma")
-            comps["gamma"] = gm
-    if module == "fl" and "guard" in gains:
-        _require(_conv(float, gains["guard"], "gains.guard") > 0, "gains.guard",
-                 "must be positive")
+    guard, q_matrix = 1e-6, None
+    if module == "fl":
+        if "guard" in gains:
+            guard = _conv(float, gains["guard"], "gains.guard")
+            _require(guard > 0, "gains.guard", "must be positive")
+    else:
+        gains = {key: _array(g, f"gains.{key}") for key, g in gains.items()}
+        if module == "mimo":
+            comps.update({key: gains[key] for key in ("sp", "gamma") if key in gains})
+            _require("sp" in comps, "gains.sp", "missing known gain matrix")
+            m = comps["plant"].n_outputs
+            q_matrix = (_array(gains["q"], "gains.q", (m, m)) if "q" in gains
+                        else comps.get("q_matrix"))
+
+    # the start state, drawn from the seed: x0 first, then xm0 (rejected for fl)
+    rng = np.random.default_rng(seed)
+    x0 = _init_vec(data.get("x0", "zero"), "x0", comps["plant"].n, rng,
+                   scale=0.3 if module == "fl" else 0.5)
+    if module == "fl":
+        model = comps
+        if x0 is not None:
+            model["x0"] = x0
+        q, m = sum(model["dims"]), model["interactor"].m
+    else:
+        xm0 = _init_vec(data.get("xm0", "zero"), "xm0", comps["refmodel"].n, rng)
+        try:
+            model = _build(module, structure, comps, gains, x0, xm0)
+            # the prior check of the run, for exactly the runs that make it
+            if (test_mode and mode == "adaptive" and design == "gradient"
+                    and mimo.has_matching(structure, model.plant, model.nu)):
+                _, kp = mimo.interactor_row_gains(model.plant, model.interactor)
+                mimo.verify_gain_prior(kp, model.sp, model.plant.domain, model.gz)
+        except ValidationError as exc:
+            fld = _MODEL_FIELDS[module].get(exc.field, exc.field)
+            raise ValidationError(fld, exc.message) from exc
+        q, m = model.theta_dim, model.m
 
     theta0 = data.get("theta0", "zero")
     if isinstance(theta0, str):
@@ -341,31 +357,23 @@ def scenario_from_dict(data, name=None):
         _require(theta0 != "near" or test_mode, "theta0",
                  "near-convergence start needs test_mode")
     else:
-        _array(theta0, "theta0", *([(q,), (q, 1)] if module == "siso" else [(q, m)]))
-    if module == "mimo" and (mode == "nominal" or theta0 == "near"):
-        _require(mimo.has_matching(structure, comps["plant"], nu), "nu",
-                 f"{nu} is below the observability index of the plant: no matching "
+        shapes = [(q,), (q, 1)] if module == "siso" else [(q, m)]
+        theta0 = np.reshape(_array(theta0, "theta0", *shapes), (q, m))
+    if module == "mimo" and (mode == "nominal" or isinstance(theta0, str) and theta0 == "near"):
+        _require(mimo.has_matching(structure, model.plant, model.nu), "nu",
+                 f"{model.nu} is below the observability index of the plant: no matching "
                  "parameters for a nominal run or a near start")
-    x0 = data.get("x0", "zero")
-    xm0 = data.get("xm0", "zero")
-    for fld, val in (("x0", x0), ("xm0", xm0)):
-        if isinstance(val, str):
-            _require(val in ("zero", "random"), fld, "must be zero, random, or a list")
-        elif fld in sizes:
-            _array(val, fld, (sizes[fld],))
 
     return Scenario(
         name=name, module=module, mode=mode, structure=structure,
         design=design, test_mode=test_mode, horizon=horizon, seed=seed,
-        components=comps, gains=gains, theta0=theta0, x0=x0, xm0=xm0,
-        tail_fraction=tail_fraction,
-        converge_tol=converge_tol,
-        benchmark=bench_name, raw=data,
+        model=model, theta0=theta0, tail_fraction=tail_fraction,
+        converge_tol=converge_tol, q_matrix=q_matrix, guard=guard, benchmark=bench_name,
     )
 
 
-def load_scenario(path):
-    """Parse and validate a scenario file."""
+def load_scenario(path, overrides=None):
+    """Parse and validate a scenario file, with the top-level fields in `overrides` replaced."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -374,6 +382,8 @@ def load_scenario(path):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed scenario file {path}: {exc}") from exc
+    if overrides and isinstance(data, dict):
+        data = {**data, **overrides}
     return scenario_from_dict(data, name=Path(path).stem)
 
 
@@ -392,10 +402,6 @@ class MetricsReport:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def compute_metrics(scenario, trace):
@@ -438,73 +444,37 @@ def compute_metrics(scenario, trace):
     )
 
 
-def _init_vec(spec, dim, rng, scale=0.5):
+def _theta0(spec, theta_star):
+    """The start estimate: None for "zero", 0.9 theta_star for "near", else the given array."""
     if isinstance(spec, str):
-        if spec == "zero":
-            return None
-        return scale * rng.standard_normal(dim)
-    return np.asarray(spec, dtype=float)
+        return None if spec == "zero" else 0.9 * theta_star
+    return spec
 
 
 def run_experiment(scenario):
     """Execute a validated scenario; returns (SimTrace, MetricsReport)."""
-    rng = np.random.default_rng(scenario.seed)
-    comps = scenario.components
     adaptive = scenario.mode == "adaptive"
+    scn = scenario.model
     if scenario.module == "fl":
-        plant, leader, interactor = comps["plant"], comps["leader"], comps["interactor"]
+        plant, leader, interactor = scn["plant"], scn["leader"], scn["interactor"]
         tstar = None
         if scenario.test_mode:
             tstar = feedback_lin.benchmark_theta_star(plant, leader, interactor)
-        theta0 = scenario.theta0
-        if isinstance(theta0, str):
-            theta0 = None if theta0 == "zero" else 0.9 * tstar
-        else:
-            theta0 = np.asarray(theta0, dtype=float)
-        if not adaptive:
-            theta0 = tstar
-        guard = float(scenario.gains.get("guard", 1e-6))
         ctrl = feedback_lin.FLController(
-            interactor=interactor, dims=comps["dims"], theta=theta0, guard=guard
-        )
-        x0 = comps["x0"] if scenario.x0 == "zero" else _init_vec(
-            scenario.x0, plant.n, rng, scale=0.3
+            interactor=interactor, dims=scn["dims"],
+            theta=_theta0(scenario.theta0, tstar) if adaptive else tstar, guard=scenario.guard,
         )
         trace = feedback_lin.run(
             plant, leader, ctrl, adaptive=adaptive, horizon=scenario.horizon,
-            step=comps["step"], x0=x0, theta_star=tstar,
+            step=scn["step"], x0=scn["x0"], theta_star=tstar,
         )
         return trace, compute_metrics(scenario, trace)
-    x0 = _init_vec(scenario.x0, comps["plant"].n, rng)
-    xm0 = _init_vec(scenario.xm0, comps["refmodel"].n, rng)
-    if scenario.module == "siso":
-        g = scenario.gains
-        scn = siso.SisoScenario(
-            plant=comps["plant"], refmodel=comps["refmodel"], pm=comps["pm"],
-            lam=comps["lam"], lam_e=comps["lam_e"], structure=scenario.structure,
-            sign_kp=comps["sign_kp"], kp_bound=comps["kp_bound"], um=comps["um"],
-            x0=x0, xm0=xm0,
-        ).as_mimo(siso.SisoGains(gamma_theta=g.get("gamma_theta"),
-                                 gamma_rho=g.get("gamma_rho", 1.0)))
-    else:
-        scn = mimo.MimoScenario(
-            plant=comps["plant"], refmodel=comps["refmodel"],
-            interactor=comps["interactor"], fpoly=comps["fpoly"], sp=comps["sp"],
-            structure=scenario.structure, nu=comps.get("nu"), lam=comps.get("lam"),
-            lam_e=comps.get("lam_e"), nbe=comps.get("nbe"),
-            gamma=comps.get("gamma"), um=comps["um"], x0=x0, xm0=xm0,
-        )
     oracle = scenario.test_mode and mimo.has_matching(scn.structure, scn.plant, scn.nu)
     nominal = mimo.nominal_params(scn) if oracle else None
-    theta0 = scenario.theta0
-    if isinstance(theta0, str):
-        theta0 = None if theta0 == "zero" else 0.9 * nominal.theta_star
-    else:
-        theta0 = np.reshape(np.asarray(theta0, dtype=float), (-1, scn.m))
     trace = mimo.run(
         scn, design=scenario.design, adaptive=adaptive, horizon=scenario.horizon,
-        theta0=theta0, q_matrix=comps.get("q_matrix"), nominal=nominal,
-        with_certificate=oracle and adaptive,
+        theta0=_theta0(scenario.theta0, nominal and nominal.theta_star),
+        q_matrix=scenario.q_matrix, nominal=nominal, with_certificate=oracle and adaptive,
     )
     return trace, compute_metrics(scenario, trace)
 
@@ -573,12 +543,3 @@ def emit_outputs(trace, report, outdir, name=None):
         fh.write("\n")
     return {"trace": trace_path, "long": long_path, "report": report_path}
 
-
-def parse_report(path):
-    """Read back a report written by emit_outputs (null metrics read as NaN)."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    data.pop("guard_events", None)
-    for key in ("tail_rms_e", "sup_theta_norm", "l2_tail"):
-        if data[key] is None:
-            data[key] = float("nan")
-    return MetricsReport.from_dict(data)

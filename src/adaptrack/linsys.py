@@ -20,6 +20,7 @@ from .errors import (
     NotHurwitz,
     RelativeDegreeViolation,
     UnobservablePair,
+    ValidationError,
 )
 
 RANK_RTOL = 1e-9  # rank tests: sigma_min < RANK_RTOL * sigma_max
@@ -434,7 +435,7 @@ class DiagonalInteractor:
     def validate_stable(self, domain):
         for i, d in enumerate(self.rows):
             if not d.is_stable(domain):
-                raise ValueError(f"interactor row {i} is not stable for the domain")
+                raise ValidationError(f"interactor[{i}]", "polynomial is not stable for the domain")
 
 
 def ref_input_from_state(refmodel, interactor):

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import GradientLaw, Rd1Law, Structure, regressor_dim
+from .engine import GradientLaw, Rd1Law, Structure, check_gain, regressor_dim
 from .errors import (
     DomainMismatch,
     GainBoundViolation,
     RelativeDegreeViolation,
     SingularKp,
     SingularMatchingSystem,
+    ValidationError,
 )
 from .linsys import (
     RANK_RTOL,
@@ -84,9 +85,17 @@ def hidden_modes(plant, interactor):
     return np.array(eigs)
 
 
-def default_order(n, m):
-    """nu and nbe of a scenario that leaves them unset."""
-    return max(n - m, 1)
+def _gain(attr, g, dim, upper=None):
+    """g as a (dim, dim) adaptation gain: None stands for I, a scalar for g I.
+
+    check_gain bounds it between 0 and `upper` I.
+    """
+    g = np.asarray(1.0 if g is None else g, dtype=float)
+    g = g * np.eye(dim) if g.ndim == 0 else g
+    if g.shape != (dim, dim):
+        raise ValidationError(attr, f"has shape {g.shape}, expected () or {(dim, dim)}")
+    check_gain(g, upper, attr)
+    return g
 
 
 @dataclass
@@ -94,7 +103,9 @@ class MimoScenario:
     """A square multivariable tracking problem in either time domain.
 
     Everything engine.ClosedLoop reads for one run; `reference` is the
-    scenario's ReferenceBlock, built once here.
+    scenario's ReferenceBlock, built once here.  The build checks the
+    design assumptions it holds; a failure raises ValidationError naming
+    the attribute.
     """
 
     plant: StateSpace
@@ -107,7 +118,7 @@ class MimoScenario:
     lam: Polynomial = None  # monic stable, degree nu-1
     lam_e: Polynomial = None  # reference-signal filter denominator
     nbe: int = None  # reference-signal bank blocks
-    gamma: np.ndarray = None  # Psi gain; default I
+    gamma: np.ndarray = None  # Psi gain, below 2I in discrete time; default I
     gz: np.ndarray = None  # zeta-side gain; default I
     # input of the reference system: t -> (m,); the loops call it on an array
     # of times and read the channels along a new leading axis, (m, *t.shape),
@@ -117,45 +128,43 @@ class MimoScenario:
     xm0: np.ndarray = None
 
     def __post_init__(self):
-        m = self.plant.n_outputs
+        m, dom = self.plant.n_outputs, self.plant.domain
         if self.plant.n_inputs != m:
-            raise ValueError("plant must be square")
+            raise ValidationError("plant", "must be square")
         if self.refmodel.n_outputs != m or self.refmodel.n_inputs != m:
-            raise ValueError("reference model I/O width must match the plant")
-        if self.plant.domain.tag != self.refmodel.domain.tag:
-            raise ValueError("plant and reference model domains differ")
+            raise ValidationError("refmodel", "I/O width must match the plant")
+        if dom.tag != self.refmodel.domain.tag:
+            raise ValidationError("refmodel", "domain differs from the plant's")
         if self.interactor.m != m:
-            raise ValueError("interactor size must match the output width")
-        self.interactor.validate_stable(self.plant.domain.tag)
+            raise ValidationError("interactor", "size must match the output width")
+        self.interactor.validate_stable(dom.tag)
+        # every polynomial held is checked, also one the structure does not read
+        for attr in ("fpoly", "lam", "lam_e"):
+            poly = getattr(self, attr)
+            if poly is not None and not poly.is_stable(dom.tag):
+                raise ValidationError(attr, "polynomial is not stable for the domain")
         if self.fpoly.degree != self.interactor.max_degree or not self.fpoly.monic:
-            raise ValueError("fpoly must be monic of the maximum interactor degree")
-        if not self.fpoly.is_stable(self.plant.domain.tag):
-            raise ValueError("fpoly must be stable")
+            raise ValidationError("fpoly", "must be monic of the maximum interactor degree")
         self.sp = np.atleast_2d(np.asarray(self.sp, dtype=float))
-        if self.gamma is None:
-            self.gamma = np.eye(m)
-        self.gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
-        n = self.plant.n
+        if self.sp.shape != (m, m):
+            raise ValidationError("sp", f"has shape {self.sp.shape}, expected {(m, m)}")
+        order = max(self.plant.n - m, 1)  # nu and nbe when unset
+        ym = self.structure in (Structure.SF_YM, Structure.OF_YM)
         if self.structure in (Structure.OF_XM, Structure.OF_YM):
             if self.nu is None:
-                self.nu = default_order(n, m)
+                self.nu = order
             if self.lam is None or self.lam.degree != self.nu - 1 or not self.lam.monic:
-                raise ValueError("lam must be monic of degree nu-1")
-            if self.lam.degree > 0 and not self.lam.is_stable(self.plant.domain.tag):
-                raise ValueError("lam must be stable")
-        if self.structure in (Structure.SF_YM, Structure.OF_YM):
+                raise ValidationError("lam", f"must be monic of degree nu - 1 = {self.nu - 1}")
+        if ym:
             if self.nbe is None:
-                self.nbe = default_order(n, m)
+                self.nbe = order
             if self.lam_e is None or not self.lam_e.monic:
-                raise ValueError("lam_e must be monic")
-            if self.lam_e.degree > 0 and not self.lam_e.is_stable(self.plant.domain.tag):
-                raise ValueError("lam_e must be stable")
+                raise ValidationError("lam_e", "must be monic")
             if self.nbe > self.lam_e.degree + 1:
-                raise ValueError("nbe exceeds what lam_e can realize properly")
-        self.gz = (np.eye(self.theta_dim) if self.gz is None
-                   else np.atleast_2d(np.asarray(self.gz, dtype=float)))
+                raise ValidationError("nbe", "exceeds what lam_e can realize properly")
+        self.gamma = _gain("gamma", self.gamma, m, 2.0 if dom.is_dt else None)
+        self.gz = _gain("gz", self.gz, self.theta_dim)
         # exogenous, so built with the scenario, ahead of any stepping loop
-        ym = self.structure in (Structure.SF_YM, Structure.OF_YM)
         self.reference = ReferenceBlock(self.refmodel, *((self.lam_e, self.nbe) if ym else ()))
 
     @property
@@ -244,10 +253,10 @@ def nominal_params(scenario):
 def rd1_law(interactor, s, q=None):
     """Build the relative-degree-one law from the interactor diag{D + a_i}."""
     if any(d.degree != 1 for d in interactor.rows):
-        raise ValueError("relative-degree-one design needs first-order interactor rows")
+        raise ValidationError("interactor", "the rd1 design needs first-order rows")
     p0 = np.diag([d.coeffs[0] for d in interactor.rows])
     if np.any(np.diag(p0) <= 0):
-        raise ValueError("interactor constants must be positive")
+        raise ValidationError("interactor", "row constants must be positive")
     q = np.eye(interactor.m) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
     p = lyapunov_solve_ct(-p0, q)
     return Rd1Law(s=np.atleast_2d(np.asarray(s, dtype=float)), p=p, q=q)
@@ -259,18 +268,20 @@ def verify_gain_prior(kp, sp, domain, gz=None):
     Kp Sp must be symmetric positive definite.  In discrete time the law also
     needs lambda_max(sym Kp Sp) lambda_max(sym gz) < 2: Kp Sp < 2I at the
     default gz = I, and |kp| gamma_theta < 2 for one channel.  Only possible
-    with plant knowledge (test mode and the benchmark builders).
+    with plant knowledge (test mode and the benchmark builders).  A failure
+    names sp when Kp Sp is not symmetric positive definite, and kp when the
+    true Kp is too large for the discrete-time bound.
     """
     prod = kp @ sp
     if np.max(np.abs(prod - prod.T)) > 1e-9 * max(1.0, np.max(np.abs(prod))):
-        raise GainBoundViolation("Kp Sp is not symmetric")
+        raise GainBoundViolation("sp", "Kp Sp is not symmetric")
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))
     if ev[0] <= 0:
-        raise GainBoundViolation("Kp Sp is not positive definite")
+        raise GainBoundViolation("sp", "Kp Sp is not positive definite")
     gz_max = 1.0 if gz is None else np.linalg.eigvalsh(0.5 * (gz + gz.T))[-1]
     if domain.is_dt and ev[-1] * gz_max >= 2.0:
-        raise GainBoundViolation(
-            f"Kp Sp must be below 2I / lambda_max(gz) = {2.0 / gz_max:.4g} I in discrete time")
+        raise GainBoundViolation("kp", "Kp Sp must be below 2I / lambda_max(gz) = "
+                                 f"{2.0 / gz_max:.4g} I in discrete time")
 
 
 def certificate_probe(scenario, nominal):

@@ -22,17 +22,12 @@ import numpy as np
 
 from . import mimo
 from .engine import Structure, check_gain, regressor_dim
-from .errors import RelativeDegreeViolation
+from .errors import RelativeDegreeViolation, ValidationError
 from .linsys import DiagonalInteractor, Polynomial, StateSpace, relative_degree, siso_transfer
 
 # not called here: the benchmark's tracer test (perfbench/tests/test_perfbench.py)
 # asserts that this module's namespace binds it
 from .linsys import ref_input_from_io  # noqa: F401
-
-
-def theta_dim(structure, n, n_m):
-    """Regressor length of the design, n plant and n_m reference states (nu = n, nbe = n - 1)."""
-    return regressor_dim(structure, n, 1, n_m, nu=n, nbe=n - 1)
 
 
 @dataclass
@@ -59,20 +54,22 @@ class SisoScenario:
 
     def __post_init__(self):
         if not self.plant.domain.is_dt or not self.refmodel.domain.is_dt:
-            raise ValueError("SISO designs are discrete-time")
+            raise ValidationError("domain", "SISO designs are discrete-time")
         if self.plant.n_inputs != 1 or self.plant.n_outputs != 1:
-            raise ValueError("plant must be SISO")
+            raise ValidationError("plant", "must be SISO")
         if self.refmodel.n_inputs != 1 or self.refmodel.n_outputs != 1:
-            raise ValueError("reference model must be SISO")
+            raise ValidationError("refmodel", "must be SISO")
+        tag = self.plant.domain.tag
+        for name, poly in (("pm", self.pm), ("lam", self.lam), ("lam_e", self.lam_e)):
+            if not poly.is_stable(tag):
+                raise ValidationError(name, "polynomial is not stable for the domain")
         n = self.plant.n
         nstar = relative_degree(self.plant)
         if self.pm.degree != nstar or not self.pm.monic:
-            raise ValueError(f"pm must be monic of degree n* = {nstar}")
-        if not self.pm.is_stable(self.plant.domain.tag):
-            raise ValueError("pm must be stable")
+            raise ValidationError("pm", f"must be monic of degree n* = {nstar}")
         _, zpoly, _ = siso_transfer(self.plant)
-        if zpoly.degree > 0 and not zpoly.is_stable(self.plant.domain.tag):
-            raise ValueError("plant zeros must be stable (minimum phase)")
+        if not zpoly.is_stable(tag):
+            raise ValidationError("plant", "zeros must be stable (minimum phase)")
         nmstar = relative_degree(self.refmodel)
         if nmstar < nstar:
             raise RelativeDegreeViolation(
@@ -80,13 +77,11 @@ class SisoScenario:
             )
         for name, poly in (("lam", self.lam), ("lam_e", self.lam_e)):
             if poly.degree != n - 1 or not poly.monic:
-                raise ValueError(f"{name} must be monic of degree n-1 = {n - 1}")
-            if poly.degree > 0 and not poly.is_stable(self.plant.domain.tag):
-                raise ValueError(f"{name} must be stable")
+                raise ValidationError(name, f"must be monic of degree n-1 = {n - 1}")
         if self.sign_kp not in (-1.0, 1.0, -1, 1):
-            raise ValueError("sign_kp must be +-1")
+            raise ValidationError("sign_kp", "must be +-1")
         if self.kp_bound <= 0:
-            raise ValueError("kp_bound must be positive")
+            raise ValidationError("kp_bound", "must be positive")
 
     @property
     def n(self):
@@ -94,7 +89,8 @@ class SisoScenario:
 
     @property
     def theta_dim(self):
-        return theta_dim(self.structure, self.n, self.refmodel.n)
+        return regressor_dim(self.structure, self.n, 1, self.refmodel.n, nu=self.n,
+                             nbe=self.n - 1)
 
     def as_mimo(self, gains=None):
         """The one-channel MimoScenario of this problem, with its adaptation gains.
@@ -103,16 +99,15 @@ class SisoScenario:
         is the discrete-time law's |kp| gamma_theta < 2.
         """
         gains = gains or SisoGains()
-        g = 1.0 / self.kp_bound if gains.gamma_theta is None else gains.gamma_theta
-        gz = (float(g) * np.eye(self.theta_dim) if np.isscalar(g)
-              else np.atleast_2d(np.asarray(g, dtype=float)))
-        check_gain(gz, 2.0 / self.kp_bound, "zeta-side gain")
-        return mimo.MimoScenario(
+        scn = mimo.MimoScenario(
             plant=self.plant, refmodel=self.refmodel, interactor=DiagonalInteractor([self.pm]),
             fpoly=self.pm, sp=[[float(self.sign_kp)]], structure=self.structure,
-            nu=self.n, lam=self.lam, lam_e=self.lam_e, nbe=self.n - 1,
-            gamma=[[float(gains.gamma_rho)]], gz=gz, um=self.um, x0=self.x0, xm0=self.xm0,
+            nu=self.n, lam=self.lam, lam_e=self.lam_e, nbe=self.n - 1, gamma=gains.gamma_rho,
+            gz=1.0 / self.kp_bound if gains.gamma_theta is None else gains.gamma_theta,
+            um=self.um, x0=self.x0, xm0=self.xm0,
         )
+        check_gain(scn.gz, 2.0 / self.kp_bound, "gz")
+        return scn
 
 
 def nominal_params(scenario):

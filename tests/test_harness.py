@@ -118,6 +118,8 @@ def _without(base, fld):
     return {k: v for k, v in base.items() if k != fld}
 
 _FL = {"module": "fl", "benchmark": "fl-2x3"}
+# zero at 2: not minimum phase in discrete time
+_NMP_PLANT = {"A": [[0.0, 1.0], [-0.06, 0.5]], "B": [[0.0], [1.0]], "C": [[-2.0, 1.0]]}
 _SIN = {"amp": "x", "freq": 0.1}
 
 # (base fields, field values, field named): each used to pass validation, or to
@@ -204,6 +206,27 @@ _MALFORMED = {
                                "lambda"),
     "mimo_ym_missing_lambda_e": (_without(_EXPLICIT_MIMO, "lambda_e"), {"structure": "sf_ym"},
                                  "lambda_e"),
+    # the model's own checks ran only in run_experiment, and ended run in a bare ValueError
+    "mimo_of_lambda_degree": (_MIMO, {"structure": "of_xm", "nu": 3, "lambda": [0.5, 1.0]},
+                              "lambda"),
+    "mimo_ym_nbe": (_MIMO, {"structure": "sf_ym", "nbe": 4, "lambda_e": [0.5, 1.0]}, "nbe"),
+    "mimo_f_degree": (_MIMO, {"f": [0.5, 1.0]}, "f"),
+    "siso_sign_kp_zero": (dict(_EXPLICIT_SISO, sign_kp=0), {}, "sign_kp"),
+    "siso_pm_degree": (dict(_EXPLICIT_SISO, pm=[0.1, 0.5, 1.0]), {}, "pm"),
+    "siso_nonminimum_phase": (dict(_EXPLICIT_SISO, plant=_NMP_PLANT, **{"lambda": [0.5, 1.0],
+                                   "lambda_e": [0.5, 1.0]}), {}, "plant"),
+    "siso_ct": (dict(_EXPLICIT_SISO, domain="ct", plant={"A": [[-0.5]], "B": [[1.0]],
+                                                         "C": [[2.0]]},
+                     refmodel={"A": [[-0.3]], "B": [[1.0]], "C": [[1.0]]}), {}, "domain"),
+    "mimo_nonsquare_plant": (dict(_EXPLICIT_MIMO, plant={"A": [[0.5]], "B": [[1.0, 1.0]],
+                                                         "C": [[2.0]]}), {}, "plant"),
+    # the run's gain-prior check (test mode, adaptive, gradient) failed only once running
+    "mimo_prior_sp": (_MIMO, {"theta0": "near", "gains": {"sp": [[-1.0, 0.0], [0.0, 1.0]]}},
+                      "gains.sp"),
+    "siso_prior_sign_kp": ({}, {"test_mode": True, "theta0": "near", "sign_kp": -1},
+                           "sign_kp"),
+    "siso_prior_kp_bound": ({}, {"test_mode": True, "theta0": "near", "kp_bound": 0.01},
+                            "kp_bound"),
 }
 
 
@@ -214,8 +237,13 @@ def test_malformed_field_rejected_at_load_naming_it(tmp_path, capsys, case):
     with pytest.raises(ValidationError) as ei:
         harness.scenario_from_dict(data)
     assert ei.value.field == named
-    assert cli.main(["validate", "--scenario", str(_write(tmp_path, data))]) == 1
+    path = str(_write(tmp_path, data))
+    assert cli.main(["validate", "--scenario", path]) == 1
     assert f"INVALID: {named}: " in capsys.readouterr().err
+    # run rejects it at the same load, naming the same field, and writes nothing
+    assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"ERROR: {named}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_wrong_schema_version(tmp_path):
@@ -417,6 +445,16 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _parse_report(path):
+    """Read back a report written by emit_outputs (null metrics read as NaN)."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data.pop("guard_events", None)
+    for key in ("tail_rms_e", "sup_theta_norm", "l2_tail"):
+        if data[key] is None:
+            data[key] = float("nan")
+    return harness.MetricsReport(**data)
+
+
 def test_report_strict_json_nan_as_null(tmp_path):
     empty = SimTrace(
         t=np.zeros(0), y=np.zeros((0, 1)), ym=np.zeros((0, 1)), e=np.zeros((0, 1)),
@@ -430,7 +468,7 @@ def test_report_strict_json_nan_as_null(tmp_path):
     data = json.loads(paths["report"].read_text(), parse_constant=_reject_constant)
     assert data["tail_rms_e"] is None and data["l2_tail"] is None
     assert data["guard_events"] == [{"t": 0.0, "sigma_min": None}]
-    back = harness.parse_report(paths["report"])
+    back = _parse_report(paths["report"])
     assert np.isnan(back.tail_rms_e) and np.isnan(back.sup_theta_norm)
     assert back.name == "nan" and back.guard_aborted
 
@@ -556,7 +594,7 @@ def test_empty_trace_header_only(tmp_path):
 def test_report_round_trip(tmp_path):
     scn, (trace, report) = _run_small(tmp_path)
     paths = harness.emit_outputs(trace, report, tmp_path / "rr")
-    back = harness.parse_report(paths["report"])
+    back = _parse_report(paths["report"])
     assert back == report
 
 
@@ -697,6 +735,19 @@ def test_cli_run_step_outside_rk4_region_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ERROR: step:" in err and "RK4" in err
     assert not (tmp_path / "os").exists()
+
+
+def test_cli_step_override_replaces_an_invalid_file_step(tmp_path, capsys):
+    # the overrides are merged before the one load: the file's own step 2.0 is
+    # outside RK4's region, the given one runs
+    data = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "mimo_rd1_ct.json").read_text())
+    p = _write(tmp_path, dict(data, step=2.0, horizon=300))
+    assert cli.main(["validate", "--scenario", str(p)]) == 1
+    out = tmp_path / "ov"
+    code = cli.main(["run", "--scenario", str(p), "--out", str(out), "--step", "1e-3"])
+    assert code in (0, 1) and "ERROR" not in capsys.readouterr().err
+    assert (out / f"{data['name']}_report.json").exists()
 
 
 @pytest.mark.parametrize("bench,step", [("mimo-ct-2x2", 3.0), ("mimo-rd1-ct", 2.0)])

@@ -313,9 +313,8 @@ def test_gradient_step_zero_eps(bench_dt):
 def test_gradient_dt_bound_violation():
     with pytest.raises(GainBoundViolation):
         GradientLaw(gz=np.eye(3), sp=np.eye(2), gpsi=2.5 * np.eye(2), gpsi_max=2.0)
-    bad = _scn(benchmarks.mimo_dt_2x2(), gamma=2.5 * np.eye(2))
-    with pytest.raises(GainBoundViolation):  # mimo.run bounds the Psi gain in DT
-        mimo.run(bad, adaptive=True, horizon=5)
+    with pytest.raises(GainBoundViolation):  # the scenario bounds the Psi gain in DT
+        mimo.run(_scn(benchmarks.mimo_dt_2x2(), gamma=2.5 * np.eye(2)), adaptive=True, horizon=5)
 
 
 def test_gradient_indefinite_psi_gain_rejected(bench_ct):

@@ -250,12 +250,15 @@ def test_gradient_step_scalar_example():
 
 def test_gain_bounds_enforced(bench):
     def law(gz=0.5, gpsi=1.0):
-        return GradientLaw(gz=gz * np.eye(3), sp=[[1.0]], gpsi=[[gpsi]],
-                           gz_max=2.0 / 1.8, gpsi_max=2.0)
+        return GradientLaw(gz=gz * np.eye(3), sp=[[1.0]], gpsi=[[gpsi]], gpsi_max=2.0)
+
+    def one_channel(gamma_theta):  # siso-3rd has kp_bound = 1.8
+        return _scenario(bench, Structure.SF_XM).as_mimo(siso.SisoGains(gamma_theta=gamma_theta))
 
     law()
+    one_channel(0.5)
     with pytest.raises(GainBoundViolation):
-        law(gz=2.0)  # 2.0 >= 2/1.8
+        one_channel(2.0)  # 2.0 >= 2/1.8
     with pytest.raises(GainBoundViolation):
         law(gpsi=2.0)
     with pytest.raises(GainBoundViolation):
