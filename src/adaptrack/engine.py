@@ -135,21 +135,13 @@ def check_gain(g, upper=None, what="gain"):
 class GradientLaw:
     """Gain slots of the basic normalized-gradient law.
 
-    Both gains must be positive definite.  gpsi_max is the discrete-time
-    upper bound of the Psi gain (None: unbounded, as in continuous time).
+    The scenario (mimo.MimoScenario) checks its gains: gz and the Psi gain
+    positive definite, the Psi gain below 2I in discrete time.
     """
 
     gz: np.ndarray  # (q, q) zeta-side gain
     sp: np.ndarray  # (m, m) eps-side gain
     gpsi: np.ndarray  # (m, m) Psi gain
-    gpsi_max: float = None
-
-    def __post_init__(self):
-        self.gz = np.atleast_2d(np.asarray(self.gz, dtype=float))
-        self.sp = np.atleast_2d(np.asarray(self.sp, dtype=float))
-        self.gpsi = np.atleast_2d(np.asarray(self.gpsi, dtype=float))
-        check_gain(self.gz, None, "zeta-side gain")
-        check_gain(self.gpsi, self.gpsi_max, "Psi gain")
 
 
 @dataclass
@@ -200,11 +192,16 @@ class _Recorder:
     """Trace rows pushed one step at a time, and the diagnostics of each block of rows.
 
     drive copies the parameters in effect at each step into row k - k0 of
-    par; close_block then fills theta_norm, and calls diagnose(rows, par),
-    over the rows pushed since the last block, at most CT_BLOCK of them.
+    par and, when frame gives the shapes of zeta and xi, the frame's zeta
+    and xi into the same row of zeta and xi.  close_block then fills
+    theta_norm over the rows pushed since the last block, at most CT_BLOCK
+    of them, and calls diagnose(par, frame, e) with the block's frame (zeta,
+    xi, eps and m along a leading step axis) and tracking errors.  Each
+    named column it returns fills those rows: "v" of v, any other name of an
+    extra column, allocated the first time the name is returned.
     """
 
-    def __init__(self, n, m, npar):
+    def __init__(self, n, m, npar, frame=None):
         self.t = np.zeros(n)
         self.y = np.zeros((n, m))
         self.ym = np.zeros((n, m))
@@ -216,11 +213,16 @@ class _Recorder:
         self.theta_norm = np.zeros(n)
         self.l2_eps = np.zeros(n)
         self.l2_dtheta = np.zeros(n)
+        self.columns = {"v": self.v}
         self.k = 0
-        self.par = np.empty((min(CT_BLOCK, n), npar))
+        nb = min(CT_BLOCK, n)
+        self.par = np.empty((nb, npar))
+        self.zeta = self.xi = None
+        if frame is not None:
+            self.zeta, self.xi = (np.empty((nb, *shape)) for shape in frame)
         self.k0 = 0  # first row of the open block
 
-    def push(self, t, y, ym, e, u, m, eps, l2e, l2d):
+    def push(self, t, y, ym, e, u, frame, l2e, l2d):
         """Record row k; True when that fills the open block."""
         k = self.k
         self.t[k] = t
@@ -228,26 +230,33 @@ class _Recorder:
         self.ym[k] = ym
         self.e[k] = e
         self.u[k] = u
-        self.m[k] = m
-        self.eps[k] = eps
+        self.m[k] = frame.m
+        self.eps[k] = frame.eps
         self.l2_eps[k] = l2e
         self.l2_dtheta[k] = l2d
+        if self.zeta is not None:
+            self.zeta[k - self.k0] = frame.zeta
+            self.xi[k - self.k0] = frame.xi
         self.k += 1
         return self.k - self.k0 == self.par.shape[0]
 
     def close_block(self, diagnose=None):
         k0, k = self.k0, self.k
-        if k > k0:
-            par = self.par[: k - k0]
-            self.theta_norm[k0:k] = np.sqrt(np.vecdot(par, par))
-            if diagnose is not None:
-                diagnose(slice(k0, k), par)
+        rows, par = slice(k0, k), self.par[: k - k0]
+        self.theta_norm[rows] = np.sqrt(np.vecdot(par, par))
+        if diagnose is not None:
+            frame = Frame(None, self.zeta[: k - k0], self.xi[: k - k0], None, self.eps[rows],
+                          self.m[rows])
+            for name, vals in diagnose(par, frame, self.e[rows]).items():
+                if name not in self.columns:
+                    self.columns[name] = np.zeros((self.t.size, *np.shape(vals)[1:]))
+                self.columns[name][rows] = vals
         self.k0 = k
 
-    def trace(self, guard_events, extra):
-        """The SimTrace of the rows pushed; extra maps names to arrays with a row per step."""
+    def trace(self, guard_events):
+        """The SimTrace of the rows pushed."""
         k = self.k
-        ex = {"l2_eps_cum": self.l2_eps, "l2_dtheta_cum": self.l2_dtheta, **extra}
+        ex = {"l2_eps_cum": self.l2_eps, "l2_dtheta_cum": self.l2_dtheta, **self.columns}
         return SimTrace(
             t=self.t[:k],
             y=self.y[:k],
@@ -259,7 +268,7 @@ class _Recorder:
             v=self.v[:k],
             theta_norm=self.theta_norm[:k],
             guard_events=guard_events,
-            extra={name: vals[:k] for name, vals in ex.items()},
+            extra={name: vals[:k] for name, vals in ex.items() if name != "v"},
         )
 
 
@@ -554,12 +563,14 @@ class ClosedLoop(FlatLoop):
         self._frame = None
 
 
-def drive(loop, rec, keep=None, diagnose=None):
+def drive(loop, rec, diagnose=None):
     """Step a FlatLoop through the rows of rec; returns the stop events.
 
-    Row k holds loop.measure(k) and, in rec.par, the parameters in effect
-    then; keep(k, frame), when given, sees the frame of each row recorded.
-    rec.close_block(diagnose) runs on every full block and the final one.
+    Row k holds loop.measure(k) and, in rec's block buffers, the parameters
+    in effect then and the frame rows it keeps.  rec.close_block(diagnose)
+    runs before the first step, on an empty block, so that every column
+    diagnose names exists even when the run stops at its first step; then
+    on every full block and the final one.
 
     The stop rule: the first failing step ends the run before its row, with
     one event, {"t": t_k, "sigma_min": <value>} for a SingularityGuard and
@@ -568,6 +579,7 @@ def drive(loop, rec, keep=None, diagnose=None):
     invalid-value warnings of the failing step are silenced.
     """
     events, par, h = [], loop.par, loop.h
+    rec.close_block(diagnose)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(rec.t.size):
             rec.par[k - rec.k0] = par
@@ -580,52 +592,33 @@ def drive(loop, rec, keep=None, diagnose=None):
             if not (math.isfinite(loop.l2_eps) and math.isfinite(loop.l2_dtheta)):
                 events.append({"t": k * h, "diverged": loop.diverged_block()})
                 break
-            if keep is not None:
-                keep(k, frame)  # the frame survives the step, until the next measure
-            if rec.push(k * h, y, ym, e, u, frame.m, frame.eps, loop.l2_eps, loop.l2_dtheta):
+            # the frame survives the step, until the next measure
+            if rec.push(k * h, y, ym, e, u, frame, loop.l2_eps, loop.l2_dtheta):
                 rec.close_block(diagnose)
         rec.close_block(diagnose)
     return events
 
 
-def run_closed_loop(scenario, law=None, horizon=1000, theta0=None, psi0=None, vprobe=None,
-                    probes=None):
+def run_closed_loop(scenario, law=None, horizon=1000, theta0=None, psi0=None, diagnose=None):
     """Run the scenario's ClosedLoop for `horizon` steps through drive; returns a SimTrace.
 
     Row k of the trace holds the time-t_k values of every signal, with
-    parameters as used by u(t_k).  The diagnostics are evaluated once per
-    block of at most CT_BLOCK rows, on arrays with a leading step axis:
-    theta (k, q, m) and psi (k, m, m) hold the parameters in effect at each
-    row, e is (k, m).  vprobe(theta, psi, e), when given, returns the k
-    values of the V column (test mode).  probes maps names to callables
-    f(theta, psi, frame, e) whose k values land in trace.extra; frame holds
-    zeta, xi, eps and m along the same axis (omega and ebar are None).
+    parameters as used by u(t_k).  diagnose(theta, psi, frame, e), when
+    given, is evaluated once per block of at most CT_BLOCK rows, on arrays
+    with a leading step axis: theta (k, q, m) and psi (k, m, m) hold the
+    parameters in effect at each row, frame holds zeta, xi, eps and m
+    (omega and ebar are None), e is (k, m).  It returns named columns of k
+    values: "v" fills trace.v, any other name trace.extra (test mode).
 
     A run stopped by drive's stop rule returns the rows before the failing
     step, with the event in trace.guard_events.
     """
     loop = ClosedLoop(scenario, law, horizon, theta0, psi0)
     q, m = scenario.theta_dim, scenario.m
-    rec = _Recorder(horizon, m, q * m + m * m)
-    probes = probes or {}
-    probe_vals = {name: np.zeros(horizon) for name in probes}
-    kept = np.empty((rec.par.shape[0], q + m)) if probes else None  # [zeta, xi] of each row
+    rec = _Recorder(horizon, m, q * m + m * m, None if diagnose is None else ((q,), (m,)))
 
-    def keep(k, frame):
-        r = k - rec.k0
-        kept[r, :q] = frame.zeta
-        kept[r, q:] = frame.xi
-
-    def diagnose(rows, p):
+    def block(p, frame, e):
         n = p.shape[0]
-        theta, psi, e = p[:, : q * m].reshape(n, q, m), p[:, q * m :].reshape(n, m, m), rec.e[rows]
-        if vprobe is not None:
-            rec.v[rows] = vprobe(theta, psi, e)
-        if probes:
-            frame = Frame(None, kept[:n, :q], kept[:n, q:], None, rec.eps[rows], rec.m[rows])
-            for name, fn in probes.items():
-                probe_vals[name][rows] = fn(theta, psi, frame, e)
+        return diagnose(p[:, : q * m].reshape(n, q, m), p[:, q * m :].reshape(n, m, m), frame, e)
 
-    events = drive(loop, rec, keep if probes else None,
-                   diagnose if vprobe is not None or probes else None)
-    return rec.trace(events, probe_vals)
+    return rec.trace(drive(loop, rec, None if diagnose is None else block))

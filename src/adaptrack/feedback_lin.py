@@ -42,13 +42,6 @@ class FLPlant:
     theta_star: np.ndarray
     at: object  # x -> (y (m,), omega1 (q1,), W (q2, m), omega3 (q3,), F (n, l), G (n, m))
     dims: tuple  # (q1, q2, q3)
-    b_true: object = None  # x -> (m,), from theta_star
-    a_true: object = None  # x -> (m, m)
-    lie1_true: object = None  # x -> (m,), first Lie derivatives of h along f
-
-    def deriv(self, x, u):
-        *_, f, g = self.at(x)
-        return f @ self.theta_star + g @ u
 
 
 @dataclass
@@ -232,8 +225,7 @@ class FLLoop(FlatLoop):
 
     The stages run on FlatLoop's buffers, with h = step.  The scratch that a
     right-hand side reads only while it runs (X, omega, the drive) is one
-    set per loop.  evaluate and rhs take any state and allocate what they
-    return.
+    set per loop.
     """
 
     def __init__(self, plant, leader, ctrl, adaptive=True, x0=None, step=1e-3):
@@ -309,16 +301,6 @@ class FLLoop(FlatLoop):
             gradient_rhs(ctrl.gain, zetas, eps, mi, out=dtheta)
         return deriv, (y, ym, e, u, zetas, eps, mi)
 
-    def evaluate(self, t, flat):
-        """Derivative of the flat state and the signals (y, y_m, e, u, zetas, eps, m_i).
-
-        Every array returned is allocated by this call.
-        """
-        return self._stage(t, self._stage_buffers(flat, np.zeros(flat.size)))
-
-    def rhs(self, t, flat):
-        return self.evaluate(t, flat)[0]
-
     def measure(self, k):
         """Signals (y, y_m, e, u, frame) at grid point k, as ClosedLoop.measure gives them.
 
@@ -345,7 +327,7 @@ def certificate(theta, theta_star, gain_inv):
     theta carries a leading step axis, (k, q, m), and one value per step is
     returned.  gain_inv is the inverse of the block-diagonal FLController.gain.
     """
-    d = (theta_star - theta).transpose(0, 2, 1).reshape(theta.shape[0], -1)
+    d = (theta_star - theta).transpose(0, 2, 1).reshape(theta.shape[0], theta_star.size)
     return 0.5 * np.vecdot(d @ gain_inv, d)
 
 
@@ -357,31 +339,24 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     step, with the event in trace.guard_events.  trace.extra["m_i"] holds
     each column's m_i.  theta_star (test mode) enables the V column and the
     per-column identity residual eps_i - theta~_i^T zeta_i in
-    trace.extra["ident_resid"].  Both are evaluated, as theta_norm is, once
-    per block of at most CT_BLOCK rows.
+    trace.extra["ident_resid"].  All three are evaluated, as theta_norm is,
+    once per block of at most CT_BLOCK rows.
     """
     loop = FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=x0, step=step)
     m, q = ctrl.m, ctrl.q
-    rec = _Recorder(horizon, m, q * m)
-    extra = {"m_i": np.zeros((horizon, m))}
-    diagnose = ident = None
-    if theta_star is not None:
-        ident = extra["ident_resid"] = np.zeros((horizon, m))
-        kept = np.empty((rec.par.shape[0], m, q))  # the zetas of each row
-        gain_inv = np.linalg.inv(ctrl.gain)
+    rec = _Recorder(horizon, m, q * m, ((m, q), (m,)))
+    gain_inv = None if theta_star is None else np.linalg.inv(ctrl.gain)
 
-        def diagnose(rows, par):
-            n = par.shape[0]
-            theta = par.reshape(n, m, q).transpose(0, 2, 1)
-            rec.v[rows] = certificate(theta, theta_star, gain_inv)
-            ident[rows] = rec.eps[rows] - np.einsum("kji,kij->ki", theta_star - theta, kept[:n])
+    def diagnose(par, frame, e):
+        zetas = frame.zeta
+        cols = {"m_i": np.sqrt(1.0 + np.vecdot(zetas, zetas))}
+        if theta_star is not None:
+            theta = par.reshape(-1, m, q).transpose(0, 2, 1)
+            cols["v"] = certificate(theta, theta_star, gain_inv)
+            cols["ident_resid"] = frame.eps - np.einsum("kji,kij->ki", theta_star - theta, zetas)
+        return cols
 
-    def keep(k, frame):
-        extra["m_i"][k] = loop.m_i
-        if ident is not None:
-            kept[k - rec.k0] = frame.zeta
-
-    return rec.trace(drive(loop, rec, keep, diagnose), extra)
+    return rec.trace(drive(loop, rec, diagnose))
 
 
 def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
@@ -414,8 +389,7 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
     omega_m = [xm1, xm2, xm3, sin xm1, xm1 cos xm1, xm2 cos xm1,
                (1 + xm2^2) um1, cos xm1 (1 + xm2^2) um1, um2].
     """
-    th1, th2, th3 = theta_star
-    if th2 == 0.0:
+    if theta_star[1] == 0.0:
         raise ValueError("theta2 must be nonzero for a nonsingular A(x)")
     d1 = Polynomial([1.0, 1.0])  # s + 1
     d2 = Polynomial.from_roots([-d2_root, -d2_root])
@@ -437,24 +411,10 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
         return (v[:2], v[2:5], v[5:11].reshape(3, 2), v[11:13], v[13:22].reshape(3, 3),
                 v[22:].reshape(3, 2))
 
-    def b_true(x):
-        return np.array(
-            [th1 * x[1], th1 * th3 * x[1] * np.cos(x[0]) + th2 * th3 * x[0]]
-        )
-
-    def a_true(x):
-        g11 = 1.0 + x[1] ** 2
-        return np.array([[g11, 0.0], [th3 * np.cos(x[0]) * g11, th2]])
-
-    def lie1_true(x):
-        # first output derivatives along the drift: [L_f h1, L_f h2]
-        return np.array([th1 * x[1], th2 * x[2] + th3 * np.sin(x[0])])
-
     plant = FLPlant(
         n=3, m=2, rho=(1, 2),
         theta_star=np.array(theta_star, dtype=float),
         at=plant_at, dims=(3, 3, 2),
-        b_true=b_true, a_true=a_true, lie1_true=lie1_true,
     )
     b1, a1, a5, a2, a3, b3, a4 = 1.0, 0.5, -1.0, 0.5, 0.4, 1.0, 0.3
 

@@ -251,12 +251,8 @@ def nominal_params(scenario):
 
 
 def rd1_law(interactor, s, q=None):
-    """Build the relative-degree-one law from the interactor diag{D + a_i}."""
-    if any(d.degree != 1 for d in interactor.rows):
-        raise ValidationError("interactor", "the rd1 design needs first-order rows")
+    """Build the relative-degree-one law from the stable first-order interactor diag{D + a_i}."""
     p0 = np.diag([d.coeffs[0] for d in interactor.rows])
-    if np.any(np.diag(p0) <= 0):
-        raise ValidationError("interactor", "row constants must be positive")
     q = np.eye(interactor.m) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
     p = lyapunov_solve_ct(-p0, q)
     return Rd1Law(s=np.atleast_2d(np.asarray(s, dtype=float)), p=p, q=q)
@@ -284,38 +280,33 @@ def verify_gain_prior(kp, sp, domain, gz=None):
                                  f"{2.0 / gz_max:.4g} I in discrete time")
 
 
-def certificate_probe(scenario, nominal):
-    """Gradient-law certificate V for test-mode runs, one value per step of a block."""
-    v = engine.certificate(nominal.theta_star, nominal.kp, scenario.gz, scenario.sp,
-                           scenario.gamma)
+def diagnostics(scenario, nominal, law):
+    """Block diagnostics of a test-mode run: the diagnose of engine.run_closed_loop.
 
-    def probe(theta, psi, e):
-        return v(theta, psi)
+    The gradient law gives its certificate V and the residual of the
+    estimation identity eps = Kp Theta~^T zeta + Psi~ xi ("ident_resid"),
+    once the gain prior that V rests on is verified.  The rd1 law gives V =
+    e^T P e + tr[Theta~ Ms^-1 Theta~^T] with Ms = Kp^-1 S.
+    """
+    tstar, kp = nominal.theta_star, nominal.kp
+    if isinstance(law, Rd1Law):
+        ms = np.linalg.inv(kp) @ law.s
+        ms_inv = np.linalg.inv(0.5 * (ms + ms.T))
 
-    return probe
+        def rd1(theta, psi, frame, e):
+            tht = theta - tstar
+            return {"v": np.vecdot(e @ law.p, e) + np.einsum("kij,kij->k", tht @ ms_inv, tht)}
 
+        return rd1
+    verify_gain_prior(kp, scenario.sp, scenario.plant.domain, scenario.gz)
+    v = engine.certificate(tstar, kp, scenario.gz, scenario.sp, scenario.gamma)
 
-def identity_probe(nominal):
-    """Residual of eps = Kp Theta~^T zeta + Psi~ xi (test mode), per step of a block."""
+    def gradient(theta, psi, frame, e):
+        tz = np.einsum("kij,ki->kj", theta - tstar, frame.zeta)
+        pred = tz @ kp.T + np.einsum("kij,kj->ki", psi - kp, frame.xi)
+        return {"v": v(theta, psi), "ident_resid": np.abs(frame.eps - pred).max(axis=1)}
 
-    def probe(theta, psi, frame, e):
-        tz = np.einsum("kij,ki->kj", theta - nominal.theta_star, frame.zeta)
-        pred = tz @ nominal.kp.T + np.einsum("kij,kj->ki", psi - nominal.kp, frame.xi)
-        return np.abs(frame.eps - pred).max(axis=1)
-
-    return probe
-
-
-def rd1_certificate_probe(scenario, nominal, law):
-    """V = e^T P e + tr[Theta~ Ms^-1 Theta~^T] with Ms = Kp^-1 S (test mode), per step."""
-    ms = np.linalg.inv(nominal.kp) @ law.s
-    ms_inv = np.linalg.inv(0.5 * (ms + ms.T))
-
-    def probe(theta, psi, e):
-        tht = theta - nominal.theta_star
-        return np.vecdot(e @ law.p, e) + np.einsum("kij,kij->k", tht @ ms_inv, tht)
-
-    return probe
+    return gradient
 
 
 def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
@@ -334,20 +325,12 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
             raise DomainMismatch("the relative-degree-one design is continuous-time")
         law = rd1_law(scenario.interactor, scenario.sp, q_matrix)
     elif design == "gradient":
-        law = GradientLaw(gz=scenario.gz, sp=scenario.sp, gpsi=scenario.gamma,
-                          gpsi_max=2.0 if dom.is_dt else None)
+        law = GradientLaw(gz=scenario.gz, sp=scenario.sp, gpsi=scenario.gamma)
     else:
         raise ValueError(f"unknown design {design!r}")
     if nominal is None and (with_certificate or not adaptive):
         nominal = nominal_params(scenario)
-    vprobe = probes = None
-    if with_certificate:
-        if design == "rd1":
-            vprobe = rd1_certificate_probe(scenario, nominal, law)
-        else:
-            verify_gain_prior(nominal.kp, scenario.sp, dom, scenario.gz)
-            vprobe = certificate_probe(scenario, nominal)
-            probes = {"ident_resid": identity_probe(nominal)}
+    diagnose = diagnostics(scenario, nominal, law) if with_certificate else None
     if not adaptive:
         law, th0, ps0 = None, nominal.theta_star, np.zeros((m, m))
     else:
@@ -356,4 +339,4 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
         if design == "rd1":
             ps0 = np.zeros((m, m))
     return engine.run_closed_loop(scenario, law=law, horizon=horizon, theta0=th0, psi0=ps0,
-                                  vprobe=vprobe, probes=probes)
+                                  diagnose=diagnose)

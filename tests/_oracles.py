@@ -201,3 +201,32 @@ def rk4_sim(f, x0, h, steps):
         t += h
         out.append(x.copy())
     return np.asarray(out)
+
+
+# -- true data of feedback_lin.benchmark's follower, from its theta_star ------------
+
+
+def fl_deriv(theta_star, x, u):
+    """dx = F(x) theta* + G(x) u, written out."""
+    th1, th2, th3 = theta_star
+    return np.array([th1 * x[1] + (1.0 + x[1] ** 2) * u[0], th2 * x[2] + th3 * np.sin(x[0]),
+                     th3 * x[0] + u[1]])
+
+
+def fl_lie1(theta_star, x):
+    """[L_f h1, L_f h2]: the first output derivatives along the drift."""
+    th1, th2, th3 = theta_star
+    return np.array([th1 * x[1], th2 * x[2] + th3 * np.sin(x[0])])
+
+
+def fl_b(theta_star, x):
+    """b(x) of [D y1, D^2 y2] = b(x) + A(x) u."""
+    th1, th2, th3 = theta_star
+    return np.array([th1 * x[1], th1 * th3 * x[1] * np.cos(x[0]) + th2 * th3 * x[0]])
+
+
+def fl_a(theta_star, x):
+    """The decoupling matrix A(x) of [D y1, D^2 y2] = b(x) + A(x) u."""
+    _, th2, th3 = theta_star
+    g11 = 1.0 + x[1] ** 2
+    return np.array([[g11, 0.0], [th3 * np.cos(x[0]) * g11, th2]])

@@ -1,4 +1,5 @@
-"""tests/compare_outputs.py: the exit status every byte-identity check reads."""
+"""tests/compare_outputs.py, the exit status every byte-identity check reads, and
+tests/write_outputs.py, which writes the outputs such a check compares."""
 
 import json
 import shutil
@@ -6,6 +7,7 @@ import shutil
 import pytest
 
 import compare_outputs
+import write_outputs
 from adaptrack import harness
 
 _NAME = "cmp"
@@ -59,3 +61,11 @@ def test_flipped_converged_exits_one(outputs, tmp_path):
     report["converged"] = not report["converged"]
     path.write_text(json.dumps(report), encoding="utf-8")
     assert compare_outputs.main([str(outputs), str(b)]) == 1
+
+
+def test_write_outputs_twice_compares_equal(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        assert write_outputs.main([str(d), "--horizon", "20"]) == 0
+    assert len(list(a.glob("*_report.json"))) == len(list(write_outputs.jobs(20)))
+    assert compare_outputs.main([str(a), str(b), "--rtol", "0", "--atol", "0"]) == 0

@@ -32,6 +32,11 @@ def _leader_rhs(leader):
     return lambda t, x: leader.at(x, leader.um(t))[0]
 
 
+def _evaluate(loop, t, flat):
+    """The loop's stage at any state, on fresh buffers: (derivative, signals), all new arrays."""
+    return loop._stage(t, loop._stage_buffers(flat, np.zeros(flat.size)))
+
+
 # -- estimate assembly ------------------------------------------------------------
 
 
@@ -42,8 +47,8 @@ def test_assemble_estimates_true_parameters(pair):
     for _ in range(5):
         x = rng.standard_normal(3)
         bhat, ahat, _ = _estimates(ctrl, plant, leader, x, np.zeros(3), np.zeros(2))
-        assert np.max(np.abs(bhat - plant.b_true(x))) < 1e-12
-        assert np.max(np.abs(ahat - plant.a_true(x))) < 1e-12
+        assert np.max(np.abs(bhat - oc.fl_b(plant.theta_star, x))) < 1e-12
+        assert np.max(np.abs(ahat - oc.fl_a(plant.theta_star, x))) < 1e-12
 
 
 def test_assemble_estimates_zero(pair):
@@ -285,11 +290,11 @@ def test_gradient_step_advances_column(pair):
     rng = np.random.default_rng(6)
     flat = loop.s.copy()
     loop.blocks(flat)[2][:] = rng.standard_normal(loop.blocks(flat)[2].shape)
-    deriv, (_, _, _, _, zetas, eps, mi) = loop.evaluate(0.3, flat)
+    deriv, (_, _, _, _, zetas, eps, mi) = _evaluate(loop, 0.3, flat)
     assert np.any(zetas != 0.0)
     assert np.array_equal(loop.blocks(deriv)[3].ravel(),
                           fl.gradient_rhs(loop.ctrl.gain, zetas, eps, mi))
-    assert np.array_equal(loop.rhs(0.3, flat), deriv)
+    assert np.array_equal(_evaluate(loop, 0.3, flat)[0], deriv)
 
 
 def test_per_column_gains_must_be_positive_definite(pair):
@@ -314,13 +319,12 @@ def test_benchmark_relative_degree_structure(pair):
         g = plant.at(x)[5]
         assert abs(g[0, 0]) >= 1.0  # L_g h1 row never vanishes
         assert np.all(g[1] == 0.0)  # rho_2 = 2: no direct input on y2 rate
-        assert fl.sigma_min(plant.a_true(x)) > 0.2  # decoupling matrix nonsingular
+        assert fl.sigma_min(oc.fl_a(plant.theta_star, x)) > 0.2  # decoupling matrix nonsingular
 
 
 def test_benchmark_callables_match_docstring_forms(pair):
     # plant.at and leader.at against the closed forms written in benchmark()
     plant, leader, ia, _ = pair
-    th1, th2, th3 = plant.theta_star
     b1, a1, a5, a2, a3, b3, a4 = 1.0, 0.5, -1.0, 0.5, 0.4, 1.0, 0.3  # hidden leader constants
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -332,11 +336,9 @@ def test_benchmark_callables_match_docstring_forms(pair):
         np.testing.assert_allclose(om1, [x2, x2 * c1, x1], rtol=1e-15)
         np.testing.assert_allclose(w, [[g11, 0.0], [0.0, 1.0], [c1 * g11, 0.0]], rtol=1e-15)
         np.testing.assert_allclose(om3, [x3, np.sin(x1)], rtol=1e-15)
-        np.testing.assert_allclose(
-            plant.deriv(x, u),
-            [th1 * x2 + g11 * u[0], th2 * x3 + th3 * np.sin(x1), th3 * x1 + u[1]], rtol=1e-14)
         assert f.shape == (3, 3) and g.shape == (3, 2)
-        np.testing.assert_allclose(f @ plant.theta_star + g @ u, plant.deriv(x, u), rtol=1e-15)
+        np.testing.assert_allclose(f @ plant.theta_star + g @ u,
+                                   oc.fl_deriv(plant.theta_star, x, u), rtol=1e-14)
         dxm, ym, omm = leader.at(xm, um)
         gm, cm = 1.0 + m2**2, np.cos(m1)
         np.testing.assert_allclose(dxm, [-b1 * m1 + a1 * m2 + gm * um[0],
@@ -373,15 +375,15 @@ def test_benchmark_output_dynamics_identity(pair):
     for k in range(4000):
         t = k * h
         xs.append(loop.blocks(flat)[0].copy())
-        us.append(loop.evaluate(t, flat)[1][3].copy())
-        flat = rk4_step(loop.rhs, t, flat, h)
+        us.append(_evaluate(loop, t, flat)[1][3].copy())
+        flat = rk4_step(lambda tt, s: _evaluate(loop, tt, s)[0], t, flat, h)
     xs = np.asarray(xs)
     us = np.asarray(us)
     ys = np.array([plant.at(x)[0] for x in xs])
     d1y1 = oc.d1_stencil(ys[:, 0], h)
     d2y2 = oc.d2_stencil(ys[:, 1], h)
-    blk = np.array([plant.b_true(x) for x in xs])
-    amat = np.array([plant.a_true(x) for x in xs])
+    blk = np.array([oc.fl_b(plant.theta_star, x) for x in xs])
+    amat = np.array([oc.fl_a(plant.theta_star, x) for x in xs])
     rhs = blk + np.einsum("tij,tj->ti", amat, us)
     assert np.max(np.abs(d1y1 - rhs[2:-2, 0])) < 1e-5
     assert np.max(np.abs(d2y2 - rhs[2:-2, 1])) < 1e-4
@@ -393,8 +395,11 @@ def test_benchmark_output_dynamics_identity(pair):
 def test_run_true_params_matched_start(pair):
     plant, leader, ia, tstar = pair
     ctrl = _controller(ia, leader, theta=tstar)
-    tr = fl.run(plant, leader, ctrl, adaptive=False, horizon=2000, step=1e-3,
-                x0=fl.matched_x0(plant, leader))
+    x0 = fl.matched_x0(plant, leader)
+    # y2 has relative degree 2: its first derivative, along the drift alone, matches too
+    lie1, lie1_m = oc.fl_lie1(plant.theta_star, x0), leader.lie1_true(leader.x0)
+    assert abs(lie1[1] - lie1_m[1]) <= 1e-14 * abs(lie1_m[1])
+    tr = fl.run(plant, leader, ctrl, adaptive=False, horizon=2000, step=1e-3, x0=x0)
     assert np.max(np.abs(tr.e)) < 1e-10
 
 

@@ -17,6 +17,11 @@ from adaptrack.engine import GradientLaw, Rd1Law, Structure
 from adaptrack.linsys import Polynomial, StateSpace, dt, rk4_step
 
 
+def _fl_evaluate(loop, t, flat):
+    """The loop's stage at any state, on fresh buffers: (derivative, signals), all new arrays."""
+    return loop._stage(t, loop._stage_buffers(flat, np.zeros(flat.size)))
+
+
 def _close(got, want, rtol):
     want = np.asarray(want, dtype=float)
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * max(np.abs(want).max(), 1.0))
@@ -107,7 +112,7 @@ def test_fl_regressor_and_drive_from_the_estimate_matrix():
         x[:], xm[:] = rng.standard_normal(3), rng.standard_normal(3)
         filt[:] = rng.standard_normal(filt.shape)
         t = rng.uniform(0.0, 10.0)
-        _, (y, _, _, u, _, _, _) = loop.evaluate(t, flat)
+        _, (y, _, _, u, _, _, _) = _fl_evaluate(loop, t, flat)
         _, om1, w, om3, _, _ = plant.at(x)
         omm = leader.at(xm, leader.um(t))[2]
         omega = np.concatenate((om1, w @ u, om3, -omm))
@@ -146,11 +151,10 @@ def test_engine_block_diagnostics_match_per_step_formulas():
     nom = mimo.nominal_params(scn)
     q = scn.theta_dim
     horizon = 2 * engine.CT_BLOCK + 37
-    law = GradientLaw(gz=np.eye(q), sp=scn.sp, gpsi=scn.gamma, gpsi_max=2.0)
+    law = GradientLaw(gz=np.eye(q), sp=scn.sp, gpsi=scn.gamma)
     theta0, psi0 = 0.9 * nom.theta_star, scn.sp.T.copy()
     tr = engine.run_closed_loop(scn, law=law, horizon=horizon, theta0=theta0, psi0=psi0,
-                                vprobe=mimo.certificate_probe(scn, nom),
-                                probes={"ident_resid": mimo.identity_probe(nom)})
+                                diagnose=mimo.diagnostics(scn, nom, law))
     gp, gamma_inv = nom.kp.T @ np.linalg.inv(scn.sp), np.linalg.inv(scn.gamma)
 
     def step_diag(loop, fr):
@@ -181,8 +185,7 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
     nom = mimo.nominal_params(mscn)
     theta0, psi0 = 0.5 * nom.theta_star, np.array([[0.7]])
     tr = engine.run_closed_loop(mscn, horizon=2000, theta0=theta0, psi0=psi0,
-                                vprobe=mimo.certificate_probe(mscn, nom),
-                                probes={"ident_resid": mimo.identity_probe(nom)})
+                                diagnose=mimo.diagnostics(mscn, nom, None))
     assert tr.guard_events and "diverged" in tr.guard_events[0]
     assert tr.n_samples % 16 != 0
     gz, grho = mscn.gz, mscn.gamma[0, 0]
@@ -202,6 +205,17 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
     # the residual grows with the diverging signals: relative to each row's size
     np.testing.assert_allclose(tr.extra["ident_resid"], want[:, 1], rtol=1e-14,
                                atol=1e-14 * np.max(np.abs(tr.eps)))
+
+
+def test_engine_run_stopped_at_its_first_step_has_every_column():
+    # a non-finite plant start makes the first step's running sums NaN, so no row
+    # is recorded; the diagnostics columns are declared before it, with zero rows
+    scn = _mimo_scn(benchmarks.mimo_dt_2x2(), Structure.SF_XM, x0=np.full(3, np.nan))
+    nom = mimo.nominal_params(scn)
+    tr = mimo.run(scn, horizon=50, theta0=0.9 * nom.theta_star, nominal=nom,
+                  with_certificate=True)
+    assert tr.guard_events == [{"t": 0.0, "diverged": "plant_filters"}]
+    assert tr.v.shape == tr.extra["ident_resid"].shape == tr.theta_norm.shape == (0,)
 
 
 @pytest.mark.parametrize("horizon,nan_at", [(2 * engine.CT_BLOCK + 9, None), (100, 0.02)])
@@ -224,16 +238,19 @@ def test_fl_block_diagnostics_match_per_step_formulas(horizon, nan_at):
     want = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(tr.n_samples):
-            k1, (*_, zetas, eps, _) = loop.evaluate(k * 1e-3, loop.s)
+            k1, (*_, zetas, eps, mi) = _fl_evaluate(loop, k * 1e-3, loop.s)
             theta = loop.blocks(loop.s)[3].T
             tht = tstar - theta
             v = sum(0.5 * tht[:, i] @ np.linalg.solve(g, tht[:, i])
                     for i, g in enumerate(loop.ctrl.gammas))
             ident = [eps[i] - tht[:, i] @ zetas[i] for i in range(2)]
-            want.append((v, *ident, np.linalg.norm(theta)))
-            loop.s[:] = rk4_step(loop.rhs, k * 1e-3, loop.s, 1e-3, k1=k1)
+            want.append((v, *ident, np.linalg.norm(theta), *mi))
+            loop.s[:] = rk4_step(lambda t, s: _fl_evaluate(loop, t, s)[0], k * 1e-3, loop.s,
+                                 1e-3, k1=k1)
     want = np.array(want)
     assert tr.n_samples == (20 if nan_at is not None else horizon)
     _close(tr.v, want[:, 0], 1e-14)
     _close(tr.extra["ident_resid"], want[:, 1:3], 1e-14)
     _close(tr.theta_norm, want[:, 3], 1e-14)
+    # m_i is computed per block, from the kept zeta_i, as the loop computes it per step
+    assert np.array_equal(tr.extra["m_i"], want[:, 4:])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptrack import engine, mimo, siso
-from adaptrack.engine import GradientLaw, Structure
+from adaptrack.engine import Structure
 from adaptrack.errors import GainBoundViolation, SingularMatchingSystem
 from adaptrack.linsys import Polynomial, StateSpace, dt, markov_params
 from adaptrack.signals import multisine
@@ -249,20 +249,16 @@ def test_gradient_step_scalar_example():
 
 
 def test_gain_bounds_enforced(bench):
-    def law(gz=0.5, gpsi=1.0):
-        return GradientLaw(gz=gz * np.eye(3), sp=[[1.0]], gpsi=[[gpsi]], gpsi_max=2.0)
+    def one_channel(**gains):  # siso-3rd has kp_bound = 1.8
+        return _scenario(bench, Structure.SF_XM).as_mimo(siso.SisoGains(**gains))
 
-    def one_channel(gamma_theta):  # siso-3rd has kp_bound = 1.8
-        return _scenario(bench, Structure.SF_XM).as_mimo(siso.SisoGains(gamma_theta=gamma_theta))
-
-    law()
-    one_channel(0.5)
+    one_channel(gamma_theta=0.5)
     with pytest.raises(GainBoundViolation):
-        one_channel(2.0)  # 2.0 >= 2/1.8
+        one_channel(gamma_theta=2.0)  # 2.0 >= 2/1.8
     with pytest.raises(GainBoundViolation):
-        law(gpsi=2.0)
+        one_channel(gamma_rho=2.0)  # the discrete-time Psi gain lies below 2
     with pytest.raises(GainBoundViolation):
-        law(gz=-0.1)
+        one_channel(gamma_theta=-0.1)
     with pytest.raises(GainBoundViolation):  # siso.run checks gamma_theta against 2/kp_bound
         siso.run(_scenario(bench, Structure.SF_XM), horizon=5,
                  gains=siso.SisoGains(gamma_theta=np.diag([-0.3] + [0.5] * 6)))
@@ -395,7 +391,8 @@ def test_run_stops_at_nonfinite_l2_sum(bench):
     mscn = scn.as_mimo()
     mscn.x0 = np.ones(3)
     tr = engine.run_closed_loop(mscn, horizon=1000, theta0=np.zeros((scn.theta_dim, 1)),
-                                psi0=np.ones((1, 1)), probes={"one": lambda th, ps, fr, e: 1.0})
+                                psi0=np.ones((1, 1)),
+                                diagnose=lambda th, ps, fr, e: {"one": 1.0})
     assert 0 < tr.n_samples < 1000
     assert tr.guard_events == [{"t": float(tr.n_samples), "diverged": "l2_eps"}]
     for arr in (tr.e, tr.u, tr.eps, tr.m, tr.theta_norm, tr.extra["l2_eps_cum"],
