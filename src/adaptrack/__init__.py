@@ -14,7 +14,6 @@ from .errors import (
     AdaptrackError,
     DomainMismatch,
     GainBoundViolation,
-    NoRelativeDegree,
     NotHurwitz,
     ParseError,
     RelativeDegreeViolation,
@@ -46,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptrackError", "Channel", "DiagonalInteractor", "Domain", "DomainMismatch",
-    "FilterBank", "GainBoundViolation", "NoRelativeDegree", "NotHurwitz",
+    "FilterBank", "GainBoundViolation", "NotHurwitz",
     "ParseError", "Polynomial", "RationalFilter", "RefInput",
     "RelativeDegreeViolation", "SimTrace", "SingularKp", "SingularMatchingSystem",
     "SingularityGuard", "Sinusoid", "StateSpace", "Structure", "TimeDomain",

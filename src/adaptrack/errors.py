@@ -5,16 +5,8 @@ class AdaptrackError(Exception):
     """Base class for all library errors."""
 
 
-class NoRelativeDegree(AdaptrackError):
-    """All Markov parameters of an output row vanish up to the state order."""
-
-
 class UnobservablePair(AdaptrackError):
     """(A, c) fails the observability rank test."""
-
-
-class RelativeDegreeViolation(AdaptrackError):
-    """Reference system relative degree is smaller than required."""
 
 
 class NotHurwitz(AdaptrackError):
@@ -23,10 +15,6 @@ class NotHurwitz(AdaptrackError):
 
 class SingularMatchingSystem(AdaptrackError):
     """No output-feedback matching gains: a non-minimal plant, or nu too small."""
-
-
-class SingularKp(AdaptrackError):
-    """High-frequency gain matrix is singular."""
 
 
 class DomainMismatch(AdaptrackError):
@@ -59,3 +47,13 @@ class ValidationError(AdaptrackError):
 
 class GainBoundViolation(ValidationError):
     """Adaptation gain, or the gain prior against the true Kp, outside its admissible range."""
+
+
+class RelativeDegreeViolation(ValidationError):
+    """A row relative degree breaks the interactor: a plant row's differs from its
+    interactor degree (field interactor[i]), or a reference row's lies below it
+    (field refmodel)."""
+
+
+class SingularKp(ValidationError):
+    """High-frequency gain matrix of the plant is singular (field plant)."""

@@ -48,11 +48,13 @@ _REQUIRED = {
              ("lambda", "lam", _OF), ("lambda_e", "lam_e", _YM)],
 }
 # model attribute -> scenario field, for the errors raised while building the run object;
-# siso's Sp is sign(kp), its Psi gain gamma_rho, and kp_bound its bound on |kp|
+# siso's interactor and f are both Pm, its Sp is sign(kp), its Psi gain gamma_rho, and
+# kp_bound its bound on |kp|
 _ATTR_FIELDS = {"lam": "lambda", "lam_e": "lambda_e", "fpoly": "f", "gz": "gains.gamma_theta"}
 _MODEL_FIELDS = {
     "mimo": {**_ATTR_FIELDS, "gamma": "gains.gamma", "sp": "gains.sp", "kp": "gains.sp"},
-    "siso": {**_ATTR_FIELDS, "gamma": "gains.gamma_rho", "sp": "sign_kp", "kp": "kp_bound"},
+    "siso": {**_ATTR_FIELDS, "interactor[0]": "pm", "fpoly": "pm", "gamma": "gains.gamma_rho",
+             "sp": "sign_kp", "kp": "kp_bound"},
 }
 _TOP_FIELDS = set().union(*(top for top, _ in _FIELDS.values()))
 _GAIN_FIELDS = set().union(*(gains for _, gains in _FIELDS.values()))

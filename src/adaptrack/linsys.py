@@ -15,13 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    NoRelativeDegree,
-    NotHurwitz,
-    RelativeDegreeViolation,
-    UnobservablePair,
-    ValidationError,
-)
+from .errors import NotHurwitz, RelativeDegreeViolation, UnobservablePair, ValidationError
 
 RANK_RTOL = 1e-9  # rank tests: sigma_min < RANK_RTOL * sigma_max
 
@@ -175,40 +169,6 @@ def rk4_gain(eigs, h):
     return np.abs(rk4_step(lambda t, x: lam * x, 0.0, np.ones_like(lam), h))
 
 
-def charpoly_and_numerators(ss):
-    """Characteristic polynomial and C adj(zI - A) B by Faddeev-LeVerrier.
-
-    Returns (p, num) with p monic ascending of degree n and num of shape
-    (n, n_outputs, n_inputs): num[k] is the coefficient matrix of z^k in
-    C adj(zI - A) B, so the transfer matrix is (sum_k num[k] z^k) / p(z).
-    """
-    a, b, c = ss.a, ss.b, ss.c
-    n = a.shape[0]
-    p = np.zeros(n + 1)
-    p[n] = 1.0
-    m = np.eye(n)
-    num = np.zeros((n, c.shape[0], b.shape[1]))
-    for k in range(1, n + 1):
-        num[n - k] = c @ m @ b
-        am = a @ m
-        pk = -np.trace(am) / k
-        p[n - k] = pk
-        m = am + pk * np.eye(n)
-    return Polynomial(p, monic=True), num
-
-
-def siso_transfer(ss):
-    """(kp, zpoly, ppoly) with G = kp * Z / P, Z and P monic. SISO only."""
-    if ss.n_inputs != 1 or ss.n_outputs != 1:
-        raise ValueError("siso_transfer requires a single-input single-output system")
-    p, num3 = charpoly_and_numerators(ss)
-    num = num3[:, 0, 0]
-    nstar = relative_degree(ss)
-    kp = num[ss.n - nstar]
-    z = num[: ss.n - nstar + 1] / kp
-    return kp, Polynomial(z, monic=False), p
-
-
 def markov_params(ss, count):
     """Markov parameter sequence {C A^(i-1) B} for i = 1..count."""
     out = []
@@ -219,26 +179,19 @@ def markov_params(ss, count):
     return out
 
 
-def relative_degree(ss, row=None, allow_decoupled=False):
-    """Smallest i >= 1 with a nonzero i-th Markov parameter in the row.
+def relative_degree(ss, row):
+    """Smallest i >= 1 with a nonzero i-th Markov parameter in the output row.
 
-    With row=None the system must be SISO.  The zero test is scaled by the
-    largest Markov-parameter magnitude seen.  A row whose parameters all
-    vanish up to order n is decoupled from the input: that raises
-    NoRelativeDegree, or gives None when allow_decoupled is set.
+    The zero test is scaled by the largest Markov-parameter magnitude seen.  A
+    row whose parameters all vanish up to order n is decoupled from the input
+    and has none: None.
     """
-    if row is None:
-        if ss.n_outputs != 1:
-            raise ValueError("row index required for a multi-output system")
-        row = 0
     seq = markov_params(ss, ss.n)
     scale = max(np.max(np.abs(m)) for m in seq)
     for i, m in enumerate(seq, start=1):
         if scale > 0.0 and np.max(np.abs(m[row])) > RANK_RTOL * scale:
             return i
-    if allow_decoupled:
-        return None
-    raise NoRelativeDegree(f"output row {row} is decoupled from the input")
+    return None
 
 
 def _krylov_blocks(f, g):
@@ -444,7 +397,7 @@ def ref_input_from_state(refmodel, interactor):
     Row i of A1^T is c_i d_i(A_m); row i of A2 sums the d_i coefficients
     against the reference Markov parameters.  Requires each reference row
     relative degree to be at least deg d_i, otherwise future inputs would
-    enter the expansion (RelativeDegreeViolation).
+    enter the expansion (RelativeDegreeViolation on refmodel).
     """
     am, bm, cm = refmodel.a, refmodel.b, refmodel.c
     n = refmodel.n
@@ -455,10 +408,10 @@ def ref_input_from_state(refmodel, interactor):
     a1t = np.zeros((mm, n))
     a2 = np.zeros((mm, m_in))
     for i, d in enumerate(interactor.rows):
-        rr = relative_degree(refmodel, i, allow_decoupled=True)
+        rr = relative_degree(refmodel, i)
         if rr is not None and rr < d.degree:
             raise RelativeDegreeViolation(
-                f"reference row {i} relative degree {rr} < interactor degree {d.degree}"
+                "refmodel", f"row {i} relative degree {rr} < interactor degree {d.degree}"
             )
         a1t[i] = cm[i] @ d.of_matrix(am)
         apow = np.eye(n)

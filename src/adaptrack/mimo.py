@@ -6,6 +6,13 @@ and the matrix normalized-gradient laws live here once: the single-output
 module `siso` only validates its problem and maps it to a one-channel
 `MimoScenario`.  A separate Lyapunov-design law covers continuous-time
 plants whose channels all have relative degree one.
+
+Building a `MimoScenario` checks the paper's three plant assumptions, for
+every module and mode: each plant row's relative degree equals its
+interactor degree with Kp nonsingular (fields interactor[i] and plant), the
+modes the matching law cancels are stable, i.e. the plant is minimum phase
+(field plant), and each reference row's relative degree is at least its
+interactor degree (field refmodel).
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .linsys import (
     ref_input_from_io,
     ref_input_from_state,
     relative_degree,
+    rk4_gain,
     stack,
 )
 
@@ -47,18 +55,19 @@ def interactor_row_gains(plant, interactor):
     Row i of K0_total^T is c_i d_i(A); row i of Kp collects the d_i
     coefficients against the plant Markov parameters, which reduces to
     c_i A^(deg d_i - 1) B when the row relative degrees equal the interactor
-    degrees (checked).
+    degrees (checked: RelativeDegreeViolation on interactor[i], SingularKp on
+    plant).
     """
     for i, d in enumerate(interactor.rows):
-        rr = relative_degree(plant, i, allow_decoupled=True)
+        rr = relative_degree(plant, i)
         if rr != d.degree:
             raise RelativeDegreeViolation(
-                f"plant row {i} relative degree {rr} != interactor degree {d.degree}"
+                f"interactor[{i}]", f"degree {d.degree} != plant row {i} relative degree {rr}"
             )
     k0, kp = ref_input_from_state(plant, interactor)
     sv = np.linalg.svd(kp, compute_uv=False)
     if sv[-1] < 1e-9 * max(sv[0], 1.0):
-        raise SingularKp("high-frequency gain matrix is singular")
+        raise SingularKp("plant", "high-frequency gain matrix Kp is singular")
     return k0, kp
 
 
@@ -70,19 +79,17 @@ def sf_nominal(plant, interactor):
     return k1, kp_inv, kp
 
 
-def hidden_modes(plant, interactor):
-    """Closed-loop modes cancelled by the matching law (the transmission zeros).
+def hidden_modes(plant, k1):
+    """Closed-loop modes cancelled by the matching law u = K1^T x + K2 r (the plant zeros).
 
-    Eigenvalues of A + B K1*^T are the interactor roots plus the cancelled
-    modes; the interactor roots are matched and removed, the rest returned.
+    The observable subspace of (A + B K1^T, C) carries the interactor roots;
+    the cancelled modes are the spectrum of A + B K1^T on its complement, the
+    unobservable subspace, which is invariant.
     """
-    k1, _, _ = sf_nominal(plant, interactor)
-    eigs = list(np.linalg.eigvals(plant.a + plant.b @ k1.T))
-    for d in interactor.rows:
-        for r in d.roots():
-            j = int(np.argmin([abs(ev - r) for ev in eigs]))
-            eigs.pop(j)
-    return np.array(eigs)
+    acl = plant.a + plant.b @ k1.T
+    obs = reachable_basis(acl.T, plant.c.T)
+    hid = np.linalg.svd(obs)[0][:, obs.shape[1] :]
+    return np.linalg.eigvals(hid.T @ acl @ hid)
 
 
 def _gain(attr, g, dim, upper=None):
@@ -104,8 +111,8 @@ class MimoScenario:
 
     Everything engine.ClosedLoop reads for one run; `reference` is the
     scenario's ReferenceBlock, built once here.  The build checks the
-    design assumptions it holds; a failure raises ValidationError naming
-    the attribute.
+    design assumptions it holds, the plant assumptions among them; a
+    failure raises ValidationError naming the attribute.
     """
 
     plant: StateSpace
@@ -145,6 +152,13 @@ class MimoScenario:
                 raise ValidationError(attr, "polynomial is not stable for the domain")
         if self.fpoly.degree != self.interactor.max_degree or not self.fpoly.monic:
             raise ValidationError("fpoly", "must be monic of the maximum interactor degree")
+        # the plant assumptions; the loop never reads the plant, so nothing is kept
+        k1, _, _ = sf_nominal(self.plant, self.interactor)
+        modes = hidden_modes(self.plant, k1)
+        if np.any(np.abs(modes) >= 1.0 if dom.is_dt else modes.real >= 0.0):
+            raise ValidationError("plant", f"cancelled modes {modes} are not stable: the "
+                                  "plant must be minimum phase")
+        ref_input_from_state(self.refmodel, self.interactor)
         self.sp = np.atleast_2d(np.asarray(self.sp, dtype=float))
         if self.sp.shape != (m, m):
             raise ValidationError("sp", f"has shape {self.sp.shape}, expected {(m, m)}")
@@ -264,9 +278,11 @@ def verify_gain_prior(kp, sp, domain, gz=None):
     Kp Sp must be symmetric positive definite.  In discrete time the law also
     needs lambda_max(sym Kp Sp) lambda_max(sym gz) < 2: Kp Sp < 2I at the
     default gz = I, and |kp| gamma_theta < 2 for one channel.  Only possible
-    with plant knowledge (test mode and the benchmark builders).  A failure
-    names sp when Kp Sp is not symmetric positive definite, and kp when the
-    true Kp is too large for the discrete-time bound.
+    with plant knowledge (test mode and the benchmark builders).  In
+    continuous time the fastest adaptation mode, -lambda_max(sym Kp Sp)
+    lambda_max(sym gz), must lie in RK4's stability region at the step.  A
+    failure names sp when Kp Sp is not symmetric positive definite, and kp
+    when the true Kp is too large for the domain's bound.
     """
     prod = kp @ sp
     if np.max(np.abs(prod - prod.T)) > 1e-9 * max(1.0, np.max(np.abs(prod))):
@@ -275,9 +291,14 @@ def verify_gain_prior(kp, sp, domain, gz=None):
     if ev[0] <= 0:
         raise GainBoundViolation("sp", "Kp Sp is not positive definite")
     gz_max = 1.0 if gz is None else np.linalg.eigvalsh(0.5 * (gz + gz.T))[-1]
-    if domain.is_dt and ev[-1] * gz_max >= 2.0:
+    rate = ev[-1] * gz_max
+    if domain.is_dt and rate >= 2.0:
         raise GainBoundViolation("kp", "Kp Sp must be below 2I / lambda_max(gz) = "
                                  f"{2.0 / gz_max:.4g} I in discrete time")
+    if not domain.is_dt and rk4_gain([-rate], domain.step)[0] > 1.0:
+        raise GainBoundViolation("kp", f"lambda_max(Kp Sp) lambda_max(gz) = {rate:.4g} puts "
+                                 f"the adaptation outside RK4's stability region at step "
+                                 f"{domain.step:g}")
 
 
 def diagnostics(scenario, nominal, law):

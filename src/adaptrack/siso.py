@@ -10,8 +10,11 @@ through a parametrized estimate.
 The SISO scheme is the one-channel configuration of the multivariable one:
 this module validates a SISO problem and maps it to a `mimo.MimoScenario`
 with interactor [Pm], f = Pm, nu = n, nbe = n - 1, Sp = sign(kp),
-Gamma = gamma_rho and the zeta-side gain gamma_theta.  Runs and matching
-parameters come from `mimo`.
+Gamma = gamma_rho and the zeta-side gain gamma_theta.  Runs, matching
+parameters and the plant checks come from `mimo`: building the one-channel
+scenario checks that Pm has the plant's relative degree (field
+interactor[0]), that the plant is minimum phase (field plant) and that the
+reference model's relative degree is at least Pm's (field refmodel).
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from . import mimo
 from .engine import Structure, check_gain, regressor_dim
-from .errors import RelativeDegreeViolation, ValidationError
-from .linsys import DiagonalInteractor, Polynomial, StateSpace, relative_degree, siso_transfer
+from .errors import ValidationError
+from .linsys import DiagonalInteractor, Polynomial, StateSpace
 
 # not called here: the benchmark's tracer test (perfbench/tests/test_perfbench.py)
 # asserts that this module's namespace binds it
@@ -38,7 +41,10 @@ class SisoGains:
 
 @dataclass
 class SisoScenario:
-    """A discrete-time SISO tracking problem plus the design choices for it."""
+    """A discrete-time SISO tracking problem plus the design choices for it.
+
+    The plant assumptions are checked where as_mimo builds its MimoScenario.
+    """
 
     plant: StateSpace
     refmodel: StateSpace
@@ -59,22 +65,7 @@ class SisoScenario:
             raise ValidationError("plant", "must be SISO")
         if self.refmodel.n_inputs != 1 or self.refmodel.n_outputs != 1:
             raise ValidationError("refmodel", "must be SISO")
-        tag = self.plant.domain.tag
-        for name, poly in (("pm", self.pm), ("lam", self.lam), ("lam_e", self.lam_e)):
-            if not poly.is_stable(tag):
-                raise ValidationError(name, "polynomial is not stable for the domain")
         n = self.plant.n
-        nstar = relative_degree(self.plant)
-        if self.pm.degree != nstar or not self.pm.monic:
-            raise ValidationError("pm", f"must be monic of degree n* = {nstar}")
-        _, zpoly, _ = siso_transfer(self.plant)
-        if not zpoly.is_stable(tag):
-            raise ValidationError("plant", "zeros must be stable (minimum phase)")
-        nmstar = relative_degree(self.refmodel)
-        if nmstar < nstar:
-            raise RelativeDegreeViolation(
-                f"reference relative degree {nmstar} < plant relative degree {nstar}"
-            )
         for name, poly in (("lam", self.lam), ("lam_e", self.lam_e)):
             if poly.degree != n - 1 or not poly.monic:
                 raise ValidationError(name, f"must be monic of degree n-1 = {n - 1}")
@@ -114,18 +105,3 @@ def nominal_params(scenario):
     """Matching parameters of the one-channel scenario (plant knowledge needed)."""
     return mimo.nominal_params(scenario.as_mimo())
 
-
-def run(scenario, adaptive=True, horizon=2000, gains=None, theta0=None, nominal=None,
-        with_certificate=False):
-    """Simulate the scenario's closed loop through `mimo.run`; returns a SimTrace.
-
-    Nominal mode (adaptive=False) drives u = theta*^T omega and requires the
-    matching parameters in `nominal`.  Adaptive mode never reads them; pass
-    `nominal` with with_certificate=True only to record the Lyapunov
-    certificate of a test-mode run.
-    """
-    return mimo.run(
-        scenario.as_mimo(gains), adaptive=adaptive, horizon=horizon,
-        theta0=None if theta0 is None else np.reshape(theta0, (-1, 1)),
-        nominal=nominal, with_certificate=with_certificate,
-    )

@@ -33,8 +33,8 @@ def _siso_case(structure):
             kp_bound=b["kp_bound"], um=b["um"],
         )
         nom = siso.nominal_params(scn)
-        return siso.run(scn, adaptive=True, horizon=400, theta0=0.9 * nom.theta_star,
-                        nominal=nom, with_certificate=True)
+        return mimo.run(scn.as_mimo(), adaptive=True, horizon=400,
+                        theta0=0.9 * nom.theta_star, nominal=nom, with_certificate=True)
 
     return run
 

@@ -51,8 +51,8 @@ def siso_adaptive_runs(siso_bench):
     for structure in Structure:
         scn = _siso_scn(siso_bench, structure)
         nom = siso.nominal_params(scn)
-        out[structure] = siso.run(
-            scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
+        out[structure] = mimo.run(
+            scn.as_mimo(), adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
             nominal=nom, with_certificate=True,
         )
     return out
@@ -163,7 +163,7 @@ def test_criterion_1_nominal_matching(siso_bench, mimo_dt_bench):
         for _ in range(2):
             scn = _siso_scn(b, structure, x0=rng.standard_normal(n),
                             xm0=rng.standard_normal(n))
-            tr = siso.run(scn, adaptive=False, horizon=260)
+            tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=260)
             assert np.max(np.abs(tr.e[200:])) < 1e-6, structure
 
     # multivariable output feedback, nu = 2 (the observability index): the loop
@@ -411,15 +411,17 @@ def test_criterion_8_reductions(siso_bench):
             sp=np.array([[1.0]]), structure=structure, nu=3, lam=b["lam"],
             lam_e=b["lam_e"], nbe=2, gamma=np.array([[1.0]]), um=b["um"],
         )
-        tr_s = siso.run(sscn, adaptive=True, horizon=2000,
-                        gains=siso.SisoGains(gamma_theta=1.0, gamma_rho=1.0))
+        tr_s = mimo.run(sscn.as_mimo(siso.SisoGains(gamma_theta=1.0, gamma_rho=1.0)),
+                        adaptive=True, horizon=2000)
         tr_m = mimo.run(mscn, adaptive=True, horizon=2000)
         for fld in ("y", "ym", "e", "u", "m", "eps", "theta_norm"):
             assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), (structure, fld)
 
     # the two nominal state-feedback variants realize the same input
-    tr_x = siso.run(_siso_scn(siso_bench, Structure.SF_XM), adaptive=False, horizon=400)
-    tr_y = siso.run(_siso_scn(siso_bench, Structure.SF_YM), adaptive=False, horizon=400)
+    tr_x = mimo.run(_siso_scn(siso_bench, Structure.SF_XM).as_mimo(), adaptive=False,
+                    horizon=400)
+    tr_y = mimo.run(_siso_scn(siso_bench, Structure.SF_YM).as_mimo(), adaptive=False,
+                    horizon=400)
     assert np.max(np.abs(tr_x.u[200:] - tr_y.u[200:])) < 1e-6
 
     # true-parameter linearizing controller follows the error ODE exactly

@@ -120,6 +120,11 @@ def _without(base, fld):
 _FL = {"module": "fl", "benchmark": "fl-2x3"}
 # zero at 2: not minimum phase in discrete time
 _NMP_PLANT = {"A": [[0.0, 1.0], [-0.06, 0.5]], "B": [[0.0], [1.0]], "C": [[-2.0, 1.0]]}
+# the same poles without a zero: relative degree 2
+_RD2_PLANT = dict(_NMP_PLANT, C=[[1.0, 0.0]])
+_PM2 = [0.02, -0.3, 1.0]  # roots 0.1 and 0.2
+# mimo-ct-2x2's Kp^-1, the known gain Kp Sp = I
+_CT_SP = benchmarks.mimo_ct_2x2()["sp"]
 _SIN = {"amp": "x", "freq": 0.1}
 
 # (base fields, field values, field named): each used to pass validation, or to
@@ -227,6 +232,23 @@ _MALFORMED = {
                            "sign_kp"),
     "siso_prior_kp_bound": ({}, {"test_mode": True, "theta0": "near", "kp_bound": 0.01},
                             "kp_bound"),
+    # the plant assumptions were checked for siso and the benchmarks only: an explicit mimo
+    # scenario loaded and ran, a reference check ended in a field-less error, and a
+    # benchmark with its interactor rows swapped loaded and diverged
+    "mimo_nonminimum_phase": (dict(_EXPLICIT_MIMO, plant=_NMP_PLANT), {}, "plant"),
+    "mimo_plant_degree": (dict(_EXPLICIT_MIMO, plant=_RD2_PLANT), {}, "interactor[0]"),
+    "mimo_swapped_interactor": (dict(_MIMO, test_mode=False),
+                                {"interactor": [[0.0375, -0.4, 1.0], [-0.2, 1.0]]},
+                                "interactor[0]"),
+    "mimo_refmodel_degree": (dict(_EXPLICIT_MIMO, plant=_RD2_PLANT, interactor=[_PM2], f=_PM2),
+                             {}, "refmodel"),
+    "siso_refmodel_degree": (dict(_EXPLICIT_SISO, plant=_RD2_PLANT, pm=_PM2,
+                                  **{"lambda": [0.5, 1.0], "lambda_e": [0.5, 1.0]}), {},
+                             "refmodel"),
+    # a ct gain prior so large that RK4 cannot integrate the adaptation: loaded, then diverged
+    "mimo_ct_prior_rk4": (dict(_MIMO, benchmark="mimo-ct-2x2"),
+                          {"theta0": "near", "gains": {"sp": (5000 * _CT_SP).tolist(),
+                                                       "gamma": 5000.0}}, "gains.sp"),
 }
 
 
@@ -244,6 +266,13 @@ def test_malformed_field_rejected_at_load_naming_it(tmp_path, capsys, case):
     assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
     assert f"ERROR: {named}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_ct_gain_prior_inside_rk4_region_loads():
+    # Kp Sp = 1000 I: h lambda = -1 at h = 1e-3, inside RK4's stability region
+    data = _minimal(**dict(_MIMO, benchmark="mimo-ct-2x2"), theta0="near",
+                    gains={"sp": (1000 * _CT_SP).tolist(), "gamma": 1000.0})
+    assert np.array_equal(harness.scenario_from_dict(data).model.sp, 1000 * _CT_SP)
 
 
 def test_wrong_schema_version(tmp_path):

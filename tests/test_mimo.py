@@ -8,15 +8,16 @@ from adaptrack.engine import Frame, GradientLaw, Rd1Law, Structure
 from adaptrack.errors import (
     DomainMismatch,
     GainBoundViolation,
-    NotHurwitz,
     RelativeDegreeViolation,
     SingularKp,
     SingularMatchingSystem,
+    ValidationError,
 )
 from adaptrack.linsys import (
     DiagonalInteractor,
     Polynomial,
     StateSpace,
+    companion,
     dt,
     lyapunov_solve_ct,
     ref_input_from_state,
@@ -96,13 +97,14 @@ def test_row_gains_trajectory_identity(bench_dt):
 def test_row_gains_degree_mismatch():
     b = benchmarks.mimo_dt_2x2()
     bad = DiagonalInteractor([Polynomial.from_roots([0.1, 0.2]), b["interactor"].rows[1]])
-    with pytest.raises(RelativeDegreeViolation):
+    with pytest.raises(RelativeDegreeViolation) as ei:
         mimo.interactor_row_gains(b["plant"], bad)
+    assert ei.value.field == "interactor[0]"
 
 
 def test_row_gains_decoupled_row_is_a_degree_violation():
-    # a decoupled output row has no relative degree: RelativeDegreeViolation,
-    # not NoRelativeDegree, on both the plant and the reference-model path
+    # a decoupled output row has no relative degree: a RelativeDegreeViolation on
+    # the plant path; the reference-model path accepts it, with zero rows
     b = benchmarks.mimo_dt_2x2()
     p = b["plant"]
     c = p.c.copy()
@@ -120,8 +122,9 @@ def test_row_gains_singular_kp():
     c = np.eye(2)
     plant = StateSpace(a, b, c, dt())
     ia = DiagonalInteractor([Polynomial.from_roots([0.1]), Polynomial.from_roots([0.1])])
-    with pytest.raises(SingularKp):
+    with pytest.raises(SingularKp) as ei:
         mimo.interactor_row_gains(plant, ia)
+    assert ei.value.field == "plant"
 
 
 # -- nominal state feedback ------------------------------------------------------
@@ -163,10 +166,28 @@ def test_sf_nominal_closed_loop_tracks(bench_dt):
     assert np.max(np.abs(tr.e[300:])) < 1e-6
 
 
-def test_hidden_modes_are_the_cancelled_zeros(bench_rd1):
-    modes = mimo.hidden_modes(bench_rd1["plant"], bench_rd1["interactor"])
+def _hidden_modes(plant, interactor):
+    return mimo.hidden_modes(plant, mimo.sf_nominal(plant, interactor)[0])
+
+
+def test_hidden_modes_are_the_cancelled_zeros(bench_dt, bench_ct, bench_rd1):
+    modes = _hidden_modes(bench_rd1["plant"], bench_rd1["interactor"])
     assert modes.size == 1
-    assert abs(modes[0] - (-2.0)) < 1e-9  # built into the benchmark
+    assert abs(modes[0] - (-2.0)) < 1e-12  # built into the benchmark
+    b = benchmarks.siso_third_order()
+    modes = _hidden_modes(b["plant"], DiagonalInteractor([b["pm"]]))
+    assert modes.size == 1 and abs(modes[0] - 0.3) < 1e-12  # the plant zero
+    for b in (bench_dt, bench_ct):  # three states, relative degrees (1, 2): no zeros
+        assert _hidden_modes(b["plant"], b["interactor"]).size == 0
+
+
+def test_hidden_mode_on_an_interactor_root_is_exact():
+    # the zero at 0.2 is also a root of Pm: A + B K1^T has 0.2 twice, once
+    # cancelled and once matched, and the cancelled one is read off exactly
+    plant = StateSpace(companion(Polynomial.from_roots([0.8, 0.5, -0.4])), [0, 0, 1],
+                       [-0.2, 1.0, 0.0], dt())
+    modes = _hidden_modes(plant, DiagonalInteractor([Polynomial.from_roots([0.2, 0.1])]))
+    assert modes.size == 1 and abs(modes[0] - 0.2) < 1e-12
 
 
 # -- reference-input parametrization ----------------------------------------------
@@ -238,8 +259,13 @@ def test_regressor_dims_formulas():
 @pytest.mark.parametrize("structure", list(Structure))
 @pytest.mark.parametrize("n_m", [2, 4])
 def test_regressor_dim_is_the_width_of_the_assembled_regressor(bench_dt, structure, n_m):
-    # a stable reference model of n_m states beside the 3-state plant
-    ref = StateSpace(np.diag(np.linspace(0.1, 0.5, n_m)), np.eye(n_m, 2), np.eye(2, n_m), dt())
+    # a stable reference model of n_m states beside the 3-state plant: a chain in
+    # which x_k drives x_(k+1), both inputs enter x_0, and y_1 = x_1 has relative
+    # degree 2, the interactor row's
+    b = np.zeros((n_m, 2))
+    b[0] = [1.0, 0.3]
+    ref = StateSpace(np.diag(np.linspace(0.1, 0.5, n_m)) + np.eye(n_m, k=-1), b,
+                     np.eye(2, n_m), dt())
     scn = _scn(bench_dt, structure=structure, refmodel=ref)
     loop = engine.ClosedLoop(scn, law=None, horizon=1)
     assert loop._read["omega"].shape[0] == scn.theta_dim
@@ -458,7 +484,7 @@ def _siso_as_mimo_pair(structure):
 def test_m1_reduction_bit_for_bit(structure):
     sscn, mscn = _siso_as_mimo_pair(structure)
     gains = siso.SisoGains(gamma_theta=1.0, gamma_rho=1.0)
-    tr_s = siso.run(sscn, adaptive=True, horizon=2000, gains=gains)
+    tr_s = mimo.run(sscn.as_mimo(gains), adaptive=True, horizon=2000)
     tr_m = mimo.run(mscn, adaptive=True, horizon=2000)
     for fld in ("y", "ym", "e", "u", "m", "eps", "theta_norm"):
         assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), fld
@@ -515,9 +541,10 @@ def test_one_channel_gain_prior_bounds_kp_times_gz():
     # a kp_bound below |kp| lets gamma_theta = 1/kp_bound pass the siso check; the
     # test-mode prior check catches it, since 1.5 / 0.7 > 2
     low = dataclasses.replace(sscn, kp_bound=0.7)
-    assert siso.run(low, horizon=5).n_samples == 5  # blind: Kp is unknown
+    assert mimo.run(low.as_mimo(), horizon=5).n_samples == 5  # blind: Kp is unknown
     with pytest.raises(GainBoundViolation, match="below 2I"):
-        siso.run(low, horizon=5, nominal=siso.nominal_params(low), with_certificate=True)
+        mimo.run(low.as_mimo(), horizon=5, nominal=siso.nominal_params(low),
+                 with_certificate=True)
 
 
 def test_benchmark_gain_prior_checked_by_the_one_check():
@@ -528,16 +555,15 @@ def test_benchmark_gain_prior_checked_by_the_one_check():
         benchmarks._check_mimo(d, sp_margin=-0.5)
 
 
-def test_check_mimo_rejects_unstable_cancelled_mode():
+def test_scenario_build_rejects_unstable_cancelled_mode(bench_rd1):
     # the rd1 benchmark cancels its zero dynamics dx3 = a33 x3; a33 = +2 makes
     # that mode unstable, which raises under python -O too
-    d = benchmarks.mimo_rd1_ct()
-    p = d["plant"]
+    p = bench_rd1["plant"]
     a = p.a.copy()
     a[2, 2] = 2.0
-    d["plant"] = StateSpace(a, p.b, p.c, p.domain)
-    with pytest.raises(NotHurwitz, match="unstable cancelled modes"):
-        benchmarks._check_mimo(d)
+    with pytest.raises(ValidationError, match="minimum phase") as ei:
+        _scn(bench_rd1, plant=StateSpace(a, p.b, p.c, p.domain))
+    assert ei.value.field == "plant"
 
 
 # -- continuous-time reference block (linsys.ReferenceBlock, stage tables) -----------

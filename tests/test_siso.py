@@ -119,20 +119,22 @@ def test_nominal_of_identity_matching():
 def test_nominal_of_polynomial_identity_residual(bench):
     scn = _scenario(bench, Structure.OF_XM)
     th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), scn.n)
-    from adaptrack.linsys import siso_transfer
-
-    kp, zp, pp = siso_transfer(scn.plant)
+    a, b, c = scn.plant.a, scn.plant.b[:, 0], scn.plant.c[0]
     n = scn.n
+    # the plant transfer kp Z / P at points off its poles: P(z) = det(zI - A) and
+    # kp Z(z) = P(z) c (zI - A)^-1 b
+    pp = lambda z: np.linalg.det(z * np.eye(n) - a)
+    kzp = lambda z: pp(z) * c @ np.linalg.solve(z * np.eye(n) - a, b)
     pts = np.linspace(-2.1, 2.3, 2 * n + 2)
     az = lambda z: np.array([z**i for i in range(n - 1)])
     lhs = np.array(
         [
-            th1 @ az(z) * pp(z) + (th2 @ az(z) + th20 * scn.lam(z)) * kp * zp(z)
+            th1 @ az(z) * pp(z) + (th2 @ az(z) + th20 * scn.lam(z)) * kzp(z)
             for z in pts
         ]
     )
     rhs = np.array(
-        [scn.lam(z) * (pp(z) - kp * th3 * zp(z) * scn.pm(z)) for z in pts]
+        [scn.lam(z) * (pp(z) - th3 * kzp(z) * scn.pm(z)) for z in pts]
     )
     scale = max(1.0, np.max(np.abs(rhs)))
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
@@ -259,9 +261,8 @@ def test_gain_bounds_enforced(bench):
         one_channel(gamma_rho=2.0)  # the discrete-time Psi gain lies below 2
     with pytest.raises(GainBoundViolation):
         one_channel(gamma_theta=-0.1)
-    with pytest.raises(GainBoundViolation):  # siso.run checks gamma_theta against 2/kp_bound
-        siso.run(_scenario(bench, Structure.SF_XM), horizon=5,
-                 gains=siso.SisoGains(gamma_theta=np.diag([-0.3] + [0.5] * 6)))
+    with pytest.raises(GainBoundViolation):
+        one_channel(gamma_theta=np.diag([-0.3] + [0.5] * 6))  # indefinite
 
 
 # -- closed-loop runs --------------------------------------------------------------
@@ -270,7 +271,7 @@ def test_gain_bounds_enforced(bench):
 @pytest.mark.parametrize("structure", list(Structure))
 def test_nominal_zero_ic_exact_tracking(bench, structure):
     scn = _scenario(bench, structure)
-    tr = siso.run(scn, adaptive=False, horizon=200)
+    tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=200)
     assert np.max(np.abs(tr.e)) < 1e-12
 
 
@@ -279,7 +280,7 @@ def test_nominal_random_ic_decay(bench, structure):
     rng = np.random.default_rng(5)
     scn = _scenario(bench, structure,
                     x0=rng.standard_normal(3), xm0=rng.standard_normal(3))
-    tr = siso.run(scn, adaptive=False, horizon=400)
+    tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=400)
     assert np.max(np.abs(tr.e[200:])) < 1e-6
     assert np.max(np.abs(tr.e[:5])) > 1e-3  # the transient was actually there
 
@@ -287,7 +288,7 @@ def test_nominal_random_ic_decay(bench, structure):
 def test_adaptive_near_start_tracks(bench):
     scn = _scenario(bench, Structure.SF_XM)
     nom = siso.nominal_params(scn)
-    tr = siso.run(scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
+    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     tail = tr.e[-500:]
     assert float(np.sqrt(np.mean(tail**2))) < 1e-3
@@ -297,7 +298,7 @@ def test_adaptive_near_start_tracks(bench):
 def test_adaptive_lyapunov_monotone(bench):
     scn = _scenario(bench, Structure.OF_XM)
     nom = siso.nominal_params(scn)
-    tr = siso.run(scn, adaptive=True, horizon=2000, theta0=0.9 * nom.theta_star,
+    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=2000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     assert np.max(np.diff(tr.v)) <= 1e-12
     assert np.max(tr.extra["ident_resid"]) < 1e-8
@@ -306,7 +307,7 @@ def test_adaptive_lyapunov_monotone(bench):
 def test_adaptive_l2_properties(bench):
     scn = _scenario(bench, Structure.SF_XM)
     nom = siso.nominal_params(scn)
-    tr = siso.run(scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
+    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     l2e = tr.extra["l2_eps_cum"]
     l2d = tr.extra["l2_dtheta_cum"]
@@ -319,8 +320,8 @@ def test_sf_structures_agree_after_transients(bench):
     # both nominal state-feedback variants realize u = k1'x + k2 r
     scn_x = _scenario(bench, Structure.SF_XM)
     scn_y = _scenario(bench, Structure.SF_YM)
-    tr_x = siso.run(scn_x, adaptive=False, horizon=400)
-    tr_y = siso.run(scn_y, adaptive=False, horizon=400)
+    tr_x = mimo.run(scn_x.as_mimo(), adaptive=False, horizon=400)
+    tr_y = mimo.run(scn_y.as_mimo(), adaptive=False, horizon=400)
     assert np.max(np.abs(tr_x.u[200:] - tr_y.u[200:])) < 1e-6
 
 
@@ -330,7 +331,7 @@ def test_run_engine_matches_public_ops(bench):
     # and the normalized-gradient update of (theta, rho)
     scn = _scenario(bench, Structure.SF_XM)
     gains = siso.SisoGains(gamma_theta=0.5, gamma_rho=1.0)
-    tr = siso.run(scn, adaptive=True, horizon=300, gains=gains)
+    tr = mimo.run(scn.as_mimo(gains), adaptive=True, horizon=300)
 
     q, pm = scn.theta_dim, scn.pm.coeffs
     k = pm.size - 1
@@ -373,9 +374,9 @@ def test_scalar_benchmark_end_to_end():
         kp_bound=b["kp_bound"], um=b["um"],
     )
     nom = siso.nominal_params(scn)
-    tr = siso.run(scn, adaptive=False, horizon=100, nominal=nom)
+    tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=100, nominal=nom)
     assert np.max(np.abs(tr.e)) < 1e-12
-    tr = siso.run(scn, adaptive=True, horizon=3000, theta0=0.9 * nom.theta_star,
+    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=3000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     assert float(np.sqrt(np.mean(tr.e[-300:] ** 2))) < 1e-3
     assert np.max(np.diff(tr.v)) <= 1e-12
