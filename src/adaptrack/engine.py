@@ -74,10 +74,8 @@ def assemble_regressor(structure, parts):
 class Frame:
     """Per-step estimation-error signals."""
 
-    omega: np.ndarray
     zeta: np.ndarray
     xi: np.ndarray
-    ebar: np.ndarray
     eps: np.ndarray
     m: float
 
@@ -245,8 +243,7 @@ class _Recorder:
         rows, par = slice(k0, k), self.par[: k - k0]
         self.theta_norm[rows] = np.sqrt(np.vecdot(par, par))
         if diagnose is not None:
-            frame = Frame(None, self.zeta[: k - k0], self.xi[: k - k0], None, self.eps[rows],
-                          self.m[rows])
+            frame = Frame(self.zeta[: k - k0], self.xi[: k - k0], self.eps[rows], self.m[rows])
             for name, vals in diagnose(par, frame, self.e[rows]).items():
                 if name not in self.columns:
                     self.columns[name] = np.zeros((self.t.size, *np.shape(vals)[1:]))
@@ -535,7 +532,7 @@ class ClosedLoop(FlatLoop):
             law.rhs(e, om, out=dpar[0])
         if not frame:
             return self._k[j]
-        return self._k[j], (y, e, u, Frame(om, zeta, xi, ebar, eps, mm))
+        return self._k[j], (y, e, u, Frame(zeta, xi, eps, mm))
 
     def measure(self, k):
         """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
@@ -606,9 +603,9 @@ def run_closed_loop(scenario, law=None, horizon=1000, theta0=None, psi0=None, di
     parameters as used by u(t_k).  diagnose(theta, psi, frame, e), when
     given, is evaluated once per block of at most CT_BLOCK rows, on arrays
     with a leading step axis: theta (k, q, m) and psi (k, m, m) hold the
-    parameters in effect at each row, frame holds zeta, xi, eps and m
-    (omega and ebar are None), e is (k, m).  It returns named columns of k
-    values: "v" fills trace.v, any other name trace.extra (test mode).
+    parameters in effect at each row, frame holds zeta, xi, eps and m, and
+    e is (k, m).  It returns named columns of k values: "v" fills trace.v,
+    any other name trace.extra (test mode).
 
     A run stopped by drive's stop rule returns the rows before the failing
     step, with the event in trace.guard_events.

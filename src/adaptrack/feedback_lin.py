@@ -305,12 +305,11 @@ class FLLoop(FlatLoop):
         """Signals (y, y_m, e, u, frame) at grid point k, as ClosedLoop.measure gives them.
 
         frame.m is sqrt(1 + |zeta|^2) over every column, and m_i holds each
-        column's m_i; frame.omega and frame.ebar are None.
+        column's m_i.
         """
         self._t = t = k * self.h
         _, (y, ym, e, u, zetas, eps, _) = self._stage(t, self._stages[0])
-        self._frame = Frame(None, zetas, self._xi, None, eps,
-                            math.sqrt(1.0 + float(np.vdot(zetas, zetas))))
+        self._frame = Frame(zetas, self._xi, eps, math.sqrt(1.0 + float(np.vdot(zetas, zetas))))
         return y, ym, e, u, self._frame
 
     def advance(self):

@@ -193,13 +193,13 @@ def _init_vec(spec, fld, dim, rng, scale=0.5):
 def _build(module, structure, comps, gains, x0, xm0):
     """The MimoScenario of a linear module; its checks raise against model attributes."""
     if module == "siso":
-        return siso.SisoScenario(
+        return siso.scenario(
             plant=comps["plant"], refmodel=comps["refmodel"], pm=comps["pm"],
             lam=comps["lam"], lam_e=comps["lam_e"], structure=structure,
             sign_kp=comps["sign_kp"], kp_bound=comps["kp_bound"], um=comps["um"],
-            x0=x0, xm0=xm0,
-        ).as_mimo(siso.SisoGains(gamma_theta=gains.get("gamma_theta"),
-                                 gamma_rho=gains.get("gamma_rho", 1.0)))
+            x0=x0, xm0=xm0, gamma_theta=gains.get("gamma_theta"),
+            gamma_rho=gains.get("gamma_rho", 1.0),
+        )
     return mimo.MimoScenario(
         plant=comps["plant"], refmodel=comps["refmodel"], interactor=comps["interactor"],
         fpoly=comps["fpoly"], sp=comps["sp"], structure=structure, nu=comps.get("nu"),

@@ -42,7 +42,7 @@ def _siso_scn(b, structure, **kw):
                 lam_e=b["lam_e"], structure=structure, sign_kp=b["sign_kp"],
                 kp_bound=b["kp_bound"], um=b["um"])
     args.update(kw)
-    return siso.SisoScenario(**args)
+    return siso.scenario(**args)
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +50,9 @@ def siso_adaptive_runs(siso_bench):
     out = {}
     for structure in Structure:
         scn = _siso_scn(siso_bench, structure)
-        nom = siso.nominal_params(scn)
+        nom = mimo.nominal_params(scn)
         out[structure] = mimo.run(
-            scn.as_mimo(), adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
+            scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
             nominal=nom, with_certificate=True,
         )
     return out
@@ -144,14 +144,14 @@ def test_criterion_1_nominal_matching(siso_bench, mimo_dt_bench):
     want = oc.inverse_poly_impulse(b["pm"].coeffs, 2 * n)
 
     scn = _siso_scn(b, Structure.SF_XM)
-    nom = mimo.nominal_params(scn.as_mimo())  # theta* = [k1; k2 alpha1; k2 alpha2]
+    nom = mimo.nominal_params(scn)  # theta* = [k1; k2 alpha1; k2 alpha2]
     k1, k2 = nom.theta_star[:n, 0], 1.0 / nom.kp[0, 0]
     acl = scn.plant.a + np.outer(scn.plant.b[:, 0], k1)
     closed = StateSpace(acl, scn.plant.b * k2, scn.plant.c, dt())
     got_sf = np.array([m[0, 0] for m in markov_params(closed, 2 * n)])
     assert np.max(np.abs(got_sf - want)) < 1e-8
 
-    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(_siso_scn(b, Structure.OF_XM)), n)
+    th1, th2, th20, th3 = oc.of_gains(mimo.nominal_params(_siso_scn(b, Structure.OF_XM)), n)
     acl, bcl, ccl = oc.of_closed_loop(
         scn.plant.a, scn.plant.b[:, 0], scn.plant.c, scn.lam.coeffs, th1, th2, th20, th3
     )
@@ -163,7 +163,7 @@ def test_criterion_1_nominal_matching(siso_bench, mimo_dt_bench):
         for _ in range(2):
             scn = _siso_scn(b, structure, x0=rng.standard_normal(n),
                             xm0=rng.standard_normal(n))
-            tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=260)
+            tr = mimo.run(scn, adaptive=False, horizon=260)
             assert np.max(np.abs(tr.e[200:])) < 1e-6, structure
 
     # multivariable output feedback, nu = 2 (the observability index): the loop
@@ -218,12 +218,12 @@ def test_criterion_2_matching_identity_random_plants():
         plant = StateSpace(a, np.eye(n)[:, -1], cvec, dt())
         pm = Polynomial.from_roots(rng.uniform(-0.5, 0.5, size=nstar))
         lam = Polynomial.from_roots(rng.uniform(-0.5, 0.5, size=n - 1))
-        scn = siso.SisoScenario(
+        scn = siso.scenario(
             plant=plant, refmodel=plant, pm=pm, lam=lam, lam_e=lam,
             structure=Structure.OF_XM, sign_kp=np.sign(kp), kp_bound=abs(kp) * 1.2,
             um=multisine(1),
         )
-        th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), n)
+        th1, th2, th20, th3 = oc.of_gains(mimo.nominal_params(scn), n)
         pts = np.linspace(-2.1, 2.3, 2 * n + 2)
         az = lambda z: np.array([z**i for i in range(n - 1)])
         lhs = np.array(
@@ -404,23 +404,22 @@ def test_criterion_8_reductions(siso_bench):
     # single-channel reduction, bit for bit, both structure families
     for structure in (Structure.SF_XM, Structure.OF_XM):
         b = siso_bench
-        sscn = _siso_scn(b, structure)
+        sscn = _siso_scn(b, structure, gamma_theta=1.0, gamma_rho=1.0)
         mscn = mimo.MimoScenario(
             plant=b["plant"], refmodel=b["refmodel"],
             interactor=DiagonalInteractor([b["pm"]]), fpoly=b["pm"],
             sp=np.array([[1.0]]), structure=structure, nu=3, lam=b["lam"],
             lam_e=b["lam_e"], nbe=2, gamma=np.array([[1.0]]), um=b["um"],
         )
-        tr_s = mimo.run(sscn.as_mimo(siso.SisoGains(gamma_theta=1.0, gamma_rho=1.0)),
-                        adaptive=True, horizon=2000)
+        tr_s = mimo.run(sscn, adaptive=True, horizon=2000)
         tr_m = mimo.run(mscn, adaptive=True, horizon=2000)
         for fld in ("y", "ym", "e", "u", "m", "eps", "theta_norm"):
             assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), (structure, fld)
 
     # the two nominal state-feedback variants realize the same input
-    tr_x = mimo.run(_siso_scn(siso_bench, Structure.SF_XM).as_mimo(), adaptive=False,
+    tr_x = mimo.run(_siso_scn(siso_bench, Structure.SF_XM), adaptive=False,
                     horizon=400)
-    tr_y = mimo.run(_siso_scn(siso_bench, Structure.SF_YM).as_mimo(), adaptive=False,
+    tr_y = mimo.run(_siso_scn(siso_bench, Structure.SF_YM), adaptive=False,
                     horizon=400)
     assert np.max(np.abs(tr_x.u[200:] - tr_y.u[200:])) < 1e-6
 

@@ -177,19 +177,18 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
     b = benchmarks.siso_third_order()
     poles = Polynomial.from_roots([3.0, 0.5, -0.4]).coeffs
     plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), b["plant"].b, b["plant"].c, dt())
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=plant, refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"], lam_e=b["lam_e"],
         structure=Structure.SF_XM, sign_kp=b["sign_kp"], kp_bound=b["kp_bound"],
         um=b["um"], x0=np.ones(3))
-    mscn = scn.as_mimo()
-    nom = mimo.nominal_params(mscn)
+    nom = mimo.nominal_params(scn)
     theta0, psi0 = 0.5 * nom.theta_star, np.array([[0.7]])
-    tr = engine.run_closed_loop(mscn, horizon=2000, theta0=theta0, psi0=psi0,
-                                diagnose=mimo.diagnostics(mscn, nom, None))
+    tr = engine.run_closed_loop(scn, horizon=2000, theta0=theta0, psi0=psi0,
+                                diagnose=mimo.diagnostics(scn, nom, None))
     assert tr.guard_events and "diverged" in tr.guard_events[0]
     assert tr.n_samples % 16 != 0
-    gz, grho = mscn.gz, mscn.gamma[0, 0]
-    np.testing.assert_array_equal(gz, np.eye(scn.theta_dim) / scn.kp_bound)
+    gz, grho = scn.gz, scn.gamma[0, 0]
+    np.testing.assert_array_equal(gz, np.eye(scn.theta_dim) / b["kp_bound"])
     tstar, kp = nom.theta_star[:, 0], nom.kp[0, 0]
 
     def step_diag(loop, fr):
@@ -198,7 +197,7 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
         ident = abs(fr.eps[0] - (kp * tht @ fr.zeta + rhot * fr.xi[0]))
         return v, ident, np.linalg.norm(np.append(loop.theta, loop.psi))
 
-    want = _per_step_engine(mscn, None, 2000, theta0, psi0, step_diag)
+    want = _per_step_engine(scn, None, 2000, theta0, psi0, step_diag)
     assert want.shape[0] == tr.n_samples
     _close(tr.v, want[:, 0], 1e-14)
     _close(tr.theta_norm, want[:, 2], 1e-14)

@@ -148,12 +148,12 @@ def test_sf_nominal_m1_matches_siso(bench_dt):
     b = benchmarks.siso_third_order()
     ia = DiagonalInteractor([b["pm"]])
     k1m, k2m, kpm = mimo.sf_nominal(b["plant"], ia)
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=b["plant"], refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"],
         lam_e=b["lam_e"], structure=Structure.SF_XM, sign_kp=b["sign_kp"],
         kp_bound=b["kp_bound"], um=b["um"],
     )
-    nom = siso.nominal_params(scn)  # theta* = [k1; k2 alpha1; k2 alpha2]
+    nom = mimo.nominal_params(scn)  # theta* = [k1; k2 alpha1; k2 alpha2]
     assert np.array_equal(k1m[:, 0], nom.theta_star[:3, 0])
     assert kpm[0, 0] == nom.kp[0, 0]
 
@@ -317,10 +317,11 @@ def test_frame_biproper_error_filter_feedthrough(bench_dt):
                         np.zeros((2, 2)))
     _, _, e, _, fr = loop.measure(0)
     assert np.max(np.abs(e + ym0)) < 1e-15
-    # channel 2 filter d2/f is biproper with J = 1 (both monic, equal degree)
-    assert abs(fr.ebar[1] - e[1]) < 1e-15
+    # Psi = 0 makes eps the filtered error ebar.  Channel 2 filter d2/f is
+    # biproper with J = 1 (both monic, equal degree)
+    assert abs(fr.eps[1] - e[1]) < 1e-15
     # channel 1: d1/f strictly proper -> no feedthrough at zero state
-    assert fr.ebar[0] == 0.0
+    assert fr.eps[0] == 0.0
 
 
 # -- gradient updates (engine.gradient_rhs) ---------------------------------------------
@@ -329,8 +330,7 @@ def test_frame_biproper_error_filter_feedthrough(bench_dt):
 def test_gradient_step_zero_eps(bench_dt):
     scn = _scn(bench_dt)
     rng = np.random.default_rng(4)
-    fr = Frame(np.zeros(scn.theta_dim), rng.standard_normal(scn.theta_dim),
-               np.zeros(2), np.zeros(2), np.zeros(2), 2.0)
+    fr = Frame(rng.standard_normal(scn.theta_dim), np.zeros(2), np.zeros(2), 2.0)
     dtheta, dpsi = engine.gradient_rhs(np.eye(scn.theta_dim), scn.sp, np.eye(2),
                                        fr.zeta, fr.xi, fr.eps, fr.m2)
     assert np.all(dtheta == 0.0) and np.all(dpsi == 0.0)
@@ -463,13 +463,13 @@ def test_ct_gradient_certificate(bench_ct):
 # -- bit-for-bit single-channel reduction ----------------------------------------------
 
 
-def _siso_as_mimo_pair(structure):
+def _one_channel_pair(structure, **kw):
     b = benchmarks.siso_third_order()
-    sscn = siso.SisoScenario(
-        plant=b["plant"], refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"],
-        lam_e=b["lam_e"], structure=structure, sign_kp=b["sign_kp"],
-        kp_bound=b["kp_bound"], um=b["um"],
-    )
+    sscn = siso.scenario(**{
+        "plant": b["plant"], "refmodel": b["refmodel"], "pm": b["pm"], "lam": b["lam"],
+        "lam_e": b["lam_e"], "structure": structure, "sign_kp": b["sign_kp"],
+        "kp_bound": b["kp_bound"], "um": b["um"], **kw,
+    })
     mscn = mimo.MimoScenario(
         plant=b["plant"], refmodel=b["refmodel"],
         interactor=DiagonalInteractor([b["pm"]]), fpoly=b["pm"],
@@ -482,9 +482,8 @@ def _siso_as_mimo_pair(structure):
 @pytest.mark.parametrize("structure", [Structure.SF_XM, Structure.OF_XM,
                                        Structure.SF_YM, Structure.OF_YM])
 def test_m1_reduction_bit_for_bit(structure):
-    sscn, mscn = _siso_as_mimo_pair(structure)
-    gains = siso.SisoGains(gamma_theta=1.0, gamma_rho=1.0)
-    tr_s = mimo.run(sscn.as_mimo(gains), adaptive=True, horizon=2000)
+    sscn, mscn = _one_channel_pair(structure, gamma_theta=1.0, gamma_rho=1.0)
+    tr_s = mimo.run(sscn, adaptive=True, horizon=2000)
     tr_m = mimo.run(mscn, adaptive=True, horizon=2000)
     for fld in ("y", "ym", "e", "u", "m", "eps", "theta_norm"):
         assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), fld
@@ -527,7 +526,7 @@ def test_output_feedback_matching_needs_nu_at_the_observability_index(bench_dt):
 
 def test_one_channel_gain_prior_bounds_kp_times_gz():
     # siso-3rd has kp = 1.5: the discrete-time law needs |kp| lambda_max(gz) < 2
-    sscn, mscn = _siso_as_mimo_pair(Structure.SF_XM)
+    _, mscn = _one_channel_pair(Structure.SF_XM)
     nom = mimo.nominal_params(mscn)
     q = mscn.theta_dim
 
@@ -540,10 +539,10 @@ def test_one_channel_gain_prior_bounds_kp_times_gz():
         run(mscn, 1.34)  # 2.01
     # a kp_bound below |kp| lets gamma_theta = 1/kp_bound pass the siso check; the
     # test-mode prior check catches it, since 1.5 / 0.7 > 2
-    low = dataclasses.replace(sscn, kp_bound=0.7)
-    assert mimo.run(low.as_mimo(), horizon=5).n_samples == 5  # blind: Kp is unknown
+    low, _ = _one_channel_pair(Structure.SF_XM, kp_bound=0.7)
+    assert mimo.run(low, horizon=5).n_samples == 5  # blind: Kp is unknown
     with pytest.raises(GainBoundViolation, match="below 2I"):
-        mimo.run(low.as_mimo(), horizon=5, nominal=siso.nominal_params(low),
+        mimo.run(low, horizon=5, nominal=mimo.nominal_params(low),
                  with_certificate=True)
 
 

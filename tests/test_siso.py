@@ -3,8 +3,8 @@ import pytest
 
 from adaptrack import engine, mimo, siso
 from adaptrack.engine import Structure
-from adaptrack.errors import GainBoundViolation, SingularMatchingSystem
-from adaptrack.linsys import Polynomial, StateSpace, dt, markov_params
+from adaptrack.errors import GainBoundViolation, SingularMatchingSystem, ValidationError
+from adaptrack.linsys import Polynomial, StateSpace, ct, dt, markov_params
 from adaptrack.signals import multisine
 from adaptrack import benchmarks
 
@@ -23,12 +23,12 @@ def _scenario(bench, structure, **kw):
         sign_kp=bench["sign_kp"], kp_bound=bench["kp_bound"], um=bench["um"],
     )
     args.update(kw)
-    return siso.SisoScenario(**args)
+    return siso.scenario(**args)
 
 
 def _sf_gains(scn):
     """(k1, k2, kp) of the matching state feedback, read off mimo's theta* of the scenario."""
-    nom = mimo.nominal_params(scn.as_mimo())
+    nom = mimo.nominal_params(scn)
     kp = float(nom.kp[0, 0])
     return nom.theta_star[: scn.n, 0], 1.0 / kp, kp
 
@@ -39,7 +39,7 @@ def _sf_gains(scn):
 def test_nominal_sf_scalar_example():
     plant = StateSpace([[0.5]], [1.0], [2.0], dt())
     ref = StateSpace([[0.3]], [1.0], [1.0], dt())
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=plant, refmodel=ref, pm=Polynomial([0.4, 1.0]),
         lam=Polynomial([1.0]), lam_e=Polynomial([1.0]),
         structure=Structure.SF_XM, sign_kp=1.0, kp_bound=2.5, um=multisine(1),
@@ -60,7 +60,7 @@ def test_nominal_sf_plant_already_matching():
     a[-1] = -charp.coeffs[:3]
     plant = StateSpace(a, [0, 0, 1], [-0.3, 1.0, 0.0], dt())
     ref = StateSpace(a.copy(), [0, 0, 1], [-0.3, 1.0, 0.0], dt())
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=plant, refmodel=ref, pm=pm,
         lam=Polynomial.from_roots([0.15, 0.25]), lam_e=Polynomial.from_roots([0.2, 0.3]),
         structure=Structure.SF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
@@ -78,7 +78,7 @@ def test_nominal_sf_closed_loop_markov_matches_inverse_pm(bench):
     acl = scn.plant.a + np.outer(scn.plant.b[:, 0], k1)
     closed = StateSpace(acl, scn.plant.b * k2, scn.plant.c, dt())
     got = np.array([m[0, 0] for m in markov_params(closed, 2 * n)])
-    want = oc.inverse_poly_impulse(scn.pm.coeffs, 2 * n)
+    want = oc.inverse_poly_impulse(scn.fpoly.coeffs, 2 * n)
     assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -88,12 +88,12 @@ def test_nominal_sf_closed_loop_markov_matches_inverse_pm(bench):
 def test_nominal_of_first_order_reduction():
     plant = StateSpace([[0.5]], [1.0], [2.0], dt())
     ref = StateSpace([[0.3]], [1.0], [1.0], dt())
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=plant, refmodel=ref, pm=Polynomial([0.4, 1.0]),
         lam=Polynomial([1.0]), lam_e=Polynomial([1.0]),
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=2.5, um=multisine(1),
     )
-    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), scn.n)
+    th1, th2, th20, th3 = oc.of_gains(mimo.nominal_params(scn), scn.n)
     assert th1.size == 0 and th2.size == 0
     assert abs(th3 - 0.5) < 1e-14  # 1/kp
     assert abs(th20 - (-(0.5 + 0.4) / 2.0)) < 1e-12  # -(a + p0)/kp
@@ -106,19 +106,19 @@ def test_nominal_of_identity_matching():
     a[0, 1] = 1.0
     a[1] = -pm.coeffs[:2]
     plant = StateSpace(a, [0, 1], [1.0, 0.0], dt())
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=plant, refmodel=plant, pm=pm,
         lam=Polynomial.from_roots([0.3]), lam_e=Polynomial.from_roots([0.3]),
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
     )
-    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), scn.n)
+    th1, th2, th20, th3 = oc.of_gains(mimo.nominal_params(scn), scn.n)
     assert abs(th3 - 1.0) < 1e-12
     assert np.max(np.abs(np.concatenate([th1, th2, [th20]]))) < 1e-10
 
 
 def test_nominal_of_polynomial_identity_residual(bench):
     scn = _scenario(bench, Structure.OF_XM)
-    th1, th2, th20, th3 = oc.of_gains(siso.nominal_params(scn), scn.n)
+    th1, th2, th20, th3 = oc.of_gains(mimo.nominal_params(scn), scn.n)
     a, b, c = scn.plant.a, scn.plant.b[:, 0], scn.plant.c[0]
     n = scn.n
     # the plant transfer kp Z / P at points off its poles: P(z) = det(zI - A) and
@@ -134,7 +134,7 @@ def test_nominal_of_polynomial_identity_residual(bench):
         ]
     )
     rhs = np.array(
-        [scn.lam(z) * (pp(z) - th3 * kzp(z) * scn.pm(z)) for z in pts]
+        [scn.lam(z) * (pp(z) - th3 * kzp(z) * scn.fpoly(z)) for z in pts]
     )
     scale = max(1.0, np.max(np.abs(rhs)))
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
@@ -148,13 +148,13 @@ def test_nominal_of_non_coprime_raises():
     a[-1] = -pp.coeffs[:3]
     plant = StateSpace(a, [0, 0, 1], [Polynomial.from_roots([0.5]).coeffs[0], 1.0, 0.0], dt())
     # c realizes numerator (z - 0.5): cancels the plant pole at 0.5
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=plant, refmodel=plant, pm=Polynomial.from_roots([0.1, 0.2]),
         lam=Polynomial.from_roots([0.15, 0.25]), lam_e=Polynomial.from_roots([0.2, 0.3]),
         structure=Structure.OF_XM, sign_kp=1.0, kp_bound=1.5, um=multisine(1),
     )
     with pytest.raises(SingularMatchingSystem):
-        siso.nominal_params(scn)
+        mimo.nominal_params(scn)
 
 
 # -- regressor ------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_regressor_sf_xm_layout():
 
 def _frozen_loop(scn, theta, rho=1.0, horizon=1):
     """The engine loop of the one-channel scenario with frozen parameters (no update law)."""
-    return engine.ClosedLoop(scn.as_mimo(), None, horizon, theta0=np.reshape(theta, (-1, 1)),
+    return engine.ClosedLoop(scn, None, horizon, theta0=np.reshape(theta, (-1, 1)),
                              psi0=np.array([[rho]]))
 
 
@@ -217,15 +217,15 @@ def test_frame_m_formula(bench):
 
 
 def test_frame_m_direct_values():
-    fr = engine.Frame(omega=np.zeros(3), zeta=np.array([1.0, 1.0, 1.0]), xi=np.zeros(1),
-                      ebar=np.zeros(1), eps=np.zeros(1), m=float(np.sqrt(1 + 3)))
+    fr = engine.Frame(zeta=np.array([1.0, 1.0, 1.0]), xi=np.zeros(1), eps=np.zeros(1),
+                      m=float(np.sqrt(1 + 3)))
     assert fr.m == 2.0 and fr.m2 == 4.0
 
 
 def test_frame_frozen_theta_swap_term_decays(bench):
     scn = _scenario(bench, Structure.SF_XM, x0=np.ones(3))
     rng = np.random.default_rng(2)
-    theta = siso.nominal_params(scn).theta_star[:, 0] * (
+    theta = mimo.nominal_params(scn).theta_star[:, 0] * (
         1.0 + 0.1 * rng.standard_normal(scn.theta_dim))
     loop = _frozen_loop(scn, theta, horizon=100)
     for k in range(100):
@@ -252,7 +252,7 @@ def test_gradient_step_scalar_example():
 
 def test_gain_bounds_enforced(bench):
     def one_channel(**gains):  # siso-3rd has kp_bound = 1.8
-        return _scenario(bench, Structure.SF_XM).as_mimo(siso.SisoGains(**gains))
+        return _scenario(bench, Structure.SF_XM, **gains)
 
     one_channel(gamma_theta=0.5)
     with pytest.raises(GainBoundViolation):
@@ -265,13 +265,24 @@ def test_gain_bounds_enforced(bench):
         one_channel(gamma_theta=np.diag([-0.3] + [0.5] * 6))  # indefinite
 
 
+@pytest.mark.parametrize("case", ["two_outputs", "continuous_time"])
+def test_refmodel_checked_by_the_one_channel_build(bench, case):
+    # MimoScenario checks the reference model's I/O width and domain for siso too
+    ref = bench["refmodel"]
+    bad = (StateSpace(ref.a, ref.b, np.vstack([ref.c, ref.c]), ref.domain)
+           if case == "two_outputs" else StateSpace(-np.eye(3), ref.b, ref.c, ct()))
+    with pytest.raises(ValidationError) as exc:
+        _scenario(bench, Structure.SF_XM, refmodel=bad)
+    assert exc.value.field == "refmodel"
+
+
 # -- closed-loop runs --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("structure", list(Structure))
 def test_nominal_zero_ic_exact_tracking(bench, structure):
     scn = _scenario(bench, structure)
-    tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=200)
+    tr = mimo.run(scn, adaptive=False, horizon=200)
     assert np.max(np.abs(tr.e)) < 1e-12
 
 
@@ -280,15 +291,15 @@ def test_nominal_random_ic_decay(bench, structure):
     rng = np.random.default_rng(5)
     scn = _scenario(bench, structure,
                     x0=rng.standard_normal(3), xm0=rng.standard_normal(3))
-    tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=400)
+    tr = mimo.run(scn, adaptive=False, horizon=400)
     assert np.max(np.abs(tr.e[200:])) < 1e-6
     assert np.max(np.abs(tr.e[:5])) > 1e-3  # the transient was actually there
 
 
 def test_adaptive_near_start_tracks(bench):
     scn = _scenario(bench, Structure.SF_XM)
-    nom = siso.nominal_params(scn)
-    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
+    nom = mimo.nominal_params(scn)
+    tr = mimo.run(scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     tail = tr.e[-500:]
     assert float(np.sqrt(np.mean(tail**2))) < 1e-3
@@ -297,8 +308,8 @@ def test_adaptive_near_start_tracks(bench):
 
 def test_adaptive_lyapunov_monotone(bench):
     scn = _scenario(bench, Structure.OF_XM)
-    nom = siso.nominal_params(scn)
-    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=2000, theta0=0.9 * nom.theta_star,
+    nom = mimo.nominal_params(scn)
+    tr = mimo.run(scn, adaptive=True, horizon=2000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     assert np.max(np.diff(tr.v)) <= 1e-12
     assert np.max(tr.extra["ident_resid"]) < 1e-8
@@ -306,8 +317,8 @@ def test_adaptive_lyapunov_monotone(bench):
 
 def test_adaptive_l2_properties(bench):
     scn = _scenario(bench, Structure.SF_XM)
-    nom = siso.nominal_params(scn)
-    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
+    nom = mimo.nominal_params(scn)
+    tr = mimo.run(scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     l2e = tr.extra["l2_eps_cum"]
     l2d = tr.extra["l2_dtheta_cum"]
@@ -320,8 +331,8 @@ def test_sf_structures_agree_after_transients(bench):
     # both nominal state-feedback variants realize u = k1'x + k2 r
     scn_x = _scenario(bench, Structure.SF_XM)
     scn_y = _scenario(bench, Structure.SF_YM)
-    tr_x = mimo.run(scn_x.as_mimo(), adaptive=False, horizon=400)
-    tr_y = mimo.run(scn_y.as_mimo(), adaptive=False, horizon=400)
+    tr_x = mimo.run(scn_x, adaptive=False, horizon=400)
+    tr_y = mimo.run(scn_y, adaptive=False, horizon=400)
     assert np.max(np.abs(tr_x.u[200:] - tr_y.u[200:])) < 1e-6
 
 
@@ -329,11 +340,10 @@ def test_run_engine_matches_public_ops(bench):
     # independent plain-numpy rebuild of the SF_XM adaptive run: plant and
     # reference recursions, the 1/Pm filters of omega and of theta^T omega,
     # and the normalized-gradient update of (theta, rho)
-    scn = _scenario(bench, Structure.SF_XM)
-    gains = siso.SisoGains(gamma_theta=0.5, gamma_rho=1.0)
-    tr = mimo.run(scn.as_mimo(gains), adaptive=True, horizon=300)
+    scn = _scenario(bench, Structure.SF_XM, gamma_theta=0.5, gamma_rho=1.0)
+    tr = mimo.run(scn, adaptive=True, horizon=300)
 
-    q, pm = scn.theta_dim, scn.pm.coeffs
+    q, pm = scn.theta_dim, scn.fpoly.coeffs
     k = pm.size - 1
     comp = np.eye(k, k, 1)  # controllable canonical 1/Pm: output is the first state
     comp[-1] = -pm[:k]
@@ -360,7 +370,7 @@ def test_run_engine_matches_public_ops(bench):
         zeta_st[-1] += omega
         eta_st = comp @ eta_st
         eta_st[-1] += u
-        theta = theta - 0.5 * zeta * (scn.sign_kp * eps) / m2
+        theta = theta - 0.5 * zeta * (scn.sp[0, 0] * eps) / m2
         rho = rho - 1.0 * xi * eps / m2
         x = scn.plant.a @ x + scn.plant.b[:, 0] * u
         xm = scn.refmodel.a @ xm + scn.refmodel.b[:, 0] * float(umt[0])
@@ -368,15 +378,15 @@ def test_run_engine_matches_public_ops(bench):
 
 def test_scalar_benchmark_end_to_end():
     b = benchmarks.siso_first_order()
-    scn = siso.SisoScenario(
+    scn = siso.scenario(
         plant=b["plant"], refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"],
         lam_e=b["lam_e"], structure=Structure.OF_YM, sign_kp=b["sign_kp"],
         kp_bound=b["kp_bound"], um=b["um"],
     )
-    nom = siso.nominal_params(scn)
-    tr = mimo.run(scn.as_mimo(), adaptive=False, horizon=100, nominal=nom)
+    nom = mimo.nominal_params(scn)
+    tr = mimo.run(scn, adaptive=False, horizon=100, nominal=nom)
     assert np.max(np.abs(tr.e)) < 1e-12
-    tr = mimo.run(scn.as_mimo(), adaptive=True, horizon=3000, theta0=0.9 * nom.theta_star,
+    tr = mimo.run(scn, adaptive=True, horizon=3000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
     assert float(np.sqrt(np.mean(tr.e[-300:] ** 2))) < 1e-3
     assert np.max(np.diff(tr.v)) <= 1e-12
@@ -388,10 +398,8 @@ def test_run_stops_at_nonfinite_l2_sum(bench):
     poles = Polynomial.from_roots([3.0, 0.5, -0.4]).coeffs
     plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), bench["plant"].b,
                        bench["plant"].c, dt())
-    scn = _scenario(bench, Structure.SF_XM, plant=plant)
-    mscn = scn.as_mimo()
-    mscn.x0 = np.ones(3)
-    tr = engine.run_closed_loop(mscn, horizon=1000, theta0=np.zeros((scn.theta_dim, 1)),
+    scn = _scenario(bench, Structure.SF_XM, plant=plant, x0=np.ones(3))
+    tr = engine.run_closed_loop(scn, horizon=1000, theta0=np.zeros((scn.theta_dim, 1)),
                                 psi0=np.ones((1, 1)),
                                 diagnose=lambda th, ps, fr, e: {"one": 1.0})
     assert 0 < tr.n_samples < 1000

@@ -112,7 +112,7 @@ _ENGINE = [("mimo-ct-2x2", "gradient"), ("mimo-ct-2x2", "nominal"), ("mimo-rd1-c
 
 def _measured(out):
     y, ym, e, u, fr = out
-    return [y, ym, e, u, fr.omega, fr.zeta, fr.xi, fr.ebar, fr.eps, np.array(fr.m)]
+    return [y, ym, e, u, fr.zeta, fr.xi, fr.eps, np.array(fr.m)]
 
 
 @pytest.mark.parametrize("bench,design", _ENGINE)
