@@ -12,7 +12,6 @@ persistence), `benchmarks` (ready systems).
 from .engine import SimTrace, Structure
 from .errors import (
     AdaptrackError,
-    DomainMismatch,
     GainBoundViolation,
     NotHurwitz,
     ParseError,
@@ -44,9 +43,8 @@ from .signals import Channel, RefInput, Sinusoid, multisine
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptrackError", "Channel", "DiagonalInteractor", "Domain", "DomainMismatch",
-    "FilterBank", "GainBoundViolation", "NotHurwitz",
-    "ParseError", "Polynomial", "RationalFilter", "RefInput",
+    "AdaptrackError", "Channel", "DiagonalInteractor", "Domain", "FilterBank",
+    "GainBoundViolation", "NotHurwitz", "ParseError", "Polynomial", "RationalFilter", "RefInput",
     "RelativeDegreeViolation", "SimTrace", "SingularKp", "SingularMatchingSystem",
     "SingularityGuard", "Sinusoid", "StateSpace", "Structure", "TimeDomain",
     "UnobservablePair", "ValidationError", "ct", "dt", "lyapunov_solve_ct",

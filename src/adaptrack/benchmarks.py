@@ -1,6 +1,9 @@
 """Named benchmark systems, each with its known-gain prior verified at build time.
 
-Each builder returns a dict of ready components.  Anything derived from the
+Each builder returns a dict of ready components.  A linear benchmark's dict
+holds only keyword arguments of its model builder, siso.scenario or
+mimo.MimoScenario: `mimo.MimoScenario(**build(name), structure=s)` builds
+its model.  REGISTRY names each benchmark's module.  Anything derived from the
 true plant or reference parameters (matching gains, certificates) is exposed
 only through the test-mode oracle helpers of the design modules; the
 controller path consumes the returned priors (sign/bound of the high
@@ -36,7 +39,6 @@ def siso_third_order():
     # filter roots spread away from the target poles: keeps the closed-loop
     # regressor spectrum well conditioned, which sets the adaptation rate
     return {
-        "kind": "siso",
         "plant": plant,
         "refmodel": refmodel,
         "pm": Polynomial.from_roots([0.1, 0.2]),
@@ -57,7 +59,6 @@ def siso_first_order():
     plant = StateSpace([[0.5]], [1.0], [2.0], dt())
     refmodel = StateSpace([[0.3]], [1.0], [1.0], dt())
     return {
-        "kind": "siso",
         "plant": plant,
         "refmodel": refmodel,
         "pm": Polynomial.from_roots([0.4]),
@@ -102,7 +103,6 @@ def mimo_dt_2x2():
         [Polynomial.from_roots([0.2]), Polynomial.from_roots([0.15, 0.25])]
     )
     d = {
-        "kind": "mimo",
         "plant": plant,
         "refmodel": refmodel,
         "interactor": ia,
@@ -130,7 +130,6 @@ def mimo_ct_2x2():
         [Polynomial.from_roots([-1.0]), Polynomial.from_roots([-1.0, -1.5])]
     )
     d = {
-        "kind": "mimo",
         "plant": plant,
         "refmodel": refmodel,
         "interactor": ia,
@@ -157,7 +156,6 @@ def mimo_rd1_ct():
     refmodel = StateSpace(am, bm, c.copy(), dom)
     ia = DiagonalInteractor([Polynomial([1.0, 1.0]), Polynomial([1.5, 1.0])])
     d = {
-        "kind": "mimo",
         "plant": plant,
         "refmodel": refmodel,
         "interactor": ia,
@@ -168,7 +166,7 @@ def mimo_rd1_ct():
         "lam": Polynomial.from_roots([-1.0]),
         "lam_e": Polynomial.from_roots([-1.0]),
         "nbe": 1,
-        "q_matrix": 2.0 * np.eye(2),
+        "q": 2.0 * np.eye(2),
     }
     d = _check_mimo(d)
     _, kp = mimo.interactor_row_gains(plant, ia)
@@ -180,7 +178,6 @@ def fl_pair():
     """The two-output feedback-linearizable follower/leader pair."""
     plant, leader, interactor = feedback_lin.benchmark()
     return {
-        "kind": "fl",
         "plant": plant,
         "leader": leader,
         "interactor": interactor,

@@ -17,10 +17,6 @@ class SingularMatchingSystem(AdaptrackError):
     """No output-feedback matching gains: a non-minimal plant, or nu too small."""
 
 
-class DomainMismatch(AdaptrackError):
-    """Operation not defined for the time domain of its arguments."""
-
-
 class SingularityGuard(AdaptrackError):
     """Estimated input-gain matrix fell below the invertibility guard."""
 

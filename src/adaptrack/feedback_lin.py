@@ -38,7 +38,6 @@ class FLPlant:
 
     n: int
     m: int
-    rho: tuple
     theta_star: np.ndarray
     at: object  # x -> (y (m,), omega1 (q1,), W (q2, m), omega3 (q3,), F (n, l), G (n, m))
     dims: tuple  # (q1, q2, q3)
@@ -411,7 +410,7 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
                 v[22:].reshape(3, 2))
 
     plant = FLPlant(
-        n=3, m=2, rho=(1, 2),
+        n=3, m=2,
         theta_star=np.array(theta_star, dtype=float),
         at=plant_at, dims=(3, 3, 2),
     )

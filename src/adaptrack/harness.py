@@ -52,14 +52,14 @@ _REQUIRED = {
 # kp_bound its bound on |kp|
 _ATTR_FIELDS = {"lam": "lambda", "lam_e": "lambda_e", "fpoly": "f", "gz": "gains.gamma_theta"}
 _MODEL_FIELDS = {
-    "mimo": {**_ATTR_FIELDS, "gamma": "gains.gamma", "sp": "gains.sp", "kp": "gains.sp"},
+    "mimo": {**_ATTR_FIELDS, "gamma": "gains.gamma", "sp": "gains.sp", "kp": "gains.sp",
+             "q": "gains.q"},
     "siso": {**_ATTR_FIELDS, "interactor[0]": "pm", "fpoly": "pm", "gamma": "gains.gamma_rho",
              "sp": "sign_kp", "kp": "kp_bound"},
 }
 _TOP_FIELDS = set().union(*(top for top, _ in _FIELDS.values()))
 _GAIN_FIELDS = set().union(*(gains for _, gains in _FIELDS.values()))
 _MODES = {"nominal", "adaptive"}
-_DESIGNS = {"gradient", "rd1"}
 
 
 @dataclass
@@ -76,7 +76,6 @@ class Scenario:
     module: str
     mode: str
     structure: Structure
-    design: str
     test_mode: bool
     horizon: int
     seed: int
@@ -84,7 +83,6 @@ class Scenario:
     theta0: object
     tail_fraction: float
     converge_tol: float
-    q_matrix: np.ndarray = None  # the rd1 law's Q
     guard: float = 1e-6  # the fl controller's singularity guard
     benchmark: str = None
 
@@ -190,24 +188,6 @@ def _init_vec(spec, fld, dim, rng, scale=0.5):
     return _array(spec, fld, (dim,))
 
 
-def _build(module, structure, comps, gains, x0, xm0):
-    """The MimoScenario of a linear module; its checks raise against model attributes."""
-    if module == "siso":
-        return siso.scenario(
-            plant=comps["plant"], refmodel=comps["refmodel"], pm=comps["pm"],
-            lam=comps["lam"], lam_e=comps["lam_e"], structure=structure,
-            sign_kp=comps["sign_kp"], kp_bound=comps["kp_bound"], um=comps["um"],
-            x0=x0, xm0=xm0, gamma_theta=gains.get("gamma_theta"),
-            gamma_rho=gains.get("gamma_rho", 1.0),
-        )
-    return mimo.MimoScenario(
-        plant=comps["plant"], refmodel=comps["refmodel"], interactor=comps["interactor"],
-        fpoly=comps["fpoly"], sp=comps["sp"], structure=structure, nu=comps.get("nu"),
-        lam=comps.get("lam"), lam_e=comps.get("lam_e"), nbe=comps.get("nbe"),
-        gamma=comps.get("gamma"), um=comps["um"], x0=x0, xm0=xm0,
-    )
-
-
 def scenario_from_dict(data, name=None):
     """Validate a scenario dict and build its run object (Scenario.model)."""
     if not isinstance(data, dict):
@@ -224,10 +204,9 @@ def scenario_from_dict(data, name=None):
     _check_keys(data, _FIELDS[module][0], "", unread)
     mode = data.get("mode", "adaptive")
     _require(mode in _MODES, "mode", f"must be one of {sorted(_MODES)}")
-    design = data.get("design", "gradient")
-    _require(design in _DESIGNS, "design", f"must be one of {sorted(_DESIGNS)}")
+    design = data.get("design", "gradient")  # mimo's model checks its value
     _require(design == "gradient" or module == "mimo", "design",
-             "rd1 is a multivariable design: use module mimo")
+             f"the {module} module runs the gradient design only")
     test_mode = data.get("test_mode", False)
     _require(isinstance(test_mode, bool), "test_mode", "must be true or false")
     _require(mode != "nominal" or test_mode, "mode",
@@ -248,8 +227,8 @@ def scenario_from_dict(data, name=None):
             comps = benchmarks.build(bench_name)
         except KeyError as exc:
             raise ValidationError("benchmark", str(exc)) from exc
-        _require(comps["kind"] == module, "module",
-                 f"benchmark {bench_name!r} is a {comps['kind']} benchmark")
+        kind = benchmarks.REGISTRY[bench_name][1]
+        _require(kind == module, "module", f"benchmark {bench_name!r} is a {kind} benchmark")
     elif module == "fl":
         raise ValidationError("benchmark", "fl scenarios must reference a benchmark")
 
@@ -270,7 +249,6 @@ def scenario_from_dict(data, name=None):
             _require("refmodel" in data, "refmodel", "missing")
             comps["plant"] = _statespace(data["plant"], "plant", domain)
             comps["refmodel"] = _statespace(data["refmodel"], "refmodel", domain)
-            comps["kind"] = module
         else:
             for key in ("plant", "refmodel"):
                 _require(key not in data, key, f"benchmark {bench_name!r} supplies it")
@@ -305,30 +283,21 @@ def scenario_from_dict(data, name=None):
         _require(key in comps or structure not in structures, fld,
                  f"missing: the {module} {structure.value} loop reads it")
 
-    if design == "rd1":
-        _require(not comps["plant"].domain.is_dt, "design", "rd1 needs a continuous-time plant")
-        _require(all(d.degree == 1 for d in comps["interactor"].rows), "design",
-                 "rd1 needs first-order interactor rows")
-
     if module == "fl" or not comps["plant"].domain.is_dt:
         _check_rk4_step(comps, comps["step"] if module == "fl" else comps["plant"].domain.step)
 
     gains = _conv(dict, data.get("gains", {}), "gains")
     _check_keys(gains, _GAIN_FIELDS, "gains.")
     _check_keys(gains, _FIELDS[module][1], "gains.", unread)
-    guard, q_matrix = 1e-6, None
+    guard = 1e-6
     if module == "fl":
         if "guard" in gains:
             guard = _conv(float, gains["guard"], "gains.guard")
             _require(guard > 0, "gains.guard", "must be positive")
     else:
-        gains = {key: _array(g, f"gains.{key}") for key, g in gains.items()}
-        if module == "mimo":
-            comps.update({key: gains[key] for key in ("sp", "gamma") if key in gains})
-            _require("sp" in comps, "gains.sp", "missing known gain matrix")
-            m = comps["plant"].n_outputs
-            q_matrix = (_array(gains["q"], "gains.q", (m, m)) if "q" in gains
-                        else comps.get("q_matrix"))
+        # the gains are model arguments too, checked where the model is built
+        comps.update({key: _array(g, f"gains.{key}") for key, g in gains.items()})
+        _require(module == "siso" or "sp" in comps, "gains.sp", "missing known gain matrix")
 
     # the start state, drawn from the seed: x0 first, then xm0 (rejected for fl)
     rng = np.random.default_rng(seed)
@@ -342,7 +311,11 @@ def scenario_from_dict(data, name=None):
     else:
         xm0 = _init_vec(data.get("xm0", "zero"), "xm0", comps["refmodel"].n, rng)
         try:
-            model = _build(module, structure, comps, gains, x0, xm0)
+            if module == "siso":
+                model = siso.scenario(**comps, structure=structure, x0=x0, xm0=xm0)
+            else:
+                model = mimo.MimoScenario(**comps, structure=structure, design=design,
+                                          x0=x0, xm0=xm0)
             # the prior check of the run, for exactly the runs that make it
             if (test_mode and mode == "adaptive" and design == "gradient"
                     and mimo.has_matching(structure, model.plant, model.nu)):
@@ -368,9 +341,9 @@ def scenario_from_dict(data, name=None):
 
     return Scenario(
         name=name, module=module, mode=mode, structure=structure,
-        design=design, test_mode=test_mode, horizon=horizon, seed=seed,
-        model=model, theta0=theta0, tail_fraction=tail_fraction,
-        converge_tol=converge_tol, q_matrix=q_matrix, guard=guard, benchmark=bench_name,
+        test_mode=test_mode, horizon=horizon, seed=seed, model=model, theta0=theta0,
+        tail_fraction=tail_fraction, converge_tol=converge_tol, guard=guard,
+        benchmark=bench_name,
     )
 
 
@@ -474,9 +447,9 @@ def run_experiment(scenario):
     oracle = scenario.test_mode and mimo.has_matching(scn.structure, scn.plant, scn.nu)
     nominal = mimo.nominal_params(scn) if oracle else None
     trace = mimo.run(
-        scn, design=scenario.design, adaptive=adaptive, horizon=scenario.horizon,
+        scn, adaptive=adaptive, horizon=scenario.horizon,
         theta0=_theta0(scenario.theta0, nominal and nominal.theta_star),
-        q_matrix=scenario.q_matrix, nominal=nominal, with_certificate=oracle and adaptive,
+        nominal=nominal, with_certificate=oracle and adaptive,
     )
     return trace, compute_metrics(scenario, trace)
 

@@ -24,7 +24,6 @@ import numpy as np
 from . import engine
 from .engine import GradientLaw, Rd1Law, Structure, check_gain, regressor_dim
 from .errors import (
-    DomainMismatch,
     GainBoundViolation,
     RelativeDegreeViolation,
     SingularKp,
@@ -110,7 +109,10 @@ class MimoScenario:
     """A square multivariable tracking problem in either time domain.
 
     Everything engine.ClosedLoop reads for one run; `reference` is the
-    scenario's ReferenceBlock, built once here.  The build checks the
+    scenario's ReferenceBlock and `law` its update law, both built once here.
+    `design` picks the law: "gradient", the normalized-gradient law of
+    either domain, or "rd1", the continuous-time Lyapunov law for
+    first-order interactor rows with the gain `q`.  The build checks the
     design assumptions it holds, the plant assumptions among them; a
     failure raises ValidationError naming the attribute.
     """
@@ -127,6 +129,8 @@ class MimoScenario:
     nbe: int = None  # reference-signal bank blocks
     gamma: np.ndarray = None  # Psi gain, below 2I in discrete time; default I
     gz: np.ndarray = None  # zeta-side gain; default I
+    design: str = "gradient"
+    q: np.ndarray = None  # the rd1 law's Q, positive definite symmetric part; default I
     # input of the reference system: t -> (m,); the loops call it on an array
     # of times and read the channels along a new leading axis, (m, *t.shape),
     # as RefInput gives them
@@ -140,8 +144,10 @@ class MimoScenario:
             raise ValidationError("plant", "must be square")
         if self.refmodel.n_outputs != m or self.refmodel.n_inputs != m:
             raise ValidationError("refmodel", "I/O width must match the plant")
-        if dom.tag != self.refmodel.domain.tag:
-            raise ValidationError("refmodel", "domain differs from the plant's")
+        if dom != self.refmodel.domain:  # the tag and the step: one clock for both blocks
+            rdom = self.refmodel.domain
+            raise ValidationError("refmodel", f"domain {rdom.tag.value} at step {rdom.step:g} "
+                                  f"differs from the plant's {dom.tag.value} at {dom.step:g}")
         if self.interactor.m != m:
             raise ValidationError("interactor", "size must match the output width")
         self.interactor.validate_stable(dom.tag)
@@ -178,6 +184,18 @@ class MimoScenario:
                 raise ValidationError("nbe", "exceeds what lam_e can realize properly")
         self.gamma = _gain("gamma", self.gamma, m, 2.0 if dom.is_dt else None)
         self.gz = _gain("gz", self.gz, self.theta_dim)
+        self.q = _gain("q", self.q, m)
+        if self.design == "gradient":
+            self.law = GradientLaw(gz=self.gz, sp=self.sp, gpsi=self.gamma)
+        elif self.design == "rd1":
+            if dom.is_dt:
+                raise ValidationError("design", "rd1 needs a continuous-time plant")
+            if any(d.degree != 1 for d in self.interactor.rows):
+                raise ValidationError("design", "rd1 needs first-order interactor rows")
+            p0 = np.diag([d.coeffs[0] for d in self.interactor.rows])
+            self.law = Rd1Law(s=self.sp, p=lyapunov_solve_ct(-p0, self.q), q=self.q)
+        else:
+            raise ValidationError("design", "must be gradient or rd1")
         # exogenous, so built with the scenario, ahead of any stepping loop
         self.reference = ReferenceBlock(self.refmodel, *((self.lam_e, self.nbe) if ym else ()))
 
@@ -264,14 +282,6 @@ def nominal_params(scenario):
     return MimoNominal(kp=kp, theta_star=theta)
 
 
-def rd1_law(interactor, s, q=None):
-    """Build the relative-degree-one law from the stable first-order interactor diag{D + a_i}."""
-    p0 = np.diag([d.coeffs[0] for d in interactor.rows])
-    q = np.eye(interactor.m) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
-    p = lyapunov_solve_ct(-p0, q)
-    return Rd1Law(s=np.atleast_2d(np.asarray(s, dtype=float)), p=p, q=q)
-
-
 def verify_gain_prior(kp, sp, domain, gz=None):
     """Check the known-gain assumption of the basic law against the true Kp.
 
@@ -330,25 +340,14 @@ def diagnostics(scenario, nominal, law):
     return gradient
 
 
-def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
-        psi0=None, q_matrix=None, nominal=None, with_certificate=False):
-    """Simulate the scenario; returns a SimTrace.
+def run(scenario, adaptive=True, horizon=2000, theta0=None, psi0=None, nominal=None,
+        with_certificate=False):
+    """Simulate the scenario with its update law; returns a SimTrace.
 
-    design="gradient" is the basic normalized-gradient law in either domain;
-    design="rd1" is the continuous-time Lyapunov law (state feedback,
-    first-order interactor rows).  Nominal mode and certificates require the
-    matching parameters (has_matching).
+    The rd1 law holds Psi at zero.  Nominal mode and certificates require
+    the matching parameters (has_matching).
     """
-    m, q = scenario.m, scenario.theta_dim
-    dom = scenario.plant.domain
-    if design == "rd1":
-        if dom.is_dt:
-            raise DomainMismatch("the relative-degree-one design is continuous-time")
-        law = rd1_law(scenario.interactor, scenario.sp, q_matrix)
-    elif design == "gradient":
-        law = GradientLaw(gz=scenario.gz, sp=scenario.sp, gpsi=scenario.gamma)
-    else:
-        raise ValueError(f"unknown design {design!r}")
+    m, q, law = scenario.m, scenario.theta_dim, scenario.law
     if nominal is None and (with_certificate or not adaptive):
         nominal = nominal_params(scenario)
     diagnose = diagnostics(scenario, nominal, law) if with_certificate else None
@@ -357,7 +356,7 @@ def run(scenario, design="gradient", adaptive=True, horizon=2000, theta0=None,
     else:
         th0 = np.zeros((q, m)) if theta0 is None else np.asarray(theta0, dtype=float)
         ps0 = scenario.sp.T.copy() if psi0 is None else np.asarray(psi0, dtype=float)
-        if design == "rd1":
+        if scenario.design == "rd1":
             ps0 = np.zeros((m, m))
     return engine.run_closed_loop(scenario, law=law, horizon=horizon, theta0=th0, psi0=ps0,
                                   diagnose=diagnose)

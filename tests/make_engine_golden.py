@@ -33,11 +33,7 @@ FIELDS = ("e", "u", "eps", "m", "v", "theta_norm")
 def _siso_case(structure):
     def run():
         b = benchmarks.siso_third_order()
-        scn = siso.scenario(
-            plant=b["plant"], refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"],
-            lam_e=b["lam_e"], structure=structure, sign_kp=b["sign_kp"],
-            kp_bound=b["kp_bound"], um=b["um"],
-        )
+        scn = siso.scenario(**b, structure=structure)
         nom = mimo.nominal_params(scn)
         return mimo.run(scn, adaptive=True, horizon=400,
                         theta0=0.9 * nom.theta_star, nominal=nom, with_certificate=True)
@@ -45,23 +41,13 @@ def _siso_case(structure):
     return run
 
 
-def _mimo_scn(b, structure):
-    return mimo.MimoScenario(
-        plant=b["plant"], refmodel=b["refmodel"], interactor=b["interactor"],
-        fpoly=b["fpoly"], sp=b["sp"], structure=structure, nu=b["nu"], lam=b["lam"],
-        lam_e=b["lam_e"], nbe=b["nbe"], gamma=b["gamma"], um=b["um"],
-    )
-
-
 def _mimo_case(bench, structure, horizon, design="gradient", certificate=True):
     def run():
-        b = benchmarks.build(bench)
-        scn = _mimo_scn(b, structure)
+        scn = mimo.MimoScenario(**benchmarks.build(bench), structure=structure, design=design)
         if not certificate:
-            return mimo.run(scn, design=design, adaptive=True, horizon=horizon)
+            return mimo.run(scn, adaptive=True, horizon=horizon)
         nom = mimo.nominal_params(scn)
-        return mimo.run(scn, design=design, adaptive=True, horizon=horizon,
-                        q_matrix=b.get("q_matrix"), theta0=0.9 * nom.theta_star,
+        return mimo.run(scn, adaptive=True, horizon=horizon, theta0=0.9 * nom.theta_star,
                         nominal=nom, with_certificate=True)
 
     return run

@@ -38,11 +38,7 @@ def siso_bench():
 
 
 def _siso_scn(b, structure, **kw):
-    args = dict(plant=b["plant"], refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"],
-                lam_e=b["lam_e"], structure=structure, sign_kp=b["sign_kp"],
-                kp_bound=b["kp_bound"], um=b["um"])
-    args.update(kw)
-    return siso.scenario(**args)
+    return siso.scenario(**{**b, **kw}, structure=structure)
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +60,7 @@ def mimo_dt_bench():
 
 
 def _mimo_scn(b, structure=Structure.SF_XM, **kw):
-    args = dict(plant=b["plant"], refmodel=b["refmodel"], interactor=b["interactor"],
-                fpoly=b["fpoly"], sp=b["sp"], structure=structure, nu=b["nu"],
-                lam=b["lam"], lam_e=b["lam_e"], nbe=b["nbe"], gamma=b["gamma"],
-                um=b["um"])
-    args.update(kw)
-    return mimo.MimoScenario(**args)
+    return mimo.MimoScenario(**{**b, **kw}, structure=structure)
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +108,11 @@ def mimo_ct_run():
 @pytest.fixture(scope="module")
 def rd1_run():
     b = benchmarks.mimo_rd1_ct()
-    scn = _mimo_scn(b)
+    scn = _mimo_scn(b, design="rd1")
     nom = mimo.nominal_params(scn)
-    tr = mimo.run(scn, design="rd1", adaptive=True, horizon=50000,
-                  q_matrix=b["q_matrix"], theta0=0.9 * nom.theta_star,
+    tr = mimo.run(scn, adaptive=True, horizon=50000, theta0=0.9 * nom.theta_star,
                   nominal=nom, with_certificate=True)
-    return scn, b, tr
+    return scn, tr
 
 
 @pytest.fixture(scope="module")
@@ -309,9 +299,9 @@ def test_criterion_4b_ct_certificates(mimo_ct_run, mimo_of_runs, fl_run):
 
 
 def test_criterion_4c_rd1_certificate(rd1_run):
-    scn, b, tr = rd1_run
+    scn, tr = rd1_run
     h = scn.plant.domain.step
-    q = b["q_matrix"]
+    q = scn.law.q
     vdot = (tr.v[2:] - tr.v[:-2]) / (2 * h)
     eqe = np.einsum("ij,jk,ik->i", tr.e[1:-1], q, tr.e[1:-1])
     assert np.max(np.abs(vdot + eqe)) < 1e-4

@@ -28,10 +28,7 @@ def _close(got, want, rtol):
 
 
 def _mimo_scn(b, structure, **kw):
-    return mimo.MimoScenario(
-        plant=b["plant"], refmodel=b["refmodel"], interactor=b["interactor"],
-        fpoly=b["fpoly"], sp=b["sp"], structure=structure, nu=b["nu"], lam=b["lam"],
-        lam_e=b["lam_e"], nbe=b["nbe"], gamma=b["gamma"], um=b["um"], **kw)
+    return mimo.MimoScenario(**{**b, **kw}, structure=structure)
 
 
 # -- engine: one closed-loop product per stage ------------------------------------------
@@ -68,13 +65,16 @@ def _unfused(loop, flat, zu):
 ])
 def test_fused_stage_equals_the_unfused_block_formula(bench, design):
     b = benchmarks.build(bench)
-    scn = _mimo_scn(b, Structure.SF_XM if design == "rd1" else Structure.SF_YM)
-    q = scn.theta_dim
+    if design == "rd1":
+        scn = _mimo_scn(b, Structure.SF_XM, design="rd1")
+    else:
+        scn = _mimo_scn(b, Structure.SF_YM)
     law = None
     if design == "gradient":
-        law = GradientLaw(gz=np.diag(np.linspace(0.5, 1.5, q)), sp=scn.sp, gpsi=scn.gamma)
+        law = GradientLaw(gz=np.diag(np.linspace(0.5, 1.5, scn.theta_dim)), sp=scn.sp,
+                          gpsi=scn.gamma)
     elif design == "rd1":
-        law = mimo.rd1_law(scn.interactor, scn.sp)
+        law = scn.law
     loop = engine.ClosedLoop(scn, law=law, horizon=5)
     zb = scn.reference
     nst, width = loop._tab.shape[1:]
@@ -149,9 +149,8 @@ def test_engine_block_diagnostics_match_per_step_formulas():
     b = benchmarks.mimo_dt_2x2()
     scn = _mimo_scn(b, Structure.SF_XM, x0=np.array([0.3, -0.2, 0.1]))
     nom = mimo.nominal_params(scn)
-    q = scn.theta_dim
     horizon = 2 * engine.CT_BLOCK + 37
-    law = GradientLaw(gz=np.eye(q), sp=scn.sp, gpsi=scn.gamma)
+    law = scn.law
     theta0, psi0 = 0.9 * nom.theta_star, scn.sp.T.copy()
     tr = engine.run_closed_loop(scn, law=law, horizon=horizon, theta0=theta0, psi0=psi0,
                                 diagnose=mimo.diagnostics(scn, nom, law))
@@ -177,10 +176,7 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
     b = benchmarks.siso_third_order()
     poles = Polynomial.from_roots([3.0, 0.5, -0.4]).coeffs
     plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), b["plant"].b, b["plant"].c, dt())
-    scn = siso.scenario(
-        plant=plant, refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"], lam_e=b["lam_e"],
-        structure=Structure.SF_XM, sign_kp=b["sign_kp"], kp_bound=b["kp_bound"],
-        um=b["um"], x0=np.ones(3))
+    scn = siso.scenario(**{**b, "plant": plant}, structure=Structure.SF_XM, x0=np.ones(3))
     nom = mimo.nominal_params(scn)
     theta0, psi0 = 0.5 * nom.theta_star, np.array([[0.7]])
     tr = engine.run_closed_loop(scn, horizon=2000, theta0=theta0, psi0=psi0,

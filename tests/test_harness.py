@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -194,13 +195,18 @@ _MALFORMED = {
     "fl_gamma_theta": (_FL, {"gains": {"gamma_theta": 0.5}}, "gains.gamma_theta"),
     "fl_sp": (_FL, {"gains": {"sp": [[1.0]]}}, "gains.sp"),
     # rd1 is the continuous-time multivariable design with first-order interactor
-    # rows: a dt plant failed at run with DomainMismatch, second-order rows in a
-    # bare ValueError, and siso ran the gradient law
+    # rows and a positive definite Q: a dt plant failed at run, second-order rows in a
+    # bare ValueError, siso ran the gradient law, and an indefinite Q loaded
     "mimo_dt_rd1": (_MIMO, {"design": "rd1"}, "design"),
     "mimo_ct_second_order_rd1": (dict(_MIMO, benchmark="mimo-ct-2x2"), {"design": "rd1"},
                                  "design"),
     "siso_rd1": ({}, {"design": "rd1"}, "design"),
     "fl_rd1": (_FL, {"design": "rd1"}, "design"),
+    "mimo_design_unknown": (_MIMO, {"design": "lyapunov"}, "design"),
+    "mimo_rd1_q_indefinite": (dict(_MIMO, benchmark="mimo-rd1-ct"),
+                              {"design": "rd1", "gains": {"q": [[1.0, 0.0], [0.0, -1.0]]}},
+                              "gains.q"),
+    "mimo_q_shape": (_MIMO, {"gains": {"q": np.eye(3).tolist()}}, "gains.q"),
     # a component the module's loop reads was missing: run ended in a KeyError, or in
     # MimoScenario's bare ValueError for lambda and lambda_e
     **{f"siso_missing_{f}": (_without(_EXPLICIT_SISO, f), {}, f)
@@ -355,16 +361,26 @@ _REF4 = {"A": [[0.4, 0.0, 0.0, 0.1], [0.0, 0.0, 1.0, 0.0], [0.0, -0.06, 0.5, 0.0
          "C": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}  # row relative degrees (1, 2)
 
 
+def test_linear_benchmark_is_its_model_builders_keyword_arguments():
+    builders = {"siso": siso.scenario, "mimo": mimo.MimoScenario}
+    for name, (build, module, _) in benchmarks.REGISTRY.items():
+        keys = set(build())
+        if module == "fl":
+            assert keys == {"plant", "leader", "interactor", "dims", "step", "x0"}
+        else:
+            assert keys <= set(inspect.signature(builders[module]).parameters), name
+
+
 def _explicit_with_refmodel(bench, refmodel, **kw):
     """The DT benchmark written out as an explicit scenario, with another reference model."""
-    b = benchmarks.build(bench)
-    d = _minimal(module=b["kind"], benchmark=None, domain="dt", refmodel=refmodel, horizon=400,
+    b, module = benchmarks.build(bench), benchmarks.REGISTRY[bench][1]
+    d = _minimal(module=module, benchmark=None, domain="dt", refmodel=refmodel, horizon=400,
                  plant={k: getattr(b["plant"], k.lower()).tolist() for k in "ABC"},
                  um={"channels": [{"sinusoids": [{"amp": 1.0, "freq": 0.3},
                                                  {"amp": 0.5, "freq": 1.1}], "bias": 0.2}]
                      * b["plant"].n_outputs},
                  **{"lambda": b["lam"].coeffs.tolist(), "lambda_e": b["lam_e"].coeffs.tolist()})
-    if b["kind"] == "siso":
+    if module == "siso":
         d.update(pm=b["pm"].coeffs.tolist(), sign_kp=b["sign_kp"], kp_bound=b["kp_bound"])
     else:
         d.update(interactor=[r.coeffs.tolist() for r in b["interactor"].rows],

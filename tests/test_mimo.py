@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from adaptrack import benchmarks, engine, mimo, siso
-from adaptrack.engine import Frame, GradientLaw, Rd1Law, Structure
+from adaptrack.engine import Frame, Rd1Law, Structure
 from adaptrack.errors import (
-    DomainMismatch,
     GainBoundViolation,
     RelativeDegreeViolation,
     SingularKp,
@@ -18,6 +17,7 @@ from adaptrack.linsys import (
     Polynomial,
     StateSpace,
     companion,
+    ct,
     dt,
     lyapunov_solve_ct,
     ref_input_from_state,
@@ -42,13 +42,7 @@ def bench_rd1():
 
 
 def _scn(b, structure=Structure.SF_XM, **kw):
-    args = dict(
-        plant=b["plant"], refmodel=b["refmodel"], interactor=b["interactor"],
-        fpoly=b["fpoly"], sp=b["sp"], structure=structure, nu=b["nu"],
-        lam=b["lam"], lam_e=b["lam_e"], nbe=b["nbe"], gamma=b["gamma"], um=b["um"],
-    )
-    args.update(kw)
-    return mimo.MimoScenario(**args)
+    return mimo.MimoScenario(**{**b, **kw}, structure=structure)
 
 
 # -- interactor row gains --------------------------------------------------------
@@ -148,11 +142,7 @@ def test_sf_nominal_m1_matches_siso(bench_dt):
     b = benchmarks.siso_third_order()
     ia = DiagonalInteractor([b["pm"]])
     k1m, k2m, kpm = mimo.sf_nominal(b["plant"], ia)
-    scn = siso.scenario(
-        plant=b["plant"], refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"],
-        lam_e=b["lam_e"], structure=Structure.SF_XM, sign_kp=b["sign_kp"],
-        kp_bound=b["kp_bound"], um=b["um"],
-    )
+    scn = siso.scenario(**b, structure=Structure.SF_XM)
     nom = mimo.nominal_params(scn)  # theta* = [k1; k2 alpha1; k2 alpha2]
     assert np.array_equal(k1m[:, 0], nom.theta_star[:3, 0])
     assert kpm[0, 0] == nom.kp[0, 0]
@@ -384,26 +374,61 @@ def test_rd1_rhs_scalar_closed_form():
     p = lyapunov_solve_ct(np.array([[-a]]), np.array([[qv]]))
     assert abs(p[0, 0] - qv / (2 * a)) < 1e-12
     s = 1.7
-    law = mimo.rd1_law(DiagonalInteractor([Polynomial([a, 1.0])]), [[s]], [[qv]])
-    assert abs(law.p[0, 0] - p[0, 0]) < 1e-15
+    law = Rd1Law(s=np.array([[s]]), p=p, q=np.array([[qv]]))
     e = np.array([0.5])
     om = np.array([1.0, -2.0])
     want = -s * p[0, 0] * e[0] * om
     assert np.max(np.abs(law.rhs(e, om)[:, 0] - want)) < 1e-15
 
 
-def test_rd1_rejects_dt():
-    scn = _scn(benchmarks.mimo_dt_2x2())
-    with pytest.raises(DomainMismatch):
-        mimo.run(scn, design="rd1", horizon=10)
+def test_rd1_p_solves_the_lyapunov_equation(bench_rd1):
+    # the build solves P A0 + A0^T P = -Q for A0 = -diag(a_i) of the rows D + a_i
+    scn = _scn(bench_rd1, design="rd1")
+    a0 = -np.diag([d.coeffs[0] for d in scn.interactor.rows])
+    p, q = scn.law.p, scn.law.q
+    assert np.array_equal(q, bench_rd1["q"])
+    assert np.max(np.abs(p @ a0 + a0.T @ p + q)) < 1e-12
+
+
+def test_rd1_rejects_dt(bench_dt):
+    # a dt plant failed only once running
+    with pytest.raises(ValidationError, match="continuous-time") as ei:
+        _scn(bench_dt, design="rd1")
+    assert ei.value.field == "design"
+
+
+@pytest.mark.parametrize("design,why", [
+    ("rd1", "first-order"),  # mimo-ct-2x2's second-order rows ran with no error
+    ("lyapunov", "gradient or rd1"),
+])
+def test_design_rejected_where_its_law_cannot_run(bench_ct, design, why):
+    with pytest.raises(ValidationError, match=why) as ei:
+        _scn(bench_ct, design=design)
+    assert ei.value.field == "design"
+
+
+@pytest.mark.parametrize("design", ["gradient", "rd1"])
+def test_rd1_q_checked_for_every_design(bench_rd1, design):
+    with pytest.raises(GainBoundViolation) as ei:
+        _scn(bench_rd1, design=design, q=np.diag([1.0, -1.0]))
+    assert ei.value.field == "q"
+
+
+def test_reference_model_at_another_step_is_rejected(bench_ct):
+    # only the domain tags were compared: a reference model at step 1e-2 beside a plant
+    # at 1e-3 loaded, and its block ran ten times faster than the plant
+    r = bench_ct["refmodel"]
+    with pytest.raises(ValidationError, match="step") as ei:
+        _scn(bench_ct, refmodel=StateSpace(r.a, r.b, r.c, ct(1e-2)))
+    assert ei.value.field == "refmodel"
 
 
 def test_rd1_lyapunov_slope(bench_rd1):
-    scn = _scn(bench_rd1)
+    scn = _scn(bench_rd1, design="rd1")
     nom = mimo.nominal_params(scn)
-    q = bench_rd1["q_matrix"]
-    tr = mimo.run(scn, design="rd1", adaptive=True, horizon=4000, q_matrix=q,
-                  theta0=0.9 * nom.theta_star, nominal=nom, with_certificate=True)
+    q = scn.law.q
+    tr = mimo.run(scn, adaptive=True, horizon=4000, theta0=0.9 * nom.theta_star,
+                  nominal=nom, with_certificate=True)
     h = scn.plant.domain.step
     vdot = (tr.v[2:] - tr.v[:-2]) / (2 * h)
     eqe = np.einsum("ij,jk,ik->i", tr.e[1:-1], q, tr.e[1:-1])
@@ -596,14 +621,11 @@ def test_ct_stage_tables_memory_flat_in_horizon(bench_ct):
 def test_ct_stage_derivative_is_the_k1_of_measure(bench_ct, bench_rd1, design):
     # stages 2-4 compute only what the law reads; at one state and stage row
     # they must give measure's k1 bit for bit
-    b = bench_rd1 if design == "rd1" else bench_ct
-    scn = _scn(b, structure=Structure.SF_XM if design == "rd1" else Structure.SF_YM)
-    law = None
-    if design == "gradient":
-        law = GradientLaw(gz=np.eye(scn.theta_dim), sp=scn.sp, gpsi=scn.gamma)
-    elif design == "rd1":
-        law = mimo.rd1_law(scn.interactor, scn.sp)
-    loop = engine.ClosedLoop(scn, law=law, horizon=5)
+    if design == "rd1":
+        scn = _scn(bench_rd1, design="rd1")
+    else:
+        scn = _scn(bench_ct, structure=Structure.SF_YM)
+    loop = engine.ClosedLoop(scn, law=None if design == "nominal" else scn.law, horizon=5)
     loop.measure(0)  # fills the first block of stage tables
     rng = np.random.default_rng(21)
     loop.s[:] = rng.standard_normal(loop.s.size)

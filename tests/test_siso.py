@@ -17,13 +17,7 @@ def bench():
 
 
 def _scenario(bench, structure, **kw):
-    args = dict(
-        plant=bench["plant"], refmodel=bench["refmodel"], pm=bench["pm"],
-        lam=bench["lam"], lam_e=bench["lam_e"], structure=structure,
-        sign_kp=bench["sign_kp"], kp_bound=bench["kp_bound"], um=bench["um"],
-    )
-    args.update(kw)
-    return siso.scenario(**args)
+    return siso.scenario(**{**bench, **kw}, structure=structure)
 
 
 def _sf_gains(scn):
@@ -378,11 +372,7 @@ def test_run_engine_matches_public_ops(bench):
 
 def test_scalar_benchmark_end_to_end():
     b = benchmarks.siso_first_order()
-    scn = siso.scenario(
-        plant=b["plant"], refmodel=b["refmodel"], pm=b["pm"], lam=b["lam"],
-        lam_e=b["lam_e"], structure=Structure.OF_YM, sign_kp=b["sign_kp"],
-        kp_bound=b["kp_bound"], um=b["um"],
-    )
+    scn = siso.scenario(**b, structure=Structure.OF_YM)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=False, horizon=100, nominal=nom)
     assert np.max(np.abs(tr.e)) < 1e-12

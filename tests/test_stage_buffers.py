@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adaptrack import benchmarks, engine, feedback_lin as fl, mimo
-from adaptrack.engine import GradientLaw, Structure
+from adaptrack.engine import Structure
 from adaptrack.linsys import ReferenceBlock, rk4_gain, rk4_step
 
 
@@ -92,16 +92,9 @@ def test_rk4_step_matrix_arguments_keep_every_stage():
 
 def _mimo_loop(bench, design, horizon=300):
     b = benchmarks.build(bench)
-    scn = mimo.MimoScenario(
-        plant=b["plant"], refmodel=b["refmodel"], interactor=b["interactor"],
-        fpoly=b["fpoly"], sp=b["sp"], structure=Structure.SF_XM, nu=b["nu"], lam=b["lam"],
-        lam_e=b["lam_e"], nbe=b["nbe"], gamma=b["gamma"], um=b["um"],
-        x0=np.array([0.3, -0.2, 0.1]))
-    law = None
-    if design == "gradient":
-        law = GradientLaw(gz=np.eye(scn.theta_dim), sp=scn.sp, gpsi=scn.gamma)
-    elif design == "rd1":
-        law = mimo.rd1_law(scn.interactor, scn.sp)
+    scn = mimo.MimoScenario(**b, structure=Structure.SF_XM, x0=np.array([0.3, -0.2, 0.1]),
+                            design="gradient" if design == "nominal" else design)
+    law = None if design == "nominal" else scn.law
     theta0 = 0.9 * mimo.nominal_params(scn).theta_star
     return lambda: engine.ClosedLoop(scn, law, horizon, theta0=theta0, psi0=scn.sp.T.copy())
 
