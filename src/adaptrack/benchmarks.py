@@ -1,14 +1,15 @@
 """Named benchmark systems, each with its known-gain prior verified at build time.
 
-Each builder returns a dict of ready components.  A linear benchmark's dict
-holds only keyword arguments of its model builder, siso.scenario or
-mimo.MimoScenario: `mimo.MimoScenario(**build(name), structure=s)` builds
-its model.  REGISTRY names each benchmark's module.  Anything derived from the
-true plant or reference parameters (matching gains, certificates) is exposed
-only through the test-mode oracle helpers of the design modules; the
-controller path consumes the returned priors (sign/bound of the high
-frequency gain, the known gain matrix) as plain inputs.  The plant
-assumptions are checked where a mimo.MimoScenario is built from a benchmark.
+Each builder returns a dict of ready components, which holds only keyword
+arguments of its model builder, siso.scenario, mimo.MimoScenario or
+feedback_lin.FLScenario: `mimo.MimoScenario(**build(name), structure=s)`
+builds a mimo benchmark's model.  REGISTRY names each benchmark's module.
+Anything derived from the true plant or reference parameters (matching
+gains, certificates) is exposed only through the test-mode oracle helpers
+of the design modules; the controller path consumes the returned priors
+(sign/bound of the high frequency gain, the known gain matrix) as plain
+inputs.  The plant assumptions are checked where a mimo.MimoScenario is
+built from a benchmark.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ def fl_pair():
         "plant": plant,
         "leader": leader,
         "interactor": interactor,
-        "dims": (*plant.dims, leader.qm),
         "step": 1e-3,
         "x0": feedback_lin.matched_x0(plant, leader),
     }

@@ -17,13 +17,13 @@ are documented side by side and not mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import FlatLoop, Frame, _Recorder, check_gain, drive
-from .errors import SingularityGuard
-from .linsys import DiagonalInteractor, Polynomial, RationalFilter, ct, stack
+from .errors import SingularityGuard, ValidationError
+from .linsys import DiagonalInteractor, Polynomial, RationalFilter, check_rk4_step, ct, stack
 
 
 @dataclass
@@ -37,7 +37,6 @@ class FLPlant:
     """
 
     n: int
-    m: int
     theta_star: np.ndarray
     at: object  # x -> (y (m,), omega1 (q1,), W (q2, m), omega3 (q3,), F (n, l), G (n, m))
     dims: tuple  # (q1, q2, q3)
@@ -48,7 +47,6 @@ class LeaderSystem:
     """Reference system with hidden dynamics and measured (u_m, x_m, y_m)."""
 
     n: int
-    m: int
     at: object  # (x_m, u_m) -> (dx_m, y_m, omega_m (qm,)), hidden-parameter closure
     um: object  # t -> (m,)
     qm: int
@@ -58,50 +56,61 @@ class LeaderSystem:
 
 
 @dataclass
-class FLController:
-    """Per-column parameter estimates, gains and tracking filters."""
+class FLScenario:
+    """One run of the follower on its leader: everything FLLoop reads, checked once here.
 
+    dims = (q1, q2, q3, qm) and m = interactor.m give the (q, m) estimates,
+    q = theta_dim = sum(dims).  gammas are the per-column gains (I each when
+    empty), guard the floor on sigma_min(A_hat), x0 the follower's start
+    (zero when None).  A failed check of the gains, the guard, or the step
+    against the column filters 1/d_i raises ValidationError naming it.
+    """
+
+    plant: FLPlant
+    leader: LeaderSystem
     interactor: DiagonalInteractor
-    dims: tuple  # (q1, q2, q3, qm)
-    theta: np.ndarray = None  # (q, m)
-    gammas: list = field(default_factory=list)  # per-column gains, positive definite
+    step: float = 1e-3
+    x0: np.ndarray = None
+    gammas: list = ()
     guard: float = 1e-6
 
     def __post_init__(self):
-        self.m = self.interactor.m
-        q = sum(self.dims)
-        self.q = q
-        if self.theta is None:
-            self.theta = np.zeros((q, self.m))
-        self.theta = np.asarray(self.theta, dtype=float).copy()
-        if self.theta.shape != (q, self.m):
-            raise ValueError(f"theta shape {self.theta.shape} != {(q, self.m)}")
-        if not len(self.gammas):
-            self.gammas = [np.eye(q)] * self.m
-        self.gammas = [np.atleast_2d(np.asarray(g, dtype=float)) for g in self.gammas]
-        if len(self.gammas) != self.m or any(g.shape != (q, q) for g in self.gammas):
-            raise ValueError(f"gammas must be {self.m} matrices of shape {(q, q)}")
+        self.dims = (*self.plant.dims, self.leader.qm)
+        self.m = m = self.interactor.m
+        self.q = self.theta_dim = q = sum(self.dims)
+        try:
+            self.guard = float(self.guard)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("guard", str(exc)) from exc
+        if not self.guard > 0:
+            raise ValidationError("guard", "must be positive")
+        self.gammas = ([np.atleast_2d(np.asarray(g, dtype=float)) for g in self.gammas]
+                       or [np.eye(q)] * m)
+        if len(self.gammas) != m or any(g.shape != (q, q) for g in self.gammas):
+            raise ValidationError("gammas", f"must be {m} matrices of shape {(q, q)}")
         # block-diagonal in the Gamma_i: acts on Theta^T flattened row by row
-        self.gain = np.zeros((self.m * q, self.m * q))
+        self.gain = np.zeros((m * q, m * q))
         for i, g in enumerate(self.gammas):
-            check_gain(g, what=f"column {i} gain")
+            check_gain(g, what=f"gammas[{i}]")
             self.gain[i * q : (i + 1) * q, i * q : (i + 1) * q] = g
         self.alpha_last = np.array([d.coeffs[0] for d in self.interactor.rows])
+        check_rk4_step([(f"interactor[{i}]", lam) for i, d in enumerate(self.interactor.rows)
+                        for lam in d.roots()], self.step)
 
 
-def _estimate_buffers(ctrl):
+def _estimate_buffers(scn):
     """Buffers of estimates: X (zero outside its blocks) and its block views, Theta^T X
     and its column views, alpha y and v."""
-    q1, q2, q3, _ = ctrl.dims
-    m = ctrl.m
-    x, p = np.zeros((ctrl.q, m + 2)), np.empty((m, m + 2))
+    q1, q2, q3, _ = scn.dims
+    m = scn.m
+    x, p = np.zeros((scn.q, m + 2)), np.empty((m, m + 2))
     return (x, x[:q1, 0], x[q1 : q1 + q2, 1 : m + 1], x[q1 + q2 : q1 + q2 + q3, m + 1],
             x[q1 + q2 + q3 :, m + 1], p, p[:, 0], p[:, 1 : m + 1], p[:, m + 1], np.empty(m),
             np.empty(m))
 
 
-def estimates(ctrl, tht, om1, w, om3, omm, y, buf=None):
-    """(b_hat, A_hat, v) at one state, from the regressors evaluated there.
+def estimates(scn, tht, om1, w, om3, omm, y, buf=None):
+    """(b_hat, A_hat, v) at one state of the FLScenario scn, from the regressors there.
 
     tht is Theta^T (row i = theta_i).  A_hat u = Theta2^T W(x) u, b_hat =
     Theta1^T omega1 and the outer-loop signal v = Theta_m^T omega_m -
@@ -109,13 +118,13 @@ def estimates(ctrl, tht, om1, w, om3, omm, y, buf=None):
     omega1, W and [-omega3; omega_m] in its column blocks.  buf, when given,
     is a _estimate_buffers tuple that X and the results are written into.
     """
-    x, xo1, xw, xo3, xom, p, bhat, ahat, pv, ay, v = buf or _estimate_buffers(ctrl)
+    x, xo1, xw, xo3, xom, p, bhat, ahat, pv, ay, v = buf or _estimate_buffers(scn)
     xo1[...] = om1
     xw[...] = w
     np.negative(om3, out=xo3)
     xom[...] = omm
     np.matmul(tht, x, out=p)
-    return bhat, ahat, np.subtract(pv, np.multiply(ctrl.alpha_last, y, out=ay), out=v)
+    return bhat, ahat, np.subtract(pv, np.multiply(scn.alpha_last, y, out=ay), out=v)
 
 
 def _sigma_min_2x2(p, q, r, t):
@@ -178,7 +187,7 @@ def column_frames(tht, e, zetas, etas, out=None):
 def gradient_rhs(gain, zetas, eps, mi, out=None):
     """d theta_i / dt = + Gamma_i zeta_i eps_i / m_i^2 for every column.
 
-    gain is the block-diagonal FLController.gain; returns dTheta^T flattened
+    gain is the block-diagonal FLScenario.gain; returns dTheta^T flattened
     row by row (row i = d theta_i), written into out when given.
     """
     return np.matmul(gain, (zetas * (eps / (mi * mi))[:, None]).ravel(), out=out)
@@ -222,34 +231,39 @@ class FLLoop(FlatLoop):
     drive's last column is -alpha y in place of the product (the two differ
     by the rounding of the solve).
 
-    The stages run on FlatLoop's buffers, with h = step.  The scratch that a
-    right-hand side reads only while it runs (X, omega, the drive) is one
-    set per loop.
+    The stages run on FlatLoop's buffers, with h = scenario.step.  The
+    scratch that a right-hand side reads only while it runs (X, omega, the
+    drive) is one set per loop.  theta0, (q, m), is the start estimate,
+    zero when None.
     """
 
-    def __init__(self, plant, leader, ctrl, adaptive=True, x0=None, step=1e-3):
-        self.plant = plant
-        self.leader = leader
-        self.ctrl = ctrl
+    def __init__(self, scenario, adaptive=True, theta0=None):
+        self.scenario = scenario
+        self.plant = plant = scenario.plant
+        self.leader = leader = scenario.leader
         self.adaptive = adaptive
-        self.h = step
-        q, m = ctrl.q, ctrl.m
-        self._a, self._b, self._hs = column_filters(ctrl.interactor)
+        self.h = scenario.step
+        q, m = scenario.q, scenario.m
+        self._a, self._b, self._hs = column_filters(scenario.interactor)
         nk = self._a.shape[0]
         self._fshape, self._tshape = (nk, q + 1), (m, q)
         o = np.cumsum([0, plant.n, leader.n, nk * (q + 1), q * m])
         self._x, self._xm, self._filt, self._theta = map(slice, o[:-1], o[1:])
         self._allocate((("plant", self._x), ("leader", self._xm), ("filters", self._filt),
                         ("theta", self._theta)), self._theta)
-        if x0 is not None:
-            self.s[self._x] = x0
+        if scenario.x0 is not None:
+            self.s[self._x] = scenario.x0
         self.s[self._xm] = leader.x0
-        self.s[self._theta] = ctrl.theta.T.ravel()
+        if theta0 is not None:
+            theta0 = np.asarray(theta0, dtype=float)
+            if theta0.shape != (q, m):
+                raise ValueError(f"theta0 shape {theta0.shape} != {(q, m)}")
+            self.s[self._theta] = theta0.T.ravel()
         # scratch of every right-hand side, read only inside it: X of
         # estimates (zero outside its blocks), the weights [1, u, -1] that
         # read omega off it, omega, the drive and the products summed into
         # the derivative
-        self._eb = _estimate_buffers(ctrl)
+        self._eb = _estimate_buffers(scenario)
         self._est = self._eb[0]
         self._omega_w = np.ones(m + 2)
         self._omega_w[-1] = -1.0
@@ -260,7 +274,7 @@ class FLLoop(FlatLoop):
         self._sd = np.empty((nk + m, q + 1))
         self._sd_s, self._drive = self._sd[:nk], self._sd[nk:]
         self._drive_omega, self._drive_alpha = self._drive[:, :q], self._drive[:, q]
-        self._nalpha = -ctrl.alpha_last
+        self._nalpha = -scenario.alpha_last
         self._xi, _, self.m_i = self._stages[0][-1]  # the grid stage's
         self._t = self._frame = None  # time and frame of the last measure
 
@@ -279,14 +293,14 @@ class FLLoop(FlatLoop):
 
     def _stage(self, t, bufs):
         """Derivative and signals (y, y_m, e, u, zetas, eps, m_i) into one stage's buffers."""
-        plant, ctrl = self.plant, self.ctrl
+        plant, scn = self.plant, self.scenario
         ((x, xm, filt, tht), deriv, (dx, dxm, dfilt, dtheta), zeta_eta, zetas, etas, e,
          frames) = bufs
         y, om1, w, om3, fx, gx = plant.at(x)
         dxm_, ym, omm = self.leader.at(xm, self.leader.um(t))
         np.subtract(y, ym, out=e)
-        bhat, ahat, v = estimates(ctrl, tht, om1, w, om3, omm, y, self._eb)
-        u = linearizing_control(ahat, bhat, v, ctrl.guard, t)
+        bhat, ahat, v = estimates(scn, tht, om1, w, om3, omm, y, self._eb)
+        u = linearizing_control(ahat, bhat, v, scn.guard, t)
         self._omega_u[...] = u
         self._drive_omega[...] = np.matmul(self._est, self._omega_w, out=self._omega)
         np.multiply(self._nalpha, y, out=self._drive_alpha)
@@ -297,7 +311,7 @@ class FLLoop(FlatLoop):
         self._sd_s[...] = filt
         np.matmul(self._ab, self._sd, out=dfilt)
         if self.adaptive:  # else dtheta stays zero, as allocated
-            gradient_rhs(ctrl.gain, zetas, eps, mi, out=dtheta)
+            gradient_rhs(scn.gain, zetas, eps, mi, out=dtheta)
         return deriv, (y, ym, e, u, zetas, eps, mi)
 
     def measure(self, k):
@@ -323,15 +337,14 @@ def certificate(theta, theta_star, gain_inv):
     """Sum over columns of 0.5 (theta_i* - theta_i)^T Gamma_i^-1 (theta_i* - theta_i).
 
     theta carries a leading step axis, (k, q, m), and one value per step is
-    returned.  gain_inv is the inverse of the block-diagonal FLController.gain.
+    returned.  gain_inv is the inverse of the block-diagonal FLScenario.gain.
     """
     d = (theta_star - theta).transpose(0, 2, 1).reshape(theta.shape[0], theta_star.size)
     return 0.5 * np.vecdot(d @ gain_inv, d)
 
 
-def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
-        theta_star=None):
-    """Simulate the leader-follower loop through engine.drive; returns a SimTrace.
+def run(scenario, adaptive=True, horizon=10000, theta0=None, theta_star=None):
+    """Simulate the scenario's loop through engine.drive; returns a SimTrace.
 
     A run stopped by drive's stop rule returns the rows before the failing
     step, with the event in trace.guard_events.  trace.extra["m_i"] holds
@@ -340,10 +353,10 @@ def run(plant, leader, ctrl, adaptive=True, horizon=10000, step=1e-3, x0=None,
     trace.extra["ident_resid"].  All three are evaluated, as theta_norm is,
     once per block of at most CT_BLOCK rows.
     """
-    loop = FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=x0, step=step)
-    m, q = ctrl.m, ctrl.q
+    loop = FLLoop(scenario, adaptive=adaptive, theta0=theta0)
+    m, q = scenario.m, scenario.q
     rec = _Recorder(horizon, m, q * m, ((m, q), (m,)))
-    gain_inv = None if theta_star is None else np.linalg.inv(ctrl.gain)
+    gain_inv = None if theta_star is None else np.linalg.inv(scenario.gain)
 
     def diagnose(par, frame, e):
         zetas = frame.zeta
@@ -410,7 +423,7 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
                 v[22:].reshape(3, 2))
 
     plant = FLPlant(
-        n=3, m=2,
+        n=3,
         theta_star=np.array(theta_star, dtype=float),
         at=plant_at, dims=(3, 3, 2),
     )
@@ -458,7 +471,7 @@ def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):
         )
 
     leader = LeaderSystem(
-        n=3, m=2,
+        n=3,
         at=leader_at, um=leader_um,
         qm=9, x0=np.array([0.2, -0.1, 0.3]),
         theta_m_star=theta_m_star, lie1_true=leader_lie1,

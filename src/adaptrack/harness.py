@@ -19,7 +19,7 @@ import numpy as np
 from . import benchmarks, feedback_lin, mimo, siso
 from .engine import Structure
 from .errors import ParseError, ValidationError
-from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt, rk4_gain
+from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt
 from .signals import Channel, RefInput, Sinusoid
 
 SCHEMA_VERSION = 1
@@ -37,15 +37,13 @@ _FIELDS = {
     "mimo": (_LINEAR_FIELDS | {"interactor", "f", "nu", "nbe"}, {"gamma", "sp", "q"}),
     "fl": (_COMMON_FIELDS, {"guard"}),
 }
-_ALL = set(Structure)
-_OF, _YM = {Structure.OF_XM, Structure.OF_YM}, {Structure.SF_YM, Structure.OF_YM}
 # module -> the components its loop reads, each required at load from the scenario or
-# its benchmark: (scenario field, component key, structures whose loop reads it)
+# its benchmark: (scenario field, component key); mimo's model names lambda and
+# lambda_e for the structures that read them
 _REQUIRED = {
-    "siso": [("pm", "pm", _ALL), ("lambda", "lam", _ALL), ("lambda_e", "lam_e", _ALL),
-             ("sign_kp", "sign_kp", _ALL), ("kp_bound", "kp_bound", _ALL), ("um", "um", _ALL)],
-    "mimo": [("interactor", "interactor", _ALL), ("f", "fpoly", _ALL), ("um", "um", _ALL),
-             ("lambda", "lam", _OF), ("lambda_e", "lam_e", _YM)],
+    "siso": [("pm", "pm"), ("lambda", "lam"), ("lambda_e", "lam_e"), ("sign_kp", "sign_kp"),
+             ("kp_bound", "kp_bound"), ("um", "um")],
+    "mimo": [("interactor", "interactor"), ("f", "fpoly"), ("um", "um")],
 }
 # model attribute -> scenario field, for the errors raised while building the run object;
 # siso's interactor and f are both Pm, its Sp is sign(kp), its Psi gain gamma_rho, and
@@ -56,6 +54,7 @@ _MODEL_FIELDS = {
              "q": "gains.q"},
     "siso": {**_ATTR_FIELDS, "interactor[0]": "pm", "fpoly": "pm", "gamma": "gains.gamma_rho",
              "sp": "sign_kp", "kp": "kp_bound"},
+    "fl": {"guard": "gains.guard"},
 }
 _TOP_FIELDS = set().union(*(top for top, _ in _FIELDS.values()))
 _GAIN_FIELDS = set().union(*(gains for _, gains in _FIELDS.values()))
@@ -66,10 +65,9 @@ _MODES = {"nominal", "adaptive"}
 class Scenario:
     """A validated experiment description with its run object built.
 
-    `model` is the mimo.MimoScenario of a linear module, with its start
-    state drawn from the seed; for fl it is the benchmark's plant, leader,
-    interactor, dims, step and start state x0.  `theta0` is "zero", "near"
-    or a (q, m) array.
+    `model` is the run object, with its start state drawn from the seed:
+    the mimo.MimoScenario of a linear module, the feedback_lin.FLScenario
+    of fl.  `theta0` is "zero", "near" or a (q, m) array.
     """
 
     name: str
@@ -83,7 +81,6 @@ class Scenario:
     theta0: object
     tail_fraction: float
     converge_tol: float
-    guard: float = 1e-6  # the fl controller's singularity guard
     benchmark: str = None
 
     @property
@@ -92,7 +89,7 @@ class Scenario:
 
     @property
     def step(self):
-        return self.model["step"] if self.module == "fl" else self.model.plant.domain.step
+        return self.model.step if self.module == "fl" else self.model.plant.domain.step
 
 
 def _require(cond, fld, msg):
@@ -120,31 +117,6 @@ def _check_keys(d, allowed, where, msg="unknown field"):
     for k in d:
         if k not in allowed:
             raise ValidationError(f"{where}{k}", msg)
-
-
-def _check_rk4_step(comps, h):
-    """Reject a CT step that RK4 cannot integrate stably, naming the step field.
-
-    Every stable linear mode of the loop (plant and reference A, the filter
-    polynomials, the interactor rows, which are also the nonlinear design's
-    column filters) must satisfy |R(h lambda)| <= 1.
-    """
-    modes = []
-    for key in ("plant", "refmodel"):
-        if isinstance(comps.get(key), StateSpace):  # the nonlinear follower has no A
-            modes += [(key, lam) for lam in np.linalg.eigvals(comps[key].a)]
-    polys = [(key, comps.get(key)) for key in ("pm", "fpoly", "lam", "lam_e")]
-    if "interactor" in comps:
-        polys += [(f"interactor[{i}]", d) for i, d in enumerate(comps["interactor"].rows)]
-    modes += [(key, lam) for key, p in polys if p is not None and p.degree > 0
-              for lam in p.roots()]
-    modes = [(key, lam) for key, lam in modes if lam.real < 0]
-    gains = rk4_gain([lam for _, lam in modes], h)
-    for (key, lam), r in zip(modes, gains):
-        if r > 1.0:
-            raise ValidationError(
-                "step", f"{h:g} puts the {key} eigenvalue {complex(lam):.4g} outside "
-                f"RK4's stability region (|R(h lambda)| = {r:.3g} > 1)")
 
 
 def _poly(coeffs, fld):
@@ -279,52 +251,41 @@ def scenario_from_dict(data, name=None):
             _require(comps["um"].width == comps["refmodel"].n_inputs, "um",
                      f"needs one channel per reference input ({comps['refmodel'].n_inputs})")
 
-    for fld, key, structures in _REQUIRED.get(module, ()):
-        _require(key in comps or structure not in structures, fld,
-                 f"missing: the {module} {structure.value} loop reads it")
-
-    if module == "fl" or not comps["plant"].domain.is_dt:
-        _check_rk4_step(comps, comps["step"] if module == "fl" else comps["plant"].domain.step)
+    for fld, key in _REQUIRED.get(module, ()):
+        _require(key in comps, fld, f"missing: the {module} loop reads it")
 
     gains = _conv(dict, data.get("gains", {}), "gains")
     _check_keys(gains, _GAIN_FIELDS, "gains.")
     _check_keys(gains, _FIELDS[module][1], "gains.", unread)
-    guard = 1e-6
-    if module == "fl":
-        if "guard" in gains:
-            guard = _conv(float, gains["guard"], "gains.guard")
-            _require(guard > 0, "gains.guard", "must be positive")
-    else:
-        # the gains are model arguments too, checked where the model is built
-        comps.update({key: _array(g, f"gains.{key}") for key, g in gains.items()})
-        _require(module == "siso" or "sp" in comps, "gains.sp", "missing known gain matrix")
+    # the gains are model arguments too, checked where the model is built
+    comps.update({key: _array(g, f"gains.{key}") for key, g in gains.items()})
+    _require(module != "mimo" or "sp" in comps, "gains.sp", "missing known gain matrix")
 
-    # the start state, drawn from the seed: x0 first, then xm0 (rejected for fl)
+    # the start state, drawn from the seed: x0 first, then xm0 (rejected for fl); an fl
+    # x0 of "zero" keeps the benchmark's matched start
     rng = np.random.default_rng(seed)
     x0 = _init_vec(data.get("x0", "zero"), "x0", comps["plant"].n, rng,
                    scale=0.3 if module == "fl" else 0.5)
-    if module == "fl":
-        model = comps
-        if x0 is not None:
-            model["x0"] = x0
-        q, m = sum(model["dims"]), model["interactor"].m
-    else:
-        xm0 = _init_vec(data.get("xm0", "zero"), "xm0", comps["refmodel"].n, rng)
-        try:
-            if module == "siso":
-                model = siso.scenario(**comps, structure=structure, x0=x0, xm0=xm0)
-            else:
-                model = mimo.MimoScenario(**comps, structure=structure, design=design,
-                                          x0=x0, xm0=xm0)
-            # the prior check of the run, for exactly the runs that make it
-            if (test_mode and mode == "adaptive" and design == "gradient"
-                    and mimo.has_matching(structure, model.plant, model.nu)):
-                _, kp = mimo.interactor_row_gains(model.plant, model.interactor)
-                mimo.verify_gain_prior(kp, model.sp, model.plant.domain, model.gz)
-        except ValidationError as exc:
-            fld = _MODEL_FIELDS[module].get(exc.field, exc.field)
-            raise ValidationError(fld, exc.message) from exc
-        q, m = model.theta_dim, model.m
+    if x0 is not None:
+        comps["x0"] = x0
+    if module != "fl":
+        comps["xm0"] = _init_vec(data.get("xm0", "zero"), "xm0", comps["refmodel"].n, rng)
+    try:
+        if module == "fl":
+            model = feedback_lin.FLScenario(**comps)
+        elif module == "siso":
+            model = siso.scenario(**comps, structure=structure)
+        else:
+            model = mimo.MimoScenario(**comps, structure=structure, design=design)
+        # the prior check of the run, for exactly the linear runs that make it
+        if (module != "fl" and test_mode and mode == "adaptive" and design == "gradient"
+                and mimo.has_matching(structure, model.plant, model.nu)):
+            _, kp = mimo.interactor_row_gains(model.plant, model.interactor)
+            mimo.verify_gain_prior(kp, model.sp, model.plant.domain, model.gz)
+    except ValidationError as exc:
+        fld = _MODEL_FIELDS[module].get(exc.field, exc.field)
+        raise ValidationError(fld, exc.message) from exc
+    q, m = model.theta_dim, model.m
 
     theta0 = data.get("theta0", "zero")
     if isinstance(theta0, str):
@@ -342,8 +303,7 @@ def scenario_from_dict(data, name=None):
     return Scenario(
         name=name, module=module, mode=mode, structure=structure,
         test_mode=test_mode, horizon=horizon, seed=seed, model=model, theta0=theta0,
-        tail_fraction=tail_fraction, converge_tol=converge_tol, guard=guard,
-        benchmark=bench_name,
+        tail_fraction=tail_fraction, converge_tol=converge_tol, benchmark=bench_name,
     )
 
 
@@ -431,18 +391,11 @@ def run_experiment(scenario):
     adaptive = scenario.mode == "adaptive"
     scn = scenario.model
     if scenario.module == "fl":
-        plant, leader, interactor = scn["plant"], scn["leader"], scn["interactor"]
-        tstar = None
-        if scenario.test_mode:
-            tstar = feedback_lin.benchmark_theta_star(plant, leader, interactor)
-        ctrl = feedback_lin.FLController(
-            interactor=interactor, dims=scn["dims"],
-            theta=_theta0(scenario.theta0, tstar) if adaptive else tstar, guard=scenario.guard,
-        )
-        trace = feedback_lin.run(
-            plant, leader, ctrl, adaptive=adaptive, horizon=scenario.horizon,
-            step=scn["step"], x0=scn["x0"], theta_star=tstar,
-        )
+        tstar = (feedback_lin.benchmark_theta_star(scn.plant, scn.leader, scn.interactor)
+                 if scenario.test_mode else None)
+        trace = feedback_lin.run(scn, adaptive=adaptive, horizon=scenario.horizon,
+                                 theta0=_theta0(scenario.theta0, tstar) if adaptive else tstar,
+                                 theta_star=tstar)
         return trace, compute_metrics(scenario, trace)
     oracle = scenario.test_mode and mimo.has_matching(scn.structure, scn.plant, scn.nu)
     nominal = mimo.nominal_params(scn) if oracle else None

@@ -79,9 +79,9 @@ class Polynomial:
         return np.roots(self.coeffs[::-1])
 
     def is_stable(self, domain):
-        """Strict stability for the domain: CT Re < 0, DT modulus < 1."""
+        """Strict stability for the Domain tag: CT Re < 0, DT modulus < 1."""
         r = self.roots() if self.degree > 0 else np.array([])
-        if domain is Domain.CT or (isinstance(domain, TimeDomain) and not domain.is_dt):
+        if domain is Domain.CT:
             return bool(np.all(np.real(r) < 0))
         return bool(np.all(np.abs(r) < 1))
 
@@ -167,6 +167,20 @@ def rk4_gain(eigs, h):
     """
     lam = np.asarray(eigs, dtype=complex)
     return np.abs(rk4_step(lambda t, x: lam * x, 0.0, np.ones_like(lam), h))
+
+
+def check_rk4_step(modes, h):
+    """Reject a step h at which RK4 amplifies a stable linear mode: ValidationError on step.
+
+    modes are (name, eigenvalue) pairs; a mode with negative real part must
+    satisfy |R(h lambda)| <= 1, and the message names the first that does not.
+    """
+    modes = [(name, lam) for name, lam in modes if lam.real < 0]
+    for (name, lam), r in zip(modes, rk4_gain([lam for _, lam in modes], h)):
+        if r > 1.0:
+            raise ValidationError(
+                "step", f"{h:g} puts the {name} eigenvalue {complex(lam):.4g} outside "
+                f"RK4's stability region (|R(h lambda)| = {r:.3g} > 1)")
 
 
 def markov_params(ss, count):

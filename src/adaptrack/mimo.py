@@ -37,6 +37,7 @@ from .linsys import (
     Polynomial,
     ReferenceBlock,
     StateSpace,
+    check_rk4_step,
     lyapunov_solve_ct,
     observability_index,
     reachable_basis,
@@ -158,6 +159,13 @@ class MimoScenario:
                 raise ValidationError(attr, "polynomial is not stable for the domain")
         if self.fpoly.degree != self.interactor.max_degree or not self.fpoly.monic:
             raise ValidationError("fpoly", "must be monic of the maximum interactor degree")
+        if not dom.is_dt:  # every stable linear mode of the loop, at the RK4 step
+            polys = [(attr, getattr(self, attr)) for attr in ("fpoly", "lam", "lam_e")]
+            polys += [(f"interactor[{i}]", d) for i, d in enumerate(self.interactor.rows)]
+            eigs = [(key, lam) for key in ("plant", "refmodel")
+                    for lam in np.linalg.eigvals(getattr(self, key).a)]
+            check_rk4_step(eigs + [(key, lam) for key, p in polys if p is not None
+                                    for lam in p.roots()], dom.step)
         # the plant assumptions; the loop never reads the plant, so nothing is kept
         k1, _, _ = sf_nominal(self.plant, self.interactor)
         modes = hidden_modes(self.plant, k1)
@@ -344,10 +352,12 @@ def run(scenario, adaptive=True, horizon=2000, theta0=None, psi0=None, nominal=N
         with_certificate=False):
     """Simulate the scenario with its update law; returns a SimTrace.
 
-    The rd1 law holds Psi at zero.  Nominal mode and certificates require
-    the matching parameters (has_matching).
+    The rd1 law holds Psi at zero, so it takes no psi0 (ValueError).  Nominal
+    mode and certificates require the matching parameters (has_matching).
     """
     m, q, law = scenario.m, scenario.theta_dim, scenario.law
+    if psi0 is not None and scenario.design == "rd1":
+        raise ValueError("psi0: the rd1 law holds Psi at zero")
     if nominal is None and (with_certificate or not adaptive):
         nominal = nominal_params(scenario)
     diagnose = diagnostics(scenario, nominal, law) if with_certificate else None

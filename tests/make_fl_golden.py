@@ -30,12 +30,11 @@ def _case(theta, adaptive, horizon, x0_shift=None, test_mode=True):
         plant, leader, ia = fl.benchmark()
         tstar = fl.benchmark_theta_star(plant, leader, ia)
         th = {"near": 0.9 * tstar, "true": tstar, "zero": None}[theta]
-        ctrl = fl.FLController(interactor=ia, dims=(*plant.dims, leader.qm), theta=th)
         x0 = fl.matched_x0(plant, leader)
         if x0_shift is not None:
             x0 = x0 + np.asarray(x0_shift)
-        return fl.run(plant, leader, ctrl, adaptive=adaptive, horizon=horizon, step=1e-3,
-                      x0=x0, theta_star=tstar if test_mode else None)
+        return fl.run(fl.FLScenario(plant, leader, ia, x0=x0), adaptive=adaptive,
+                      horizon=horizon, theta0=th, theta_star=tstar if test_mode else None)
 
     return run
 

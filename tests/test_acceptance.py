@@ -119,9 +119,8 @@ def rd1_run():
 def fl_run():
     plant, leader, ia = fl.benchmark()
     tstar = fl.benchmark_theta_star(plant, leader, ia)
-    ctrl = fl.FLController(interactor=ia, dims=(3, 3, 2, leader.qm), theta=0.9 * tstar)
-    tr = fl.run(plant, leader, ctrl, adaptive=True, horizon=100000, step=1e-3,
-                x0=fl.matched_x0(plant, leader), theta_star=tstar)
+    scn = fl.FLScenario(plant, leader, ia, x0=fl.matched_x0(plant, leader))
+    tr = fl.run(scn, adaptive=True, horizon=100000, theta0=0.9 * tstar, theta_star=tstar)
     return plant, leader, ia, tstar, tr
 
 
@@ -416,9 +415,9 @@ def test_criterion_8_reductions(siso_bench):
     # true-parameter linearizing controller follows the error ODE exactly
     plant, leader, ia = fl.benchmark()
     tstar = fl.benchmark_theta_star(plant, leader, ia)
-    ctrl = fl.FLController(interactor=ia, dims=(3, 3, 2, leader.qm), theta=tstar)
     x0 = fl.matched_x0(plant, leader) + np.array([0.0, 0.0, 0.5])
-    tr = fl.run(plant, leader, ctrl, adaptive=False, horizon=8000, step=1e-3, x0=x0)
+    tr = fl.run(fl.FLScenario(plant, leader, ia, x0=x0), adaptive=False, horizon=8000,
+                theta0=tstar)
     e2dot0 = plant.theta_star[1] * 0.5
     pred = e2dot0 * tr.t * np.exp(-1.2 * tr.t)
     assert np.max(np.abs(tr.e[:, 1] - pred)) < 1e-4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptrack import feedback_lin as fl
-from adaptrack.errors import GainBoundViolation, SingularityGuard
+from adaptrack.errors import GainBoundViolation, SingularityGuard, ValidationError
 
 import _oracles as oc
 
@@ -16,16 +16,21 @@ def pair():
     return plant, leader, interactor, tstar
 
 
-def _controller(interactor, leader, theta=None, **kw):
-    return fl.FLController(interactor=interactor, dims=(3, 3, 2, leader.qm),
-                           theta=theta, **kw)
+@pytest.fixture(scope="module")
+def scn(pair):
+    return fl.FLScenario(*pair[:3])
 
 
-def _estimates(ctrl, plant, leader, x, xm, umt, theta=None):
-    """fl.estimates with every regressor evaluated at (x, x_m, u_m)."""
-    theta = ctrl.theta if theta is None else theta
-    y, om1, w, om3, _, _ = plant.at(x)
-    return fl.estimates(ctrl, theta.T, om1, w, om3, leader.at(xm, umt)[2], y)
+def _matched(pair, **kw):
+    """The benchmark's FLScenario with the follower at its matched start."""
+    plant, leader, ia, _ = pair
+    return fl.FLScenario(plant, leader, ia, x0=fl.matched_x0(plant, leader), **kw)
+
+
+def _estimates(scn, theta, x, xm, umt):
+    """fl.estimates at Theta = theta with every regressor evaluated at (x, x_m, u_m)."""
+    y, om1, w, om3, _, _ = scn.plant.at(x)
+    return fl.estimates(scn, theta.T, om1, w, om3, scn.leader.at(xm, umt)[2], y)
 
 
 def _leader_rhs(leader):
@@ -40,40 +45,35 @@ def _evaluate(loop, t, flat):
 # -- estimate assembly ------------------------------------------------------------
 
 
-def test_assemble_estimates_true_parameters(pair):
+def test_assemble_estimates_true_parameters(pair, scn):
     plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=tstar)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(3)
-        bhat, ahat, _ = _estimates(ctrl, plant, leader, x, np.zeros(3), np.zeros(2))
+        bhat, ahat, _ = _estimates(scn, tstar, x, np.zeros(3), np.zeros(2))
         assert np.max(np.abs(bhat - oc.fl_b(plant.theta_star, x))) < 1e-12
         assert np.max(np.abs(ahat - oc.fl_a(plant.theta_star, x))) < 1e-12
 
 
-def test_assemble_estimates_zero(pair):
-    plant, leader, ia, _ = pair
-    ctrl = _controller(ia, leader)
-    bhat, ahat, v = _estimates(ctrl, plant, leader, np.array([0.3, -0.2, 0.5]),
+def test_assemble_estimates_zero(scn):
+    bhat, ahat, v = _estimates(scn, np.zeros((scn.q, 2)), np.array([0.3, -0.2, 0.5]),
                                np.array([0.1, 0.4, -0.3]), np.ones(2))
     assert np.all(bhat == 0.0) and np.all(ahat == 0.0)
     # v = -alpha y: the leader and Lie-derivative estimates are zero too
-    assert np.array_equal(v, -ctrl.alpha_last * np.array([0.3, -0.2]))
+    assert np.array_equal(v, -scn.alpha_last * np.array([0.3, -0.2]))
 
 
-def test_assemble_estimates_linear_in_u(pair):
+def test_assemble_estimates_linear_in_u(pair, scn):
     plant, leader, ia, tstar = pair
     rng = np.random.default_rng(1)
     theta = tstar + 0.3 * rng.standard_normal(tstar.shape)
-    ctrl = _controller(ia, leader, theta=theta)
-    th2 = ctrl.theta[3:6]
+    th2 = theta[3:6]
     for _ in range(5):
         x = rng.standard_normal(3)
         u1 = rng.standard_normal(2)
         u2 = rng.standard_normal(2)
         w = plant.at(x)[2]
-        _, ahat, _ = _estimates(ctrl, plant, leader, x, rng.standard_normal(3),
-                                rng.standard_normal(2))
+        _, ahat, _ = _estimates(scn, theta, x, rng.standard_normal(3), rng.standard_normal(2))
         lhs = ahat @ (u1 + u2)
         rhs = th2.T @ (w @ u1) + th2.T @ (w @ u2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -124,12 +124,11 @@ def test_sigma_min_badly_scaled_matches_svd():
 # -- outer-loop signal ---------------------------------------------------------------
 
 
-def test_v_signal_at_rest(pair):
-    plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=tstar)
+def test_v_signal_at_rest(pair, scn):
+    tstar = pair[3]
     x = np.zeros(3)
     xm = np.zeros(3)
-    v = _estimates(ctrl, plant, leader, x, xm, np.zeros(2))[2]
+    v = _estimates(scn, tstar, x, xm, np.zeros(2))[2]
     assert np.max(np.abs(v)) < 1e-14
 
 
@@ -149,18 +148,17 @@ def test_v_signal_leader_reconstruction(pair):
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-def test_modified_equals_unimplementable_with_true_leader_params(pair):
+def test_modified_equals_unimplementable_with_true_leader_params(pair, scn):
     # with Theta_m = Theta_m*, v = Theta_m^T omega_m - v_hat equals the signal
     # built from the leader's actual output derivatives at every state
     plant, leader, ia, tstar = pair
     rng = np.random.default_rng(3)
-    ctrl = _controller(ia, leader, theta=tstar)
     for _ in range(10):
         x = rng.standard_normal(3)
         xm = rng.standard_normal(3)
         umt = rng.standard_normal(2)
         y, _, _, om3, _, _ = plant.at(x)
-        v_mod = _estimates(ctrl, plant, leader, x, xm, umt)[2]
+        v_mod = _estimates(scn, tstar, x, xm, umt)[2]
         # unimplementable form: xi_m(s)[y_m] - v_hat_y with true Lie data
         dxm, ym, _ = leader.at(xm, umt)
         lm1 = leader.lie1_true(xm)
@@ -172,8 +170,8 @@ def test_modified_equals_unimplementable_with_true_leader_params(pair):
         xi_ym = np.array(
             [dxm[0] + d1c[0] * ym[0], ym2dd + d2c[1] * lm1[1] + d2c[0] * ym[1]]
         )
-        th3 = ctrl.theta[6:8]
-        vy = th3.T @ om3 + ctrl.alpha_last * y
+        th3 = tstar[6:8]
+        vy = th3.T @ om3 + scn.alpha_last * y
         v_unimpl = xi_ym - vy
         assert np.max(np.abs(v_mod - v_unimpl)) < 1e-12
 
@@ -181,20 +179,16 @@ def test_modified_equals_unimplementable_with_true_leader_params(pair):
 # -- per-column frames and updates -----------------------------------------------------
 
 
-def test_column_frames_zero(pair):
-    plant, leader, ia, _ = pair
-    ctrl = _controller(ia, leader)
-    xi, eps, mi = fl.column_frames(ctrl.theta.T, np.zeros(2), np.zeros((2, ctrl.q)),
+def test_column_frames_zero(scn):
+    xi, eps, mi = fl.column_frames(np.zeros((2, scn.q)), np.zeros(2), np.zeros((2, scn.q)),
                                    np.zeros(2))
     assert np.all(xi == 0.0) and np.all(eps == 0.0) and np.all(mi == 1.0)
 
 
-def test_column_frames_per_column_formulas(pair):
-    plant, leader, ia, tstar = pair
+def test_column_frames_per_column_formulas(scn):
     rng = np.random.default_rng(8)
-    ctrl = _controller(ia, leader)
-    theta = rng.standard_normal((ctrl.q, 2))
-    zetas = rng.standard_normal((2, ctrl.q))
+    theta = rng.standard_normal((scn.q, 2))
+    zetas = rng.standard_normal((2, scn.q))
     etas, e = rng.standard_normal(2), rng.standard_normal(2)
     xi, eps, mi = fl.column_frames(theta.T, e, zetas, etas)
     for i in range(2):
@@ -224,27 +218,24 @@ def test_column_filters_are_the_interactor_rows(pair):
         o += k
 
 
-def test_column_frames_frozen_theta_swap_decays(pair):
+def test_column_frames_frozen_theta_swap_decays(pair, scn):
     plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=tstar)
     a, b, hs = fl.column_filters(ia)
-    filt = np.zeros((a.shape[0], ctrl.q + 1))
+    filt = np.zeros((a.shape[0], scn.q + 1))
     h = 1e-3
-    omega_fn = lambda t: np.sin(0.9 * t) * np.ones(ctrl.q) * 0.5
+    omega_fn = lambda t: np.sin(0.9 * t) * np.ones(scn.q) * 0.5
     for k in range(8000):
         om = omega_fn(k * h)
         drive = np.column_stack((np.tile(om, (2, 1)), tstar.T @ om))
         filt = filt + h * (a @ filt + b @ drive)
     zeta_eta = hs @ filt
-    xi, _, _ = fl.column_frames(tstar.T, np.zeros(2), zeta_eta[:, : ctrl.q], zeta_eta[:, ctrl.q])
+    xi, _, _ = fl.column_frames(tstar.T, np.zeros(2), zeta_eta[:, : scn.q], zeta_eta[:, scn.q])
     assert np.any(zeta_eta != 0.0)
     assert np.max(np.abs(xi)) < 1e-6
 
 
-def test_gradient_rhs_zero_eps(pair):
-    plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=tstar)
-    d = fl.gradient_rhs(ctrl.gain, np.ones((2, ctrl.q)), np.zeros(2), np.full(2, 1.5))
+def test_gradient_rhs_zero_eps(scn):
+    d = fl.gradient_rhs(scn.gain, np.ones((2, scn.q)), np.zeros(2), np.full(2, 1.5))
     assert np.all(d == 0.0)
 
 
@@ -254,10 +245,8 @@ def _unit_frame(q):
     return zetas, np.array([1.0, 0.0]), np.array([np.sqrt(2.0), 1.0])
 
 
-def test_gradient_rhs_scalar_formula(pair):
-    plant, leader, ia, _ = pair
-    ctrl = _controller(ia, leader)
-    d = fl.gradient_rhs(ctrl.gain, *_unit_frame(ctrl.q)).reshape(2, ctrl.q).T
+def test_gradient_rhs_scalar_formula(scn):
+    d = fl.gradient_rhs(scn.gain, *_unit_frame(scn.q)).reshape(2, scn.q).T
     assert abs(d[0, 0] - 0.5) < 1e-15
     assert np.all(d[:, 1] == 0.0)
 
@@ -270,42 +259,74 @@ def test_gradient_rhs_per_column_gains(pair):
     for _ in range(2):
         r = rng.standard_normal((q, q))
         gams.append(r @ r.T + q * np.eye(q))
-    ctrl = _controller(ia, leader, gammas=gams)
+    gain = fl.FLScenario(plant, leader, ia, gammas=gams).gain
     zetas, eps, mi = rng.standard_normal((2, q)), rng.standard_normal(2), 1.0 + rng.random(2)
-    d = fl.gradient_rhs(ctrl.gain, zetas, eps, mi).reshape(2, q)
+    d = fl.gradient_rhs(gain, zetas, eps, mi).reshape(2, q)
     for i in range(2):
         np.testing.assert_allclose(d[i], gams[i] @ zetas[i] * eps[i] / mi[i] ** 2,
                                    rtol=1e-12, atol=1e-14)
 
 
-def test_gradient_step_advances_column(pair):
-    plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader)
-    new = ctrl.theta + 1e-2 * fl.gradient_rhs(ctrl.gain, *_unit_frame(ctrl.q)).reshape(
-        2, ctrl.q).T
+def test_gradient_step_advances_column(pair, scn):
+    tstar = pair[3]
+    new = np.zeros((scn.q, 2)) + 1e-2 * fl.gradient_rhs(
+        scn.gain, *_unit_frame(scn.q)).reshape(2, scn.q).T
     assert abs(new[0, 0] - 0.005) < 1e-15
     assert np.all(new[:, 1] == 0.0)
     # the loop's theta derivative is gradient_rhs of the frames at the same state
-    loop = fl.FLLoop(plant, leader, _controller(ia, leader, theta=0.9 * tstar))
+    loop = fl.FLLoop(scn, theta0=0.9 * tstar)
     rng = np.random.default_rng(6)
     flat = loop.s.copy()
     loop.blocks(flat)[2][:] = rng.standard_normal(loop.blocks(flat)[2].shape)
     deriv, (_, _, _, _, zetas, eps, mi) = _evaluate(loop, 0.3, flat)
     assert np.any(zetas != 0.0)
     assert np.array_equal(loop.blocks(deriv)[3].ravel(),
-                          fl.gradient_rhs(loop.ctrl.gain, zetas, eps, mi))
+                          fl.gradient_rhs(loop.scenario.gain, zetas, eps, mi))
     assert np.array_equal(_evaluate(loop, 0.3, flat)[0], deriv)
 
 
 def test_per_column_gains_must_be_positive_definite(pair):
     plant, leader, ia, _ = pair
     q = sum((3, 3, 2, leader.qm))
-    with pytest.raises(GainBoundViolation, match="column 0"):
-        _controller(ia, leader, gammas=[-np.eye(q), np.eye(q)])
-    with pytest.raises(GainBoundViolation, match="column 1"):
-        _controller(ia, leader, gammas=[np.eye(q), np.diag(np.r_[1.0, -1.0, np.ones(q - 2)])])
-    with pytest.raises(ValueError):
-        _controller(ia, leader, gammas=[np.eye(q)])
+    with pytest.raises(GainBoundViolation) as ei:
+        fl.FLScenario(plant, leader, ia, gammas=[-np.eye(q), np.eye(q)])
+    assert ei.value.field == "gammas[0]"
+    with pytest.raises(GainBoundViolation) as ei:
+        fl.FLScenario(plant, leader, ia,
+                      gammas=[np.eye(q), np.diag(np.r_[1.0, -1.0, np.ones(q - 2)])])
+    assert ei.value.field == "gammas[1]"
+    for gammas in ([np.eye(q)], [np.eye(q), np.eye(q - 1)]):
+        with pytest.raises(ValidationError) as ei:
+            fl.FLScenario(plant, leader, ia, gammas=gammas)
+        assert ei.value.field == "gammas"
+
+
+def test_scenario_derives_its_dimensions(pair, scn):
+    plant, leader, ia, tstar = pair
+    assert scn.dims == (3, 3, 2, leader.qm) and scn.m == ia.m == 2
+    assert scn.q == scn.theta_dim == 17 and tstar.shape == (scn.q, scn.m)
+    assert np.array_equal(scn.gain, np.eye(2 * scn.q))
+    assert np.array_equal(scn.alpha_last, [1.0, 1.44])
+
+
+@pytest.mark.parametrize("guard", [0.0, -1e-6, float("nan"), "x", [1e-6]])
+def test_guard_must_be_a_positive_number(pair, guard):
+    with pytest.raises(ValidationError) as ei:
+        fl.FLScenario(*pair[:3], guard=guard)
+    assert ei.value.field == "guard"
+
+
+def test_step_outside_rk4_region_rejected_at_build(pair):
+    # the column filter 1/d_1 = 1/(s + 1) has its mode at -1: |R(-4)| = 5 > 1
+    with pytest.raises(ValidationError) as ei:
+        fl.FLScenario(*fl.benchmark(), step=4.0)
+    assert ei.value.field == "step" and "interactor[0]" in str(ei.value)
+    assert fl.FLScenario(*pair[:3], step=1.0).step == 1.0
+
+
+def test_loop_rejects_a_theta0_of_another_shape(scn):
+    with pytest.raises(ValueError, match="theta0"):
+        fl.FLLoop(scn, theta0=np.zeros((scn.q, 3)))
 
 
 # -- benchmark structure ----------------------------------------------------------------
@@ -360,13 +381,12 @@ def test_benchmark_leader_bounded(pair):
 def test_benchmark_output_dynamics_identity(pair):
     # finite-differenced outputs match b(x) + A(x) u along a closed-loop run
     plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=tstar)
-    h = 1e-3
-    tr = fl.run(plant, leader, ctrl, adaptive=False, horizon=4000, step=h,
-                x0=fl.matched_x0(plant, leader))
+    scn = _matched(pair)
+    h = scn.step
+    tr = fl.run(scn, adaptive=False, horizon=4000, theta0=tstar)
     # reconstruct states by re-running the plant side: use recorded y and u
     # directly: D[y1] and D^2[y2] vs b + A u requires x; rerun the loop capturing x
-    loop = fl.FLLoop(plant, leader, ctrl, adaptive=False, x0=fl.matched_x0(plant, leader))
+    loop = fl.FLLoop(scn, adaptive=False, theta0=tstar)
     flat = loop.s.copy()
     xs = []
     us = []
@@ -394,22 +414,22 @@ def test_benchmark_output_dynamics_identity(pair):
 
 def test_run_true_params_matched_start(pair):
     plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=tstar)
     x0 = fl.matched_x0(plant, leader)
     # y2 has relative degree 2: its first derivative, along the drift alone, matches too
     lie1, lie1_m = oc.fl_lie1(plant.theta_star, x0), leader.lie1_true(leader.x0)
     assert abs(lie1[1] - lie1_m[1]) <= 1e-14 * abs(lie1_m[1])
-    tr = fl.run(plant, leader, ctrl, adaptive=False, horizon=2000, step=1e-3, x0=x0)
+    tr = fl.run(fl.FLScenario(plant, leader, ia, x0=x0), adaptive=False, horizon=2000,
+                theta0=tstar)
     assert np.max(np.abs(tr.e)) < 1e-10
 
 
 def test_run_true_params_offset_start_matches_linear_ode(pair):
     plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=tstar)
     x0 = fl.matched_x0(plant, leader) + np.array([0.0, 0.0, 0.5])
     th1, th2, th3 = plant.theta_star
     e2dot0 = th2 * 0.5  # only x3 was perturbed; L_f h2 shifts by th2 * dx3
-    tr = fl.run(plant, leader, ctrl, adaptive=False, horizon=8000, step=1e-3, x0=x0)
+    tr = fl.run(fl.FLScenario(plant, leader, ia, x0=x0), adaptive=False, horizon=8000,
+                theta0=tstar)
     r = 1.2  # double root of d2
     pred = e2dot0 * tr.t * np.exp(-r * tr.t)
     assert np.max(np.abs(tr.e[:, 1] - pred)) < 1e-4
@@ -417,10 +437,9 @@ def test_run_true_params_offset_start_matches_linear_ode(pair):
 
 
 def test_run_adaptive_near_start(pair):
-    plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=0.9 * tstar)
-    tr = fl.run(plant, leader, ctrl, adaptive=True, horizon=20000, step=1e-3,
-                x0=fl.matched_x0(plant, leader), theta_star=tstar)
+    tstar = pair[3]
+    tr = fl.run(_matched(pair), adaptive=True, horizon=20000, theta0=0.9 * tstar,
+                theta_star=tstar)
     assert np.max(np.abs(tr.extra["ident_resid"])) < 1e-8
     dv = np.diff(tr.v) / 1e-3
     assert np.all(dv <= 1e-6 * np.maximum(tr.v[:-1], 1.0))
@@ -430,10 +449,8 @@ def test_run_adaptive_near_start(pair):
     assert tr.extra["l2_eps_cum"][-1] < 1.0  # finite normalized-error energy
 
 
-def test_run_guard_abort_records_event(pair):
-    plant, leader, ia, _ = pair
-    ctrl = _controller(ia, leader)  # zero estimates: A_hat = 0 at t = 0
-    tr = fl.run(plant, leader, ctrl, adaptive=True, horizon=50, step=1e-3)
+def test_run_guard_abort_records_event(scn):
+    tr = fl.run(scn, adaptive=True, horizon=50)  # zero estimates: A_hat = 0 at t = 0
     assert tr.guard_events and tr.guard_events[0]["t"] == 0.0
     assert tr.n_samples == 0
 
@@ -441,10 +458,9 @@ def test_run_guard_abort_records_event(pair):
 def test_run_guard_stop_mid_run_keeps_rows_before_it(pair):
     # estimates at -0.5 theta* with a guard of 0.2: sigma_min of A_hat falls
     # below the guard at k = 988 = 15 * 64 + 28, so the last block is partial
-    plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=-0.5 * tstar, guard=0.2)
-    tr = fl.run(plant, leader, ctrl, adaptive=True, horizon=4000, step=1e-3,
-                x0=fl.matched_x0(plant, leader), theta_star=tstar)
+    tstar = pair[3]
+    tr = fl.run(_matched(pair, guard=0.2), adaptive=True, horizon=4000, theta0=-0.5 * tstar,
+                theta_star=tstar)
     assert tr.n_samples == 988
     [event] = tr.guard_events
     assert event["t"] == 988 * 1e-3 and sorted(event) == ["sigma_min", "t"]
@@ -455,11 +471,10 @@ def test_run_guard_stop_mid_run_keeps_rows_before_it(pair):
 
 
 def test_gradient_lyapunov_slope_finite_difference(pair):
-    plant, leader, ia, tstar = pair
-    ctrl = _controller(ia, leader, theta=0.9 * tstar)
-    h = 1e-3
-    tr = fl.run(plant, leader, ctrl, adaptive=True, horizon=3000, step=h,
-                x0=fl.matched_x0(plant, leader), theta_star=tstar)
+    tstar = pair[3]
+    scn = _matched(pair)
+    h = scn.step
+    tr = fl.run(scn, adaptive=True, horizon=3000, theta0=0.9 * tstar, theta_star=tstar)
     vdot = (tr.v[2:] - tr.v[:-2]) / (2 * h)
     eps_over_m = np.sum((tr.eps[1:-1] / tr.extra["m_i"][1:-1]) ** 2, axis=1)
     assert np.max(np.abs(vdot + eps_over_m)) < 1e-4
@@ -470,10 +485,9 @@ def test_run_nonfinite_state_records_diverged_event(pair):
     # the leader input turns NaN at t = 0.02: the RK4 step into that time
     # poisons the follower state, and the run stops before recording that row
     bad = dataclasses.replace(
-        leader, um=lambda t: leader.um(t) if t < 0.02 else np.full(leader.m, np.nan))
-    ctrl = _controller(ia, leader, theta=tstar)
-    tr = fl.run(plant, bad, ctrl, adaptive=True, horizon=100, step=1e-3,
-                x0=fl.matched_x0(plant, leader), theta_star=tstar)
+        leader, um=lambda t: leader.um(t) if t < 0.02 else np.full(ia.m, np.nan))
+    scn = fl.FLScenario(plant, bad, ia, x0=fl.matched_x0(plant, leader))
+    tr = fl.run(scn, adaptive=True, horizon=100, theta0=tstar, theta_star=tstar)
     assert tr.n_samples == 20
     assert tr.guard_events == [{"t": 20 * 1e-3, "diverged": "plant"}]
     assert np.isfinite(tr.e).all() and np.isfinite(tr.extra["l2_eps_cum"]).all()

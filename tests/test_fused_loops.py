@@ -105,8 +105,8 @@ def test_fl_regressor_and_drive_from_the_estimate_matrix():
     rng = np.random.default_rng(8)
     for _ in range(10):
         theta = tstar * (1.0 + 0.2 * rng.standard_normal(tstar.shape))
-        ctrl = fl.FLController(interactor=ia, dims=(*plant.dims, leader.qm), theta=theta)
-        loop = fl.FLLoop(plant, leader, ctrl)
+        scn = fl.FLScenario(plant, leader, ia)
+        loop = fl.FLLoop(scn, theta0=theta)
         flat = loop.s.copy()
         x, xm, filt, _ = loop.blocks(flat)
         x[:], xm[:] = rng.standard_normal(3), rng.standard_normal(3)
@@ -122,8 +122,8 @@ def test_fl_regressor_and_drive_from_the_estimate_matrix():
         # theta_i^T omega = -alpha_i y_i whenever A_hat u = v - b_hat
         tw = theta.T @ omega
         scale = np.abs(theta.T) @ np.abs(omega)
-        assert np.all(np.abs(tw + ctrl.alpha_last * y) <= 1e-12 * scale)
-        assert np.array_equal(loop._drive[:, -1], -ctrl.alpha_last * y)
+        assert np.all(np.abs(tw + scn.alpha_last * y) <= 1e-12 * scale)
+        assert np.array_equal(loop._drive[:, -1], -scn.alpha_last * y)
 
 
 # -- diagnostics per block ----------------------------------------------------------------
@@ -224,12 +224,9 @@ def test_fl_block_diagnostics_match_per_step_formulas(horizon, nan_at):
         leader = dataclasses.replace(
             leader, um=lambda t: um(t) if t < nan_at else np.full(2, np.nan))
 
-    def ctrl():
-        return fl.FLController(interactor=ia, dims=(*plant.dims, leader.qm), theta=0.9 * tstar)
-
-    x0 = fl.matched_x0(plant, leader)
-    tr = fl.run(plant, leader, ctrl(), horizon=horizon, step=1e-3, x0=x0, theta_star=tstar)
-    loop = fl.FLLoop(plant, leader, ctrl(), x0=x0)
+    scn = fl.FLScenario(plant, leader, ia, x0=fl.matched_x0(plant, leader))
+    tr = fl.run(scn, horizon=horizon, theta0=0.9 * tstar, theta_star=tstar)
+    loop = fl.FLLoop(scn, theta0=0.9 * tstar)
     want = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(tr.n_samples):
@@ -237,7 +234,7 @@ def test_fl_block_diagnostics_match_per_step_formulas(horizon, nan_at):
             theta = loop.blocks(loop.s)[3].T
             tht = tstar - theta
             v = sum(0.5 * tht[:, i] @ np.linalg.solve(g, tht[:, i])
-                    for i, g in enumerate(loop.ctrl.gammas))
+                    for i, g in enumerate(loop.scenario.gammas))
             ident = [eps[i] - tht[:, i] @ zetas[i] for i in range(2)]
             want.append((v, *ident, np.linalg.norm(theta), *mi))
             loop.s[:] = rk4_step(lambda t, s: _fl_evaluate(loop, t, s)[0], k * 1e-3, loop.s,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptrack import benchmarks, cli, harness, mimo, siso
+from adaptrack import benchmarks, cli, feedback_lin as fl, harness, mimo, siso
 from adaptrack.engine import SimTrace
 from adaptrack.errors import ParseError, ValidationError
 
@@ -194,6 +194,9 @@ _MALFORMED = {
     "fl_structure": (_FL, {"structure": "sf_xm"}, "structure"),
     "fl_gamma_theta": (_FL, {"gains": {"gamma_theta": 0.5}}, "gains.gamma_theta"),
     "fl_sp": (_FL, {"gains": {"sp": [[1.0]]}}, "gains.sp"),
+    # the guard is checked where its model is built, like every other gain
+    "fl_guard_zero": (_FL, {"gains": {"guard": 0.0}}, "gains.guard"),
+    "fl_guard_string": (_FL, {"gains": {"guard": "tight"}}, "gains.guard"),
     # rd1 is the continuous-time multivariable design with first-order interactor
     # rows and a positive definite Q: a dt plant failed at run, second-order rows in a
     # bare ValueError, siso ran the gradient law, and an indefinite Q loaded
@@ -362,13 +365,14 @@ _REF4 = {"A": [[0.4, 0.0, 0.0, 0.1], [0.0, 0.0, 1.0, 0.0], [0.0, -0.06, 0.5, 0.0
 
 
 def test_linear_benchmark_is_its_model_builders_keyword_arguments():
-    builders = {"siso": siso.scenario, "mimo": mimo.MimoScenario}
+    # the fl benchmark too: every benchmark dict is its model's keyword arguments
+    builders = {"siso": siso.scenario, "mimo": mimo.MimoScenario, "fl": fl.FLScenario}
     for name, (build, module, _) in benchmarks.REGISTRY.items():
         keys = set(build())
-        if module == "fl":
-            assert keys == {"plant", "leader", "interactor", "dims", "step", "x0"}
-        else:
-            assert keys <= set(inspect.signature(builders[module]).parameters), name
+        assert keys <= set(inspect.signature(builders[module]).parameters), name
+        assert "dims" not in keys, name
+    scn = fl.FLScenario(**benchmarks.build("fl-2x3"))
+    assert scn.dims == (3, 3, 2, 9) and scn.step == 1e-3 and scn.x0 is not None
 
 
 def _explicit_with_refmodel(bench, refmodel, **kw):

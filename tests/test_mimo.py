@@ -423,6 +423,22 @@ def test_reference_model_at_another_step_is_rejected(bench_ct):
     assert ei.value.field == "refmodel"
 
 
+def test_ct_step_outside_rk4_region_rejected_at_build(bench_rd1):
+    # checked only when a scenario file was loaded: built here, the run diverged at t = 466
+    b = {**bench_rd1, **{k: dataclasses.replace(bench_rd1[k], domain=ct(2.0))
+                         for k in ("plant", "refmodel")}}
+    with pytest.raises(ValidationError, match="plant eigenvalue") as ei:
+        _scn(b)
+    assert ei.value.field == "step"
+
+
+def test_rd1_rejects_a_psi0(bench_rd1):
+    # the rd1 law holds Psi at zero: a given psi0 was dropped without a word
+    scn = _scn(bench_rd1, design="rd1")
+    with pytest.raises(ValueError, match="psi0"):
+        mimo.run(scn, horizon=10, psi0=5 * np.eye(2))
+
+
 def test_rd1_lyapunov_slope(bench_rd1):
     scn = _scn(bench_rd1, design="rd1")
     nom = mimo.nominal_params(scn)

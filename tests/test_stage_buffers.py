@@ -123,8 +123,8 @@ def test_engine_measured_signals_survive_the_step(bench, design):
 def _fl_loop(adaptive=True):
     plant, leader, ia = fl.benchmark()
     tstar = fl.benchmark_theta_star(plant, leader, ia)
-    ctrl = fl.FLController(interactor=ia, dims=(*plant.dims, leader.qm), theta=0.9 * tstar)
-    return fl.FLLoop(plant, leader, ctrl, adaptive=adaptive, x0=fl.matched_x0(plant, leader))
+    scn = fl.FLScenario(plant, leader, ia, x0=fl.matched_x0(plant, leader))
+    return fl.FLLoop(scn, adaptive=adaptive, theta0=0.9 * tstar)
 
 
 def _fl_evaluate(loop, t, flat):
@@ -227,13 +227,11 @@ def test_fl_loops_stepped_interleaved_equal_separate_runs():
 def test_fl_l2_dtheta_is_the_running_sum_of_parameter_increments():
     plant, leader, ia = fl.benchmark()
     tstar = fl.benchmark_theta_star(plant, leader, ia)
-    x0, h, n = fl.matched_x0(plant, leader), 1e-3, 200
+    scn = fl.FLScenario(plant, leader, ia, x0=fl.matched_x0(plant, leader))
+    h, n = scn.step, 200
 
-    def ctrl():
-        return fl.FLController(interactor=ia, dims=(*plant.dims, leader.qm), theta=0.9 * tstar)
-
-    tr = fl.run(plant, leader, ctrl(), horizon=n, step=h, x0=x0)
-    loop = fl.FLLoop(plant, leader, ctrl(), x0=x0)
+    tr = fl.run(scn, horizon=n, theta0=0.9 * tstar)
+    loop = fl.FLLoop(scn, theta0=0.9 * tstar)
     flat, total, want = loop.s.copy(), 0.0, []
     for k in range(n):
         new = rk4_step(_fl_rhs(loop), k * h, flat, h)
@@ -245,5 +243,5 @@ def test_fl_l2_dtheta_is_the_running_sum_of_parameter_increments():
     assert got.shape == (n,) and want[-1] > 0.0
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
-    nominal = fl.run(plant, leader, ctrl(), adaptive=False, horizon=n, step=h, x0=x0)
+    nominal = fl.run(scn, adaptive=False, horizon=n, theta0=0.9 * tstar)
     assert np.all(nominal.extra["l2_dtheta_cum"] == 0.0)
