@@ -366,15 +366,16 @@ class ClosedLoop(FlatLoop):
     scenario is a multivariable scenario (mimo.MimoScenario): the plant and
     the reference model, its input um and its prebuilt ReferenceBlock
     `reference`, the structure and its design polynomials, theta_dim and the
-    initial states x0 and xm0.  theta0 and psi0 are the initial parameters.
-    The controller side never reads the plant matrices; they appear only
-    through the simulated signals.
+    initial states x0 and xm0, and its update law `law`.  theta0 and psi0
+    are the initial parameters, zero when None; with adaptive False they stay
+    there.  The controller side never reads the plant matrices; they appear
+    only through the simulated signals.
     """
 
-    def __init__(self, scenario, law, horizon, theta0=None, psi0=None):
+    def __init__(self, scenario, horizon, adaptive=True, theta0=None, psi0=None):
         self.scenario = scn = scenario
-        self.law = law  # None = nominal (frozen parameters)
-        self._gradient = law is not None and not isinstance(law, Rd1Law)
+        self.law = scn.law if adaptive else None  # None: frozen parameters
+        self._gradient = adaptive and scn.design == "gradient"
         self.domain = dom = scn.plant.domain
         self.h = 1.0 if dom.is_dt else dom.step
         plant, s = scn.plant, scn.structure
@@ -451,13 +452,12 @@ class ClosedLoop(FlatLoop):
         self.lin = self.s[self._lin]
         self.theta = self.s[self._theta].reshape(q, m)
         self.psi = self.s[self._psi].reshape(m, m)
-        if theta0 is not None:
-            theta0 = np.asarray(theta0, dtype=float)
-            if theta0.shape != (q, m):
-                raise ValueError(f"theta0 shape {theta0.shape} != {(q, m)}")
-            self.theta[:] = theta0
-        if psi0 is not None:
-            self.psi[:] = psi0
+        for name, start, dest in (("theta0", theta0, self.theta), ("psi0", psi0, self.psi)):
+            if start is not None:
+                start = np.asarray(start, dtype=float)
+                if start.shape != dest.shape:
+                    raise ValueError(f"{name} shape {start.shape} != {dest.shape}")
+                dest[:] = start
 
         # stage tables, one block of steps at a time
         z0 = np.zeros(nz)
@@ -510,7 +510,7 @@ class ClosedLoop(FlatLoop):
 
         DT: lin+ in place of dlin.  row is the exogenous part of the stage's
         table row.  Only what the law reads is computed: Rd1Law reads e and
-        omega, a nominal run nothing, GradientLaw the estimation-error
+        omega, a frozen run nothing, GradientLaw the estimation-error
         signals; the laws write into K[j].  With frame set, the signals (y, e,
         u, Frame) that measure records are returned too, as views of stage
         j's buffers.
@@ -596,7 +596,8 @@ def drive(loop, rec, diagnose=None):
     return events
 
 
-def run_closed_loop(scenario, law=None, horizon=1000, theta0=None, psi0=None, diagnose=None):
+def run_closed_loop(scenario, adaptive=True, horizon=1000, theta0=None, psi0=None,
+                    diagnose=None):
     """Run the scenario's ClosedLoop for `horizon` steps through drive; returns a SimTrace.
 
     Row k of the trace holds the time-t_k values of every signal, with
@@ -610,7 +611,7 @@ def run_closed_loop(scenario, law=None, horizon=1000, theta0=None, psi0=None, di
     A run stopped by drive's stop rule returns the rows before the failing
     step, with the event in trace.guard_events.
     """
-    loop = ClosedLoop(scenario, law, horizon, theta0, psi0)
+    loop = ClosedLoop(scenario, horizon, adaptive, theta0, psi0)
     q, m = scenario.theta_dim, scenario.m
     rec = _Recorder(horizon, m, q * m + m * m, None if diagnose is None else ((q,), (m,)))
 

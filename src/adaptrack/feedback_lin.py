@@ -62,8 +62,9 @@ class FLScenario:
     dims = (q1, q2, q3, qm) and m = interactor.m give the (q, m) estimates,
     q = theta_dim = sum(dims).  gammas are the per-column gains (I each when
     empty), guard the floor on sigma_min(A_hat), x0 the follower's start
-    (zero when None).  A failed check of the gains, the guard, or the step
-    against the column filters 1/d_i raises ValidationError naming it.
+    (zero when None).  A failed check of the gains, the guard, the length of
+    x0, or the step against the column filters 1/d_i raises ValidationError
+    naming it.
     """
 
     plant: FLPlant
@@ -84,6 +85,9 @@ class FLScenario:
             raise ValidationError("guard", str(exc)) from exc
         if not self.guard > 0:
             raise ValidationError("guard", "must be positive")
+        shape = np.shape(self.x0)
+        if self.x0 is not None and shape != (self.plant.n,):
+            raise ValidationError("x0", f"has shape {shape}, expected {(self.plant.n,)}")
         self.gammas = ([np.atleast_2d(np.asarray(g, dtype=float)) for g in self.gammas]
                        or [np.eye(q)] * m)
         if len(self.gammas) != m or any(g.shape != (q, q) for g in self.gammas):
@@ -343,28 +347,28 @@ def certificate(theta, theta_star, gain_inv):
     return 0.5 * np.vecdot(d @ gain_inv, d)
 
 
-def run(scenario, adaptive=True, horizon=10000, theta0=None, theta_star=None):
+def run(scenario, adaptive=True, horizon=10000, theta0=None, oracle=None):
     """Simulate the scenario's loop through engine.drive; returns a SimTrace.
 
     A run stopped by drive's stop rule returns the rows before the failing
     step, with the event in trace.guard_events.  trace.extra["m_i"] holds
-    each column's m_i.  theta_star (test mode) enables the V column and the
-    per-column identity residual eps_i - theta~_i^T zeta_i in
-    trace.extra["ident_resid"].  All three are evaluated, as theta_norm is,
-    once per block of at most CT_BLOCK rows.
+    each column's m_i.  oracle, the true (q, m) parameters (test mode),
+    enables the V column and the per-column identity residual eps_i -
+    theta~_i^T zeta_i in trace.extra["ident_resid"].  All three are
+    evaluated, as theta_norm is, once per block of at most CT_BLOCK rows.
     """
     loop = FLLoop(scenario, adaptive=adaptive, theta0=theta0)
     m, q = scenario.m, scenario.q
     rec = _Recorder(horizon, m, q * m, ((m, q), (m,)))
-    gain_inv = None if theta_star is None else np.linalg.inv(scenario.gain)
+    gain_inv = None if oracle is None else np.linalg.inv(scenario.gain)
 
     def diagnose(par, frame, e):
         zetas = frame.zeta
         cols = {"m_i": np.sqrt(1.0 + np.vecdot(zetas, zetas))}
-        if theta_star is not None:
+        if oracle is not None:
             theta = par.reshape(-1, m, q).transpose(0, 2, 1)
-            cols["v"] = certificate(theta, theta_star, gain_inv)
-            cols["ident_resid"] = frame.eps - np.einsum("kji,kij->ki", theta_star - theta, zetas)
+            cols["v"] = certificate(theta, oracle, gain_inv)
+            cols["ident_resid"] = frame.eps - np.einsum("kji,kij->ki", oracle - theta, zetas)
         return cols
 
     return rec.trace(drive(loop, rec, diagnose))

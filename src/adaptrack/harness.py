@@ -2,9 +2,9 @@
 
 Scenarios are JSON documents with a versioned schema; unknown fields are
 rejected by name.  Runs are deterministic given (scenario, seed): repeated
-runs write byte-identical outputs.  Test-mode scenarios may reference the
-matching-parameter oracles (for certificates and near-convergence starts);
-blind scenarios never touch them.
+runs write byte-identical outputs.  Test-mode scenarios compute the
+matching-parameter oracles once, at load (for certificates and
+near-convergence starts); blind scenarios never touch them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import benchmarks, feedback_lin, mimo, siso
 from .engine import Structure
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnobservablePair, ValidationError
 from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt
 from .signals import Channel, RefInput, Sinusoid
 
@@ -67,18 +67,20 @@ class Scenario:
 
     `model` is the run object, with its start state drawn from the seed:
     the mimo.MimoScenario of a linear module, the feedback_lin.FLScenario
-    of fl.  `theta0` is "zero", "near" or a (q, m) array.
+    of fl.  `oracle` is the test-mode oracle, computed once here: the
+    mimo.MimoNominal of a linear structure with matching parameters, fl's
+    (q, m) Theta*, else None.  `theta0` is None (zero), Theta* (nominal
+    mode), 0.9 Theta* ("near") or the given (q, m) array.
     """
 
     name: str
     module: str
     mode: str
-    structure: Structure
-    test_mode: bool
     horizon: int
     seed: int
     model: object
     theta0: object
+    oracle: object
     tail_fraction: float
     converge_tol: float
     benchmark: str = None
@@ -153,11 +155,11 @@ def _ref_input(d, fld):
 
 
 def _init_vec(spec, fld, dim, rng, scale=0.5):
-    """None for "zero", scale times a draw from rng for "random", else the given (dim,) vector."""
+    """None for "zero", scale times a (dim,) draw from rng for "random", else the given vector."""
     if isinstance(spec, str):
         _require(spec in ("zero", "random"), fld, "must be zero, random, or a list")
         return None if spec == "zero" else scale * rng.standard_normal(dim)
-    return _array(spec, fld, (dim,))
+    return _array(spec, fld)
 
 
 def scenario_from_dict(data, name=None):
@@ -270,40 +272,47 @@ def scenario_from_dict(data, name=None):
         comps["x0"] = x0
     if module != "fl":
         comps["xm0"] = _init_vec(data.get("xm0", "zero"), "xm0", comps["refmodel"].n, rng)
+    oracle = None
     try:
         if module == "fl":
             model = feedback_lin.FLScenario(**comps)
-        elif module == "siso":
-            model = siso.scenario(**comps, structure=structure)
+            if test_mode:
+                oracle = tstar = feedback_lin.benchmark_theta_star(
+                    model.plant, model.leader, model.interactor)
         else:
-            model = mimo.MimoScenario(**comps, structure=structure, design=design)
-        # the prior check of the run, for exactly the linear runs that make it
-        if (module != "fl" and test_mode and mode == "adaptive" and design == "gradient"
-                and mimo.has_matching(structure, model.plant, model.nu)):
-            _, kp = mimo.interactor_row_gains(model.plant, model.interactor)
-            mimo.verify_gain_prior(kp, model.sp, model.plant.domain, model.gz)
+            model = (siso.scenario(**comps, structure=structure) if module == "siso" else
+                     mimo.MimoScenario(**comps, structure=structure, design=design))
+            if test_mode and mimo.has_matching(structure, model.plant, model.nu):
+                oracle = mimo.nominal_params(model)
+                tstar = oracle.theta_star
+                # the prior check of the run, for exactly the runs that make it
+                if mode == "adaptive" and design == "gradient":
+                    mimo.verify_gain_prior(oracle.kp, model.sp, model.plant.domain, model.gz)
+    except UnobservablePair as exc:  # from the _ym oracle's fit of the reference model
+        raise ValidationError("refmodel", str(exc)) from exc
     except ValidationError as exc:
         fld = _MODEL_FIELDS[module].get(exc.field, exc.field)
         raise ValidationError(fld, exc.message) from exc
     q, m = model.theta_dim, model.m
 
-    theta0 = data.get("theta0", "zero")
+    theta0, near = data.get("theta0", "zero"), False
     if isinstance(theta0, str):
         _require(theta0 in ("zero", "near"), "theta0", "must be zero, near, or a list")
-        _require(theta0 != "near" or test_mode, "theta0",
-                 "near-convergence start needs test_mode")
+        near, theta0 = theta0 == "near", None
+        _require(not near or test_mode, "theta0", "near-convergence start needs test_mode")
     else:
         shapes = [(q,), (q, 1)] if module == "siso" else [(q, m)]
         theta0 = np.reshape(_array(theta0, "theta0", *shapes), (q, m))
-    if module == "mimo" and (mode == "nominal" or isinstance(theta0, str) and theta0 == "near"):
-        _require(mimo.has_matching(structure, model.plant, model.nu), "nu",
-                 f"{model.nu} is below the observability index of the plant: no matching "
-                 "parameters for a nominal run or a near start")
+    if mode == "nominal" or near:
+        if oracle is None:  # only output feedback can lack matching parameters
+            raise ValidationError("nu", f"{model.nu} is below the observability index of the "
+                                  "plant: no matching parameters for a nominal run or a near start")
+        theta0 = tstar if mode == "nominal" else 0.9 * tstar
 
     return Scenario(
-        name=name, module=module, mode=mode, structure=structure,
-        test_mode=test_mode, horizon=horizon, seed=seed, model=model, theta0=theta0,
-        tail_fraction=tail_fraction, converge_tol=converge_tol, benchmark=bench_name,
+        name=name, module=module, mode=mode, horizon=horizon, seed=seed, model=model,
+        theta0=theta0, oracle=oracle, tail_fraction=tail_fraction,
+        converge_tol=converge_tol, benchmark=bench_name,
     )
 
 
@@ -379,31 +388,11 @@ def compute_metrics(scenario, trace):
     )
 
 
-def _theta0(spec, theta_star):
-    """The start estimate: None for "zero", 0.9 theta_star for "near", else the given array."""
-    if isinstance(spec, str):
-        return None if spec == "zero" else 0.9 * theta_star
-    return spec
-
-
 def run_experiment(scenario):
     """Execute a validated scenario; returns (SimTrace, MetricsReport)."""
-    adaptive = scenario.mode == "adaptive"
-    scn = scenario.model
-    if scenario.module == "fl":
-        tstar = (feedback_lin.benchmark_theta_star(scn.plant, scn.leader, scn.interactor)
-                 if scenario.test_mode else None)
-        trace = feedback_lin.run(scn, adaptive=adaptive, horizon=scenario.horizon,
-                                 theta0=_theta0(scenario.theta0, tstar) if adaptive else tstar,
-                                 theta_star=tstar)
-        return trace, compute_metrics(scenario, trace)
-    oracle = scenario.test_mode and mimo.has_matching(scn.structure, scn.plant, scn.nu)
-    nominal = mimo.nominal_params(scn) if oracle else None
-    trace = mimo.run(
-        scn, adaptive=adaptive, horizon=scenario.horizon,
-        theta0=_theta0(scenario.theta0, nominal and nominal.theta_star),
-        nominal=nominal, with_certificate=oracle and adaptive,
-    )
+    trace = (feedback_lin if scenario.module == "fl" else mimo).run(
+        scenario.model, adaptive=scenario.mode == "adaptive", horizon=scenario.horizon,
+        theta0=scenario.theta0, oracle=scenario.oracle)
     return trace, compute_metrics(scenario, trace)
 
 

@@ -151,6 +151,10 @@ class MimoScenario:
                                   f"differs from the plant's {dom.tag.value} at {dom.step:g}")
         if self.interactor.m != m:
             raise ValidationError("interactor", "size must match the output width")
+        for attr, dim in (("x0", self.n), ("xm0", self.refmodel.n)):
+            vec = getattr(self, attr)
+            if vec is not None and np.shape(vec) != (dim,):
+                raise ValidationError(attr, f"has shape {np.shape(vec)}, expected {(dim,)}")
         self.interactor.validate_stable(dom.tag)
         # every polynomial held is checked, also one the structure does not read
         for attr in ("fpoly", "lam", "lam_e"):
@@ -319,16 +323,18 @@ def verify_gain_prior(kp, sp, domain, gz=None):
                                  f"{domain.step:g}")
 
 
-def diagnostics(scenario, nominal, law):
+def diagnostics(scenario, oracle):
     """Block diagnostics of a test-mode run: the diagnose of engine.run_closed_loop.
 
-    The gradient law gives its certificate V and the residual of the
-    estimation identity eps = Kp Theta~^T zeta + Psi~ xi ("ident_resid"),
-    once the gain prior that V rests on is verified.  The rd1 law gives V =
-    e^T P e + tr[Theta~ Ms^-1 Theta~^T] with Ms = Kp^-1 S.
+    oracle is the scenario's MimoNominal.  The gradient law gives its
+    certificate V and the residual of the estimation identity eps = Kp
+    Theta~^T zeta + Psi~ xi ("ident_resid"), once the gain prior that V rests
+    on is verified.  The rd1 law gives V = e^T P e + tr[Theta~ Ms^-1
+    Theta~^T] with Ms = Kp^-1 S.
     """
-    tstar, kp = nominal.theta_star, nominal.kp
-    if isinstance(law, Rd1Law):
+    tstar, kp = oracle.theta_star, oracle.kp
+    if scenario.design == "rd1":
+        law = scenario.law
         ms = np.linalg.inv(kp) @ law.s
         ms_inv = np.linalg.inv(0.5 * (ms + ms.T))
 
@@ -348,25 +354,18 @@ def diagnostics(scenario, nominal, law):
     return gradient
 
 
-def run(scenario, adaptive=True, horizon=2000, theta0=None, psi0=None, nominal=None,
-        with_certificate=False):
+def run(scenario, adaptive=True, horizon=2000, theta0=None, psi0=None, oracle=None):
     """Simulate the scenario with its update law; returns a SimTrace.
 
-    The rd1 law holds Psi at zero, so it takes no psi0 (ValueError).  Nominal
-    mode and certificates require the matching parameters (has_matching).
+    theta0 and psi0 are the start parameters, zero when None, except that an
+    adaptive gradient run starts Psi at Sp^T; with adaptive False both stay
+    where they start.  The rd1 law holds Psi at zero, so it takes no psi0
+    (ValueError).  oracle, the scenario's MimoNominal (test mode), adds the
+    diagnostics of an adaptive run.
     """
-    m, q, law = scenario.m, scenario.theta_dim, scenario.law
     if psi0 is not None and scenario.design == "rd1":
         raise ValueError("psi0: the rd1 law holds Psi at zero")
-    if nominal is None and (with_certificate or not adaptive):
-        nominal = nominal_params(scenario)
-    diagnose = diagnostics(scenario, nominal, law) if with_certificate else None
-    if not adaptive:
-        law, th0, ps0 = None, nominal.theta_star, np.zeros((m, m))
-    else:
-        th0 = np.zeros((q, m)) if theta0 is None else np.asarray(theta0, dtype=float)
-        ps0 = scenario.sp.T.copy() if psi0 is None else np.asarray(psi0, dtype=float)
-        if scenario.design == "rd1":
-            ps0 = np.zeros((m, m))
-    return engine.run_closed_loop(scenario, law=law, horizon=horizon, theta0=th0, psi0=ps0,
-                                  diagnose=diagnose)
+    if psi0 is None and adaptive and scenario.design == "gradient":
+        psi0 = scenario.sp.T
+    diagnose = diagnostics(scenario, oracle) if adaptive and oracle is not None else None
+    return engine.run_closed_loop(scenario, adaptive, horizon, theta0, psi0, diagnose)

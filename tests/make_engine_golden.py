@@ -35,8 +35,8 @@ def _siso_case(structure):
         b = benchmarks.siso_third_order()
         scn = siso.scenario(**b, structure=structure)
         nom = mimo.nominal_params(scn)
-        return mimo.run(scn, adaptive=True, horizon=400,
-                        theta0=0.9 * nom.theta_star, nominal=nom, with_certificate=True)
+        return mimo.run(scn, adaptive=True, horizon=400, theta0=0.9 * nom.theta_star,
+                        oracle=nom)
 
     return run
 
@@ -48,7 +48,7 @@ def _mimo_case(bench, structure, horizon, design="gradient", certificate=True):
             return mimo.run(scn, adaptive=True, horizon=horizon)
         nom = mimo.nominal_params(scn)
         return mimo.run(scn, adaptive=True, horizon=horizon, theta0=0.9 * nom.theta_star,
-                        nominal=nom, with_certificate=True)
+                        oracle=nom)
 
     return run
 

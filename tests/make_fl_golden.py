@@ -34,7 +34,7 @@ def _case(theta, adaptive, horizon, x0_shift=None, test_mode=True):
         if x0_shift is not None:
             x0 = x0 + np.asarray(x0_shift)
         return fl.run(fl.FLScenario(plant, leader, ia, x0=x0), adaptive=adaptive,
-                      horizon=horizon, theta0=th, theta_star=tstar if test_mode else None)
+                      horizon=horizon, theta0=th, oracle=tstar if test_mode else None)
 
     return run
 

@@ -49,7 +49,7 @@ def siso_adaptive_runs(siso_bench):
         nom = mimo.nominal_params(scn)
         out[structure] = mimo.run(
             scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
-            nominal=nom, with_certificate=True,
+            oracle=nom,
         )
     return out
 
@@ -68,7 +68,7 @@ def mimo_dt_run(mimo_dt_bench):
     scn = _mimo_scn(mimo_dt_bench)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=8000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     return scn, tr
 
 
@@ -77,7 +77,7 @@ def mimo_dt_sfym_run(mimo_dt_bench):
     scn = _mimo_scn(mimo_dt_bench, structure=Structure.SF_YM)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=3000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     return scn, tr
 
 
@@ -91,7 +91,7 @@ def mimo_of_runs(mimo_dt_bench):
             nom = mimo.nominal_params(scn)
             out[dom, structure] = scn, mimo.run(
                 scn, adaptive=True, horizon=horizon, theta0=0.9 * nom.theta_star,
-                nominal=nom, with_certificate=True)
+                oracle=nom)
     return out
 
 
@@ -101,7 +101,7 @@ def mimo_ct_run():
     scn = _mimo_scn(b)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=8000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     return scn, tr
 
 
@@ -111,7 +111,7 @@ def rd1_run():
     scn = _mimo_scn(b, design="rd1")
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=50000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     return scn, tr
 
 
@@ -120,7 +120,7 @@ def fl_run():
     plant, leader, ia = fl.benchmark()
     tstar = fl.benchmark_theta_star(plant, leader, ia)
     scn = fl.FLScenario(plant, leader, ia, x0=fl.matched_x0(plant, leader))
-    tr = fl.run(scn, adaptive=True, horizon=100000, theta0=0.9 * tstar, theta_star=tstar)
+    tr = fl.run(scn, adaptive=True, horizon=100000, theta0=0.9 * tstar, oracle=tstar)
     return plant, leader, ia, tstar, tr
 
 
@@ -152,7 +152,8 @@ def test_criterion_1_nominal_matching(siso_bench, mimo_dt_bench):
         for _ in range(2):
             scn = _siso_scn(b, structure, x0=rng.standard_normal(n),
                             xm0=rng.standard_normal(n))
-            tr = mimo.run(scn, adaptive=False, horizon=260)
+            tr = mimo.run(scn, adaptive=False, horizon=260,
+                          theta0=mimo.nominal_params(scn).theta_star)
             assert np.max(np.abs(tr.e[200:])) < 1e-6, structure
 
     # multivariable output feedback, nu = 2 (the observability index): the loop
@@ -174,10 +175,10 @@ def test_criterion_1_nominal_matching(siso_bench, mimo_dt_bench):
             if scn.plant.domain.is_dt:
                 scn.x0 = rng.standard_normal(scn.n)
                 scn.xm0 = rng.standard_normal(scn.refmodel.n)
-                tr = mimo.run(scn, adaptive=False, horizon=260, nominal=nom)
+                tr = mimo.run(scn, adaptive=False, horizon=260, theta0=nom.theta_star)
                 assert np.max(np.abs(tr.e[200:])) < 1e-6, structure
             else:
-                tr = mimo.run(scn, adaptive=False, horizon=1000, nominal=nom)
+                tr = mimo.run(scn, adaptive=False, horizon=1000, theta0=nom.theta_star)
                 assert np.max(np.abs(tr.e)) < 1e-6, structure
     _ok("1 nominal-matching")
 
@@ -331,7 +332,7 @@ def test_criterion_5_l2_properties(siso_adaptive_runs, mimo_dt_bench):
     scn = _mimo_scn(mimo_dt_bench)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     l2e = tr.extra["l2_eps_cum"]
     l2d = tr.extra["l2_dtheta_cum"]
     assert l2e[-1] - l2e[-1000] < 1e-6
@@ -406,10 +407,11 @@ def test_criterion_8_reductions(siso_bench):
             assert np.array_equal(getattr(tr_s, fld), getattr(tr_m, fld)), (structure, fld)
 
     # the two nominal state-feedback variants realize the same input
-    tr_x = mimo.run(_siso_scn(siso_bench, Structure.SF_XM), adaptive=False,
-                    horizon=400)
-    tr_y = mimo.run(_siso_scn(siso_bench, Structure.SF_YM), adaptive=False,
-                    horizon=400)
+    scn_x, scn_y = (_siso_scn(siso_bench, s) for s in (Structure.SF_XM, Structure.SF_YM))
+    tr_x = mimo.run(scn_x, adaptive=False, horizon=400,
+                    theta0=mimo.nominal_params(scn_x).theta_star)
+    tr_y = mimo.run(scn_y, adaptive=False, horizon=400,
+                    theta0=mimo.nominal_params(scn_y).theta_star)
     assert np.max(np.abs(tr_x.u[200:] - tr_y.u[200:])) < 1e-6
 
     # true-parameter linearizing controller follows the error ODE exactly

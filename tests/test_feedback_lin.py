@@ -329,6 +329,13 @@ def test_loop_rejects_a_theta0_of_another_shape(scn):
         fl.FLLoop(scn, theta0=np.zeros((scn.q, 3)))
 
 
+def test_scenario_rejects_an_x0_of_another_length(pair):
+    # a one-entry x0 was broadcast: the follower started at [1, 1, 1]
+    with pytest.raises(ValidationError) as ei:
+        fl.FLScenario(*pair[:3], x0=[1.0])
+    assert ei.value.field == "x0"
+
+
 # -- benchmark structure ----------------------------------------------------------------
 
 
@@ -439,7 +446,7 @@ def test_run_true_params_offset_start_matches_linear_ode(pair):
 def test_run_adaptive_near_start(pair):
     tstar = pair[3]
     tr = fl.run(_matched(pair), adaptive=True, horizon=20000, theta0=0.9 * tstar,
-                theta_star=tstar)
+                oracle=tstar)
     assert np.max(np.abs(tr.extra["ident_resid"])) < 1e-8
     dv = np.diff(tr.v) / 1e-3
     assert np.all(dv <= 1e-6 * np.maximum(tr.v[:-1], 1.0))
@@ -460,7 +467,7 @@ def test_run_guard_stop_mid_run_keeps_rows_before_it(pair):
     # below the guard at k = 988 = 15 * 64 + 28, so the last block is partial
     tstar = pair[3]
     tr = fl.run(_matched(pair, guard=0.2), adaptive=True, horizon=4000, theta0=-0.5 * tstar,
-                theta_star=tstar)
+                oracle=tstar)
     assert tr.n_samples == 988
     [event] = tr.guard_events
     assert event["t"] == 988 * 1e-3 and sorted(event) == ["sigma_min", "t"]
@@ -474,7 +481,7 @@ def test_gradient_lyapunov_slope_finite_difference(pair):
     tstar = pair[3]
     scn = _matched(pair)
     h = scn.step
-    tr = fl.run(scn, adaptive=True, horizon=3000, theta0=0.9 * tstar, theta_star=tstar)
+    tr = fl.run(scn, adaptive=True, horizon=3000, theta0=0.9 * tstar, oracle=tstar)
     vdot = (tr.v[2:] - tr.v[:-2]) / (2 * h)
     eps_over_m = np.sum((tr.eps[1:-1] / tr.extra["m_i"][1:-1]) ** 2, axis=1)
     assert np.max(np.abs(vdot + eps_over_m)) < 1e-4
@@ -487,7 +494,7 @@ def test_run_nonfinite_state_records_diverged_event(pair):
     bad = dataclasses.replace(
         leader, um=lambda t: leader.um(t) if t < 0.02 else np.full(ia.m, np.nan))
     scn = fl.FLScenario(plant, bad, ia, x0=fl.matched_x0(plant, leader))
-    tr = fl.run(scn, adaptive=True, horizon=100, theta0=tstar, theta_star=tstar)
+    tr = fl.run(scn, adaptive=True, horizon=100, theta0=tstar, oracle=tstar)
     assert tr.n_samples == 20
     assert tr.guard_events == [{"t": 20 * 1e-3, "diverged": "plant"}]
     assert np.isfinite(tr.e).all() and np.isfinite(tr.extra["l2_eps_cum"]).all()

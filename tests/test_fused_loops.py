@@ -69,13 +69,9 @@ def test_fused_stage_equals_the_unfused_block_formula(bench, design):
         scn = _mimo_scn(b, Structure.SF_XM, design="rd1")
     else:
         scn = _mimo_scn(b, Structure.SF_YM)
-    law = None
     if design == "gradient":
-        law = GradientLaw(gz=np.diag(np.linspace(0.5, 1.5, scn.theta_dim)), sp=scn.sp,
-                          gpsi=scn.gamma)
-    elif design == "rd1":
-        law = scn.law
-    loop = engine.ClosedLoop(scn, law=law, horizon=5)
+        scn = _mimo_scn(b, Structure.SF_YM, gz=np.diag(np.linspace(0.5, 1.5, scn.theta_dim)))
+    loop = engine.ClosedLoop(scn, horizon=5, adaptive=design != "nominal")
     zb = scn.reference
     nst, width = loop._tab.shape[1:]
     assert nst == (1 if b["plant"].domain.is_dt else 4)
@@ -129,9 +125,9 @@ def test_fl_regressor_and_drive_from_the_estimate_matrix():
 # -- diagnostics per block ----------------------------------------------------------------
 
 
-def _per_step_engine(scn, law, horizon, theta0, psi0, step_diag):
+def _per_step_engine(scn, adaptive, horizon, theta0, psi0, step_diag):
     """Step a ClosedLoop by hand; step_diag(loop, frame) gives one row of diagnostics."""
-    loop = engine.ClosedLoop(scn, law, horizon, theta0, psi0)
+    loop = engine.ClosedLoop(scn, horizon, adaptive, theta0, psi0)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
@@ -150,10 +146,9 @@ def test_engine_block_diagnostics_match_per_step_formulas():
     scn = _mimo_scn(b, Structure.SF_XM, x0=np.array([0.3, -0.2, 0.1]))
     nom = mimo.nominal_params(scn)
     horizon = 2 * engine.CT_BLOCK + 37
-    law = scn.law
     theta0, psi0 = 0.9 * nom.theta_star, scn.sp.T.copy()
-    tr = engine.run_closed_loop(scn, law=law, horizon=horizon, theta0=theta0, psi0=psi0,
-                                diagnose=mimo.diagnostics(scn, nom, law))
+    tr = engine.run_closed_loop(scn, horizon=horizon, theta0=theta0, psi0=psi0,
+                                diagnose=mimo.diagnostics(scn, nom))
     gp, gamma_inv = nom.kp.T @ np.linalg.inv(scn.sp), np.linalg.inv(scn.gamma)
 
     def step_diag(loop, fr):
@@ -162,7 +157,7 @@ def test_engine_block_diagnostics_match_per_step_formulas():
         ident = np.max(np.abs(fr.eps - (nom.kp @ tht.T @ fr.zeta + psit @ fr.xi)))
         return v, ident, np.linalg.norm(np.concatenate((loop.theta.ravel(), loop.psi.ravel())))
 
-    want = _per_step_engine(scn, law, horizon, theta0, psi0, step_diag)
+    want = _per_step_engine(scn, True, horizon, theta0, psi0, step_diag)
     assert tr.n_samples == horizon == want.shape[0]
     _close(tr.v, want[:, 0], 1e-14)
     _close(tr.extra["ident_resid"], want[:, 1], 1e-14)
@@ -179,8 +174,8 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
     scn = siso.scenario(**{**b, "plant": plant}, structure=Structure.SF_XM, x0=np.ones(3))
     nom = mimo.nominal_params(scn)
     theta0, psi0 = 0.5 * nom.theta_star, np.array([[0.7]])
-    tr = engine.run_closed_loop(scn, horizon=2000, theta0=theta0, psi0=psi0,
-                                diagnose=mimo.diagnostics(scn, nom, None))
+    tr = engine.run_closed_loop(scn, False, 2000, theta0=theta0, psi0=psi0,
+                                diagnose=mimo.diagnostics(scn, nom))
     assert tr.guard_events and "diverged" in tr.guard_events[0]
     assert tr.n_samples % 16 != 0
     gz, grho = scn.gz, scn.gamma[0, 0]
@@ -193,7 +188,7 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
         ident = abs(fr.eps[0] - (kp * tht @ fr.zeta + rhot * fr.xi[0]))
         return v, ident, np.linalg.norm(np.append(loop.theta, loop.psi))
 
-    want = _per_step_engine(scn, None, 2000, theta0, psi0, step_diag)
+    want = _per_step_engine(scn, False, 2000, theta0, psi0, step_diag)
     assert want.shape[0] == tr.n_samples
     _close(tr.v, want[:, 0], 1e-14)
     _close(tr.theta_norm, want[:, 2], 1e-14)
@@ -207,8 +202,7 @@ def test_engine_run_stopped_at_its_first_step_has_every_column():
     # is recorded; the diagnostics columns are declared before it, with zero rows
     scn = _mimo_scn(benchmarks.mimo_dt_2x2(), Structure.SF_XM, x0=np.full(3, np.nan))
     nom = mimo.nominal_params(scn)
-    tr = mimo.run(scn, horizon=50, theta0=0.9 * nom.theta_star, nominal=nom,
-                  with_certificate=True)
+    tr = mimo.run(scn, horizon=50, theta0=0.9 * nom.theta_star, oracle=nom)
     assert tr.guard_events == [{"t": 0.0, "diverged": "plant_filters"}]
     assert tr.v.shape == tr.extra["ident_resid"].shape == tr.theta_norm.shape == (0,)
 
@@ -225,7 +219,7 @@ def test_fl_block_diagnostics_match_per_step_formulas(horizon, nan_at):
             leader, um=lambda t: um(t) if t < nan_at else np.full(2, np.nan))
 
     scn = fl.FLScenario(plant, leader, ia, x0=fl.matched_x0(plant, leader))
-    tr = fl.run(scn, horizon=horizon, theta0=0.9 * tstar, theta_star=tstar)
+    tr = fl.run(scn, horizon=horizon, theta0=0.9 * tstar, oracle=tstar)
     loop = fl.FLLoop(scn, theta0=0.9 * tstar)
     want = []
     with np.errstate(over="ignore", invalid="ignore"):

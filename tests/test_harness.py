@@ -34,7 +34,7 @@ def _write(tmp_path, data, name="scn.json"):
 
 def test_minimal_scenario_defaults(tmp_path):
     scn = harness.load_scenario(_write(tmp_path, _minimal()))
-    assert scn.mode == "adaptive" and not scn.test_mode
+    assert scn.mode == "adaptive" and scn.oracle is None
     assert scn.domain == "dt" and scn.horizon == 50
     assert scn.tail_fraction == 0.1
 
@@ -421,6 +421,40 @@ def test_mimo_reference_model_of_higher_order_than_the_plant(structure):
         nominal = _report(_explicit_with_refmodel("mimo-dt-2x2", _REF4, structure=structure,
                                                   test_mode=True, mode="nominal"))
         assert nominal.tail_rms_e < 1e-12
+
+
+# mimo-dt-2x2's reference model with a decoupled fourth state at 0.5 that C cannot see
+_REF_HIDDEN = {"A": [[0.4, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, -0.06, 0.5, 0.0],
+                     [0.0, 0.0, 0.0, 0.5]],
+               "B": [[1.0, 0.1], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+               "C": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}
+
+
+def test_oracle_failure_names_the_reference_model_at_load(tmp_path, capsys):
+    # the sf_ym oracle reconstructs the reference input from (u_m, y_m), so it needs
+    # (A_m, C_m) observable; validate printed "ok" and the run raised unnamed
+    data = _explicit_with_refmodel("mimo-dt-2x2", _REF_HIDDEN, structure="sf_ym",
+                                   test_mode=True)
+    with pytest.raises(ValidationError) as ei:
+        harness.scenario_from_dict(data)
+    assert ei.value.field == "refmodel"
+    assert cli.main(["validate", "--scenario", str(_write(tmp_path, data))]) == 1
+    assert "INVALID: refmodel: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", [dict(_MIMO, structure="sf_ym"), _FL])
+def test_run_reads_the_oracle_computed_at_load(monkeypatch, base):
+    scn = harness.scenario_from_dict(_minimal(**{**base, "test_mode": True, "theta0": "near",
+                                                 "horizon": 100}))
+
+    def boom(*a, **k):
+        raise AssertionError("oracle computed again at run time")
+
+    for mod, attr in ((mimo, "nominal_params"), (siso, "nominal_params"),
+                      (fl, "benchmark_theta_star")):
+        monkeypatch.setattr(mod, attr, boom)
+    trace, report = harness.run_experiment(scn)
+    assert report.horizon == 100 and np.all(np.isfinite(trace.v))
 
 
 def test_theta0_is_sized_by_the_reference_model_order():

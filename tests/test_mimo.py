@@ -152,7 +152,7 @@ def test_sf_nominal_closed_loop_tracks(bench_dt):
     rng = np.random.default_rng(9)
     scn = _scn(bench_dt, x0=rng.standard_normal(3), xm0=rng.standard_normal(3))
     nom = mimo.nominal_params(scn)
-    tr = mimo.run(scn, adaptive=False, horizon=400, nominal=nom)
+    tr = mimo.run(scn, adaptive=False, horizon=400, theta0=nom.theta_star)
     assert np.max(np.abs(tr.e[300:])) < 1e-6
 
 
@@ -257,7 +257,7 @@ def test_regressor_dim_is_the_width_of_the_assembled_regressor(bench_dt, structu
     ref = StateSpace(np.diag(np.linspace(0.1, 0.5, n_m)) + np.eye(n_m, k=-1), b,
                      np.eye(2, n_m), dt())
     scn = _scn(bench_dt, structure=structure, refmodel=ref)
-    loop = engine.ClosedLoop(scn, law=None, horizon=1)
+    loop = engine.ClosedLoop(scn, horizon=1, adaptive=False)
     assert loop._read["omega"].shape[0] == scn.theta_dim
     assert loop.theta.shape == (scn.theta_dim, 2)
 
@@ -275,7 +275,7 @@ def test_regressor_zero(bench_dt):
 
 def _frozen_loop(scn, theta, psi, horizon=1):
     """The engine loop with frozen parameters (no update law)."""
-    return engine.ClosedLoop(scn, None, horizon, theta0=theta, psi0=psi)
+    return engine.ClosedLoop(scn, horizon, False, theta0=theta, psi0=psi)
 
 
 def test_frame_zero(bench_dt):
@@ -347,14 +347,14 @@ def test_gain_prior_verified_in_test_mode(bench_dt):
     with pytest.raises(GainBoundViolation):
         mimo.verify_gain_prior(kp, bad.sp, bad.plant.domain)
     with pytest.raises(GainBoundViolation):
-        mimo.run(bad, adaptive=True, horizon=5, with_certificate=True)
+        mimo.run(bad, adaptive=True, horizon=5, oracle=mimo.nominal_params(bad))
 
 
 def test_adaptive_dt_lyapunov_and_identity(bench_dt):
     scn = _scn(bench_dt)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=500, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     assert np.max(np.diff(tr.v)) <= 1e-12
     assert np.max(tr.extra["ident_resid"]) < 1e-8
 
@@ -439,12 +439,38 @@ def test_rd1_rejects_a_psi0(bench_rd1):
         mimo.run(scn, horizon=10, psi0=5 * np.eye(2))
 
 
+@pytest.mark.parametrize("attr", ["x0", "xm0"])
+def test_start_state_of_another_length_rejected_at_build(bench_dt, attr):
+    # a one-entry start was broadcast over the three states
+    with pytest.raises(ValidationError) as ei:
+        _scn(bench_dt, **{attr: [0.5]})
+    assert ei.value.field == attr
+
+
+@pytest.mark.parametrize("psi0", [3.0, [1.0, 2.0]])
+def test_run_rejects_a_psi0_of_another_shape(bench_dt, psi0):
+    # both were broadcast over Psi
+    with pytest.raises(ValueError, match="psi0"):
+        mimo.run(_scn(bench_dt), horizon=5, psi0=psi0)
+
+
+def test_frozen_run_holds_the_given_start(bench_dt):
+    # the frozen run started at Theta* and Psi = 0, whatever it was given
+    scn = _scn(bench_dt)
+    q = scn.theta_dim
+    tr = mimo.run(scn, adaptive=False, horizon=50, theta0=np.ones((q, 2)), psi0=3 * np.eye(2))
+    assert tr.n_samples == 50
+    want = np.linalg.norm(np.concatenate((np.ones(2 * q), 3 * np.eye(2).ravel())))
+    assert round(want, 4) == 5.8310
+    np.testing.assert_allclose(tr.theta_norm, want, rtol=1e-15)
+
+
 def test_rd1_lyapunov_slope(bench_rd1):
     scn = _scn(bench_rd1, design="rd1")
     nom = mimo.nominal_params(scn)
     q = scn.law.q
     tr = mimo.run(scn, adaptive=True, horizon=4000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     h = scn.plant.domain.step
     vdot = (tr.v[2:] - tr.v[:-2]) / (2 * h)
     eqe = np.einsum("ij,jk,ik->i", tr.e[1:-1], q, tr.e[1:-1])
@@ -456,7 +482,7 @@ def test_rd1_lyapunov_slope(bench_rd1):
 
 def test_nominal_zero_ic_exact(bench_dt):
     scn = _scn(bench_dt)
-    tr = mimo.run(scn, adaptive=False, horizon=200)
+    tr = mimo.run(scn, adaptive=False, horizon=200, theta0=mimo.nominal_params(scn).theta_star)
     assert np.max(np.abs(tr.e)) < 1e-12
 
 
@@ -464,7 +490,7 @@ def test_adaptive_dt_tracking(bench_dt):
     scn = _scn(bench_dt)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=8000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     tail = tr.e[-800:]
     assert float(np.sqrt(np.mean(np.sum(tail**2, axis=1)))) < 1e-2
     assert np.isfinite(tr.theta_norm).all()
@@ -486,7 +512,7 @@ def test_ct_sfym_nominal_tracks_exactly(bench_ct):
     # the coupled integration: nominal tracking to integration accuracy
     scn = _scn(bench_ct, structure=Structure.SF_YM)
     nom = mimo.nominal_params(scn)
-    tr = mimo.run(scn, adaptive=False, horizon=3000, nominal=nom)
+    tr = mimo.run(scn, adaptive=False, horizon=3000, theta0=nom.theta_star)
     assert np.max(np.abs(tr.e[1500:])) < 1e-10
 
 
@@ -494,7 +520,7 @@ def test_ct_gradient_certificate(bench_ct):
     scn = _scn(bench_ct)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=3000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     h = scn.plant.domain.step
     vdot = np.diff(tr.v) / h
     assert np.all(vdot <= 1e-6 * np.maximum(tr.v[:-1], 1.0))
@@ -573,7 +599,7 @@ def test_one_channel_gain_prior_bounds_kp_times_gz():
 
     def run(scn, gz_scale):
         return mimo.run(dataclasses.replace(scn, gz=gz_scale * np.eye(q)), horizon=5,
-                        nominal=nom, with_certificate=True)
+                        oracle=nom)
 
     assert run(mscn, 1.3).n_samples == 5  # 1.95 < 2
     with pytest.raises(GainBoundViolation, match="below 2I"):
@@ -583,8 +609,7 @@ def test_one_channel_gain_prior_bounds_kp_times_gz():
     low, _ = _one_channel_pair(Structure.SF_XM, kp_bound=0.7)
     assert mimo.run(low, horizon=5).n_samples == 5  # blind: Kp is unknown
     with pytest.raises(GainBoundViolation, match="below 2I"):
-        mimo.run(low, horizon=5, nominal=mimo.nominal_params(low),
-                 with_certificate=True)
+        mimo.run(low, horizon=5, oracle=mimo.nominal_params(low))
 
 
 def test_benchmark_gain_prior_checked_by_the_one_check():
@@ -623,8 +648,8 @@ def test_ct_stage_tables_block_size_invariant(bench_ct, monkeypatch, structure):
 
 def test_ct_stage_tables_memory_flat_in_horizon(bench_ct):
     scn = _scn(bench_ct)
-    short = engine.ClosedLoop(scn, law=None, horizon=10)
-    long = engine.ClosedLoop(scn, law=None, horizon=50 * engine.CT_BLOCK)
+    short = engine.ClosedLoop(scn, horizon=10, adaptive=False)
+    long = engine.ClosedLoop(scn, horizon=50 * engine.CT_BLOCK, adaptive=False)
     assert short._tab.shape[0] == 10 and long._tab.shape[0] == engine.CT_BLOCK
     assert long.s.size == short.s.size  # [lin, Theta, Psi]: no reference block in the state
     long.measure(0)
@@ -641,7 +666,7 @@ def test_ct_stage_derivative_is_the_k1_of_measure(bench_ct, bench_rd1, design):
         scn = _scn(bench_rd1, design="rd1")
     else:
         scn = _scn(bench_ct, structure=Structure.SF_YM)
-    loop = engine.ClosedLoop(scn, law=None if design == "nominal" else scn.law, horizon=5)
+    loop = engine.ClosedLoop(scn, horizon=5, adaptive=design != "nominal")
     loop.measure(0)  # fills the first block of stage tables
     rng = np.random.default_rng(21)
     loop.s[:] = rng.standard_normal(loop.s.size)

@@ -188,7 +188,7 @@ def test_regressor_sf_xm_layout():
 
 def _frozen_loop(scn, theta, rho=1.0, horizon=1):
     """The engine loop of the one-channel scenario with frozen parameters (no update law)."""
-    return engine.ClosedLoop(scn, None, horizon, theta0=np.reshape(theta, (-1, 1)),
+    return engine.ClosedLoop(scn, horizon, False, theta0=np.reshape(theta, (-1, 1)),
                              psi0=np.array([[rho]]))
 
 
@@ -276,7 +276,7 @@ def test_refmodel_checked_by_the_one_channel_build(bench, case):
 @pytest.mark.parametrize("structure", list(Structure))
 def test_nominal_zero_ic_exact_tracking(bench, structure):
     scn = _scenario(bench, structure)
-    tr = mimo.run(scn, adaptive=False, horizon=200)
+    tr = mimo.run(scn, adaptive=False, horizon=200, theta0=mimo.nominal_params(scn).theta_star)
     assert np.max(np.abs(tr.e)) < 1e-12
 
 
@@ -285,7 +285,7 @@ def test_nominal_random_ic_decay(bench, structure):
     rng = np.random.default_rng(5)
     scn = _scenario(bench, structure,
                     x0=rng.standard_normal(3), xm0=rng.standard_normal(3))
-    tr = mimo.run(scn, adaptive=False, horizon=400)
+    tr = mimo.run(scn, adaptive=False, horizon=400, theta0=mimo.nominal_params(scn).theta_star)
     assert np.max(np.abs(tr.e[200:])) < 1e-6
     assert np.max(np.abs(tr.e[:5])) > 1e-3  # the transient was actually there
 
@@ -294,7 +294,7 @@ def test_adaptive_near_start_tracks(bench):
     scn = _scenario(bench, Structure.SF_XM)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     tail = tr.e[-500:]
     assert float(np.sqrt(np.mean(tail**2))) < 1e-3
     assert np.isfinite(tr.theta_norm).all()
@@ -304,7 +304,7 @@ def test_adaptive_lyapunov_monotone(bench):
     scn = _scenario(bench, Structure.OF_XM)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=2000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     assert np.max(np.diff(tr.v)) <= 1e-12
     assert np.max(tr.extra["ident_resid"]) < 1e-8
 
@@ -313,7 +313,7 @@ def test_adaptive_l2_properties(bench):
     scn = _scenario(bench, Structure.SF_XM)
     nom = mimo.nominal_params(scn)
     tr = mimo.run(scn, adaptive=True, horizon=5000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     l2e = tr.extra["l2_eps_cum"]
     l2d = tr.extra["l2_dtheta_cum"]
     assert np.isfinite(l2e[-1]) and np.isfinite(l2d[-1])
@@ -325,8 +325,10 @@ def test_sf_structures_agree_after_transients(bench):
     # both nominal state-feedback variants realize u = k1'x + k2 r
     scn_x = _scenario(bench, Structure.SF_XM)
     scn_y = _scenario(bench, Structure.SF_YM)
-    tr_x = mimo.run(scn_x, adaptive=False, horizon=400)
-    tr_y = mimo.run(scn_y, adaptive=False, horizon=400)
+    tr_x = mimo.run(scn_x, adaptive=False, horizon=400,
+                    theta0=mimo.nominal_params(scn_x).theta_star)
+    tr_y = mimo.run(scn_y, adaptive=False, horizon=400,
+                    theta0=mimo.nominal_params(scn_y).theta_star)
     assert np.max(np.abs(tr_x.u[200:] - tr_y.u[200:])) < 1e-6
 
 
@@ -374,10 +376,10 @@ def test_scalar_benchmark_end_to_end():
     b = benchmarks.siso_first_order()
     scn = siso.scenario(**b, structure=Structure.OF_YM)
     nom = mimo.nominal_params(scn)
-    tr = mimo.run(scn, adaptive=False, horizon=100, nominal=nom)
+    tr = mimo.run(scn, adaptive=False, horizon=100, theta0=nom.theta_star)
     assert np.max(np.abs(tr.e)) < 1e-12
     tr = mimo.run(scn, adaptive=True, horizon=3000, theta0=0.9 * nom.theta_star,
-                  nominal=nom, with_certificate=True)
+                  oracle=nom)
     assert float(np.sqrt(np.mean(tr.e[-300:] ** 2))) < 1e-3
     assert np.max(np.diff(tr.v)) <= 1e-12
 
@@ -389,7 +391,7 @@ def test_run_stops_at_nonfinite_l2_sum(bench):
     plant = StateSpace(np.vstack((np.eye(3)[1:], -poles[:3])), bench["plant"].b,
                        bench["plant"].c, dt())
     scn = _scenario(bench, Structure.SF_XM, plant=plant, x0=np.ones(3))
-    tr = engine.run_closed_loop(scn, horizon=1000, theta0=np.zeros((scn.theta_dim, 1)),
+    tr = engine.run_closed_loop(scn, False, 1000, theta0=np.zeros((scn.theta_dim, 1)),
                                 psi0=np.ones((1, 1)),
                                 diagnose=lambda th, ps, fr, e: {"one": 1.0})
     assert 0 < tr.n_samples < 1000

@@ -94,9 +94,9 @@ def _mimo_loop(bench, design, horizon=300):
     b = benchmarks.build(bench)
     scn = mimo.MimoScenario(**b, structure=Structure.SF_XM, x0=np.array([0.3, -0.2, 0.1]),
                             design="gradient" if design == "nominal" else design)
-    law = None if design == "nominal" else scn.law
     theta0 = 0.9 * mimo.nominal_params(scn).theta_star
-    return lambda: engine.ClosedLoop(scn, law, horizon, theta0=theta0, psi0=scn.sp.T.copy())
+    return lambda: engine.ClosedLoop(scn, horizon, design != "nominal", theta0=theta0,
+                                     psi0=scn.sp.T.copy())
 
 
 _ENGINE = [("mimo-ct-2x2", "gradient"), ("mimo-ct-2x2", "nominal"), ("mimo-rd1-ct", "rd1"),
