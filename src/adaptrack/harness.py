@@ -18,7 +18,7 @@ import numpy as np
 
 from . import benchmarks, feedback_lin, mimo, siso
 from .engine import Structure
-from .errors import ParseError, UnobservablePair, ValidationError
+from .errors import ParseError, SingularMatchingSystem, UnobservablePair, ValidationError
 from .linsys import DiagonalInteractor, Polynomial, StateSpace, ct, dt
 from .signals import Channel, RefInput, Sinusoid
 
@@ -290,6 +290,8 @@ def scenario_from_dict(data, name=None):
                     mimo.verify_gain_prior(oracle.kp, model.sp, model.plant.domain, model.gz)
     except UnobservablePair as exc:  # from the _ym oracle's fit of the reference model
         raise ValidationError("refmodel", str(exc)) from exc
+    except SingularMatchingSystem as exc:  # the output-feedback oracle of a non-minimal plant
+        raise ValidationError("plant", str(exc)) from exc
     except ValidationError as exc:
         fld = _MODEL_FIELDS[module].get(exc.field, exc.field)
         raise ValidationError(fld, exc.message) from exc

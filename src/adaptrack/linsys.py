@@ -435,11 +435,13 @@ def ref_input_from_state(refmodel, interactor):
     return a1t.T, a2
 
 
-def _pe_input(n_channels, domain, seed=7):
-    """Persistently exciting multi-sine with a bias, as a callable of time.
+def _pe_input(n_channels, domain, horizon, offsets, seed=7):
+    """Persistently exciting multi-sine with a bias at the stage times k step + offset.
 
-    A scalar time gives shape (n_channels,); an array of times gives the
-    channels along a new last axis.
+    Returns one (horizon, n_channels) block per offset, each a strided view of one
+    grid (spacing 1 in DT, h/2 in CT) holding every stage time.  On it sin(f t + p) is
+    expanded by angle addition over t = (a B + b) spacing, B = ceil(sqrt(grid size)):
+    sin and cos run only at block starts and offsets b; each channel is one product.
     """
     rng = np.random.default_rng(seed)
     base = np.array([0.131, 0.279, 0.457, 0.683, 0.911, 1.187, 1.459, 1.733])
@@ -448,13 +450,25 @@ def _pe_input(n_channels, domain, seed=7):
     phases = rng.uniform(0, 2 * np.pi, size=(n_channels, base.size))
     amps = rng.uniform(0.4, 1.0, size=(n_channels, base.size))
     freqs = np.array([base * (1 + 0.13 * ch) for ch in range(n_channels)])
+    sub = len(offsets) - 1 or 1
+    spacing = (1.0 if domain.is_dt else domain.step) / sub
+    count = sub * horizon + 1
+    width = int(np.ceil(np.sqrt(count)))
+    start = freqs[:, None] * (np.arange(0, count, width) * spacing)[:, None] + phases[:, None]
+    off = freqs[:, :, None] * (np.arange(width) * spacing)
+    left = np.tile(amps, 2)[:, None] * np.concatenate((np.sin(start), np.cos(start)), axis=2)
+    right = np.concatenate((np.cos(off), np.sin(off)), axis=1)
+    grid = 0.3 + (left @ right).reshape(n_channels, -1)[:, :count].T
+    return [grid[round(o / spacing) :: sub][:horizon] for o in offsets]
 
-    def signal(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        # one sinusoid at a time keeps temporaries at the size of the result
-        return 0.3 + sum(a * np.sin(f * t + p) for f, p, a in zip(freqs.T, phases.T, amps.T))
 
-    return signal
+def _scan(p, rows):
+    """rows[k + 1] += p rows[k] for every k in turn, in place, by a doubling (Hillis-Steele)
+    scan: at stride s = 1, 2, 4, ... each row adds p^s times the old row s above it."""
+    s, ps = 1, p
+    while s < len(rows):
+        rows[s:] += rows[:-s] @ ps.T
+        ps, s = ps @ ps, 2 * s
 
 
 def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks):
@@ -478,10 +492,10 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks):
         z+ = P z + Q0 u_m(t) + Qh u_m(t + h/2) + Q1 u_m(t + h).
 
     [P, Q0, ...] is the block's step map: [F, G] in DT, the RK4 step in CT.  The
-    input is evaluated at all grid and half-step times at once, the map is
-    iterated over 1500 steps in DT and 20000 in CT, and the regressor rows
-    (the block's wum, wym and ym readouts) and targets are matrix products
-    over the stored states after the first third.
+    input is evaluated once on a grid holding every stage time (spacing 1 in DT,
+    h/2 in CT), the trajectory over 1500 steps in DT and 20000 in CT is a doubling
+    scan of the map, and the regressor rows (the block's wum, wym and ym
+    readouts) and targets are matrix products over the states after the first third.
 
     The fit simulates instead of matching transfer-function coefficients
     exactly.  Where the filtered signals are nearly dependent (mimo-ct-2x2:
@@ -503,16 +517,14 @@ def ref_input_from_io(refmodel, interactor, lambda_e, n_blocks):
     rows = [zb.read[name] for name in ("wum", "wym", "ym")]
     read = np.vstack(rows)
     p, q = zb.step[:, :ns], zb.step[:, ns:]
-    times = np.arange(horizon) * (1.0 if dom.is_dt else dom.step) + np.array(zb.offsets)[:, None]
-    um = _pe_input(refmodel.n_inputs, dom)(times)  # (stages, horizon, m_in)
-    # row k + 1 first holds the input drive of step k, then gains P z_k
+    um = _pe_input(refmodel.n_inputs, dom, horizon, zb.offsets)  # one block per stage
+    # row 0 is the start, row k + 1 the input drive of step k; the scan adds P z_k
     traj = np.empty((horizon, ns))
     traj[0] = 0.0
     traj[0, :n] = np.random.default_rng(11).standard_normal(n)
-    np.matmul(np.hstack(um[:, :-1]), q.T, out=traj[1:])
-    for k in range(horizon - 1):
-        traj[k + 1] += p @ traj[k]
-    phi = traj[settle:] @ read[:, :ns].T + um[0, settle:] @ read[:, ns:].T
+    np.matmul(np.hstack([u[:-1] for u in um]), q.T, out=traj[1:])
+    _scan(p, traj)
+    phi = traj[settle:] @ read[:, :ns].T + um[0][settle:] @ read[:, ns:].T
     tgt = traj[settle:, :n] @ a1  # xi_m(D)[y_m] minus the A2 u_m part
     beta, *_ = np.linalg.lstsq(phi, tgt, rcond=None)
     fit = phi @ beta

@@ -203,6 +203,35 @@ def rk4_sim(f, x0, h, steps):
     return np.asarray(out)
 
 
+def linear_recursion(p, x0, drives):
+    """States of x+ = p x + d from x0, one sequential step per drive."""
+    xs = [np.asarray(x0, dtype=float)]
+    for d in drives:
+        xs.append(p @ xs[-1] + d)
+    return np.asarray(xs)
+
+
+def pe_multisine(n_channels, is_dt, t, seed=7):
+    """The reference-input fit's excitation summed term by term at the times t.
+
+    Draws the same frequencies, phases and amplitudes as linsys._pe_input and
+    returns (values of shape (len(t), n_channels), (freqs, phases, amps)),
+    each parameter array of shape (n_channels, 8).
+    """
+    rng = np.random.default_rng(seed)
+    base = np.array([0.131, 0.279, 0.457, 0.683, 0.911, 1.187, 1.459, 1.733])
+    base = base if is_dt else 2.0 * base
+    phases = rng.uniform(0, 2 * np.pi, size=(n_channels, base.size))
+    amps = rng.uniform(0.4, 1.0, size=(n_channels, base.size))
+    freqs = np.array([base * (1 + 0.13 * ch) for ch in range(n_channels)])
+    t = np.asarray(t, dtype=float)
+    vals = np.full((t.size, n_channels), 0.3)
+    for ch in range(n_channels):
+        for f, p, a in zip(freqs[ch], phases[ch], amps[ch]):
+            vals[:, ch] += a * np.sin(f * t + p)
+    return vals, (freqs, phases, amps)
+
+
 # -- true data of feedback_lin.benchmark's follower, from its theta_star ------------
 
 

@@ -127,6 +127,19 @@ _PM2 = [0.02, -0.3, 1.0]  # roots 0.1 and 0.2
 # mimo-ct-2x2's Kp^-1, the known gain Kp Sp = I
 _CT_SP = benchmarks.mimo_ct_2x2()["sp"]
 _SIN = {"amp": "x", "freq": 0.1}
+# mimo-dt-2x2 with a fourth plant state at 0.5 that neither u drives nor y reads
+_DT22 = benchmarks.mimo_dt_2x2()
+_NONMINIMAL_MIMO = {
+    "benchmark": None, "domain": "dt", "module": "mimo", "test_mode": True,
+    "plant": {"A": np.block([[_DT22["plant"].a, np.zeros((3, 1))],
+                             [np.zeros((1, 3)), 0.5]]).tolist(),
+              "B": np.vstack([_DT22["plant"].b, np.zeros((1, 2))]).tolist(),
+              "C": np.hstack([_DT22["plant"].c, np.zeros((2, 1))]).tolist()},
+    "refmodel": {k: getattr(_DT22["refmodel"], k.lower()).tolist() for k in "ABC"},
+    "interactor": [d.coeffs.tolist() for d in _DT22["interactor"].rows],
+    "f": _DT22["fpoly"].coeffs.tolist(), "lambda": _DT22["lam"].coeffs.tolist(),
+    "um": {"channels": [{"bias": 0.5}] * 2}, "gains": {"sp": _DT22["sp"].tolist()},
+}
 
 # (base fields, field values, field named): each used to pass validation, or to
 # end in a numpy or Python traceback from validate or run
@@ -167,6 +180,9 @@ _MALFORMED = {
                                 "lambda": [1.0]}, "nu"),
     "mimo_of_near": (_MIMO, {"structure": "of_xm", "theta0": "near", "nu": 1,
                              "lambda": [1.0]}, "nu"),
+    # a non-minimal plant has no output-feedback matching parameters: load failed in
+    # SingularMatchingSystem, which names no field
+    "mimo_of_nonminimal_plant": (_NONMINIMAL_MIMO, {"structure": "of_xm", "nu": 2}, "plant"),
     # a benchmark's own plant and reference model ran in place of the given ones
     "benchmark_plant": ({}, {"plant": _EXPLICIT["plant"]}, "plant"),
     "benchmark_refmodel": ({}, {"refmodel": _EXPLICIT["refmodel"]}, "refmodel"),

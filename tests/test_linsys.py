@@ -425,15 +425,68 @@ def test_ref_input_from_io_ct_fresh_trajectory_consistency():
 
 
 @pytest.mark.parametrize("domain", [dt(), ct(1e-3)], ids=["dt", "ct"])
-def test_pe_input_array_matches_scalar(domain):
-    sig = ls._pe_input(3, domain)
-    ts = np.concatenate([np.arange(50) * 0.37, [1234.5]])
-    assert sig(1.5).shape == (3,)
-    each = np.array([sig(float(t)) for t in ts])
-    np.testing.assert_allclose(sig(ts), each, rtol=0, atol=1e-14)
-    grid = np.stack((ts, ts + 0.5))
-    np.testing.assert_allclose(sig(grid), np.stack((each, [sig(t + 0.5) for t in ts])),
-                               rtol=0, atol=1e-14)
+def test_pe_input_grid_matches_the_direct_sum(domain):
+    # the fit's stages: u(k) in DT; u(k h), u(k h + h/2), u(k h + h) in CT
+    offsets = ls.ReferenceBlock(StateSpace([[0.5]], [[1.0]], [[1.0]], domain)).offsets
+    horizon = 1500 if domain.is_dt else 20000
+    step = 1.0 if domain.is_dt else domain.step
+    stages = ls._pe_input(3, domain, horizon, offsets)
+    assert len(stages) == len(offsets)
+
+    def check(got, t):
+        want, (freqs, phases, amps) = oc.pe_multisine(3, domain.is_dt, t)
+        # Each side rounds f t + p in its own order (t, or the block start a B
+        # spacing and the offset b spacing, each rounded once, then the
+        # products with f and the sum with p): at most 8 roundings of
+        # |f| t + |p| per term.  The grid side then adds sin and cos at the
+        # block starts and offsets and 16 products of magnitude <= A <= 1
+        # with their sum, the direct side its sin and sum: 20 roundings of A
+        # per term.
+        eps = np.finfo(float).eps
+        tol = eps * (amps * (8 * (freqs * t[:, None, None] + phases) + 20)).sum(axis=-1)
+        assert np.all(np.abs(got - want) <= tol)
+
+    # strided views of one grid of spacing 1 (DT) or h/2 (CT) holding every stage time
+    sub = len(offsets) - 1 or 1
+    grid = stages[0].base
+    assert grid.shape == (sub * horizon + 1, 3)
+    for j, (rows, offset) in enumerate(zip(stages, offsets)):
+        assert rows.base is grid and rows.shape == (horizon, 3)
+        assert np.shares_memory(rows[0], grid[j]) and np.shares_memory(rows[1], grid[j + sub])
+        check(rows, np.arange(horizon) * step + offset)
+    check(grid, np.arange(len(grid)) * (step / sub))
+
+
+@pytest.mark.parametrize("case", ["jordan", "non_normal", "horizon_1500", "horizon_2"])
+def test_scan_matches_the_sequential_recursion(case):
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    p, horizon = {
+        # defective: a 3x3 Jordan block at 0.95, |P^k| peaks near 117
+        "jordan": (np.eye(3, k=1) + 0.95 * np.eye(3), 1024),
+        # strongly non-normal: |P^k| peaks near 1250 while every eigenvalue is <= 0.6
+        "non_normal": (np.triu(np.full((4, 4), 8.0), 1) + np.diag([0.5, 0.6, 0.4, 0.3]),
+                       1024),
+        "horizon_1500": (np.block([[0.99 * rot, np.zeros((2, 1))], [np.zeros((1, 2)), 0.7]]),
+                         1500),
+        "horizon_2": (np.array([[0.5, 1.0], [0.0, 0.5]]), 2),
+    }[case]
+    n = len(p)
+    rows = np.random.default_rng(3).standard_normal((horizon, n))
+    want = oc.linear_recursion(p, rows[0], rows[1:])
+    got = rows.copy()
+    ls._scan(p, got)
+    # First-order rounding of the scan: each of its ceil(log2 H) levels adds one
+    # product with a power P^s (n-term dot products, then the add: (n + 1) eps
+    # |P^s| |row|).  Every partial sum, and every state, is at most
+    # G max|row| with G = sum_k |P^k| over the horizon, and M bounds |P^s|.
+    powers = [np.eye(n)]
+    for _ in range(horizon - 1):
+        powers.append(p @ powers[-1])
+    norms = [np.abs(pk).sum(axis=1).max() for pk in powers]
+    levels = int(np.ceil(np.log2(horizon)))
+    scale = sum(norms) * np.abs(rows).max()
+    tol = levels * (n + 1) * np.finfo(float).eps * max(norms) * scale
+    assert np.max(np.abs(got - want)) <= tol
 
 
 def test_ref_input_from_io_zero_everything():
