@@ -277,17 +277,17 @@ CT_BLOCK = 64
 class FlatLoop:
     """A loop over one flat state s, in the interface that drive steps.
 
-    measure(k) -> (y, y_m, e, u, Frame) gives the signals at grid point k;
-    advance() moves s to the next grid point and adds the step's terms to
-    the running sums l2_eps and l2_dtheta.  h is the grid step (1 in
-    discrete time), par the view of s holding the adaptive parameters.
+    step(k) -> (y, y_m, e, u, Frame) gives the signals at grid point k, moves
+    s to grid point k + 1 and adds the step's terms to the running sums
+    l2_eps and l2_dtheta.  h is the grid step (1 in discrete time), par the
+    view of s holding the adaptive parameters, and frame_shapes the shapes of
+    the frame's zeta and xi.
 
     Every stage runs on buffers fixed at build: the derivative rows K[j] (a
     block that no stage writes stays zero), rk4_step's work arrays, and,
     from _stage_buffers, each stage's signal arrays and its views of its
     argument (s itself for j = 0) and of K[j].  Each stage has signal arrays
-    of its own, so what measure returns survives the later stages of the
-    step, until the next measure.
+    of its own, so what step returns survives until the next step.
     """
 
     def _allocate(self, blocks, par, nst=4):
@@ -302,8 +302,16 @@ class FlatLoop:
         self._new_par, self._dpar = self._work[4][par], np.empty(self.par.size)
         self.l2_eps = self.l2_dtheta = 0.0  # the running L2 sums
 
+    def _start(self, name, value, view):
+        """Write the start value of `name` into view, its shape checked; None keeps zero."""
+        if value is not None:
+            value = np.asarray(value, dtype=float)
+            if value.shape != view.shape:
+                raise ValueError(f"{name} shape {value.shape} != {view.shape}")
+            view[...] = value
+
     def _rk4_advance(self, stage, t, l2e):
-        """One RK4 step of s from grid time t, whose first stage measure wrote into K[0].
+        """One RK4 step of s from grid time t, whose first stage step wrote into K[0].
 
         stage(tt, j) returns K[j], the derivative at stage j = 1, 2, 3, whose
         argument is rk4_step's work[j - 1].  l2e is the step's increment of
@@ -343,7 +351,7 @@ class ClosedLoop(FlatLoop):
     the loop.  In continuous time the coupled ODE is triangular, so RK4 gives
     z the same stage values whether it is stepped with the rest or alone.  In
     both domains z is stepped alone, through the step map of the scenario's
-    ReferenceBlock, one block of at most CT_BLOCK steps at a time, and its
+    ReferenceBlock, one block of CT_BLOCK steps at a time, and its
     contribution is tabulated at the stage points of every step (one in DT,
     the four RK4 stages in CT).
 
@@ -372,7 +380,7 @@ class ClosedLoop(FlatLoop):
     only through the simulated signals.
     """
 
-    def __init__(self, scenario, horizon, adaptive=True, theta0=None, psi0=None):
+    def __init__(self, scenario, adaptive=True, theta0=None, psi0=None):
         self.scenario = scn = scenario
         self.law = scn.law if adaptive else None  # None: frozen parameters
         self._gradient = adaptive and scn.design == "gradient"
@@ -452,28 +460,23 @@ class ClosedLoop(FlatLoop):
         self.lin = self.s[self._lin]
         self.theta = self.s[self._theta].reshape(q, m)
         self.psi = self.s[self._psi].reshape(m, m)
-        for name, start, dest in (("theta0", theta0, self.theta), ("psi0", psi0, self.psi)):
-            if start is not None:
-                start = np.asarray(start, dtype=float)
-                if start.shape != dest.shape:
-                    raise ValueError(f"{name} shape {start.shape} != {dest.shape}")
-                dest[:] = start
+        self._start("theta0", theta0, self.theta)
+        self._start("psi0", psi0, self.psi)
+        self.frame_shapes = ((q,), (m,))
 
         # stage tables, one block of steps at a time
         z0 = np.zeros(nz)
         if scn.xm0 is not None:
             z0[: scn.refmodel.n] = scn.xm0
-        nb = min(CT_BLOCK, horizon)
         self._offsets = np.array(zb.offsets)[:, None]
-        self._w = np.empty((nb, nz + len(zb.offsets) * m))
-        self._tab = np.empty((nb, nst, exo.shape[0]))
-        self._z_next, self._k0 = z0, -nb  # the first block starts at step 0
+        self._w = np.empty((CT_BLOCK, nz + len(zb.offsets) * m))
+        self._tab = np.empty((CT_BLOCK, nst, exo.shape[0]))
+        self._z_next, self._k0 = z0, -CT_BLOCK  # the first block starts at step 0
         # the exogenous part of every table row, and y_m of each step
-        self._rows = [tuple(self._tab[r, :, self._exo]) for r in range(nb)]
+        self._rows = [tuple(self._tab[r, :, self._exo]) for r in range(CT_BLOCK)]
         self._ym_rows = list(self._tab[:, 0, self._ym])
 
         self._lin_next, self._par_step = self._k[0][self._lin], self._k[0][par]  # DT
-        self._t = self._r = self._frame = None  # time, table row and frame of the last measure
 
     def _stage_buffers(self, arg, d):
         """Views of one stage argument and of its derivative row, and the stage's signals."""
@@ -493,9 +496,9 @@ class ClosedLoop(FlatLoop):
         Row j of a step's table is R_j w, w = [z, u_m at the step's input
         times], from the reference block's stage maps.
         """
-        nb, nz = self._w.shape[0], self._ref.nz
+        nb, nz = CT_BLOCK, self._ref.nz
         if k0 != self._k0 + nb:
-            raise ValueError("steps must be measured in order")
+            raise ValueError("steps must be taken in order")
         um = self.scenario.um(np.arange(k0, k0 + nb) * self.h + self._offsets)  # (m, stages, nb)
         self._w[:, nz:] = um.transpose(2, 1, 0).reshape(nb, -1)
         z, w, p = self._z_next, self._w, self._ref.step.T
@@ -512,8 +515,8 @@ class ClosedLoop(FlatLoop):
         table row.  Only what the law reads is computed: Rd1Law reads e and
         omega, a frozen run nothing, GradientLaw the estimation-error
         signals; the laws write into K[j].  With frame set, the signals (y, e,
-        u, Frame) that measure records are returned too, as views of stage
-        j's buffers.
+        u, Frame) that step returns are returned too, as views of stage j's
+        buffers.
         """
         (lin, theta, psi, sig, exo, oz, uz, u, tz, gu_u, sig_lin, dlin, zeta, xi, ebar, zx,
          eps, e, om, y, dpar) = self._stages[j]
@@ -534,19 +537,14 @@ class ClosedLoop(FlatLoop):
             return self._k[j]
         return self._k[j], (y, e, u, Frame(zeta, xi, eps, mm))
 
-    def measure(self, k):
-        """Signals (y, y_m, e, u, frame) at grid point k and the stored state."""
+    def step(self, k):
+        """Signals (y, y_m, e, u, frame) at grid point k; moves the state to grid point k + 1."""
         r = k - self._k0
-        if not 0 <= r < self._w.shape[0]:
+        if not 0 <= r < CT_BLOCK:
             self._fill_block(k)
             r = 0
-        _, (y, e, u, frame) = self._stage_rhs(0, self._rows[r][0], frame=True)
-        self._t, self._r, self._frame = k * self.h, r, frame
-        return y, self._ym_rows[r], e, u, frame
-
-    def advance(self):
-        """Move the stored state to the next grid point (after measure)."""
-        frame = self._frame
+        rows = self._rows[r]
+        _, (y, e, u, frame) = self._stage_rhs(0, rows[0], frame=True)
         if self.domain.is_dt:
             dpar = self._par_step
             self.lin[...] = self._lin_next
@@ -554,46 +552,47 @@ class ClosedLoop(FlatLoop):
             self.l2_eps += float(frame.eps @ frame.eps) / frame.m2
             self.l2_dtheta += float(dpar @ dpar)
         else:
-            rows = self._rows[self._r]
-            self._rk4_advance(lambda tt, j: self._stage_rhs(j, rows[j]), self._t,
+            self._rk4_advance(lambda tt, j: self._stage_rhs(j, rows[j]), k * self.h,
                               self.h * float(frame.eps @ frame.eps) / frame.m2)
-        self._frame = None
+        return y, self._ym_rows[r], e, u, frame
 
 
-def drive(loop, rec, diagnose=None):
-    """Step a FlatLoop through the rows of rec; returns the stop events.
+def drive(loop, horizon, diagnose=None):
+    """Step a FlatLoop for `horizon` steps; returns the SimTrace of the run.
 
-    Row k holds loop.measure(k) and, in rec's block buffers, the parameters
-    in effect then and the frame rows it keeps.  rec.close_block(diagnose)
-    runs before the first step, on an empty block, so that every column
-    diagnose names exists even when the run stops at its first step; then
-    on every full block and the final one.
+    Row k holds loop.step(k) and, in the recorder's block buffers, the
+    parameters in effect then and, when diagnose is given, the frame's zeta
+    and xi.  The recorder's close_block(diagnose) runs before the first step,
+    on an empty block, so that every column diagnose names exists even when
+    the run stops at its first step; then on every full block and the final
+    one.
 
     The stop rule: the first failing step ends the run before its row, with
-    one event, {"t": t_k, "sigma_min": <value>} for a SingularityGuard and
-    {"t": t_k, "diverged": <state block>} for running L2 sums non-finite
-    after the step.  The event reports the fault, so numpy's overflow and
-    invalid-value warnings of the failing step are silenced.
+    one event in trace.guard_events, {"t": t_k, "sigma_min": <value>} for a
+    SingularityGuard and {"t": t_k, "diverged": <state block>} for running
+    L2 sums non-finite after the step.  The event reports the fault, so
+    numpy's overflow and invalid-value warnings of the failing step are
+    silenced.
     """
+    rec = _Recorder(horizon, loop.scenario.m, loop.par.size,
+                    None if diagnose is None else loop.frame_shapes)
     events, par, h = [], loop.par, loop.h
     rec.close_block(diagnose)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(rec.t.size):
+        for k in range(horizon):
             rec.par[k - rec.k0] = par
             try:
-                y, ym, e, u, frame = loop.measure(k)
-                loop.advance()
+                y, ym, e, u, frame = loop.step(k)
             except SingularityGuard as g:
                 events.append({"t": k * h, "sigma_min": g.sigma_min})
                 break
             if not (math.isfinite(loop.l2_eps) and math.isfinite(loop.l2_dtheta)):
                 events.append({"t": k * h, "diverged": loop.diverged_block()})
                 break
-            # the frame survives the step, until the next measure
             if rec.push(k * h, y, ym, e, u, frame, loop.l2_eps, loop.l2_dtheta):
                 rec.close_block(diagnose)
         rec.close_block(diagnose)
-    return events
+    return rec.trace(events)
 
 
 def run_closed_loop(scenario, adaptive=True, horizon=1000, theta0=None, psi0=None,
@@ -601,22 +600,14 @@ def run_closed_loop(scenario, adaptive=True, horizon=1000, theta0=None, psi0=Non
     """Run the scenario's ClosedLoop for `horizon` steps through drive; returns a SimTrace.
 
     Row k of the trace holds the time-t_k values of every signal, with
-    parameters as used by u(t_k).  diagnose(theta, psi, frame, e), when
-    given, is evaluated once per block of at most CT_BLOCK rows, on arrays
-    with a leading step axis: theta (k, q, m) and psi (k, m, m) hold the
-    parameters in effect at each row, frame holds zeta, xi, eps and m, and
-    e is (k, m).  It returns named columns of k values: "v" fills trace.v,
-    any other name trace.extra (test mode).
+    parameters as used by u(t_k).  diagnose(par, frame, e), when given, is
+    evaluated once per block of at most CT_BLOCK rows, on arrays with a
+    leading step axis: par (k, q m + m m) holds the parameters [Theta, Psi]
+    in effect at each row, flattened row by row, frame holds zeta, xi, eps
+    and m, and e is (k, m).  It returns named columns of k values: "v" fills
+    trace.v, any other name trace.extra (test mode).
 
     A run stopped by drive's stop rule returns the rows before the failing
     step, with the event in trace.guard_events.
     """
-    loop = ClosedLoop(scenario, horizon, adaptive, theta0, psi0)
-    q, m = scenario.theta_dim, scenario.m
-    rec = _Recorder(horizon, m, q * m + m * m, None if diagnose is None else ((q,), (m,)))
-
-    def block(p, frame, e):
-        n = p.shape[0]
-        return diagnose(p[:, : q * m].reshape(n, q, m), p[:, q * m :].reshape(n, m, m), frame, e)
-
-    return rec.trace(drive(loop, rec, None if diagnose is None else block))
+    return drive(ClosedLoop(scenario, adaptive, theta0, psi0), horizon, diagnose)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FlatLoop, Frame, _Recorder, check_gain, drive
+from .engine import FlatLoop, Frame, check_gain, drive
 from .errors import SingularityGuard, ValidationError
 from .linsys import DiagonalInteractor, Polynomial, RationalFilter, check_rk4_step, ct, stack
 
@@ -258,11 +258,8 @@ class FLLoop(FlatLoop):
         if scenario.x0 is not None:
             self.s[self._x] = scenario.x0
         self.s[self._xm] = leader.x0
-        if theta0 is not None:
-            theta0 = np.asarray(theta0, dtype=float)
-            if theta0.shape != (q, m):
-                raise ValueError(f"theta0 shape {theta0.shape} != {(q, m)}")
-            self.s[self._theta] = theta0.T.ravel()
+        self._start("theta0", theta0, self.s[self._theta].reshape(m, q).T)
+        self.frame_shapes = ((m, q), (m,))
         # scratch of every right-hand side, read only inside it: X of
         # estimates (zero outside its blocks), the weights [1, u, -1] that
         # read omega off it, omega, the drive and the products summed into
@@ -280,7 +277,6 @@ class FLLoop(FlatLoop):
         self._drive_omega, self._drive_alpha = self._drive[:, :q], self._drive[:, q]
         self._nalpha = -scenario.alpha_last
         self._xi, _, self.m_i = self._stages[0][-1]  # the grid stage's
-        self._t = self._frame = None  # time and frame of the last measure
 
     def _stage_buffers(self, flat, deriv):
         """Views of one stage argument and of its derivative, and the stage's signals."""
@@ -318,23 +314,18 @@ class FLLoop(FlatLoop):
             gradient_rhs(scn.gain, zetas, eps, mi, out=dtheta)
         return deriv, (y, ym, e, u, zetas, eps, mi)
 
-    def measure(self, k):
-        """Signals (y, y_m, e, u, frame) at grid point k, as ClosedLoop.measure gives them.
+    def step(self, k):
+        """Signals (y, y_m, e, u, frame) at grid point k, as ClosedLoop.step gives them.
 
         frame.m is sqrt(1 + |zeta|^2) over every column, and m_i holds each
         column's m_i.
         """
-        self._t = t = k * self.h
-        _, (y, ym, e, u, zetas, eps, _) = self._stage(t, self._stages[0])
-        self._frame = Frame(zetas, self._xi, eps, math.sqrt(1.0 + float(np.vdot(zetas, zetas))))
-        return y, ym, e, u, self._frame
-
-    def advance(self):
-        """Move the stored state to the next grid point (after measure)."""
-        stages = self._stages
-        self._rk4_advance(lambda tt, j: self._stage(tt, stages[j])[0], self._t,
-                          self.h * float(np.add.reduce((self._frame.eps / self.m_i) ** 2)))
-        self._frame = None
+        t, stages = k * self.h, self._stages
+        _, (y, ym, e, u, zetas, eps, _) = self._stage(t, stages[0])
+        frame = Frame(zetas, self._xi, eps, math.sqrt(1.0 + float(np.vdot(zetas, zetas))))
+        self._rk4_advance(lambda tt, j: self._stage(tt, stages[j])[0], t,
+                          self.h * float(np.add.reduce((eps / self.m_i) ** 2)))
+        return y, ym, e, u, frame
 
 
 def certificate(theta, theta_star, gain_inv):
@@ -357,9 +348,7 @@ def run(scenario, adaptive=True, horizon=10000, theta0=None, oracle=None):
     theta~_i^T zeta_i in trace.extra["ident_resid"].  All three are
     evaluated, as theta_norm is, once per block of at most CT_BLOCK rows.
     """
-    loop = FLLoop(scenario, adaptive=adaptive, theta0=theta0)
     m, q = scenario.m, scenario.q
-    rec = _Recorder(horizon, m, q * m, ((m, q), (m,)))
     gain_inv = None if oracle is None else np.linalg.inv(scenario.gain)
 
     def diagnose(par, frame, e):
@@ -371,7 +360,7 @@ def run(scenario, adaptive=True, horizon=10000, theta0=None, oracle=None):
             cols["ident_resid"] = frame.eps - np.einsum("kji,kij->ki", oracle - theta, zetas)
         return cols
 
-    return rec.trace(drive(loop, rec, diagnose))
+    return drive(FLLoop(scenario, adaptive=adaptive, theta0=theta0), horizon, diagnose)
 
 
 def benchmark(theta_star=(0.8, -1.0, 0.6), d2_root=1.2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -107,6 +108,26 @@ def _conv(fn, value, fld):
         raise ValidationError(fld, str(exc)) from exc
 
 
+def _int(value):
+    """int(value), with a ValueError for a bool and for a number with a fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, not {value!r}")
+    return int(value)
+
+
+def _finite(value, fld=""):
+    """Reject a number in value beyond the float range, NaN too, named by its keys and [i]s."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _finite(v, f"{fld}.{key}" if fld else key)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _finite(v, f"{fld}[{i}]" if isinstance(v, dict) else fld)
+    else:
+        _require(not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max, fld,
+                 "must be finite")
+
+
 def _array(value, fld, *shapes):
     """value as a float array, of one of the given shapes if any, else a ValidationError on fld."""
     a = _conv(lambda v: np.asarray(v, dtype=float), value, fld)
@@ -166,6 +187,7 @@ def scenario_from_dict(data, name=None):
     """Validate a scenario dict and build its run object (Scenario.model)."""
     if not isinstance(data, dict):
         raise ParseError("scenario document must be a JSON object")
+    _finite(data)
     _check_keys(data, _TOP_FIELDS, "")
     _require(data.get("schema_version") == SCHEMA_VERSION, "schema_version",
              f"must be {SCHEMA_VERSION}")
@@ -186,7 +208,7 @@ def scenario_from_dict(data, name=None):
     _require(mode != "nominal" or test_mode, "mode",
              "nominal mode needs matching parameters: set test_mode true")
     structure = _conv(Structure, data.get("structure", "sf_xm"), "structure")
-    seed = _conv(int, data.get("seed", 0), "seed")
+    seed = _conv(_int, data.get("seed", 0), "seed")
     _require(seed >= 0, "seed", "must be non-negative")
     converge_tol = _conv(float, data.get("converge_tol", 1e-2), "converge_tol")
     _require(0.0 < converge_tol < math.inf, "converge_tol", "must be positive and finite")
@@ -208,7 +230,7 @@ def scenario_from_dict(data, name=None):
 
     # a given step, read once for the fl, explicit and benchmark paths alike
     step = _conv(float, data["step"], "step") if "step" in data else None
-    _require(step is None or step > 0, "step", "must be positive")
+    _require(step is None or 0.0 < step < math.inf, "step", "must be positive and finite")
     if module == "fl":
         comps["step"] = comps["step"] if step is None else step
     else:
@@ -234,7 +256,7 @@ def scenario_from_dict(data, name=None):
                 for key in ("plant", "refmodel"):
                     comps[key] = replace(comps[key], domain=ct(step))
     default = 20000 if module == "fl" else 5000 if comps["plant"].domain.is_dt else 10000
-    horizon = _conv(int, data.get("horizon", default), "horizon")
+    horizon = _conv(_int, data.get("horizon", default), "horizon")
     _require(horizon > 0, "horizon", "must be positive")
 
     if module != "fl":
@@ -245,7 +267,7 @@ def scenario_from_dict(data, name=None):
             rows = [_poly(c, f"interactor[{i}]")
                     for i, c in enumerate(_conv(list, data["interactor"], "interactor"))]
             comps["interactor"] = DiagonalInteractor(rows)
-        for key, conv in (("nu", int), ("nbe", int), ("sign_kp", float), ("kp_bound", float)):
+        for key, conv in (("nu", _int), ("nbe", _int), ("sign_kp", float), ("kp_bound", float)):
             if key in data:
                 comps[key] = _conv(conv, data[key], key)
         if "um" in data:

@@ -33,8 +33,8 @@ class TimeDomain:
     step: float = 1.0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be positive and finite")
 
     @property
     def is_dt(self):
@@ -56,8 +56,8 @@ class Polynomial:
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
         while c.size > 1 and c[-1] == 0.0:
             c = c[:-1]
-        if c[-1] == 0.0:
-            raise ValueError("leading coefficient is zero")
+        if c.size == 0 or c[-1] == 0.0:
+            raise ValueError("leading coefficient is zero" if c.size else "has no coefficients")
         if monic and c[-1] != 1.0:
             raise ValueError("polynomial marked monic has leading coefficient != 1")
         self.coeffs = c
@@ -172,12 +172,14 @@ def rk4_gain(eigs, h):
 def check_rk4_step(modes, h):
     """Reject a step h at which RK4 amplifies a stable linear mode: ValidationError on step.
 
-    modes are (name, eigenvalue) pairs; a mode with negative real part must
-    satisfy |R(h lambda)| <= 1, and the message names the first that does not.
+    h must be positive and finite, and each (name, eigenvalue) pair of modes with negative
+    real part satisfy |R(h lambda)| <= 1; the message names the first that does not.
     """
+    if not 0.0 < h < np.inf:
+        raise ValidationError("step", f"{h:g} is not positive and finite")
     modes = [(name, lam) for name, lam in modes if lam.real < 0]
     for (name, lam), r in zip(modes, rk4_gain([lam for _, lam in modes], h)):
-        if r > 1.0:
+        if not r <= 1.0:
             raise ValidationError(
                 "step", f"{h:g} puts the {name} eigenvalue {complex(lam):.4g} outside "
                 f"RK4's stability region (|R(h lambda)| = {r:.3g} > 1)")

@@ -307,17 +307,17 @@ def verify_gain_prior(kp, sp, domain, gz=None):
     when the true Kp is too large for the domain's bound.
     """
     prod = kp @ sp
-    if np.max(np.abs(prod - prod.T)) > 1e-9 * max(1.0, np.max(np.abs(prod))):
+    if not np.max(np.abs(prod - prod.T)) <= 1e-9 * max(1.0, np.max(np.abs(prod))):
         raise GainBoundViolation("sp", "Kp Sp is not symmetric")
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))
-    if ev[0] <= 0:
+    if not ev[0] > 0:
         raise GainBoundViolation("sp", "Kp Sp is not positive definite")
     gz_max = 1.0 if gz is None else np.linalg.eigvalsh(0.5 * (gz + gz.T))[-1]
     rate = ev[-1] * gz_max
-    if domain.is_dt and rate >= 2.0:
+    if domain.is_dt and not rate < 2.0:
         raise GainBoundViolation("kp", "Kp Sp must be below 2I / lambda_max(gz) = "
                                  f"{2.0 / gz_max:.4g} I in discrete time")
-    if not domain.is_dt and rk4_gain([-rate], domain.step)[0] > 1.0:
+    if not domain.is_dt and not rk4_gain([-rate], domain.step)[0] <= 1.0:
         raise GainBoundViolation("kp", f"lambda_max(Kp Sp) lambda_max(gz) = {rate:.4g} puts "
                                  f"the adaptation outside RK4's stability region at step "
                                  f"{domain.step:g}")
@@ -333,20 +333,26 @@ def diagnostics(scenario, oracle):
     Theta~^T] with Ms = Kp^-1 S.
     """
     tstar, kp = oracle.theta_star, oracle.kp
+    q, m = tstar.shape
+
+    def split(par):  # the parameter rows as Theta (k, q, m) and Psi (k, m, m)
+        return par[:, : q * m].reshape(-1, q, m), par[:, q * m :].reshape(-1, m, m)
+
     if scenario.design == "rd1":
         law = scenario.law
         ms = np.linalg.inv(kp) @ law.s
         ms_inv = np.linalg.inv(0.5 * (ms + ms.T))
 
-        def rd1(theta, psi, frame, e):
-            tht = theta - tstar
+        def rd1(par, frame, e):
+            tht = split(par)[0] - tstar
             return {"v": np.vecdot(e @ law.p, e) + np.einsum("kij,kij->k", tht @ ms_inv, tht)}
 
         return rd1
     verify_gain_prior(kp, scenario.sp, scenario.plant.domain, scenario.gz)
     v = engine.certificate(tstar, kp, scenario.gz, scenario.sp, scenario.gamma)
 
-    def gradient(theta, psi, frame, e):
+    def gradient(par, frame, e):
+        theta, psi = split(par)
         tz = np.einsum("kij,ki->kj", theta - tstar, frame.zeta)
         pred = tz @ kp.T + np.einsum("kij,kj->ki", psi - kp, frame.xi)
         return {"v": v(theta, psi), "ident_resid": np.abs(frame.eps - pred).max(axis=1)}

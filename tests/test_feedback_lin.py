@@ -324,6 +324,14 @@ def test_step_outside_rk4_region_rejected_at_build(pair):
     assert fl.FLScenario(*pair[:3], step=1.0).step == 1.0
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_step_must_be_positive_and_finite(pair, step):
+    # the RK4 check compared |R| > 1, which is False for NaN: both steps built
+    with pytest.raises(ValidationError) as ei:
+        fl.FLScenario(*pair[:3], step=step)
+    assert ei.value.field == "step"
+
+
 def test_loop_rejects_a_theta0_of_another_shape(scn):
     with pytest.raises(ValueError, match="theta0"):
         fl.FLLoop(scn, theta0=np.zeros((scn.q, 3)))

@@ -71,7 +71,7 @@ def test_fused_stage_equals_the_unfused_block_formula(bench, design):
         scn = _mimo_scn(b, Structure.SF_YM)
     if design == "gradient":
         scn = _mimo_scn(b, Structure.SF_YM, gz=np.diag(np.linspace(0.5, 1.5, scn.theta_dim)))
-    loop = engine.ClosedLoop(scn, horizon=5, adaptive=design != "nominal")
+    loop = engine.ClosedLoop(scn, adaptive=design != "nominal")
     zb = scn.reference
     nst, width = loop._tab.shape[1:]
     assert nst == (1 if b["plant"].domain.is_dt else 4)
@@ -87,7 +87,7 @@ def test_fused_stage_equals_the_unfused_block_formula(bench, design):
             _close(got, want, 1e-12)
             got_f, (y, e, u, fr) = loop._stage_rhs(j, row[loop._exo], frame=True)
             assert np.array_equal(got_f, got)
-            ym = row[loop._ym]  # measure reads y_m off the table row
+            ym = row[loop._ym]  # step reads y_m off the table row
             for a, b_ in zip((y, ym, e, u, fr.eps, fr.m), sigs):
                 _close(a, b_, 1e-12)
 
@@ -126,14 +126,14 @@ def test_fl_regressor_and_drive_from_the_estimate_matrix():
 
 
 def _per_step_engine(scn, adaptive, horizon, theta0, psi0, step_diag):
-    """Step a ClosedLoop by hand; step_diag(loop, frame) gives one row of diagnostics."""
-    loop = engine.ClosedLoop(scn, horizon, adaptive, theta0, psi0)
+    """Step a ClosedLoop by hand; step_diag(theta, psi, frame) gives one row of diagnostics."""
+    loop = engine.ClosedLoop(scn, adaptive, theta0, psi0)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
-            *_, fr = loop.measure(k)
-            row = step_diag(loop, fr)
-            loop.advance()
+            theta, psi = loop.theta.copy(), loop.psi.copy()  # in effect at row k
+            *_, fr = loop.step(k)
+            row = step_diag(theta, psi, fr)
             if not (np.isfinite(loop.l2_eps) and np.isfinite(loop.l2_dtheta)):
                 break
             out.append(row)
@@ -151,11 +151,11 @@ def test_engine_block_diagnostics_match_per_step_formulas():
                                 diagnose=mimo.diagnostics(scn, nom))
     gp, gamma_inv = nom.kp.T @ np.linalg.inv(scn.sp), np.linalg.inv(scn.gamma)
 
-    def step_diag(loop, fr):
-        tht, psit = loop.theta - nom.theta_star, loop.psi - nom.kp
+    def step_diag(theta, psi, fr):
+        tht, psit = theta - nom.theta_star, psi - nom.kp
         v = np.trace(tht.T @ tht @ gp) + np.trace(psit.T @ gamma_inv @ psit)
         ident = np.max(np.abs(fr.eps - (nom.kp @ tht.T @ fr.zeta + psit @ fr.xi)))
-        return v, ident, np.linalg.norm(np.concatenate((loop.theta.ravel(), loop.psi.ravel())))
+        return v, ident, np.linalg.norm(np.concatenate((theta.ravel(), psi.ravel())))
 
     want = _per_step_engine(scn, True, horizon, theta0, psi0, step_diag)
     assert tr.n_samples == horizon == want.shape[0]
@@ -182,11 +182,11 @@ def test_engine_block_diagnostics_of_a_run_stopped_mid_block(monkeypatch):
     np.testing.assert_array_equal(gz, np.eye(scn.theta_dim) / b["kp_bound"])
     tstar, kp = nom.theta_star[:, 0], nom.kp[0, 0]
 
-    def step_diag(loop, fr):
-        tht, rhot = loop.theta[:, 0] - tstar, loop.psi[0, 0] - kp
+    def step_diag(theta, psi, fr):
+        tht, rhot = theta[:, 0] - tstar, psi[0, 0] - kp
         v = abs(kp) * tht @ np.linalg.solve(gz, tht) + rhot * rhot / grho
         ident = abs(fr.eps[0] - (kp * tht @ fr.zeta + rhot * fr.xi[0]))
-        return v, ident, np.linalg.norm(np.append(loop.theta, loop.psi))
+        return v, ident, np.linalg.norm(np.append(theta, psi))
 
     want = _per_step_engine(scn, False, 2000, theta0, psi0, step_diag)
     assert want.shape[0] == tr.n_samples

@@ -119,6 +119,7 @@ def _without(base, fld):
     return {k: v for k, v in base.items() if k != fld}
 
 _FL = {"module": "fl", "benchmark": "fl-2x3"}
+_NAN, _INF = float("nan"), float("inf")
 # zero at 2: not minimum phase in discrete time
 _NMP_PLANT = {"A": [[0.0, 1.0], [-0.06, 0.5]], "B": [[0.0], [1.0]], "C": [[-2.0, 1.0]]}
 # the same poles without a zero: relative degree 2
@@ -274,6 +275,43 @@ _MALFORMED = {
     "mimo_ct_prior_rk4": (dict(_MIMO, benchmark="mimo-ct-2x2"),
                           {"theta0": "near", "gains": {"sp": (5000 * _CT_SP).tolist(),
                                                        "gamma": 5000.0}}, "gains.sp"),
+    # JSON's NaN, Infinity and 1e400 parse as floats: a NaN sp loaded and diverged on theta
+    # at t = 0, NaN or infinite signals on plant_filters, and a NaN in f, the interactor or
+    # the plant ended validate in a LinAlgError; an infinite ct step loaded and stopped
+    # with an event at t = NaN
+    "mimo_sp_nan": (_MIMO, {"gains": {"sp": [[_NAN, 0.0], [0.0, 1.0]]}}, "gains.sp"),
+    "mimo_refmodel_c_nan": (dict(_EXPLICIT_MIMO, refmodel=dict(_EXPLICIT["refmodel"],
+                                                               C=[[_NAN]])), {}, "refmodel.C"),
+    "um_amp_nan": ({}, {"um": {"channels": [{"sinusoids": [{"amp": _NAN, "freq": 0.1}]}]}},
+                   "um.channels[0].sinusoids[0].amp"),
+    "um_bias_inf": ({}, {"um": {"channels": [{"bias": _INF}]}}, "um.channels[0].bias"),
+    "mimo_x0_nan": (_MIMO, {"x0": [_NAN, 0.0, 0.0]}, "x0"),
+    "mimo_xm0_nan": (_MIMO, {"xm0": [0.0, _NAN, 0.0]}, "xm0"),
+    "mimo_theta0_nan": (_MIMO, {"theta0": [[_NAN, 0.0]] + [[0.0, 0.0]] * 7}, "theta0"),
+    "mimo_f_nan": (_MIMO, {"f": [_NAN, 0.1, 1.0]}, "f"),
+    "mimo_interactor_nan": (_MIMO, {"interactor": [[_NAN, 1.0], [0.0375, -0.4, 1.0]]},
+                            "interactor"),
+    "mimo_plant_a_nan": (dict(_EXPLICIT_MIMO, plant=dict(_EXPLICIT["plant"], A=[[_NAN]])), {},
+                         "plant.A"),
+    "mimo_ct_step_inf": (dict(_MIMO, benchmark="mimo-rd1-ct"), {"step": _INF}, "step"),
+    "fl_step_inf": (_FL, {"step": _INF}, "step"),
+    # an integer literal beyond the float range ended load in an OverflowError, and a
+    # step given as the string "inf" loaded
+    "mimo_sp_huge_int": (_MIMO, {"gains": {"sp": [[10**400, 0], [0, 1]]}}, "gains.sp"),
+    "mimo_ct_step_string_inf": (dict(_MIMO, benchmark="mimo-ct-2x2"), {"step": "inf"}, "step"),
+    # integer fields were truncated: 1.5 ran as seed 1, true as horizon 1
+    "seed_fraction": ({}, {"seed": 1.5}, "seed"),
+    "seed_bool": ({}, {"seed": False}, "seed"),
+    "horizon_fraction": ({}, {"horizon": 10.7}, "horizon"),
+    "horizon_bool": ({}, {"horizon": True}, "horizon"),
+    "mimo_nu_fraction": (_MIMO, {"structure": "of_xm", "nu": 2.9, "lambda": [0.5, 1.0]}, "nu"),
+    "mimo_nbe_fraction": (_MIMO, {"structure": "sf_ym", "nbe": 1.5, "lambda_e": [0.5, 1.0]},
+                          "nbe"),
+    # an empty coefficient list ended validate and run in an IndexError
+    "mimo_f_empty": (_MIMO, {"f": []}, "f"),
+    "mimo_lambda_empty": (_MIMO, {"structure": "of_xm", "lambda": []}, "lambda"),
+    "siso_pm_empty": ({}, {"pm": []}, "pm"),
+    "mimo_interactor_empty_row": (_MIMO, {"interactor": [[], [-0.2, 1.0]]}, "interactor[0]"),
 }
 
 
@@ -833,6 +871,24 @@ def test_cli_run_step_outside_rk4_region_exit_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "ERROR: step:" in err and "RK4" in err
+    assert not (tmp_path / "os").exists()
+
+
+def test_cli_validate_of_a_nan_in_f_names_the_field(tmp_path, capsys):
+    # the file holds the bare JSON token NaN, which json.loads reads as a float
+    p = tmp_path / "nan_f.json"
+    p.write_text(json.dumps(_minimal(**_MIMO)).replace("}", ', "f": [NaN, 0.1, 1.0]}', 1))
+    assert "NaN" in p.read_text()
+    assert cli.main(["validate", "--scenario", str(p)]) == 1
+    assert "INVALID: f: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_cli_non_finite_step_override_rejected(tmp_path, capsys, step):
+    scn = Path(__file__).resolve().parents[1] / "scenarios" / "mimo_rd1_ct.json"
+    code = cli.main(["run", "--scenario", str(scn), "--out", str(tmp_path / "os"),
+                     "--step", step])
+    assert code == 1 and "ERROR: step: " in capsys.readouterr().err
     assert not (tmp_path / "os").exists()
 
 

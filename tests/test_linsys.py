@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptrack import linsys as ls
-from adaptrack.errors import NotHurwitz, RelativeDegreeViolation, UnobservablePair
+from adaptrack.errors import NotHurwitz, RelativeDegreeViolation, UnobservablePair, ValidationError
 from adaptrack.linsys import (
     DiagonalInteractor,
     FilterBank,
@@ -37,6 +37,30 @@ def test_polynomial_of_matrix_cayley_hamilton():
     a = rng.standard_normal((4, 4))
     p = Polynomial(np.poly(a)[::-1])
     assert np.max(np.abs(p.of_matrix(a))) < 1e-10 * max(1.0, np.max(np.abs(a)) ** 4)
+
+
+def test_polynomial_without_coefficients_is_a_value_error():
+    # c[-1] of the empty array raised an IndexError, which the loader does not map
+    with pytest.raises(ValueError, match="no coefficients"):
+        Polynomial([])
+
+
+# -- time domains and the RK4 step ----------------------------------------------
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_time_domain_step_must_be_positive_and_finite(step):
+    # step <= 0 is False for NaN: ct(nan) built
+    with pytest.raises(ValueError, match="step"):
+        ct(step)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_check_rk4_step_rejects_a_step_not_positive_and_finite(step):
+    # |R| > 1 is False for NaN, so a NaN or infinite step passed the check
+    with pytest.raises(ValidationError) as ei:
+        ls.check_rk4_step([("plant", -1.0 + 0.0j)], step)
+    assert ei.value.field == "step" and "positive and finite" in ei.value.message
 
 
 # -- relative degree ----------------------------------------------------------

@@ -257,7 +257,7 @@ def test_regressor_dim_is_the_width_of_the_assembled_regressor(bench_dt, structu
     ref = StateSpace(np.diag(np.linspace(0.1, 0.5, n_m)) + np.eye(n_m, k=-1), b,
                      np.eye(2, n_m), dt())
     scn = _scn(bench_dt, structure=structure, refmodel=ref)
-    loop = engine.ClosedLoop(scn, horizon=1, adaptive=False)
+    loop = engine.ClosedLoop(scn, adaptive=False)
     assert loop._read["omega"].shape[0] == scn.theta_dim
     assert loop.theta.shape == (scn.theta_dim, 2)
 
@@ -270,18 +270,18 @@ def test_regressor_zero(bench_dt):
         assert np.all(engine.assemble_regressor(s, z) == 0.0)
 
 
-# -- estimation frame (ClosedLoop.measure) ------------------------------------------
+# -- estimation frame (ClosedLoop.step) ---------------------------------------------
 
 
-def _frozen_loop(scn, theta, psi, horizon=1):
+def _frozen_loop(scn, theta, psi):
     """The engine loop with frozen parameters (no update law)."""
-    return engine.ClosedLoop(scn, horizon, False, theta0=theta, psi0=psi)
+    return engine.ClosedLoop(scn, False, theta0=theta, psi0=psi)
 
 
 def test_frame_zero(bench_dt):
     scn = _scn(bench_dt)
     loop = _frozen_loop(scn, np.zeros((scn.theta_dim, 2)), np.eye(2))
-    *_, fr = loop.measure(0)
+    *_, fr = loop.step(0)
     assert np.all(fr.eps == 0.0) and fr.m == 1.0
 
 
@@ -290,10 +290,9 @@ def test_frame_frozen_theta_swap_decays(bench_dt):
     scn = _scn(bench_dt, x0=rng.standard_normal(3))
     theta = mimo.nominal_params(scn).theta_star
     theta = theta * (1.0 + 0.1 * rng.standard_normal(theta.shape))
-    loop = _frozen_loop(scn, theta, np.eye(2), horizon=120)
+    loop = _frozen_loop(scn, theta, np.eye(2))
     for k in range(120):
-        *_, fr = loop.measure(k)
-        loop.advance()
+        *_, fr = loop.step(k)
     assert np.any(fr.zeta != 0.0)
     assert np.max(np.abs(fr.xi)) < 1e-6
 
@@ -305,7 +304,7 @@ def test_frame_biproper_error_filter_feedthrough(bench_dt):
     xm0 = np.linalg.lstsq(scn.refmodel.c, ym0, rcond=None)[0]
     loop = _frozen_loop(dataclasses.replace(scn, xm0=xm0), np.zeros((scn.theta_dim, 2)),
                         np.zeros((2, 2)))
-    _, _, e, _, fr = loop.measure(0)
+    _, _, e, _, fr = loop.step(0)
     assert np.max(np.abs(e + ym0)) < 1e-15
     # Psi = 0 makes eps the filtered error ebar.  Channel 2 filter d2/f is
     # biproper with J = 1 (both monic, equal degree)
@@ -348,6 +347,16 @@ def test_gain_prior_verified_in_test_mode(bench_dt):
         mimo.verify_gain_prior(kp, bad.sp, bad.plant.domain)
     with pytest.raises(GainBoundViolation):
         mimo.run(bad, adaptive=True, horizon=5, oracle=mimo.nominal_params(bad))
+
+
+def test_gain_prior_rejects_a_nan_sp(bench_dt):
+    # every comparison of the prior check was False on NaN: a NaN Sp passed in DT
+    _, kp = mimo.interactor_row_gains(bench_dt["plant"], bench_dt["interactor"])
+    sp = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for dom in (dt(), ct(1e-3)):
+        with pytest.raises(GainBoundViolation) as ei:
+            mimo.verify_gain_prior(kp, sp, dom)
+        assert ei.value.field == "sp"
 
 
 def test_adaptive_dt_lyapunov_and_identity(bench_dt):
@@ -648,32 +657,32 @@ def test_ct_stage_tables_block_size_invariant(bench_ct, monkeypatch, structure):
 
 def test_ct_stage_tables_memory_flat_in_horizon(bench_ct):
     scn = _scn(bench_ct)
-    short = engine.ClosedLoop(scn, horizon=10, adaptive=False)
-    long = engine.ClosedLoop(scn, horizon=50 * engine.CT_BLOCK, adaptive=False)
-    assert short._tab.shape[0] == 10 and long._tab.shape[0] == engine.CT_BLOCK
+    short = engine.ClosedLoop(scn, adaptive=False)
+    long = engine.ClosedLoop(scn, adaptive=False)
+    assert short._tab.shape[0] == engine.CT_BLOCK and long._tab.shape[0] == engine.CT_BLOCK
     assert long.s.size == short.s.size  # [lin, Theta, Psi]: no reference block in the state
-    long.measure(0)
-    long.advance()
+    long.step(0)
     with pytest.raises(ValueError, match="in order"):
-        long.measure(3 * engine.CT_BLOCK)
+        long.step(3 * engine.CT_BLOCK)
 
 
 @pytest.mark.parametrize("design", ["gradient", "rd1", "nominal"])
 def test_ct_stage_derivative_is_the_k1_of_measure(bench_ct, bench_rd1, design):
     # stages 2-4 compute only what the law reads; at one state and stage row
-    # they must give measure's k1 bit for bit
+    # they must give the k1 of step's grid evaluation bit for bit
     if design == "rd1":
         scn = _scn(bench_rd1, design="rd1")
     else:
         scn = _scn(bench_ct, structure=Structure.SF_YM)
-    loop = engine.ClosedLoop(scn, horizon=5, adaptive=design != "nominal")
-    loop.measure(0)  # fills the first block of stage tables
+    loop = engine.ClosedLoop(scn, adaptive=design != "nominal")
+    loop.step(0)  # fills the first block of stage tables
     rng = np.random.default_rng(21)
     loop.s[:] = rng.standard_normal(loop.s.size)
     loop._tab[0, 0] = rng.standard_normal(loop._tab.shape[2])
-    loop.measure(0)
+    s0 = loop.s.copy()
+    loop.step(0)  # step 0 again, from s0: its grid evaluation writes k1 into K[0]
     k1 = loop._k[0].copy()
-    loop._work[0][:] = loop.s  # the argument of stage 2
+    loop._work[0][:] = s0  # the argument of stage 2
     assert np.array_equal(loop._stage_rhs(1, loop._tab[0, 0, loop._exo]), k1)
     dpar = k1[loop._par]
     assert np.all(dpar == 0.0) if design == "nominal" else np.any(dpar != 0.0)

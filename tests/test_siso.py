@@ -183,19 +183,19 @@ def test_regressor_sf_xm_layout():
     assert np.all(got == np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
 
 
-# -- estimation frame (ClosedLoop.measure) ------------------------------------------
+# -- estimation frame (ClosedLoop.step) ---------------------------------------------
 
 
-def _frozen_loop(scn, theta, rho=1.0, horizon=1):
+def _frozen_loop(scn, theta, rho=1.0):
     """The engine loop of the one-channel scenario with frozen parameters (no update law)."""
-    return engine.ClosedLoop(scn, horizon, False, theta0=np.reshape(theta, (-1, 1)),
+    return engine.ClosedLoop(scn, False, theta0=np.reshape(theta, (-1, 1)),
                              psi0=np.array([[rho]]))
 
 
 def test_frame_zero_signals(bench):
     scn = _scenario(bench, Structure.SF_XM)
     loop = _frozen_loop(scn, np.zeros(scn.theta_dim))
-    *_, fr = loop.measure(0)
+    *_, fr = loop.step(0)
     assert fr.eps[0] == 0.0 and fr.m == 1.0
 
 
@@ -204,7 +204,7 @@ def test_frame_m_formula(bench):
     rng = np.random.default_rng(1)
     loop = _frozen_loop(scn, rng.standard_normal(scn.theta_dim))
     loop.lin[:] = rng.standard_normal(loop.lin.size)  # plant and filter states
-    *_, fr = loop.measure(0)
+    *_, fr = loop.step(0)
     assert np.any(fr.zeta != 0.0) and fr.xi[0] != 0.0
     m_expected = np.sqrt(1.0 + fr.zeta @ fr.zeta + fr.xi @ fr.xi)
     assert abs(fr.m - m_expected) < 1e-15
@@ -221,10 +221,9 @@ def test_frame_frozen_theta_swap_term_decays(bench):
     rng = np.random.default_rng(2)
     theta = mimo.nominal_params(scn).theta_star[:, 0] * (
         1.0 + 0.1 * rng.standard_normal(scn.theta_dim))
-    loop = _frozen_loop(scn, theta, horizon=100)
+    loop = _frozen_loop(scn, theta)
     for k in range(100):
-        *_, fr = loop.measure(k)
-        loop.advance()
+        *_, fr = loop.step(k)
     assert np.any(fr.zeta != 0.0)
     assert abs(fr.xi[0]) < 1e-6
 
@@ -393,7 +392,7 @@ def test_run_stops_at_nonfinite_l2_sum(bench):
     scn = _scenario(bench, Structure.SF_XM, plant=plant, x0=np.ones(3))
     tr = engine.run_closed_loop(scn, False, 1000, theta0=np.zeros((scn.theta_dim, 1)),
                                 psi0=np.ones((1, 1)),
-                                diagnose=lambda th, ps, fr, e: {"one": 1.0})
+                                diagnose=lambda par, fr, e: {"one": 1.0})
     assert 0 < tr.n_samples < 1000
     assert tr.guard_events == [{"t": float(tr.n_samples), "diverged": "l2_eps"}]
     for arr in (tr.e, tr.u, tr.eps, tr.m, tr.theta_norm, tr.extra["l2_eps_cum"],

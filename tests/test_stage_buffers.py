@@ -6,6 +6,8 @@ recorded at a grid point must survive the step's later stages, and two loops
 of one scenario must not share any scratch.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,12 +92,12 @@ def test_rk4_step_matrix_arguments_keep_every_stage():
 # -- grid-point signals survive the later stages ----------------------------------------------
 
 
-def _mimo_loop(bench, design, horizon=300):
+def _mimo_loop(bench, design):
     b = benchmarks.build(bench)
     scn = mimo.MimoScenario(**b, structure=Structure.SF_XM, x0=np.array([0.3, -0.2, 0.1]),
                             design="gradient" if design == "nominal" else design)
     theta0 = 0.9 * mimo.nominal_params(scn).theta_star
-    return lambda: engine.ClosedLoop(scn, horizon, design != "nominal", theta0=theta0,
+    return lambda: engine.ClosedLoop(scn, design != "nominal", theta0=theta0,
                                      psi0=scn.sp.T.copy())
 
 
@@ -110,14 +112,19 @@ def _measured(out):
 
 @pytest.mark.parametrize("bench,design", _ENGINE)
 def test_engine_measured_signals_survive_the_step(bench, design):
+    # what step returns is its grid evaluation, untouched by the later stages: the
+    # same evaluation, redone from the state before the step, gives it again
     loop = _mimo_loop(bench, design)()
     for k in range(150):
-        out = loop.measure(k)
-        before = [a.copy() for a in _measured(out)]
-        loop.advance()
-        for a, b_ in zip(_measured(out), before):
+        start = loop.s.copy()
+        out = loop.step(k)
+        got, end = [a.copy() for a in _measured(out)], loop.s.copy()
+        loop.s[:] = start
+        _, (y, e, u, fr) = loop._stage_rhs(0, loop._rows[k - loop._k0][0], frame=True)
+        loop.s[:] = end
+        for a, b_ in zip(_measured((y, out[1], e, u, fr)), got):
             assert np.array_equal(a, b_)
-    assert np.any(before[5] != 0.0)
+    assert np.any(got[5] != 0.0)
 
 
 def _fl_loop(adaptive=True):
@@ -141,18 +148,26 @@ def _fl_measured(loop, out):
     return [y, ym, e, u, fr.zeta, fr.xi, fr.eps, np.array(fr.m), loop.m_i]
 
 
+def _fl_grid(loop, t, flat):
+    """_fl_measured of the grid evaluation at a state, on fresh buffers, as new arrays."""
+    bufs = loop._stage_buffers(flat, np.zeros(flat.size))
+    _, (y, ym, e, u, zetas, eps, mi) = loop._stage(t, bufs)
+    m = math.sqrt(1.0 + float(np.vdot(zetas, zetas)))
+    return [np.array(a, copy=True) for a in (y, ym, e, u, zetas, bufs[-1][0], eps, m, mi)]
+
+
 @pytest.mark.parametrize("adaptive", [True, False], ids=["gradient", "nominal"])
 def test_fl_grid_signals_survive_the_step(adaptive):
-    # the allocating reference step runs between measure and advance, so the
-    # grid-point signals must also survive the scratch its stages write
+    # the allocating reference evaluation and step run on the loop's own scratch
+    # before the step, so what step returns must be its own grid evaluation,
+    # untouched by the scratch its later stages write
     loop = _fl_loop(adaptive)
     for k in range(100):
-        out = loop.measure(k)
-        before = [np.array(a, copy=True) for a in _fl_measured(loop, out)]
+        want = _fl_grid(loop, k * loop.h, loop.s.copy())
         want_new = rk4_step(_fl_rhs(loop), k * loop.h, loop.s, loop.h)
-        loop.advance()
+        out = loop.step(k)
         assert np.array_equal(loop.s, want_new)
-        for a, b_ in zip(_fl_measured(loop, out), before):
+        for a, b_ in zip(_fl_measured(loop, out), want):
             assert np.array_equal(a, b_)
 
 
@@ -163,8 +178,7 @@ def test_fl_evaluate_returns_arrays_no_later_call_overwrites():
     before = [d1.copy()] + [np.array(a, copy=True) for a in sig1]
     flat2 = flat + 0.1
     _fl_evaluate(loop, 0.5, flat2)
-    loop.measure(0)
-    loop.advance()
+    loop.step(0)
     for a, b_ in zip([d1, *sig1], before):
         assert np.array_equal(a, b_)
 
@@ -174,8 +188,8 @@ def test_fl_evaluate_returns_arrays_no_later_call_overwrites():
 
 @pytest.mark.parametrize("bench,design", _ENGINE)
 def test_engine_loops_stepped_interleaved_equal_separate_runs(bench, design):
-    # each loop is measured before the other advances, so any buffer the two
-    # shared would carry one loop's values into the other's step
+    # each loop's row is read after the other's step, so any buffer the two
+    # shared would carry one loop's values into the other's
     build = _mimo_loop(bench, design)
 
     def row(out):
@@ -184,16 +198,13 @@ def test_engine_loops_stepped_interleaved_equal_separate_runs(bench, design):
 
     alone, loop = [], build()
     for k in range(200):
-        alone.append(row(loop.measure(k)))
-        loop.advance()
+        alone.append(row(loop.step(k)))
     a, b_ = build(), build()
     ra, rb = [], []
     for k in range(200):
-        out_a, out_b = a.measure(k), b_.measure(k)
+        out_a, out_b = a.step(k), b_.step(k)
         ra.append(row(out_a))
         rb.append(row(out_b))
-        a.advance()
-        b_.advance()
     assert np.array_equal(np.array(ra), np.array(alone))
     assert np.array_equal(np.array(rb), np.array(alone))
     assert np.array_equal(a.s, loop.s) and np.array_equal(b_.s, loop.s)
@@ -206,16 +217,13 @@ def test_fl_loops_stepped_interleaved_equal_separate_runs():
 
     alone, loop = [], _fl_loop()
     for k in range(150):
-        alone.append(row(loop, loop.measure(k)))
-        loop.advance()
+        alone.append(row(loop, loop.step(k)))
     a, b_ = _fl_loop(), _fl_loop()
     ra, rb = [], []
     for k in range(150):
-        out_a, out_b = a.measure(k), b_.measure(k)
+        out_a, out_b = a.step(k), b_.step(k)
         ra.append(row(a, out_a))
         rb.append(row(b_, out_b))
-        a.advance()
-        b_.advance()
     assert np.array_equal(np.array(ra), np.array(alone))
     assert np.array_equal(np.array(rb), np.array(alone))
     assert np.array_equal(a.s, loop.s) and np.array_equal(b_.s, loop.s)
